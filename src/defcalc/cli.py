@@ -72,9 +72,18 @@ def _require(data, key, where, kind=None):
     if key not in data:
         raise CliError(f"{where}: missing field {key!r}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and type(value) is not kind:  # exact: true is not an int
         raise CliError(f"{where}: field {key!r} has the wrong type")
     return value
+
+
+def _monomial(value, variables, where):
+    """Exponent tuple: one non-negative JSON integer per variable."""
+    if not isinstance(value, list) or len(value) != len(variables):
+        raise CliError(f"{where}: wrong exponent count")
+    if any(type(e) is not int or e < 0 for e in value):
+        raise CliError(f"{where}: exponents must be non-negative integers")
+    return tuple(value)
 
 
 def _parse_basis(data, where, key="basis"):
@@ -282,9 +291,7 @@ def _parse_artin_payload(data, where):
     monomials = _require(data, "monomials", where, list)
     monos = set()
     for pos, mono in enumerate(monomials):
-        if not isinstance(mono, list) or len(mono) != len(variables):
-            raise CliError(f"{where}.monomials[{pos}]: wrong exponent count")
-        monos.add(tuple(int(e) for e in mono))
+        monos.add(_monomial(mono, variables, f"{where}.monomials[{pos}]"))
     try:
         kernel = ArtinAlgebra(variables, monos)
     except ValueError as exc:
@@ -308,7 +315,7 @@ def _parse_mc_element(data, where):
     terms = {}
     for pos, entry in enumerate(data.get("terms", [])):
         label = f"{where}.terms[{pos}]"
-        mono = tuple(int(e) for e in _require(entry, "monomial", label, list))
+        mono = _monomial(_require(entry, "monomial", label), algebra.variables, label)
         name = _require(entry, "name", label, str)
         coeff = _fraction(_require(entry, "coeff", label), label)
         if mono not in algebra.monomials or mono == algebra.unit:
@@ -660,6 +667,14 @@ _COMMANDS = {
 }
 
 
+# Least value of each option (Q[t]/(t^1) has no maximal ideal; weight 0 checks
+# nothing), and the commands that read it; other commands only echo it.
+_OPTION_MINIMUM = {
+    "order": (2, ("mc-solve", "obstruction")),
+    "weight": (1, ("check-linfty", "check-morphism", "hitchin-verify")),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="defcalc",
@@ -697,6 +712,9 @@ def run_command(command, args):
         raise CliError(
             f"{command} takes between {min_files} and {max_files} files"
         )
+    for option, (least, readers) in _OPTION_MINIMUM.items():
+        if command in readers and getattr(args, option) < least:
+            raise CliError(f"{command}: --{option} must be at least {least}")
     return handler(args)
 
 

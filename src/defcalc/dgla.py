@@ -496,61 +496,41 @@ def gauge_act(a, x, dgla, algebra):
     return result
 
 
-def _nested_bracket(dgla, algebra, letters):
-    """Right-nested bracket [w1, [w2, [... [wk-1, wk]]]] of coefficient vectors."""
-    acc = letters[-1]
-    for letter in reversed(letters[:-1]):
-        acc = bracket_artin(dgla, algebra, letter, acc)
-        if acc.is_zero():
-            break
-    return acc
-
-
-def _block_sequences(total_budget):
-    """All sequences of (p, q) blocks with p + q >= 1, total letters <= budget."""
-    results = []
-
-    def extend(seq, used):
-        if seq:
-            results.append(tuple(seq))
-        for p in range(total_budget - used + 1):
-            for q in range(total_budget - used - p + 1):
-                if p + q == 0:
-                    continue
-                seq.append((p, q))
-                extend(seq, used + p + q)
-                seq.pop()
-
-    extend([], 0)
-    return results
-
-
 def bch_product(a, b, dgla, algebra):
     """Campbell-Hausdorff product a * b with exp(a * b) acting as exp(a) exp(b).
 
-    Dynkin's commutator series; every letter lies in the maximal ideal, so
-    words longer than the nilpotency order vanish and the sum below is the
-    whole series.
+    Varadarajan's recursion for the parts Z_n of log(e^a e^b) of length n:
+    Z_1 = a + b and (n + 1) Z_{n+1} = [a - b, Z_n] / 2 + sum_{p >= 1, 2p <= n}
+    B_2p / (2p)! W_{2p,n}, where W_{j,m} = sum_k [Z_k, W_{j-1,m-k}] is the sum
+    of [Z_k1, [... [Z_kj, a + b]...]] over k_1 + ... + k_j = m: O(N^3)
+    brackets.  Every letter lies in the maximal ideal, so words of length
+    N = nilpotency order vanish and Z_1 + ... + Z_{N-1} is the whole series.
     """
     validate_artin_vector(a, algebra, dgla.space, degree=0)
     validate_artin_vector(b, algebra, dgla.space, degree=0)
-    max_len = algebra.nilpotency_order - 1
-    total = ArtinVector()
-    for seq in _block_sequences(max_len):
-        letters = []
-        for p, q in seq:
-            letters.extend([a] * p)
-            letters.extend([b] * q)
-        word_len = len(letters)
-        nested = _nested_bracket(dgla, algebra, letters)
-        if nested.is_zero():
-            continue
-        denom = len(seq) * word_len
-        for p, q in seq:
-            denom *= math.factorial(p) * math.factorial(q)
-        coeff = Fraction(_sign(len(seq) - 1), denom)
-        total = total + nested.scale(coeff)
-    return total
+    top = algebra.nilpotency_order - 1
+    # c[j] = B_j / j!, the coefficients of x / (e^x - 1).
+    c = [ONE]
+    for m in range(1, top):
+        c.append(-sum(c[k] / math.factorial(m + 1 - k) for k in range(m)))
+    diff = a - b
+    z = [None, a + b]
+    w = [[z[1]]]  # w[m][j] = W_{j,m}; W_{0,m} = 0 for m > 0
+    for n in range(1, top):
+        row = [ArtinVector()]
+        for j in range(1, n + 1):
+            acc = ArtinVector()
+            for k in range(1, n - j + 2):
+                inner = w[n - k][j - 1]
+                if z[k] and inner:
+                    acc = acc + bracket_artin(dgla, algebra, z[k], inner)
+            row.append(acc)
+        w.append(row)
+        nxt = bracket_artin(dgla, algebra, diff, z[n]).scale(Fraction(1, 2))
+        for p in range(1, n // 2 + 1):
+            nxt = nxt + row[2 * p].scale(c[2 * p])
+        z.append(nxt.scale(Fraction(1, n + 1)))
+    return sum(z[2:], z[1])
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,82 @@ def test_reports_deterministic(tmp_path, capsys):
 def test_parse_document_raises_cli_error_directly():
     with pytest.raises(CliError):
         parse_document(os.path.join(SAMPLES, "no_such_file.json"))
+
+
+def load_sample(name):
+    with open(sample(name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def assert_rejected(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("order", ["0", "1", "-1"])
+def test_order_below_two_exits_two(capsys, order):
+    assert_rejected(
+        capsys, ["mc-solve", sample("dgla_obstructed.json"), "--order", order]
+    )
+    assert_rejected(
+        capsys,
+        ["obstruction", sample("hitchin_r2_nilpotent.json"), "--order", order],
+    )
+
+
+@pytest.mark.parametrize("weight", ["0", "-1"])
+def test_weight_below_one_exits_two(capsys, weight):
+    assert_rejected(
+        capsys,
+        ["check-linfty", sample("linfty_obstructed.json"), "--weight", weight],
+    )
+    for command in ("check-morphism", "hitchin-verify"):
+        assert_rejected(
+            capsys,
+            [command, sample("hitchin_r2_nilpotent.json"), "--weight", weight],
+        )
+
+
+def test_options_unread_by_a_command_are_not_checked(capsys):
+    code, report = run(
+        capsys, "check-dgla", sample("dgla_obstructed.json"),
+        "--order", "0", "--weight", "0",
+    )
+    assert code == 0
+    assert report["options"] == {"order": 0, "seed": 0, "weight": 0}
+
+
+def test_bool_degree_rejected(capsys, tmp_path):
+    payload = load_sample("dgla_obstructed.json")
+    payload["basis"][0]["degree"] = True
+    assert_rejected(capsys, ["check-dgla", write(tmp_path, "bool.json", payload)])
+
+
+@pytest.mark.parametrize("exponent", [1.7, 1.0, True, -1])
+def test_bad_mc_element_exponent_rejected(capsys, tmp_path, exponent):
+    payload = load_sample("mc_flow_x.json")
+    payload["terms"][0]["monomial"] = [exponent]
+    bad = write(tmp_path, "bad_x.json", payload)
+    assert_rejected(
+        capsys,
+        [
+            "gauge-equiv",
+            sample("dgla_contractible.json"),
+            bad,
+            sample("mc_flow_x.json"),
+        ],
+    )
+
+
+@pytest.mark.parametrize("exponent", [1.7, True])
+def test_bad_artin_exponent_rejected(tmp_path, exponent):
+    path = write(
+        tmp_path,
+        "artin.json",
+        {"kind": "artin", "variables": ["t"], "monomials": [[0], [exponent]]},
+    )
+    with pytest.raises(CliError, match="exponents"):
+        parse_document(path)

@@ -1,5 +1,6 @@
 """Differential graded Lie and commutative algebras, MC calculus, gauge."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from defcalc.dgla import (
     trivial_cdga,
 )
 from defcalc.graded import GradedMap, GradedSpace, GradedVector
+from defcalc.hitchin import matrix_wedge_dgla
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +302,73 @@ def test_bch_frozen():
     # abelian: bch degenerates to the sum
     z2 = bch_product(a, a.scale(3), model, algebra)
     assert z2.terms == {((1,), "a"): Fraction(4)}
+
+
+def _dynkin_bch(a, b, dgla, algebra):
+    """Test oracle: Dynkin's commutator series for log(e^a e^b), summed over
+    every sequence of (p, q) blocks with at most nilpotency order - 1 letters.
+    """
+    budget = algebra.nilpotency_order - 1
+    sequences = []
+
+    def extend(seq, used):
+        if seq:
+            sequences.append(tuple(seq))
+        for p in range(budget - used + 1):
+            for q in range(budget - used - p + 1):
+                if p + q:
+                    extend(seq + [(p, q)], used + p + q)
+
+    extend([], 0)
+    total = ArtinVector()
+    for seq in sequences:
+        letters = [x for p, q in seq for x in [a] * p + [b] * q]
+        nested = letters[-1]
+        for letter in reversed(letters[:-1]):
+            nested = bracket_artin(dgla, algebra, letter, nested)
+        denom = len(seq) * len(letters)
+        for p, q in seq:
+            denom *= math.factorial(p) * math.factorial(q)
+        total = total + nested.scale(Fraction((-1) ** (len(seq) - 1), denom))
+    return total
+
+
+def _random_degree0(rng, model, algebra, count=6):
+    """Seeded degree-0 element, biased towards low-order monomials so that
+    long brackets survive the truncation."""
+    names = model.space.names_of_degree(0)
+    monomials = algebra.maximal_ideal  # sorted by total degree
+    terms = {}
+    for _ in range(count):
+        pick = min(rng.randrange(len(monomials)), rng.randrange(len(monomials)))
+        key = (monomials[pick], rng.choice(names))
+        terms[key] = terms.get(key, 0) + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return ArtinVector(terms)
+
+
+def gl3():
+    return matrix_wedge_dgla(3, GradedSpace([]), [[{}] * 3 for _ in range(3)])
+
+
+@pytest.mark.parametrize(
+    "make_model, variables, truncations, pairs",
+    [
+        (heisenberg, ("t",), range(2, 7), 3),
+        (gl3, ("t",), range(2, 8), 1),
+        (gl3, ("s", "t"), [5], 3),  # monomials of total degree <= 4
+    ],
+)
+def test_bch_matches_dynkin_oracle(make_model, variables, truncations, pairs):
+    model = make_model()
+    rng = random.Random(7)
+    for n in truncations:
+        algebra = make_artin(variables, n)
+        for _ in range(pairs):
+            a = _random_degree0(rng, model, algebra)
+            b = _random_degree0(rng, model, algebra)
+            for x, y in ((a, b), (b, a)):
+                expected = _dynkin_bch(x, y, model, algebra)
+                assert bch_product(x, y, model, algebra) == expected
 
 
 def test_gauge_act_frozen():
