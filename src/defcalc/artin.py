@@ -17,8 +17,6 @@ from .graded import GradedVector, as_fraction
 
 ZERO = Fraction(0)
 
-UNIT = None  # placeholder replaced per-algebra; the unit monomial is all zeros
-
 
 def monomial_degree(monomial):
     return sum(monomial)
@@ -26,6 +24,15 @@ def monomial_degree(monomial):
 
 def monomial_key(monomial):
     return (sum(monomial), monomial)
+
+
+def _exponent(e, mono):
+    """e itself when it is a non-bool, non-negative int; never rounded."""
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise TypeError(f"exponent {e!r} in {mono!r} is not an int")
+    if e < 0:
+        raise ValueError(f"negative exponent in {mono!r}")
+    return e
 
 
 def divides(a, b):
@@ -43,11 +50,9 @@ class ArtinAlgebra:
         m = len(self.variables)
         mono_set = set()
         for mono in monomials:
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(_exponent(e, mono) for e in mono)
             if len(mono) != m:
                 raise ValueError(f"monomial {mono!r} has wrong arity, expected {m}")
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono!r}")
             mono_set.add(mono)
         unit = (0,) * m
         if unit not in mono_set:
@@ -76,9 +81,6 @@ class ArtinAlgebra:
             and self.variables == other.variables
             and self.monomials == other.monomials
         )
-
-    def dim_maximal_ideal(self):
-        return len(self.maximal_ideal)
 
     def multiply_monomials(self, a, b):
         """Product monomial, or None when it falls in the ideal."""
@@ -110,6 +112,8 @@ def make_artin(variables, truncation):
     closed set containing 1.
     """
     variables = tuple(variables)
+    if isinstance(truncation, bool):
+        raise TypeError("truncation must be an int or monomials, got bool")
     if isinstance(truncation, int):
         if truncation < 1:
             raise ValueError("integer truncation must be >= 1")

@@ -726,6 +726,9 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in defcalc itself, not a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     report["status"] = "pass" if code == 0 else "fail"
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)

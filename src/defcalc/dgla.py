@@ -121,9 +121,6 @@ class Dgla:
                     out = out + vec.scale(ca * cb)
         return out
 
-    def nonzero_bracket_pairs(self):
-        return sorted(self.brackets)
-
     def dimension(self):
         return len(self.space)
 
@@ -177,128 +174,151 @@ def trivial_cdga(unit_name="1"):
 
 # ---------------------------------------------------------------------------
 # Axiom checks.
+#
+# A table is indexed once into the maps m(a, -) and m(-, c), stored like a
+# GradedMap's columns, and every defect is accumulated straight from them
+# into one sparse dict.  Only the triples or pairs with a term that can be
+# nonzero are visited: m(p, m(q, r)) needs m(q, r) != 0 and m(p, e) != 0 for
+# some e in its support.  Every violation has a nonzero term, so it stays in
+# the visited set and the first one in the fixed order is a full scan's.
+
+
+def _index(table):
+    """left[a][e] = m(a, e) and right[c][e] = m(e, c), nonzero entries only."""
+    left, right = {}, {}
+    for (a, b), vec in table.items():
+        left.setdefault(a, {})[b] = vec
+        right.setdefault(b, {})[a] = vec
+    return left, right
+
+
+def _add_image(out, vec, columns, sign):
+    """out += sign * f(vec) on a sparse name -> Fraction dict, dropping zeros;
+    f is given by its columns (name -> GradedVector) and vec may be None."""
+    if vec is None:
+        return
+    for e, ce in vec.coeffs.items():
+        col = columns.get(e)
+        if col is None:
+            continue
+        if sign < 0:
+            ce = -ce
+        for name, c in col.coeffs.items():
+            s = out.get(name, ZERO) + ce * c
+            if s:
+                out[name] = s
+            else:
+                del out[name]
+
+
+def _complex_violations(space, d):
+    for a in space.names:
+        if a in d.columns:
+            dd = d.apply(d.columns[a])
+            if not dd.is_zero():
+                yield CheckReport.failed("complex", (a,), dd)
+
+
+def _mirror_violations(space, table, axiom, sign):
+    """Pairs with m(a, b) != sign (-1)^(|a||b|) m(b, a)."""
+    deg = space.degree
+    for a, b in sorted(table):
+        lhs = table[(a, b)]
+        rhs = table.get((b, a), GradedVector()).scale(sign * _sign(deg(a) * deg(b)))
+        if lhs != rhs:
+            yield CheckReport.failed(axiom, (a, b), lhs - rhs)
+
+
+def _leibniz_violations(space, d, table, left, right):
+    """Pairs (a, b) in name order with d m(a, b) != m(da, b) + (-1)^|a| m(a, db)."""
+    pairs = set(table)
+    for a, da in d.columns.items():
+        for e in da.coeffs:
+            pairs.update((a, c) for c in left.get(e, ()))
+            pairs.update((p, a) for p in right.get(e, ()))
+    for a, b in sorted(pairs):
+        out = {}
+        _add_image(out, table.get((a, b)), d.columns, 1)
+        _add_image(out, d.columns.get(a), right.get(b, {}), -1)
+        _add_image(out, d.columns.get(b), left.get(a, {}), -_sign(space.degree(a)))
+        if out:
+            yield CheckReport.failed("leibniz", (a, b), GradedVector(out))
 
 
 def check_dgla(dgla):
     """Verify d*d = 0, graded antisymmetry, Jacobi and Leibniz, exactly.
 
-    Returns a passing report or the first violation in deterministic order.
-    Jacobi is only evaluated on triples where at least one pairwise bracket
-    is nonzero; on fully commuting triples every term vanishes identically.
+    Returns a passing report or the first violation in deterministic order;
+    Jacobi triples are taken in basis order.  Jacobi is only evaluated on
+    the triples where one of [a, [b, c]], [[a, b], c], [b, [a, c]] can be
+    nonzero, found from the support of each bracket.
     """
-    space = dgla.space
-    names = space.names
-    deg = space.degree
+    return next(_dgla_violations(dgla), CheckReport.passed())
 
-    for a in names:
-        dd = dgla.d.apply(dgla.d.column(a))
-        if not dd.is_zero():
-            return CheckReport.failed("complex", (a,), dd)
 
-    pairs = sorted(set(dgla.brackets))
-    for a, b in pairs:
-        lhs = dgla.bracket_basis(a, b)
-        rhs = dgla.bracket_basis(b, a).scale(-_sign(deg(a) * deg(b)))
-        if lhs != rhs:
-            return CheckReport.failed("antisymmetry", (a, b), lhs - rhs)
-
-    nonzero = dgla.nonzero_bracket_pairs()
-
-    def jacobi_defect(a, b, c):
-        lhs = dgla.bracket(GradedVector.basis(a), dgla.bracket_basis(b, c))
-        t1 = dgla.bracket(dgla.bracket_basis(a, b), GradedVector.basis(c))
-        t2 = dgla.bracket(GradedVector.basis(b), dgla.bracket_basis(a, c)).scale(
-            _sign(deg(a) * deg(b))
-        )
-        return lhs - (t1 + t2)
-
-    # On a triple with all three pairwise brackets zero every Jacobi term
-    # vanishes identically, so only triples touching a nonzero pair matter.
+def _dgla_violations(dgla):
+    space, table = dgla.space, dgla.brackets
+    names, deg = space.names, space.degree
+    yield from _complex_violations(space, dgla.d)
+    yield from _mirror_violations(space, table, "antisymmetry", -1)
+    left, right = _index(table)
     index = {n: i for i, n in enumerate(names)}
     candidates = set()
-    for b, c in nonzero:
-        for a in names:
-            candidates.add((index[a], index[b], index[c]))
-    for a, b in nonzero:
-        for c in names:
-            candidates.add((index[a], index[b], index[c]))
-    for a, c in nonzero:
-        for b in names:
-            candidates.add((index[a], index[b], index[c]))
+    for (x, y), vec in table.items():
+        ix, iy = index[x], index[y]
+        for e in vec.coeffs:
+            for a in right.get(e, ()):
+                candidates.update(((index[a], ix, iy), (ix, index[a], iy)))
+            candidates.update((ix, iy, index[c]) for c in left.get(e, ()))
     for ia, ib, ic in sorted(candidates):
         a, b, c = names[ia], names[ib], names[ic]
-        defect = jacobi_defect(a, b, c)
-        if not defect.is_zero():
-            return CheckReport.failed("jacobi", (a, b, c), defect)
-
-    d_support = [n for n in names if not dgla.d.column(n).is_zero()]
-    leibniz_pairs = set(nonzero)
-    for a in d_support:
-        for b in names:
-            leibniz_pairs.add((a, b))
-            leibniz_pairs.add((b, a))
-    for a, b in sorted(leibniz_pairs):
-        lhs = dgla.d.apply(dgla.bracket_basis(a, b))
-        rhs = dgla.bracket(dgla.d.column(a), GradedVector.basis(b)) + dgla.bracket(
-            GradedVector.basis(a), dgla.d.column(b)
-        ).scale(_sign(deg(a)))
-        if lhs != rhs:
-            return CheckReport.failed("leibniz", (a, b), lhs - rhs)
-
-    return CheckReport.passed()
+        out = {}
+        _add_image(out, table.get((b, c)), left.get(a, {}), 1)
+        _add_image(out, table.get((a, b)), right.get(c, {}), -1)
+        _add_image(out, table.get((a, c)), left.get(b, {}), -_sign(deg(a) * deg(b)))
+        if out:
+            yield CheckReport.failed("jacobi", (a, b, c), GradedVector(out))
+    yield from _leibniz_violations(space, dgla.d, table, left, right)
 
 
 def check_cdga(cdga):
-    """Verify d*d = 0, graded commutativity, associativity, Leibniz, unit."""
-    space = cdga.space
-    names = space.names
-    deg = space.degree
+    """Verify d*d = 0, graded commutativity, associativity, Leibniz, unit.
 
-    for a in names:
-        dd = cdga.d.apply(cdga.d.column(a))
-        if not dd.is_zero():
-            return CheckReport.failed("complex", (a,), dd)
+    Associativity triples are taken pair by pair over the nonzero products
+    (p, q) in name order, then by the third name r in basis order, (p, q, r)
+    before (r, p, q); only those where (xy)z or x(yz) can be nonzero are
+    evaluated.
+    """
+    return next(_cdga_violations(cdga), CheckReport.passed())
 
-    for name in names:
+
+def _cdga_violations(cdga):
+    space, table = cdga.space, cdga.products
+    yield from _complex_violations(space, cdga.d)
+    for name in space.names:
         if cdga.product_basis(cdga.unit, name) != GradedVector.basis(name):
-            return CheckReport.failed("unit", (cdga.unit, name))
+            yield CheckReport.failed("unit", (cdga.unit, name))
+    yield from _mirror_violations(space, table, "commutativity", 1)
+    left, right = _index(table)
+    index = {n: i for i, n in enumerate(space.names)}
+    candidates = set()
+    for (x, y), vec in table.items():
+        for e in vec.coeffs:
+            candidates.update((x, y, c) for c in left.get(e, ()))
+            candidates.update((a, x, y) for a in right.get(e, ()))
 
-    pairs = sorted(set(cdga.products))
-    for a, b in pairs:
-        lhs = cdga.product_basis(a, b)
-        rhs = cdga.product_basis(b, a).scale(_sign(deg(a) * deg(b)))
-        if lhs != rhs:
-            return CheckReport.failed("commutativity", (a, b), lhs - rhs)
+    def visit_order(t):  # the nonzero pair first met, then the third name
+        x, y, z = t
+        keys = ((x, y, index[z], 0), (y, z, index[x], 1))
+        return min(k for k in keys if k[:2] in table)
 
-    nonzero = sorted((k for k, v in cdga.products.items() if not v.is_zero()))
-    seen = set()
-    for a, b in nonzero:
-        for c in names:
-            for triple in ((a, b, c), (c, a, b)):
-                if triple in seen:
-                    continue
-                seen.add(triple)
-                x, y, z = triple
-                lhs = cdga.multiply(cdga.product_basis(x, y), GradedVector.basis(z))
-                rhs = cdga.multiply(GradedVector.basis(x), cdga.product_basis(y, z))
-                if lhs != rhs:
-                    return CheckReport.failed("associativity", triple, lhs - rhs)
-
-    d_support = [n for n in names if not cdga.d.column(n).is_zero()]
-    leibniz_pairs = set(nonzero)
-    for a in d_support:
-        for b in names:
-            leibniz_pairs.add((a, b))
-            leibniz_pairs.add((b, a))
-    for a, b in sorted(leibniz_pairs):
-        lhs = cdga.d.apply(cdga.product_basis(a, b))
-        rhs = cdga.multiply(cdga.d.column(a), GradedVector.basis(b)) + cdga.multiply(
-            GradedVector.basis(a), cdga.d.column(b)
-        ).scale(_sign(deg(a)))
-        if lhs != rhs:
-            return CheckReport.failed("leibniz", (a, b), lhs - rhs)
-
-    return CheckReport.passed()
+    for x, y, z in sorted(candidates, key=visit_order):
+        out = {}
+        _add_image(out, table.get((x, y)), right.get(z, {}), 1)
+        _add_image(out, table.get((y, z)), left.get(x, {}), -1)
+        if out:
+            yield CheckReport.failed("associativity", (x, y, z), GradedVector(out))
+    yield from _leibniz_violations(space, cdga.d, table, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +333,18 @@ def tensor_cdga_dgla(cdga, dgla):
     """Tensor of a commutative differential graded algebra with a dgla.
 
     On decomposables: d(a @ x) = da @ x + (-1)^|a| a @ dx and
-    [a @ x, b @ y] = (-1)^(|b| |x|) ab @ [x, y].  The result carries
-    tensor_factors / cdga / inner attributes recording the construction.
+    [a @ x, b @ y] = (-1)^(|b| |x|) ab @ [x, y].
     """
     A, L = cdga, dgla
     basis = []
-    factors = {}
+    seen = set()
     for a in A.space.names:
         for x in L.space.names:
             name = tensor_name(a, x)
-            if name in factors:
+            if name in seen:
                 raise ValueError(f"tensor basis name collision at {name!r}")
             basis.append((name, A.space.degree(a) + L.space.degree(x)))
-            factors[name] = (a, x)
+            seen.add(name)
     space = GradedSpace(basis)
 
     def embed(avec, xvec):
@@ -358,11 +377,7 @@ def tensor_cdga_dgla(cdga, dgla):
                 if not out.is_zero():
                     brackets[(tensor_name(a, x), tensor_name(b, y))] = out
 
-    result = Dgla(space, differential, brackets)
-    result.tensor_factors = factors
-    result.cdga = A
-    result.inner = L
-    return result
+    return Dgla(space, differential, brackets)
 
 
 def hom_name(target, source):
@@ -429,11 +444,7 @@ def hom_dgla(space, differential):
             columns[f] = img
     hom_diff = GradedMap(hom_space, hom_space, 1, columns)
 
-    result = Dgla(hom_space, hom_diff, brackets)
-    result.hom_factors = factors
-    result.complex_space = V
-    result.complex_differential = d
-    return result
+    return Dgla(hom_space, hom_diff, brackets)
 
 
 # ---------------------------------------------------------------------------

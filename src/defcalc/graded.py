@@ -371,13 +371,12 @@ class NotAComplexError(ValueError):
 class DegreeBlock:
     """Cohomology data in a single degree."""
 
-    def __init__(self, degree, dimension, representatives, basis_names, proj_matrix, kernel_matrix):
+    def __init__(self, degree, dimension, representatives, basis_names, proj_matrix):
         self.degree = degree
         self.dimension = dimension
         self.representatives = representatives
         self._basis_names = basis_names
         self._proj_matrix = proj_matrix
-        self._kernel_matrix = kernel_matrix
 
 
 class CohomologySummary:
@@ -474,6 +473,6 @@ def complex_cohomology(space, differential):
         span_cols = rep_cols + image_basis
         proj_matrix = linalg.matrix_from_columns(span_cols, n) if span_cols else None
         blocks[deg] = DegreeBlock(
-            deg, len(rep_cols), representatives, basis_here, proj_matrix, kernel_cols
+            deg, len(rep_cols), representatives, basis_here, proj_matrix
         )
     return CohomologySummary(space, blocks)

@@ -116,13 +116,6 @@ class HitchinPair:
                                 acc[word] = value
         return out
 
-    def component_matrix(self, l_name):
-        """Rational r x r matrix of the l_name coefficients of theta."""
-        return tuple(
-            tuple(row[q][l_name] for q in range(self.rank))
-            for row in (self.theta[p] for p in range(self.rank))
-        )
-
 
 def make_hitchin_pair(rank, l_space, theta):
     return HitchinPair(rank, l_space, theta)
@@ -204,9 +197,7 @@ def matrix_wedge_dgla(rank, l_space, theta):
             entry = {k2: v for k2, v in entry.items() if v}
             if entry:
                 brackets[(na, nb)] = entry
-    result = Dgla(space, differential, brackets)
-    result.matrix_parts = parts
-    return result
+    return Dgla(space, differential, brackets)
 
 
 def build_hitchin_dgla(pair, cdga):
@@ -323,14 +314,6 @@ def _word_trace_sum(k, fmats, theta_mat, order):
     return total
 
 
-def _cdga_multiply(cdga, x, y):
-    out = GradedVector()
-    for a, ca in x.coeffs.items():
-        for b, cb in y.coeffs.items():
-            out = out + cdga.product_basis(a, b).scale(ca * cb)
-    return out
-
-
 def g_coefficient(k, args, pair, cdga):
     """The multidegree-(1,...,1) trace coefficient on n arguments.
 
@@ -347,7 +330,7 @@ def g_coefficient(k, args, pair, cdga):
     fmats = []
     for om, f in args:
         om = om if isinstance(om, GradedVector) else GradedVector(om)
-        omega = _cdga_multiply(cdga, omega, om)
+        omega = cdga.multiply(omega, om)
         mat = {}
         for i in range(pair.rank):
             for j in range(pair.rank):
@@ -394,7 +377,7 @@ def build_hitchin_morphism(pair, cdga):
         parts = [letter_parts[name] for name in word]
         omega = GradedVector({cdga.unit: 1})
         for a_name, _, _, _ in parts:
-            omega = _cdga_multiply(cdga, omega, GradedVector({a_name: 1}))
+            omega = cdga.multiply(omega, GradedVector({a_name: 1}))
             if omega.is_zero():
                 return None
         fmats = [{(i - 1, j - 1): {(l,): ONE}} for _, i, j, l in parts]

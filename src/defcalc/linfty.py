@@ -146,9 +146,6 @@ class LInftyStructure:
                 table[k] = canon
         self.brackets = table
 
-    def max_arity(self):
-        return max(self.brackets, default=0)
-
     def bracket_value(self, k, word):
         table = self.brackets.get(k)
         if table is None:

@@ -148,3 +148,16 @@ def test_monomial_degree_and_truncation_consistency():
                     assert monomial_degree(p) == s
                 else:
                     assert s >= bound
+
+
+def test_library_never_rounds_exponents_or_takes_bools():
+    # (1.7,) is no monomial: it must not be read as t
+    for monos in ([(0,), (1.7,)], [(0,), (1.0,)], [(False,), (True,)], [(0,), ("1",)]):
+        with pytest.raises(TypeError):
+            ArtinAlgebra(("t",), monos)
+    with pytest.raises(ValueError):
+        ArtinAlgebra(("t",), [(0,), (-1,)])
+    for truncation in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            make_artin(("t",), truncation)
+    assert make_artin(("t",), 2) == ArtinAlgebra(("t",), [(0,), (1,)])

@@ -51,6 +51,23 @@ def test_check_dgla_command(capsys):
     assert report["checks"][0]["name"] == "dgla-axioms"
 
 
+def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, tmp_path):
+    from defcalc import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    _, min_files, max_files = cli._COMMANDS["check-dgla"]
+    monkeypatch.setitem(cli._COMMANDS, "check-dgla", (broken, min_files, max_files))
+    report = tmp_path / "report.json"
+    code = main(["check-dgla", sample("dgla_obstructed.json"), "--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not report.exists()
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in captured.err
+
+
 def test_check_dgla_failure_exit_code(capsys, tmp_path):
     path = write(
         tmp_path,

@@ -24,7 +24,7 @@ from defcalc.dgla import (
     trivial_cdga,
 )
 from defcalc.graded import GradedMap, GradedSpace, GradedVector
-from defcalc.hitchin import matrix_wedge_dgla
+from defcalc.hitchin import HitchinPair, build_hitchin_dgla, matrix_wedge_dgla
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,201 @@ def test_derham_fat_point_leibniz_exactness():
     prod = model.multiply(x, x)
     assert prod.coeffs == {"x2": Fraction(1)}
     assert model.d.apply(prod).coeffs == {"xdx": Fraction(2)}
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the exhaustive scans that the support-indexed checkers replaced.
+# They visit every triple or pair touching a nonzero entry and evaluate it
+# with Dgla.bracket / Cdga.multiply; the checkers must give the same report.
+
+
+def _sign(k):
+    return -1 if k % 2 else 1
+
+
+def _report(report):
+    return (report.ok, report.axiom, report.witness, report.value)
+
+
+def full_scan_check_dgla(dgla):
+    names, deg, d = dgla.space.names, dgla.space.degree, dgla.d
+    basis = GradedVector.basis
+    for a in names:
+        dd = d.apply(d.column(a))
+        if dd:
+            return (False, "complex", (a,), dd)
+    nonzero = sorted(dgla.brackets)
+    for a, b in nonzero:
+        lhs = dgla.bracket_basis(a, b)
+        rhs = dgla.bracket_basis(b, a).scale(-_sign(deg(a) * deg(b)))
+        if lhs != rhs:
+            return (False, "antisymmetry", (a, b), lhs - rhs)
+    index = {n: i for i, n in enumerate(names)}
+    triples = set()
+    for p, q in nonzero:
+        for r in names:
+            for t in ((r, p, q), (p, q, r), (p, r, q)):
+                triples.add(tuple(index[n] for n in t))
+    for ia, ib, ic in sorted(triples):
+        a, b, c = names[ia], names[ib], names[ic]
+        lhs = dgla.bracket(basis(a), dgla.bracket_basis(b, c))
+        t1 = dgla.bracket(dgla.bracket_basis(a, b), basis(c))
+        t2 = dgla.bracket(basis(b), dgla.bracket_basis(a, c)).scale(
+            _sign(deg(a) * deg(b))
+        )
+        defect = lhs - (t1 + t2)
+        if defect:
+            return (False, "jacobi", (a, b, c), defect)
+    pairs = set(nonzero)
+    for a in names:
+        if d.column(a):
+            pairs.update((a, b) for b in names)
+            pairs.update((b, a) for b in names)
+    for a, b in sorted(pairs):
+        lhs = d.apply(dgla.bracket_basis(a, b))
+        rhs = dgla.bracket(d.column(a), basis(b)) + dgla.bracket(
+            basis(a), d.column(b)
+        ).scale(_sign(deg(a)))
+        if lhs != rhs:
+            return (False, "leibniz", (a, b), lhs - rhs)
+    return (True, None, None, None)
+
+
+def full_scan_check_cdga(cdga):
+    names, deg, d = cdga.space.names, cdga.space.degree, cdga.d
+    basis = GradedVector.basis
+    for a in names:
+        dd = d.apply(d.column(a))
+        if dd:
+            return (False, "complex", (a,), dd)
+    for name in names:
+        if cdga.product_basis(cdga.unit, name) != basis(name):
+            return (False, "unit", (cdga.unit, name), None)
+    nonzero = sorted(cdga.products)
+    for a, b in nonzero:
+        lhs = cdga.product_basis(a, b)
+        rhs = cdga.product_basis(b, a).scale(_sign(deg(a) * deg(b)))
+        if lhs != rhs:
+            return (False, "commutativity", (a, b), lhs - rhs)
+    seen = set()
+    for a, b in nonzero:
+        for c in names:
+            for x, y, z in ((a, b, c), (c, a, b)):
+                if (x, y, z) in seen:
+                    continue
+                seen.add((x, y, z))
+                lhs = cdga.multiply(cdga.product_basis(x, y), basis(z))
+                rhs = cdga.multiply(basis(x), cdga.product_basis(y, z))
+                if lhs != rhs:
+                    return (False, "associativity", (x, y, z), lhs - rhs)
+    pairs = set(nonzero)
+    for a in names:
+        if d.column(a):
+            pairs.update((a, b) for b in names)
+            pairs.update((b, a) for b in names)
+    for a, b in sorted(pairs):
+        lhs = d.apply(cdga.product_basis(a, b))
+        rhs = cdga.multiply(d.column(a), basis(b)) + cdga.multiply(
+            basis(a), d.column(b)
+        ).scale(_sign(deg(a)))
+        if lhs != rhs:
+            return (False, "leibniz", (a, b), lhs - rhs)
+    return (True, None, None, None)
+
+
+def mutate_one_entry(space, table, rng, keep=None):
+    """Perturb one entry of a completed table and drop its mirror, so the
+    constructor re-completes the mirror and (anti)symmetry still holds.
+    Entries involving the name keep are left alone."""
+    table = dict(table)
+    a, b = rng.choice(sorted(k for k in table if keep not in k))
+    vec = table.pop((a, b))
+    table.pop((b, a), None)
+    same_degree = space.names_of_degree(space.degree(a) + space.degree(b))
+    if rng.random() < 0.5 or not same_degree:
+        vec = vec.scale(rng.choice([2, -1, 3, Fraction(1, 2)]))
+    else:
+        vec = vec + GradedVector({rng.choice(same_degree): rng.choice([1, -1, 2])})
+    if vec:
+        table[(a, b)] = vec
+    return table
+
+
+def hitchin_models():
+    letter = GradedSpace([("l", 1)])
+    rank2 = HitchinPair(2, letter, [[{"l": 1}, {"l": 2}], [{}, {"l": -1}]])
+    rank3 = HitchinPair(
+        3, letter, [[{}, {"l": 1}, {"l": 3}], [{}, {}, {"l": -2}], [{}, {}, {}]]
+    )
+    return [
+        (build_hitchin_dgla(rank2, trivial_cdga()), 12),
+        (build_hitchin_dgla(rank2, interval_cdga()), 8),
+        (build_hitchin_dgla(rank3, trivial_cdga()), 6),
+        (build_hitchin_dgla(rank3, interval_cdga()), 2),
+    ]
+
+
+def test_check_dgla_matches_full_scan_oracle():
+    rng = random.Random(2024)
+    # d u = v and [p, v] = w: Leibniz fails at (p, u) and (u, p), neither a
+    # bracket pair; the name of u decides which comes first
+    broken = []
+    for u in ("a", "u"):
+        space = GradedSpace([("p", 0), (u, 0), ("v", 1), ("w", 1)])
+        d = GradedMap(space, space, 1, {u: {"v": 1}})
+        broken.append((Dgla(space, d, {("p", "v"): {"w": 1}}), 0))
+    assert full_scan_check_dgla(broken[0][0])[2] == ("a", "p")
+    assert full_scan_check_dgla(broken[1][0])[2] == ("p", "u")
+    models = broken + [
+        (gl2(), 25),
+        (heisenberg(), 15),
+        (tensor_cdga_dgla(derham_fat_point(), semidirect()), 15),
+    ] + hitchin_models()
+    axioms = set()
+    for model, mutants in models:
+        assert _report(check_dgla(model)) == full_scan_check_dgla(model)
+        for _ in range(mutants):
+            table = mutate_one_entry(model.space, model.brackets, rng)
+            mutant = Dgla(model.space, model.d, table)
+            expected = full_scan_check_dgla(mutant)
+            assert _report(check_dgla(mutant)) == expected
+            axioms.add(expected[1])
+    assert {"jacobi", "leibniz"} <= axioms
+
+
+def truncated_plane_cdga():
+    """Q[x, y] / (x, y)^3 in degree 0, with no differential."""
+    monos = ["1", "x", "y", "xx", "xy", "yy"]
+    space = GradedSpace([(m, 0) for m in monos])
+
+    def name(word):
+        word = "".join(sorted(word.replace("1", "")))
+        return word or "1"
+
+    products = {}
+    for p in monos[1:]:
+        for q in monos[1:]:
+            if name(p + q) in monos:
+                products[(p, q)] = {name(p + q): 1}
+    return Cdga(space, GradedMap(space, space, 1, {}), products, "1")
+
+
+def test_check_cdga_matches_full_scan_oracle():
+    rng = random.Random(2025)
+    axioms = set()
+    exterior = GradedSpace([("1", 0), ("p", 1), ("q", 1), ("pq", 2)])
+    exterior_cdga = Cdga(
+        exterior, GradedMap(exterior, exterior, 1, {}), {("p", "q"): {"pq": 1}}, "1"
+    )
+    for model in (exterior_cdga, derham_fat_point(), truncated_plane_cdga()):
+        assert _report(check_cdga(model)) == full_scan_check_cdga(model)
+        for _ in range(20):
+            table = mutate_one_entry(model.space, model.products, rng, model.unit)
+            mutant = Cdga(model.space, model.d, table, model.unit)
+            expected = full_scan_check_cdga(mutant)
+            assert _report(check_cdga(mutant)) == expected
+            axioms.add(expected[1])
+    assert {"associativity", "leibniz"} <= axioms
 
 
 # ---------------------------------------------------------------------------
