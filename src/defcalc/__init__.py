@@ -3,20 +3,26 @@
 Everything is computed over the rationals with fractions.Fraction; there
 are no floats and no tolerances anywhere.  The layers, bottom up:
 
-graded   signed multilinear algebra: graded spaces, Koszul signs, exterior
-         words, cochain cohomology with class projection.
+graded   signed multilinear algebra: graded spaces, the sparse
+         accumulate step and bilinear extension, the sign-tracking sort
+         behind Koszul signs and exterior words, cochain cohomology with
+         class projection.
+linalg   the one exact row reduction and the solvers built on it.
 artin    finite-dimensional local base rings (truncated polynomial style)
          and elements of m (x) V.
 dgla     differential graded Lie and commutative algebras, their axiom
-         checkers, tensor and Hom constructions, Maurer-Cartan residuals,
-         gauge action, order-by-order solving with obstruction classes.
+         checkers (degrees included), tensor and Hom constructions,
+         Maurer-Cartan residuals, gauge action, order-by-order solving
+         with obstruction classes.
 linfty   the same homotopical data as coderivations of the reduced
          symmetric coalgebra: codifferential and morphism checks through a
-         chosen weight, pushforward of Maurer-Cartan elements, homotopies
-         over a polynomial-in-t extension of the base.
+         chosen weight, and one nilpotent power series behind the
+         Maurer-Cartan residual, the pushforward of Maurer-Cartan elements
+         and homotopies over a polynomial-in-t extension of the base.
 hitchin  the matrix-valued models: a square matrix of anticommuting
          one-letter forms, the associated dgla, the family of trace maps
-         into an abelian target, and the obstruction-kernel consequence.
+         into an abelian target (one sparse matrix product and trace over
+         any coefficient ring), and the obstruction-kernel consequence.
 cli      batch front end over JSON documents with deterministic reports.
 """
 

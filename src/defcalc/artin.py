@@ -11,11 +11,7 @@ tuple); every routine that iterates over monomials uses that order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .graded import GradedVector, as_fraction
-
-ZERO = Fraction(0)
+from .graded import GradedVector, accumulate, as_fraction
 
 
 def monomial_degree(monomial):
@@ -140,13 +136,8 @@ def artin_multiply(a, x, y):
             raise ValueError(f"monomial {mx!r} is not in the algebra")
         for my, cy in y.items():
             prod = a.multiply_monomials(mx, my)
-            if prod is None:
-                continue
-            c = out.get(prod, ZERO) + as_fraction(cx) * as_fraction(cy)
-            if c == 0:
-                out.pop(prod, None)
-            else:
-                out[prod] = c
+            if prod is not None:
+                accumulate(out, prod, as_fraction(cx) * as_fraction(cy))
     return out
 
 
@@ -184,11 +175,7 @@ class ArtinVector:
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, c)
         result = ArtinVector()
         result.terms = out
         return result
@@ -246,12 +233,7 @@ class ArtinVector:
             if col is None:
                 continue
             for out_name, oc in col.coeffs.items():
-                key = (mono, out_name)
-                s = out.get(key, ZERO) + c * oc
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, (mono, out_name), c * oc)
         result = ArtinVector()
         result.terms = out
         return result

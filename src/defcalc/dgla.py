@@ -18,9 +18,8 @@ from fractions import Fraction
 
 from . import linalg
 from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
-from .graded import GradedMap, GradedSpace, GradedVector
+from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -77,8 +76,9 @@ def _complete_skew(space, table, sign_rule):
 
 
 def _validate_names(space, table, label):
-    """Names must exist; degree bookkeeping is left to the axiom checks so
-    that broken presentations can be constructed and then reported on."""
+    """Names must exist.  Degrees are not checked here, so that broken
+    presentations can be constructed and then reported on: check_dgla and
+    check_cdga report an entry outside degree |a| + |b| as the degree axiom."""
     for (a, b), vec in table.items():
         if a not in space or b not in space:
             raise ValueError(f"{label} entry ({a!r}, {b!r}) uses unknown basis names")
@@ -90,10 +90,11 @@ def _validate_names(space, table, label):
 class Dgla:
     """Graded space, degree +1 differential and bracket structure constants.
 
-    The constructor enforces shape (degrees additive, differential of degree
-    +1) and completes the bracket table by graded antisymmetry; the axioms
-    themselves are verified by check_dgla, which construction does not run
-    so that deliberately broken instances can be built and inspected.
+    The constructor enforces a differential of degree +1 and completes the
+    bracket table by graded antisymmetry; the axioms, the additivity of
+    degrees included, are verified by check_dgla, which construction does
+    not run so that deliberately broken instances can be built and
+    inspected.
     """
 
     def __init__(self, space, differential, brackets):
@@ -113,13 +114,7 @@ class Dgla:
         return self.brackets.get((a, b), GradedVector())
 
     def bracket(self, x, y):
-        out = GradedVector()
-        for a, ca in x.coeffs.items():
-            for b, cb in y.coeffs.items():
-                vec = self.brackets.get((a, b))
-                if vec is not None:
-                    out = out + vec.scale(ca * cb)
-        return out
+        return bilinear(self.brackets, x, y)
 
     def dimension(self):
         return len(self.space)
@@ -157,13 +152,7 @@ class Cdga:
         return self.products.get((a, b), GradedVector())
 
     def multiply(self, x, y):
-        out = GradedVector()
-        for a, ca in x.coeffs.items():
-            for b, cb in y.coeffs.items():
-                vec = self.products.get((a, b))
-                if vec is not None:
-                    out = out + vec.scale(ca * cb)
-        return out
+        return bilinear(self.products, x, y)
 
 
 def trivial_cdga(unit_name="1"):
@@ -204,11 +193,7 @@ def _add_image(out, vec, columns, sign):
         if sign < 0:
             ce = -ce
         for name, c in col.coeffs.items():
-            s = out.get(name, ZERO) + ce * c
-            if s:
-                out[name] = s
-            else:
-                del out[name]
+            accumulate(out, name, ce * c)
 
 
 def _complex_violations(space, d):
@@ -229,6 +214,17 @@ def _mirror_violations(space, table, axiom, sign):
             yield CheckReport.failed(axiom, (a, b), lhs - rhs)
 
 
+def _degree_violations(space, table):
+    """Pairs (a, b) in name order whose entry leaves degree |a| + |b|; the
+    value is the part of the entry in the wrong degree."""
+    deg = space.degree
+    for a, b in sorted(table):
+        want = deg(a) + deg(b)
+        wrong = {n: c for n, c in table[(a, b)].coeffs.items() if deg(n) != want}
+        if wrong:
+            yield CheckReport.failed("degree", (a, b), GradedVector(wrong))
+
+
 def _leibniz_violations(space, d, table, left, right):
     """Pairs (a, b) in name order with d m(a, b) != m(da, b) + (-1)^|a| m(a, db)."""
     pairs = set(table)
@@ -246,7 +242,8 @@ def _leibniz_violations(space, d, table, left, right):
 
 
 def check_dgla(dgla):
-    """Verify d*d = 0, graded antisymmetry, Jacobi and Leibniz, exactly.
+    """Verify d*d = 0, graded antisymmetry, Jacobi, Leibniz and degrees,
+    exactly.
 
     Returns a passing report or the first violation in deterministic order;
     Jacobi triples are taken in basis order.  Jacobi is only evaluated on
@@ -279,10 +276,12 @@ def _dgla_violations(dgla):
         if out:
             yield CheckReport.failed("jacobi", (a, b, c), GradedVector(out))
     yield from _leibniz_violations(space, dgla.d, table, left, right)
+    yield from _degree_violations(space, table)
 
 
 def check_cdga(cdga):
-    """Verify d*d = 0, graded commutativity, associativity, Leibniz, unit.
+    """Verify d*d = 0, unit, graded commutativity, associativity, Leibniz
+    and degrees.
 
     Associativity triples are taken pair by pair over the nonzero products
     (p, q) in name order, then by the third name r in basis order, (p, q, r)
@@ -319,6 +318,7 @@ def _cdga_violations(cdga):
         if out:
             yield CheckReport.failed("associativity", (x, y, z), GradedVector(out))
     yield from _leibniz_violations(space, cdga.d, table, left, right)
+    yield from _degree_violations(space, table)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +465,7 @@ def bracket_artin(dgla, algebra, x, y):
                 continue
             factor = cx * cy
             for name, c in vec.coeffs.items():
-                key = (mono, name)
-                s = terms.get(key, ZERO) + factor * c
-                if s == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                accumulate(terms, (mono, name), factor * c)
     out.terms = terms
     return out
 

@@ -11,11 +11,39 @@ enforced at construction time.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def accumulate(out, key, value):
+    """out[key] += value on a sparse dict, dropping the key when it cancels."""
+    total = out.get(key, ZERO) + value
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def signed_sort(items, key, odd):
+    """Sort items by key with adjacent swaps: (sorted tuple, sign).
+
+    Each swap of two items for which odd() holds flips the sign; equal keys
+    are never swapped.  This is the Koszul sign of the sorting permutation.
+    """
+    seq = list(items)
+    sign = 1
+    for i in range(1, len(seq)):
+        j = i
+        while j > 0 and key(seq[j - 1]) > key(seq[j]):
+            if odd(seq[j - 1]) and odd(seq[j]):
+                sign = -sign
+            seq[j - 1], seq[j] = seq[j], seq[j - 1]
+            j -= 1
+    return tuple(seq), sign
 
 
 def as_fraction(value):
@@ -114,11 +142,7 @@ class GradedVector:
     def __add__(self, other):
         out = dict(self.coeffs)
         for name, c in other.coeffs.items():
-            s = out.get(name, ZERO) + c
-            if s == 0:
-                out.pop(name, None)
-            else:
-                out[name] = s
+            accumulate(out, name, c)
         result = GradedVector()
         result.coeffs = out
         return result
@@ -211,12 +235,13 @@ class GradedMap:
         return self.columns.get(name, GradedVector())
 
     def apply(self, vector):
-        out = GradedVector()
+        out = {}
         for name, c in vector.coeffs.items():
             col = self.columns.get(name)
             if col is not None:
-                out = out + col.scale(c)
-        return out
+                for out_name, v in col.coeffs.items():
+                    accumulate(out, out_name, c * v)
+        return GradedVector(out)
 
     def __call__(self, vector):
         return self.apply(vector)
@@ -272,87 +297,39 @@ def koszul_sign(perm, degrees):
 
     perm is a permutation of 1..n given as the reordered sequence of original
     positions; degrees[i] is the degree of the factor originally at position
-    i + 1.  The sign is computed by decomposing the permutation into adjacent
-    transpositions, each swap of factors of degrees p, q contributing
-    (-1)^(p*q).  Composition of permutations multiplies the signs.
+    i + 1.  Sorting the permutation back by adjacent transpositions, each
+    swap of factors of degrees p, q contributes (-1)^(p*q).  Composition of
+    permutations multiplies the signs.
     """
-    work = list(perm)
-    n = len(work)
-    if sorted(work) != list(range(1, n + 1)):
+    n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
     if len(degrees) != n:
         raise ValueError("degrees must match the permutation length")
-    sign = 1
-    for i in range(n):
-        for j in range(n - 1 - i):
-            if work[j] > work[j + 1]:
-                if (degrees[work[j] - 1] * degrees[work[j + 1] - 1]) % 2:
-                    sign = -sign
-                work[j], work[j + 1] = work[j + 1], work[j]
-    return sign
+    return signed_sort(perm, int, lambda p: degrees[p - 1] % 2)[1]
 
 
-# ---------------------------------------------------------------------------
-# Exterior algebra on a finite set of generators.
-#
-# Words are strictly increasing tuples of generator names (generator order =
-# declared order); every generator has exterior degree 1, so reordering a word
-# contributes the plain permutation sign and a repeated generator kills the
-# word.  Elements are dictionaries word -> coefficient.
+def bilinear(table, x, y):
+    """The bilinear extension of a table (a, b) -> GradedVector to x, y."""
+    out = {}
+    for a, ca in x.coeffs.items():
+        for b, cb in y.coeffs.items():
+            vec = table.get((a, b))
+            if vec is not None:
+                for name, c in vec.coeffs.items():
+                    accumulate(out, name, ca * cb * c)
+    return GradedVector(out)
 
 
 def wedge_word(names, order_index):
-    """Canonical form of a wedge word: (sorted tuple, sign), or (None, 0)."""
-    seq = list(names)
-    if len(set(seq)) != len(seq):
-        return None, 0
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if order_index[seq[j]] > order_index[seq[j + 1]]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                sign = -sign
-    return tuple(seq), sign
+    """Canonical form of an exterior word: (sorted tuple, sign), or (None, 0).
 
-
-def wedge_multiply(x, y, order_index):
-    """Product in the exterior algebra; x, y are dicts word -> coefficient."""
-    out = {}
-    for wx, cx in x.items():
-        for wy, cy in y.items():
-            word, sign = wedge_word(wx + wy, order_index)
-            if sign == 0:
-                continue
-            c = out.get(word, ZERO) + sign * cx * cy
-            if c == 0:
-                out.pop(word, None)
-            else:
-                out[word] = c
-    return out
-
-
-def contraction(alpha, element):
-    """Interior product of a linear functional with an exterior element.
-
-    alpha maps generator names to rationals; element is a dict of canonical
-    wedge words.  On a word v1 ^ ... ^ vk the result is
-    sum_i (-1)^(i-1) alpha(v_i) v1 ^ ... (v_i omitted) ... ^ vk,
-    which makes the operator a degree -1 derivation of the wedge product.
+    Generators are ordered by order_index and all have exterior degree 1, so
+    reordering costs the permutation sign and a repeated generator kills it.
     """
-    out = {}
-    for word, coeff in element.items():
-        for i, name in enumerate(word):
-            a = alpha.get(name, ZERO)
-            if a == 0:
-                continue
-            sub = word[:i] + word[i + 1 :]
-            sign = -1 if i % 2 else 1
-            c = out.get(sub, ZERO) + sign * a * coeff
-            if c == 0:
-                out.pop(sub, None)
-            else:
-                out[sub] = c
-    return out
+    if len(set(names)) != len(names):
+        return None, 0
+    return signed_sort(names, order_index.__getitem__, lambda name: True)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +354,11 @@ class DegreeBlock:
         self.representatives = representatives
         self._basis_names = basis_names
         self._proj_matrix = proj_matrix
+
+    @cached_property
+    def _projector(self):
+        """Solver for the coordinates in representatives + coboundary basis."""
+        return linalg.PreparedSolve(self._proj_matrix, len(self._proj_matrix[0]))
 
 
 class CohomologySummary:
@@ -423,7 +405,7 @@ class CohomologySummary:
             if any(c != 0 for c in dense):
                 raise ValueError("vector outside the zero cocycle space")
             return []
-        coords = linalg.solve(block._proj_matrix, dense)
+        coords = block._projector.solve(dense)
         if coords is None:
             raise ValueError("vector is not a cocycle in this degree")
         return coords[: block.dimension]

@@ -25,9 +25,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from .artin import ArtinVector
 from .dgla import CheckReport, Dgla, mc_residual, tensor_cdga_dgla, tensor_name
-from .graded import GradedMap, GradedSpace, GradedVector, as_fraction, wedge_word
-from .graded import complex_cohomology
-from .linfty import LInftyMorphism, linfty_from_dgla, pushforward_mc
+from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_fraction
+from .graded import complex_cohomology, wedge_word
+from .linfty import LInftyMorphism, linfty_from_dgla, pushforward_series
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -107,13 +107,8 @@ class HitchinPair:
                     for a, ca in self.theta[i][m].coeffs.items():
                         for b, cb in self.theta[m][j].coeffs.items():
                             word, sign = wedge_word((a, b), order)
-                            if sign == 0:
-                                continue
-                            value = acc.get(word, ZERO) + ca * cb * sign
-                            if value == 0:
-                                acc.pop(word, None)
-                            else:
-                                acc[word] = value
+                            if sign:
+                                accumulate(acc, word, ca * cb * sign)
         return out
 
 
@@ -167,14 +162,11 @@ def matrix_wedge_dgla(rank, l_space, theta):
             for p in range(1, rank + 1):
                 c = tmat[p - 1][i - 1]
                 if c:
-                    key = matrix_name(p, j) + wedge_suffix(word)
-                    col[key] = col.get(key, ZERO) + c * sign
+                    accumulate(col, matrix_name(p, j) + wedge_suffix(word), c * sign)
             for q in range(1, rank + 1):
                 c = tmat[j - 1][q - 1]
                 if c:
-                    key = matrix_name(i, q) + wedge_suffix(word)
-                    col[key] = col.get(key, ZERO) - c * sign
-        col = {k: v for k, v in col.items() if v}
+                    accumulate(col, matrix_name(i, q) + wedge_suffix(word), -c * sign)
         if col:
             columns[name] = col
     differential = GradedMap(space, space, 1, columns)
@@ -186,15 +178,12 @@ def matrix_wedge_dgla(rank, l_space, theta):
             if j == k:
                 word, sign = wedge_word(h + w, order)
                 if sign:
-                    key = matrix_name(i, l) + wedge_suffix(word)
-                    entry[key] = entry.get(key, ZERO) + sign
+                    accumulate(entry, matrix_name(i, l) + wedge_suffix(word), sign)
             if l == i:
                 word, sign = wedge_word(w + h, order)
                 if sign:
-                    key = matrix_name(k, j) + wedge_suffix(word)
                     flip = -1 if (len(h) * len(w)) % 2 else 1
-                    entry[key] = entry.get(key, ZERO) - flip * sign
-            entry = {k2: v for k2, v in entry.items() if v}
+                    accumulate(entry, matrix_name(k, j) + wedge_suffix(word), -flip * sign)
             if entry:
                 brackets[(na, nb)] = entry
     return Dgla(space, differential, brackets)
@@ -234,46 +223,43 @@ def complex_C_cohomology(pair, cdga):
 
 
 # ---------------------------------------------------------------------------
-# Trace coefficients.  Matrices are sparse dicts (row, col) -> entry, each
-# entry a dict from a Sym-monomial (a tuple of L-names in basis order) to a
-# rational; matrix products keep matrix order, entries multiply by merging
-# monomials.
+# Matrices over a coefficient ring are sparse dicts (row, col) -> entry, each
+# entry a dict from a ring basis key to a rational.  Products keep matrix
+# order; how two entries multiply is the only thing that depends on the ring.
+
+
+def _mat_mul(m1, m2, entry_mul):
+    """m1 m2, where entry_mul(e1, e2, dest) accumulates e1 e2 into dest."""
+    out = {}
+    for (i, j), e1 in m1.items():
+        for (k, l), e2 in m2.items():
+            if j == k:
+                entry_mul(e1, e2, out.setdefault((i, l), {}))
+    return {key: entry for key, entry in out.items() if entry}
+
+
+def _mat_trace(m):
+    out = {}
+    for (i, j), entry in m.items():
+        if i == j:
+            for key, c in entry.items():
+                accumulate(out, key, c)
+    return out
 
 
 def _merge_monomials(m1, m2, order):
     return tuple(sorted(m1 + m2, key=order.get))
 
 
-def _mat_mul(m1, m2, order):
-    out = {}
-    for (i, j), e1 in m1.items():
-        for (k, l), e2 in m2.items():
-            if j != k:
-                continue
-            dest = out.setdefault((i, l), {})
-            for mono1, c1 in e1.items():
-                for mono2, c2 in e2.items():
-                    key = _merge_monomials(mono1, mono2, order)
-                    value = dest.get(key, ZERO) + c1 * c2
-                    if value == 0:
-                        dest.pop(key, None)
-                    else:
-                        dest[key] = value
-    return {k: v for k, v in out.items() if v}
+def _sym_entry_mul(order):
+    """Entries over Sym L: keys are Sym-monomials (L-names in basis order)."""
 
+    def entry_mul(e1, e2, dest):
+        for mono1, c1 in e1.items():
+            for mono2, c2 in e2.items():
+                accumulate(dest, _merge_monomials(mono1, mono2, order), c1 * c2)
 
-def _mat_trace(m):
-    out = {}
-    for (i, j), entry in m.items():
-        if i != j:
-            continue
-        for mono, c in entry.items():
-            value = out.get(mono, ZERO) + c
-            if value == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = value
-    return out
+    return entry_mul
 
 
 def _theta_sym_matrix(pair):
@@ -294,6 +280,7 @@ def _word_trace_sum(k, fmats, theta_mat, order):
     t_1...t_n in tr((theta + sum t_i f_i)^k).
     """
     n = len(fmats)
+    entry_mul = _sym_entry_mul(order)
     total = {}
     for positions in permutations(range(k), n):
         slots = [theta_mat] * k
@@ -301,16 +288,12 @@ def _word_trace_sum(k, fmats, theta_mat, order):
             slots[p] = fmats[t]
         prod = slots[0]
         for m in slots[1:]:
-            prod = _mat_mul(prod, m, order)
+            prod = _mat_mul(prod, m, entry_mul)
             if not prod:
                 break
         else:
             for mono, c in _mat_trace(prod).items():
-                value = total.get(mono, ZERO) + c
-                if value == 0:
-                    total.pop(mono, None)
-                else:
-                    total[mono] = value
+                accumulate(total, mono, c)
     return total
 
 
@@ -339,14 +322,18 @@ def g_coefficient(k, args, pair, cdga):
                 if entry:
                     mat[(i, j)] = entry
         fmats.append(mat)
-    if omega.is_zero():
-        return GradedVector()
-    trace = _word_trace_sum(k, fmats, _theta_sym_matrix(pair), order)
-    out = GradedVector()
+    out = {}
+    if not omega.is_zero():
+        trace = _word_trace_sum(k, fmats, _theta_sym_matrix(pair), order)
+        _add_form_times_trace(out, omega, trace)
+    return GradedVector(out)
+
+
+def _add_form_times_trace(out, omega, trace):
+    """out += omega (x) trace, a CDGA vector times Sym-monomial coefficients."""
     for mono, c in trace.items():
         for a_name, ca in omega.coeffs.items():
-            out = out + GradedVector({tensor_name(a_name, sym_name(mono)): c * ca})
-    return out
+            accumulate(out, tensor_name(a_name, sym_name(mono)), c * ca)
 
 
 def build_hitchin_morphism(pair, cdga):
@@ -381,15 +368,10 @@ def build_hitchin_morphism(pair, cdga):
             if omega.is_zero():
                 return None
         fmats = [{(i - 1, j - 1): {(l,): ONE}} for _, i, j, l in parts]
-        out = GradedVector()
+        out = {}
         for k in range(arity, pair.rank + 1):
-            trace = _word_trace_sum(k, fmats, theta_mat, order)
-            for mono, c in trace.items():
-                for a_name, ca in omega.coeffs.items():
-                    out = out + GradedVector(
-                        {tensor_name(a_name, sym_name(mono)): c * ca}
-                    )
-        return out
+            _add_form_times_trace(out, omega, _word_trace_sum(k, fmats, theta_mat, order))
+        return GradedVector(out)
 
     morphism = LInftyMorphism(
         source, target, component,
@@ -409,41 +391,32 @@ def build_hitchin_morphism(pair, cdga):
     return morphism
 
 
-def _artin_entry_mul(e1, e2, algebra, cdga, order):
-    out = {}
-    for (mono1, a1, sym1), c1 in e1.items():
-        for (mono2, a2, sym2), c2 in e2.items():
-            mono = algebra.multiply_monomials(mono1, mono2)
-            if mono is None:
-                continue
-            avec = cdga.product_basis(a1, a2)
-            if avec.is_zero():
-                continue
-            sym = _merge_monomials(sym1, sym2, order)
-            for a_name, ca in avec.coeffs.items():
-                key = (mono, a_name, sym)
-                value = out.get(key, ZERO) + c1 * c2 * ca
-                if value == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = value
-    return out
-
-
 def hitchin_map(x, morphism, algebra):
     """Trace powers of the deformed field: component k is
     tr((theta + y)^k) - tr(theta^k), y the wedge-degree-one part of x.
 
-    The element x must satisfy the Maurer-Cartan equation.  The tuple is
-    computed directly from the matrix powers and, independently, as the
-    morphism pushforward of x; the polarization identity makes the two
-    agree and the agreement is asserted.
+    The element x must satisfy the Maurer-Cartan equation, which is
+    checked once.  The tuple is computed directly from the matrix powers
+    and, independently, as the morphism pushforward of x; the polarization
+    identity makes the two agree and the agreement is asserted.
     """
     pair, cdga = morphism.pair, morphism.cdga
     if not mc_residual(x, morphism.source_dgla, algebra).is_zero():
         raise ValueError("input is not a Maurer-Cartan element")
     order = pair._l_order
     r = pair.rank
+
+    def entry_mul(e1, e2, dest):
+        """Entries over A (x) Sym L with Artinian coefficients: keys are
+        (monomial, CDGA basis name, Sym-monomial)."""
+        for (mono1, a1, sym1), c1 in e1.items():
+            for (mono2, a2, sym2), c2 in e2.items():
+                mono = algebra.multiply_monomials(mono1, mono2)
+                if mono is None:
+                    continue
+                sym = _merge_monomials(sym1, sym2, order)
+                for a_name, ca in cdga.product_basis(a1, a2).coeffs.items():
+                    accumulate(dest, (mono, a_name, sym), c1 * c2 * ca)
 
     theta = {}
     for i in range(r):
@@ -456,48 +429,19 @@ def hitchin_map(x, morphism, algebra):
         if part is None:
             continue
         a_name, i, j, l = part
-        entry = full.setdefault((i - 1, j - 1), {})
-        key = (mono, a_name, (l,))
-        entry[key] = entry.get(key, ZERO) + c
+        accumulate(full.setdefault((i - 1, j - 1), {}), (mono, a_name, (l,)), c)
 
     def trace_power(mat, k):
         prod = mat
         for _ in range(k - 1):
-            nxt = {}
-            for (i, j), e1 in prod.items():
-                for (p, q), e2 in mat.items():
-                    if j != p:
-                        continue
-                    dest = nxt.setdefault((i, q), {})
-                    merged = _artin_entry_mul(e1, e2, algebra, cdga, order)
-                    for key, c in merged.items():
-                        value = dest.get(key, ZERO) + c
-                        if value == 0:
-                            dest.pop(key, None)
-                        else:
-                            dest[key] = value
-            prod = {k2: v for k2, v in nxt.items() if v}
-        out = {}
-        for (i, j), entry in prod.items():
-            if i != j:
-                continue
-            for key, c in entry.items():
-                value = out.get(key, ZERO) + c
-                if value == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = value
-        return out
+            prod = _mat_mul(prod, mat, entry_mul)
+        return _mat_trace(prod)
 
     sections = []
     for k in range(1, r + 1):
         delta = trace_power(full, k)
         for key, c in trace_power(theta, k).items():
-            value = delta.get(key, ZERO) - c
-            if value == 0:
-                delta.pop(key, None)
-            else:
-                delta[key] = value
+            accumulate(delta, key, -c)
         terms = {}
         for (mono, a_name, sym), c in delta.items():
             if mono == algebra.unit:
@@ -507,7 +451,7 @@ def hitchin_map(x, morphism, algebra):
         section.terms = terms
         sections.append(section)
 
-    push = pushforward_mc(morphism, x, algebra)
+    push = pushforward_series(morphism, x, algebra)
     split = [dict() for _ in range(r)]
     for (mono, name), c in push.terms.items():
         split[morphism.target_weights[name] - 1][(mono, name)] = c
@@ -550,21 +494,26 @@ def _fraction_matrix(rows):
     return mat, r
 
 
-def _num_mat_mul(m1, m2):
-    r = len(m1)
-    return tuple(
-        tuple(sum(m1[i][p] * m2[p][j] for p in range(r)) for j in range(r))
-        for i in range(r)
-    )
+def _poly_entry_mul(e1, e2, dest):
+    """Entries in Q[t]: keys are t-degrees."""
+    for d1, c1 in e1.items():
+        for d2, c2 in e2.items():
+            accumulate(dest, d1 + d2, c1 * c2)
 
 
-def _num_commutator(m1, m2):
-    r = len(m1)
-    ab = _num_mat_mul(m1, m2)
-    ba = _num_mat_mul(m2, m1)
-    return tuple(
-        tuple(ab[i][j] - ba[i][j] for j in range(r)) for i in range(r)
-    )
+def _poly_matrix(mat, degree):
+    """A square matrix of rationals times t^degree."""
+    return {
+        (i, j): {degree: c} for i, row in enumerate(mat) for j, c in enumerate(row) if c
+    }
+
+
+def _commutator(m1, m2):
+    out = _mat_mul(m1, m2, _poly_entry_mul)
+    for key, entry in _mat_mul(m2, m1, _poly_entry_mul).items():
+        for d, c in entry.items():
+            accumulate(out.setdefault(key, {}), d, -c)
+    return out
 
 
 def trace_commutator_oracle(a_rows, b_rows, k):
@@ -581,43 +530,25 @@ def trace_commutator_oracle(a_rows, b_rows, k):
         raise ValueError("matrix sizes differ")
     if k < 1:
         raise ValueError("power must be >= 1")
-    c_mat = _num_commutator(b_mat, a_mat)
-    poly = tuple(
-        tuple({0: a_mat[i][j], 1: c_mat[i][j]} for j in range(r))
-        for i in range(r)
-    )
-
-    def poly_mul(p1, p2):
-        out = tuple(tuple({} for _ in range(r)) for _ in range(r))
-        for i in range(r):
-            for j in range(r):
-                dest = out[i][j]
-                for p in range(r):
-                    for d1, c1 in p1[i][p].items():
-                        for d2, c2 in p2[p][j].items():
-                            value = dest.get(d1 + d2, ZERO) + c1 * c2
-                            if value == 0:
-                                dest.pop(d1 + d2, None)
-                            else:
-                                dest[d1 + d2] = value
-        return out
-
-    power = poly
+    a_poly, tb = _poly_matrix(a_mat, 0), _poly_matrix(b_mat, 1)
+    poly = _commutator(tb, a_poly)  # t [B, A]; adding A touches only t^0
+    for key, entry in a_poly.items():
+        poly.setdefault(key, {}).update(entry)
+    power, a_power = poly, a_poly
     for _ in range(k - 1):
-        power = poly_mul(power, poly)
-    t_coeff = tuple(
-        tuple(power[i][j].get(1, ZERO) for j in range(r)) for i in range(r)
-    )
+        power = _mat_mul(power, poly, _poly_entry_mul)
+        a_power = _mat_mul(a_power, a_poly, _poly_entry_mul)
+    expected = _commutator(tb, a_power)
 
-    a_power = a_mat
-    for _ in range(k - 1):
-        a_power = _num_mat_mul(a_power, a_mat)
-    expected = _num_commutator(b_mat, a_power)
+    def t_part(m, i, j):
+        return m.get((i, j), {}).get(1, ZERO)
+
+    t_coeff = tuple(tuple(t_part(power, i, j) for j in range(r)) for i in range(r))
     mismatches = [
         (i, j)
         for i in range(r)
         for j in range(r)
-        if t_coeff[i][j] != expected[i][j]
+        if t_coeff[i][j] != t_part(expected, i, j)
     ]
     if mismatches:
         return CheckReport.failed("t-coefficient", tuple(mismatches), t_coeff)

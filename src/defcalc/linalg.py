@@ -19,17 +19,21 @@ def matrix_from_columns(columns, nrows):
     return [[col[i] for col in columns] for i in range(nrows)]
 
 
-def rref(rows):
-    """Reduced row echelon form.
+def rref(rows, ncols=None):
+    """Reduced row echelon form, pivoting only in the first ncols columns
+    (all of them by default).
 
     Returns (reduced rows, pivot column indices).  The input is not mutated.
     """
     mat = [list(row) for row in rows]
     nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+    if ncols is None:
+        ncols = len(mat[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pivot_row = None
         for i in range(r, nrows):
             if mat[i][c] != 0:
@@ -46,8 +50,6 @@ def rref(rows):
                 mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return mat, pivots
 
 
@@ -83,13 +85,9 @@ def solve(rows, rhs):
 
     Free variables are set to zero, so the solution is deterministic.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0:
-        return [ZERO] * ncols
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(rows)], ncols)
+    if any(row[ncols] != 0 for row in red[len(pivots):]):
         return None
     sol = [ZERO] * ncols
     for r, pc in enumerate(pivots):
@@ -100,42 +98,23 @@ def solve(rows, rhs):
 class PreparedSolve:
     """Row reduction of A done once, for repeated solves of A x = b.
 
-    Eliminates A while carrying the same row operations on an identity
-    block; solving is then a single matrix-vector product plus a
+    Reduces A with an identity block appended, which records the row
+    operations; solving is then a single matrix-vector product plus a
     consistency scan of the zero rows.  Free variables are set to zero.
     """
 
     def __init__(self, rows, ncols):
         nrows = len(rows)
-        mat = [
-            list(row) + [ONE if j == i else ZERO for j in range(nrows)]
-            for i, row in enumerate(rows)
-        ]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, nrows):
-                if mat[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-            inv = ONE / mat[r][c]
-            mat[r] = [x * inv for x in mat[r]]
-            for i in range(nrows):
-                if i != r and mat[i][c] != 0:
-                    factor = mat[i][c]
-                    mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
+        red, self.pivots = rref(
+            [
+                list(row) + [ONE if j == i else ZERO for j in range(nrows)]
+                for i, row in enumerate(rows)
+            ],
+            ncols,
+        )
         self.nrows = nrows
         self.ncols = ncols
-        self.pivots = pivots
-        self.transform = [row[ncols:] for row in mat]
+        self.transform = [row[ncols:] for row in red]
 
     def solve(self, rhs):
         sol = [ZERO] * self.ncols
@@ -154,15 +133,26 @@ class PreparedSolve:
 def extend_independent(base_cols, candidate_cols, nrows):
     """Indices of candidates that extend base_cols to a larger independent set.
 
-    Scans candidates in order and keeps the greedy ones; deterministic.
+    Scans candidates in order and keeps the greedy ones; deterministic.  Each
+    column is reduced against the echelon rows kept so far (each row is 1 at
+    its pivot and 0 at the pivots of the rows before it) and is independent
+    exactly when something is left.
     """
-    kept = []
-    current = list(base_cols)
-    current_rank = rank(matrix_from_columns(current, nrows)) if current else 0
-    for idx, cand in enumerate(candidate_cols):
-        trial = matrix_from_columns(current + [cand], nrows)
-        if rank(trial) > current_rank:
-            kept.append(idx)
-            current.append(cand)
-            current_rank += 1
-    return kept
+    echelon = []
+
+    def add_if_independent(col):
+        vec = list(col)
+        for pivot, row in echelon:
+            factor = vec[pivot]
+            if factor != 0:
+                vec = [a - factor * b for a, b in zip(vec, row)]
+        pivot = next((i for i in range(nrows) if vec[i] != 0), None)
+        if pivot is None:
+            return False
+        inv = ONE / vec[pivot]
+        echelon.append((pivot, [a * inv for a in vec]))
+        return True
+
+    for col in base_cols:
+        add_if_independent(col)
+    return [idx for idx, cand in enumerate(candidate_cols) if add_if_independent(cand)]

@@ -19,9 +19,8 @@ from itertools import combinations, combinations_with_replacement
 
 from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
 from .dgla import CheckReport
-from .graded import GradedVector, koszul_sign
+from .graded import GradedVector, accumulate, koszul_sign, signed_sort
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -40,20 +39,11 @@ def normalize_word(names, sdeg):
     Returns (None, 0) when the word vanishes because a letter of odd shifted
     degree repeats.
     """
-    seq = list(names)
-    key = word_key(sdeg)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and key(seq[j - 1]) > key(seq[j]):
-            if sdeg[seq[j - 1]] % 2 and sdeg[seq[j]] % 2:
-                sign = -sign
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            j -= 1
+    seq, sign = signed_sort(names, word_key(sdeg), lambda name: sdeg[name] % 2)
     for a, b in zip(seq, seq[1:]):
         if a == b and sdeg[a] % 2:
             return None, 0
-    return tuple(seq), sign
+    return seq, sign
 
 
 def basis_words(space, max_weight, sdeg=None):
@@ -67,27 +57,6 @@ def basis_words(space, max_weight, sdeg=None):
             word, sign = normalize_word(combo, sdeg)
             if sign:
                 out.append(word)
-    return out
-
-
-def sym_coproduct(word, sdeg):
-    """Reduced coproduct of a canonical word.
-
-    Returns the list of (left word, right word, sign) over all (k, n-k)
-    unshuffles, 1 <= k <= n-1; n = 1 gives the empty list.  Signs are the
-    Koszul signs of the unshuffle permutations.
-    """
-    n = len(word)
-    degrees = [sdeg[name] for name in word]
-    out = []
-    for k in range(1, n):
-        for subset in combinations(range(n), k):
-            rest = [p for p in range(n) if p not in subset]
-            perm = [p + 1 for p in subset] + [p + 1 for p in rest]
-            eps = koszul_sign(perm, degrees)
-            left = tuple(word[p] for p in subset)
-            right = tuple(word[p] for p in rest)
-            out.append((left, right, eps))
     return out
 
 
@@ -224,12 +193,7 @@ def coderivation_extend(structure, element):
                     new_word, s = normalize_word((name,) + tail, sdeg)
                     if s == 0:
                         continue
-                    value = coeff * eps * bsign * c * s
-                    acc = out.get(new_word, ZERO) + value
-                    if acc == 0:
-                        out.pop(new_word, None)
-                    else:
-                        out[new_word] = acc
+                    accumulate(out, new_word, coeff * eps * bsign * c * s)
     return out
 
 
@@ -345,11 +309,7 @@ def _sym_multiply(element, vector, sdeg):
             new_word, s = normalize_word(word + (name,), sdeg)
             if s == 0:
                 continue
-            acc = out.get(new_word, ZERO) + coeff * c * s
-            if acc == 0:
-                out.pop(new_word, None)
-            else:
-                out[new_word] = acc
+            accumulate(out, new_word, coeff * c * s)
     return out
 
 
@@ -382,11 +342,7 @@ def _expand_partitions(morphism, word, coeff, out, block_count=None):
         if partial is None:
             continue
         for new_word, c in partial.items():
-            acc = out.get(new_word, ZERO) + coeff * eps * c
-            if acc == 0:
-                out.pop(new_word, None)
-            else:
-                out[new_word] = acc
+            accumulate(out, new_word, coeff * eps * c)
 
 
 def morphism_extend(morphism, element):
@@ -448,48 +404,59 @@ def _power_step(power, x, sdeg, algebra):
             if mono2 is None:
                 continue
             new_word, s = normalize_word(word + (name,), sdeg)
-            if s == 0:
-                continue
-            key = (new_word, mono2)
-            acc = out.get(key, ZERO) + c * c2 * s
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            if s:
+                accumulate(out, (new_word, mono2), c * c2 * s)
     return out
+
+
+def _power_series(x, algebra, sdeg, value, head=None, limit=None):
+    """sum over n >= 0 of value(head . x^n) / n!, as an ArtinVector.
+
+    head is a coalgebra element {(canonical word, monomial): coefficient},
+    the unit by default, whose empty word is not evaluated; value maps a
+    canonical word to a GradedVector or None.  x has nilpotent coefficients,
+    so the powers vanish after finitely many steps; limit, when given, is
+    the last n evaluated.
+    """
+    terms = {}
+    power = {((), algebra.unit): ONE} if head is None else head
+    n, inv = 0, ONE
+    while power:
+        for (word, mono), c in power.items():
+            vec = value(word) if word else None
+            if vec:
+                for name, vc in vec.coeffs.items():
+                    accumulate(terms, (mono, name), c * vc * inv)
+        if n == limit:
+            break
+        n += 1
+        inv /= n
+        power = _power_step(power, x, sdeg, algebra)
+    out = ArtinVector()
+    out.terms = terms
+    return out
+
+
+def _bracket_series(x, structure, algebra, head=None):
+    return _power_series(
+        x, algebra, structure.sdeg,
+        lambda word: structure.bracket_value(len(word), word), head,
+    )
 
 
 def linfty_mc_residual(x, structure, algebra):
     """sum_n q_n(x^n) / n! for a shifted-degree-0 element with nilpotent
     coefficients; nilpotency makes the sum finite."""
     _validate_mc_element(x, structure, algebra)
-    sdeg = structure.sdeg
-    terms = {}
-    power = {((), algebra.unit): ONE}
-    n = 0
-    factorial = 1
-    while power:
-        n += 1
-        factorial *= n
-        power = _power_step(power, x, sdeg, algebra)
-        table = structure.brackets.get(n)
-        if not table:
-            continue
-        inv = Fraction(1, factorial)
-        for (word, mono), c in power.items():
-            vec = table.get(word)
-            if vec is None:
-                continue
-            for name, vc in vec.coeffs.items():
-                key = (mono, name)
-                acc = terms.get(key, ZERO) + c * vc * inv
-                if acc == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-    out = ArtinVector()
-    out.terms = terms
-    return out
+    return _bracket_series(x, structure, algebra)
+
+
+def pushforward_series(morphism, x, algebra):
+    """sum_n f_n(x^n) / n!, with neither Maurer-Cartan equation checked."""
+    return _power_series(
+        x, algebra, morphism.source.sdeg, morphism.component,
+        limit=morphism.max_weight,
+    )
 
 
 def pushforward_mc(morphism, x, algebra):
@@ -497,29 +464,7 @@ def pushforward_mc(morphism, x, algebra):
     satisfy the target equation exactly and returned."""
     if not linfty_mc_residual(x, morphism.source, algebra).is_zero():
         raise ValueError("input does not satisfy the source Maurer-Cartan equation")
-    sdeg = morphism.source.sdeg
-    terms = {}
-    power = {((), algebra.unit): ONE}
-    n = 0
-    factorial = 1
-    while power and n < morphism.max_weight:
-        n += 1
-        factorial *= n
-        power = _power_step(power, x, sdeg, algebra)
-        inv = Fraction(1, factorial)
-        for (word, mono), c in power.items():
-            vec = morphism.component(word)
-            if vec.is_zero():
-                continue
-            for name, vc in vec.coeffs.items():
-                key = (mono, name)
-                acc = terms.get(key, ZERO) + c * vc * inv
-                if acc == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-    out = ArtinVector()
-    out.terms = terms
+    out = pushforward_series(morphism, x, algebra)
     if not linfty_mc_residual(out, morphism.target, algebra).is_zero():
         raise ValueError(
             "pushforward failed the target Maurer-Cartan equation; the supplied "
@@ -582,8 +527,7 @@ def _t_derivative(x):
         j = mono[-1]
         if j == 0:
             continue
-        key = (mono[:-1] + (j - 1,), name)
-        out[key] = out.get(key, ZERO) + j * c
+        accumulate(out, (mono[:-1] + (j - 1,), name), j * c)
     v = ArtinVector()
     v.terms = out
     return v
@@ -600,7 +544,6 @@ def verify_homotopy_witness(path, x, y, structure, algebra):
     """
     _validate_mc_element(x, structure, algebra)
     _validate_mc_element(y, structure, algebra)
-    sdeg = structure.sdeg
     for tdeg, vec in path.even.items():
         validate_artin_vector(vec, algebra, structure.space, degree=1)
     for tdeg, vec in path.odd.items():
@@ -620,30 +563,9 @@ def verify_homotopy_witness(path, x, y, structure, algebra):
     if not residual.is_zero():
         return CheckReport.failed("path-mc", (), residual)
 
-    dt_part = _t_derivative(z0)
-    power = {((), ext.unit): ONE}
-    n = 0
-    factorial = 1
-    while power:
-        n += 1
-        if n > 1:
-            factorial *= n - 1
-        table = structure.brackets.get(n)
-        mixed = _power_step(power, z1, sdeg, ext)
-        if table and mixed:
-            inv = Fraction(1, factorial)
-            add = {}
-            for (word, mono), c in mixed.items():
-                vec = table.get(word)
-                if vec is None:
-                    continue
-                for name, vc in vec.coeffs.items():
-                    key = (mono, name)
-                    add[key] = add.get(key, ZERO) + c * vc * inv
-            extra = ArtinVector()
-            extra.terms = {k: v for k, v in add.items() if v != 0}
-            dt_part = dt_part + extra
-        power = _power_step(power, z0, sdeg, ext)
+    # sum_n q_n(z1 . z0^(n-1)) / (n-1)! is the series of z0 headed by z1
+    head = {((name,), mono): c for (mono, name), c in z1.terms.items()}
+    dt_part = _t_derivative(z0) + _bracket_series(z0, structure, ext, head)
     if not dt_part.is_zero():
         return CheckReport.failed("path-dt", (), dt_part)
     return CheckReport.passed()

@@ -88,6 +88,29 @@ def test_check_dgla_failure_exit_code(capsys, tmp_path):
     assert report["checks"][0]["axiom"] == "antisymmetry"
 
 
+def test_check_dgla_wrong_degree_exits_one(capsys, tmp_path):
+    path = write(
+        tmp_path,
+        "degree.json",
+        {
+            "kind": "dgla",
+            "basis": [
+                {"name": "a", "degree": 0},
+                {"name": "b", "degree": 0},
+                {"name": "c", "degree": 1},
+            ],
+            "differential": [],
+            "bracket": [{"a": "a", "b": "b", "out": "c", "coeff": "1"}],
+        },
+    )
+    code, report = run(capsys, "check-dgla", path)
+    assert code == 1
+    check = report["checks"][0]
+    assert (check["axiom"], check["witness"], check["value"]) == (
+        "degree", ["a", "b"], {"c": "1"}
+    )
+
+
 def test_mc_solve_worked_example(capsys):
     code, report = run(
         capsys, "mc-solve", sample("dgla_obstructed.json"), "--order", "3"

@@ -170,6 +170,29 @@ def test_check_cdga_catches_commutativity():
     assert report.axiom == "commutativity"
 
 
+def test_check_dgla_catches_wrong_degree():
+    space = GradedSpace([("a", 0), ("b", 0), ("c", 1)])
+    report = check_dgla(Dgla(space, None, {("a", "b"): {"c": 1}}))
+    assert not report.ok
+    assert (report.axiom, report.witness) == ("degree", ("a", "b"))
+    assert report.value == GradedVector({"c": 1})
+
+
+def test_check_cdga_catches_wrong_degree():
+    space = GradedSpace([("1", 0), ("x", 0), ("y", 1)])
+    report = check_cdga(Cdga(space, None, {("x", "x"): {"y": 1}}, "1"))
+    assert not report.ok
+    assert (report.axiom, report.witness) == ("degree", ("x", "x"))
+    assert report.value == GradedVector({"y": 1})
+
+
+def test_degree_is_the_last_axiom_checked():
+    # w.w = 1 with w odd is in the wrong degree, but commutativity comes first
+    space = GradedSpace([("1", 0), ("w", 1)])
+    report = check_cdga(Cdga(space, None, {("w", "w"): {"1": 1}}, "1"))
+    assert (report.axiom, report.witness) == ("commutativity", ("w", "w"))
+
+
 def test_derham_fat_point_leibniz_exactness():
     model = derham_fat_point()
     # d(x * x) = 2 x dx comes out of the product rule, not by fiat

@@ -12,9 +12,8 @@ from defcalc.graded import (
     GradedVector,
     NotAComplexError,
     complex_cohomology,
-    contraction,
     koszul_sign,
-    wedge_multiply,
+    signed_sort,
     wedge_word,
 )
 
@@ -105,46 +104,20 @@ def test_wedge_word_frozen():
     assert wedge_word(("a", "a"), order) == (None, 0)
 
 
-def test_wedge_multiply_associative_random():
-    names = ["a", "b", "c", "d"]
-    order = {n: i for i, n in enumerate(names)}
-    rng = random.Random(23)
-
-    def random_element():
-        out = {}
-        for _ in range(rng.randint(1, 3)):
-            k = rng.randint(0, 2)
-            word, sign = wedge_word(tuple(rng.sample(names, k)), order)
-            if sign == 0:
-                continue
-            out[word] = out.get(word, 0) + Fraction(rng.randint(-3, 3))
-        return {w: c for w, c in out.items() if c}
-
-    for _ in range(100):
-        x, y, z = random_element(), random_element(), random_element()
-        left = wedge_multiply(wedge_multiply(x, y, order), z, order)
-        right = wedge_multiply(x, wedge_multiply(y, z, order), order)
-        assert left == right
-
-
-def test_contraction_is_a_derivation():
-    names = ["a", "b", "c"]
-    order = {n: i for i, n in enumerate(names)}
-    alpha = {"a": Fraction(2), "c": Fraction(-1)}
-    x = {("a",): Fraction(1)}
-    y = {("b", "c"): Fraction(1)}
-    # i(x ^ y) = i(x) ^ y - x ^ i(y) for odd x
-    prod = wedge_multiply(x, y, order)
-    lhs = contraction(alpha, prod)
-    rhs = wedge_multiply(contraction(alpha, x), y, order)
-    for w, c in wedge_multiply(x, contraction(alpha, y), order).items():
-        rhs[w] = rhs.get(w, 0) - c
-    rhs = {w: c for w, c in rhs.items() if c}
-    assert lhs == rhs
-    assert contraction(alpha, {("a", "b", "c"): Fraction(1)}) == {
-        ("b", "c"): Fraction(2),
-        ("a", "b"): Fraction(-1),
-    }
+def test_signed_sort_counts_odd_inversions():
+    rng = random.Random(29)
+    for _ in range(300):
+        items = [(rng.randint(0, 4), rng.randint(0, 3)) for _ in range(rng.randint(0, 7))]
+        odd = lambda item: item[1] % 2
+        seq, sign = signed_sort(items, lambda item: item[0], odd)
+        assert list(seq) == sorted(items, key=lambda item: item[0])
+        inversions = sum(
+            1
+            for i, a in enumerate(items)
+            for b in items[i + 1:]
+            if a[0] > b[0] and odd(a) and odd(b)
+        )
+        assert sign == (-1) ** inversions
 
 
 def make_complex(basis, columns):

@@ -222,6 +222,29 @@ def test_pushforward_and_hitchin_map_agree_frozen():
     assert image.terms == {((2,), "1*l.l"): Fraction(4)}
 
 
+def test_hitchin_map_checks_maurer_cartan_once(monkeypatch):
+    from defcalc import hitchin, linfty
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(hitchin, "mc_residual", counted("dgla", hitchin.mc_residual))
+    monkeypatch.setattr(
+        linfty, "linfty_mc_residual", counted("linfty", linfty.linfty_mc_residual)
+    )
+    morphism = build_hitchin_morphism(zero_pair(), interval_cdga())
+    x = ArtinVector({((1,), "1*E12^l"): Fraction(1), ((1,), "1*E21^l"): Fraction(2)})
+    sections = hitchin_map(x, morphism, make_artin(("t",), 4))
+    assert sections[1].terms == {((2,), "1*l.l"): Fraction(4)}
+    assert calls == ["dgla"]
+
+
 def test_hitchin_map_rejects_non_mc():
     pair = diag_pair()
     morphism = build_hitchin_morphism(pair, trivial_cdga())

@@ -1,0 +1,93 @@
+"""Exact elimination: one row reduction behind every solver."""
+
+import random
+from fractions import Fraction
+
+from defcalc import linalg
+
+
+def rank_per_candidate(base_cols, candidate_cols, nrows):
+    """The former extend_independent: a full rank for every candidate."""
+    kept = []
+    current = list(base_cols)
+    current_rank = (
+        linalg.rank(linalg.matrix_from_columns(current, nrows)) if current else 0
+    )
+    for idx, cand in enumerate(candidate_cols):
+        trial = linalg.matrix_from_columns(current + [cand], nrows)
+        if linalg.rank(trial) > current_rank:
+            kept.append(idx)
+            current.append(cand)
+            current_rank += 1
+    return kept
+
+
+def random_column(rng, nrows, earlier):
+    """A sparse rational column, or a combination of earlier ones."""
+    if earlier and rng.random() < 0.3:
+        out = [Fraction(0)] * nrows
+        for col in rng.sample(earlier, min(len(earlier), rng.randint(1, 3))):
+            f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            out = [a + f * b for a, b in zip(out, col)]
+        return out
+    return [
+        Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else Fraction(0)
+        for _ in range(nrows)
+    ]
+
+
+def test_extend_independent_matches_rank_oracle():
+    rng = random.Random(5150)
+    cases = [([], [], 0), ([], [], 3), ([], [[Fraction(0)] * 3], 3), ([], [[], []], 0)]
+    for _ in range(300):
+        nrows = rng.randint(0, 6)
+        cols = []
+        for _ in range(rng.randint(0, 9)):
+            cols.append(random_column(rng, nrows, cols))
+        split = rng.randint(0, len(cols))
+        cases.append((cols[:split], cols[split:], nrows))
+    deficient = 0
+    for base, candidates, nrows in cases:
+        kept = linalg.extend_independent(base, candidates, nrows)
+        assert kept == rank_per_candidate(base, candidates, nrows)
+        deficient += len(kept) < len(candidates)
+    assert deficient > 50
+
+
+def random_system(rng):
+    nrows, ncols = rng.randint(0, 5), rng.randint(1, 5)
+    cols = []
+    for _ in range(ncols):
+        cols.append(random_column(rng, nrows, cols))
+    rows = linalg.matrix_from_columns(cols, nrows)
+    if rng.random() < 0.5 and nrows:
+        # a right-hand side in the column span, so the system is consistent
+        x = [Fraction(rng.randint(-2, 2)) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = random_column(rng, nrows, [])
+    return rows, ncols, rhs
+
+
+def test_prepared_solve_equals_solve():
+    rng = random.Random(6021)
+    outcomes = set()
+    for _ in range(300):
+        rows, ncols, rhs = random_system(rng)
+        expected = linalg.solve(rows, rhs) if rows else [Fraction(0)] * ncols
+        prepared = linalg.PreparedSolve(rows, ncols)
+        assert prepared.solve(rhs) == expected
+        if rows:  # one reduction serves many right-hand sides
+            for _ in range(2):
+                other = random_column(rng, len(rows), [])
+                assert prepared.solve(other) == linalg.solve(rows, other)
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_rref_pivots_only_in_the_allowed_columns():
+    rows = [[Fraction(0), Fraction(0), Fraction(1)], [Fraction(0), Fraction(2), Fraction(4)]]
+    red, pivots = linalg.rref(rows, 2)
+    assert pivots == [1]
+    assert red == [[0, 1, 2], [0, 0, 1]]
+    assert linalg.rref(rows)[1] == [1, 2]

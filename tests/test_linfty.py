@@ -22,7 +22,6 @@ from defcalc.linfty import (
     normalize_word,
     pushforward_mc,
     shifted_degrees,
-    sym_coproduct,
     verify_homotopy_witness,
 )
 
@@ -66,17 +65,6 @@ def test_basis_words_frozen_count():
         ("e1", "e1", "e1"),
         ("e1", "e1", "e2"),
     ]
-
-
-def test_sym_coproduct_frozen():
-    sdeg = {"p": 1, "q": 1}
-    terms = sym_coproduct(("p", "q"), sdeg)
-    assert sorted(terms) == sorted(
-        [(("p",), ("q",), 1), (("q",), ("p",), -1)]
-    )
-    # three distinct letters: 2^3 - 2 ordered splittings
-    sdeg3 = {"a": 0, "b": 0, "c": 0}
-    assert len(sym_coproduct(("a", "b", "c"), sdeg3)) == 6
 
 
 def test_structure_construction_validation():
