@@ -34,16 +34,24 @@ def signed_sort(items, key, odd):
     Each swap of two items for which odd() holds flips the sign; equal keys
     are never swapped.  This is the Koszul sign of the sorting permutation.
     """
-    seq = list(items)
+    return signed_sort_keyed([(key(x), odd(x), x) for x in items])
+
+
+def signed_sort_keyed(seq):
+    """signed_sort on a list of (key, odd, item) triples whose key and
+    parity are already computed, so each is evaluated once per item.  The
+    list is sorted in place."""
     sign = 1
     for i in range(1, len(seq)):
+        cur = seq[i]
         j = i
-        while j > 0 and key(seq[j - 1]) > key(seq[j]):
-            if odd(seq[j - 1]) and odd(seq[j]):
+        while j and seq[j - 1][0] > cur[0]:
+            if cur[1] and seq[j - 1][1]:
                 sign = -sign
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
+            seq[j] = seq[j - 1]
             j -= 1
-    return tuple(seq), sign
+        seq[j] = cur
+    return tuple([x for _, _, x in seq]), sign
 
 
 def as_fraction(value):
@@ -306,7 +314,7 @@ def koszul_sign(perm, degrees):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
     if len(degrees) != n:
         raise ValueError("degrees must match the permutation length")
-    return signed_sort(perm, int, lambda p: degrees[p - 1] % 2)[1]
+    return signed_sort_keyed([(p, degrees[p - 1] % 2, p) for p in perm])[1]
 
 
 def bilinear(table, x, y):
@@ -329,7 +337,7 @@ def wedge_word(names, order_index):
     """
     if len(set(names)) != len(names):
         return None, 0
-    return signed_sort(names, order_index.__getitem__, lambda name: True)
+    return signed_sort_keyed([(order_index[name], True, name) for name in names])
 
 
 # ---------------------------------------------------------------------------

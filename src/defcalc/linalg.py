@@ -80,12 +80,13 @@ def nullspace(rows, ncols):
     return basis
 
 
-def solve(rows, rhs):
-    """One solution of A x = b, or None if the system is inconsistent.
+def solve(rows, rhs, ncols):
+    """One solution of A x = b in ncols unknowns, or None if the system is
+    inconsistent.
 
-    Free variables are set to zero, so the solution is deterministic.
+    Free variables are set to zero, so the solution is deterministic; with
+    no rows it is the zero vector, as for PreparedSolve(rows, ncols).
     """
-    ncols = len(rows[0]) if rows else 0
     red, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(rows)], ncols)
     if any(row[ncols] != 0 for row in red[len(pivots):]):
         return None

@@ -15,11 +15,12 @@ nilpotency reason as in the dgla calculus.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
 from .dgla import CheckReport
-from .graded import GradedVector, accumulate, koszul_sign, signed_sort
+from .graded import GradedSpace, GradedVector, accumulate, koszul_sign, signed_sort_keyed
 
 ONE = Fraction(1)
 
@@ -39,7 +40,7 @@ def normalize_word(names, sdeg):
     Returns (None, 0) when the word vanishes because a letter of odd shifted
     degree repeats.
     """
-    seq, sign = signed_sort(names, word_key(sdeg), lambda name: sdeg[name] % 2)
+    seq, sign = signed_sort_keyed([((sdeg[n], n), sdeg[n] % 2, n) for n in names])
     for a, b in zip(seq, seq[1:]):
         if a == b and sdeg[a] % 2:
             return None, 0
@@ -157,6 +158,61 @@ def linfty_from_dgla(dgla):
     return LInftyStructure(space, brackets)
 
 
+def _add_unshuffle_terms(structure, word, coeff, out, arities, forced=(), keep=None,
+                         canonical=True):
+    """Accumulate the terms  coeff . sign . q_k(block) . tail  of Q(word).
+
+    Only arities in the given list, blocks holding every position in forced
+    and bracket outputs in keep (all when None) are visited, in the order of
+    the full unshuffle scan.  The blocks of a canonical word are canonical
+    and looked up directly; other orderings fall back to normalize_word.
+    """
+    sdeg = structure.sdeg
+    n = len(word)
+    degrees = [sdeg[name] for name in word]
+    free = [p for p in range(n) if p not in forced]
+    unit = coeff == 1
+    for k in arities:
+        if k > n or k < len(forced):
+            continue
+        table = structure.brackets[k]
+        for chosen in combinations(free, k - len(forced)):
+            subset = tuple(sorted(forced + chosen)) if forced else chosen
+            block = tuple([word[p] for p in subset])
+            vec = table.get(block)
+            bsign = 1
+            if vec is None:
+                if canonical:
+                    continue
+                cblock, bsign = normalize_word(block, sdeg)
+                if bsign == 0 or cblock == block:
+                    continue
+                vec = table.get(cblock)
+                if vec is None:
+                    continue
+            rest = [p for p in range(n) if p not in subset]
+            perm = [p + 1 for p in subset] + [p + 1 for p in rest]
+            eps = koszul_sign(perm, degrees) * bsign
+            tail = tuple([word[p] for p in rest])
+            for name, c in vec.coeffs.items():
+                if keep is not None and name not in keep:
+                    continue
+                new_word, s = normalize_word((name,) + tail, sdeg)
+                if s:
+                    term = c if unit else coeff * c
+                    accumulate(out, new_word, term if eps * s > 0 else -term)
+
+
+def _apply_to_terms(terms, value, out):
+    """out += sum over words v of terms[v] . value(v), for a map value from
+    words to GradedVector or None."""
+    for v, c in terms.items():
+        vec = value(v)
+        if vec:
+            for name, x in vec.coeffs.items():
+                accumulate(out, name, c * x)
+
+
 def coderivation_extend(structure, element):
     """Coderivation determined by the brackets, applied to a coalgebra element.
 
@@ -164,36 +220,13 @@ def coderivation_extend(structure, element):
     unshuffles of  sign . q_k(chosen k letters) . (remaining letters).
     element is a dict word -> coefficient; so is the result.
     """
-    sdeg = structure.sdeg
     out = {}
     for word, coeff in element.items():
-        n = len(word)
-        degrees = [sdeg[name] for name in word]
-        for k in structure.brackets:
-            if k > n:
-                continue
-            for subset in combinations(range(n), k):
-                block = tuple(word[p] for p in subset)
-                # canonical input words have sorted blocks, found directly;
-                # the fallback keeps arbitrary orderings correct too
-                vec = structure.bracket_value(k, block)
-                bsign = 1
-                if vec is None:
-                    cblock, bsign = normalize_word(block, sdeg)
-                    if bsign == 0 or cblock == block:
-                        continue
-                    vec = structure.bracket_value(k, cblock)
-                    if vec is None:
-                        continue
-                rest = [p for p in range(n) if p not in subset]
-                perm = [p + 1 for p in subset] + [p + 1 for p in rest]
-                eps = koszul_sign(perm, degrees)
-                tail = tuple(word[p] for p in rest)
-                for name, c in vec.coeffs.items():
-                    new_word, s = normalize_word((name,) + tail, sdeg)
-                    if s == 0:
-                        continue
-                    accumulate(out, new_word, coeff * eps * bsign * c * s)
+        cword, sign = normalize_word(word, structure.sdeg)
+        _add_unshuffle_terms(
+            structure, word, coeff, out, list(structure.brackets),
+            canonical=sign == 1 and cword == tuple(word),
+        )
     return out
 
 
@@ -202,39 +235,52 @@ def check_codifferential(structure, weight):
 
     Q . Q is itself a coderivation, so it vanishes on a word exactly when
     its weight-one corestrictions vanish on that word and on all words of
-    lower weight; the scan covers those, and only the corestriction
-        sum over terms v of Q(w) of  q_{|v|}(v)
-    is evaluated.  Failure reports the word and the nonzero vector.
+    lower weight.  On a word of weight n that corestriction is
+        sum over j + k - 1 = n of  q_j(q_k(block) . tail),
+    so only the unshuffles whose arity k leaves a term of some bracket
+    arity j are visited, and the scan stops at weight 2 k_max - 1 (k_max
+    the largest arity): above it every (j, k) pair has a missing bracket
+    and the corestriction is exactly zero.  Failure reports the first word
+    in basis order and the nonzero vector.
     """
-    for word in basis_words(structure.space, weight, structure.sdeg):
-        total = GradedVector()
-        for v, c in coderivation_extend(structure, {word: ONE}).items():
-            total = total + structure.apply_bracket(v).scale(c)
-        if not total.is_zero():
-            return CheckReport.failed("codifferential", word, total)
+    arities = structure.brackets
+    top = min(weight, 2 * max(arities, default=0) - 1)
+    for word in basis_words(structure.space, top, structure.sdeg):
+        n = len(word)
+        terms = {}
+        _add_unshuffle_terms(
+            structure, word, ONE, terms, [k for k in arities if n - k + 1 in arities]
+        )
+        total = {}
+        _apply_to_terms(terms, structure.apply_bracket, total)
+        if total:
+            return CheckReport.failed("codifferential", word, GradedVector(total))
     return CheckReport.passed()
 
 
-def _set_partitions(n):
-    """Partitions of range(n) into blocks; blocks and block lists sorted."""
-    if n == 0:
-        return [[]]
+@lru_cache(maxsize=None)
+def _set_partitions(n, max_block):
+    """Partitions of range(n) into blocks of at most max_block elements;
+    blocks and block lists sorted."""
+    if n and max_block < 1:
+        return ()
     out = []
 
     def grow(pos, blocks):
         if pos == n:
-            out.append([tuple(b) for b in blocks])
+            out.append(tuple(tuple(b) for b in blocks))
             return
         for b in blocks:
-            b.append(pos)
-            grow(pos + 1, blocks)
-            b.pop()
+            if len(b) < max_block:
+                b.append(pos)
+                grow(pos + 1, blocks)
+                b.pop()
         blocks.append([pos])
         grow(pos + 1, blocks)
         blocks.pop()
 
     grow(0, [])
-    return out
+    return tuple(out)
 
 
 class LInftyMorphism:
@@ -278,6 +324,9 @@ class LInftyMorphism:
 
     def component(self, word):
         """f_k evaluated on a canonical word, k = len(word)."""
+        cached = self._cache.get(word)
+        if cached is not None:
+            return cached
         k = len(word)
         if k > self.max_weight:
             return GradedVector()
@@ -286,18 +335,16 @@ class LInftyMorphism:
         if self._generator is None:
             vec = self._table.get(k, {}).get(word)
             return vec if vec is not None else GradedVector()
-        cached = self._cache.get(word)
-        if cached is None:
-            vec = self._generator(k, word)
-            cached = vec if vec is not None else GradedVector()
-            want = sum(self.source.sdeg[n] for n in word)
-            for out_name in cached.coeffs:
-                if self.target.sdeg[out_name] != want:
-                    raise ValueError(
-                        f"morphism component on {word!r} is not degree 0: "
-                        f"output {out_name!r}"
-                    )
-            self._cache[word] = cached
+        vec = self._generator(k, word)
+        cached = vec if vec is not None else GradedVector()
+        want = sum(self.source.sdeg[n] for n in word)
+        for out_name in cached.coeffs:
+            if self.target.sdeg[out_name] != want:
+                raise ValueError(
+                    f"morphism component on {word!r} is not degree 0: "
+                    f"output {out_name!r}"
+                )
+        self._cache[word] = cached
         return cached
 
 
@@ -315,16 +362,17 @@ def _sym_multiply(element, vector, sdeg):
 
 def _expand_partitions(morphism, word, coeff, out, block_count=None):
     """Accumulate the set-partition expansion of F on one word into out,
-    optionally keeping only partitions with a fixed number of blocks."""
+    optionally keeping only partitions with a fixed number of blocks.
+    Partitions with a block longer than max_weight are skipped: f vanishes
+    on it."""
     if morphism.support is not None and any(
         n not in morphism.support for n in word
     ):
         return
     src_deg = morphism.source.sdeg
     tgt_deg = morphism.target.sdeg
-    n = len(word)
     degrees = [src_deg[name] for name in word]
-    for blocks in _set_partitions(n):
+    for blocks in _set_partitions(len(word), morphism.max_weight):
         if block_count is not None and len(blocks) != block_count:
             continue
         perm = [p + 1 for block in blocks for p in block]
@@ -359,6 +407,42 @@ def morphism_extend(morphism, element):
     return out
 
 
+def _candidate_words(morphism, top, inside_top):
+    """The source words of weight <= top on which F . Q - Q-hat . F can be
+    nonzero for a morphism with a support, in basis_words order.
+
+    A word with a letter outside the support has F(w) = 0, and a term
+    q_k(block) . tail of Q(w) survives f only when the block holds every
+    outside letter, some output of q_k(block) is in the support and the
+    tail has at most max_weight - 1 letters, all inside.  So the words are
+    the bracket-table blocks with an output in the support joined to such
+    tails, plus the all-inside words up to weight inside_top (k_t times
+    max_weight, where F(w) can meet a target bracket).
+    """
+    source = morphism.source
+    sdeg, support = source.sdeg, morphism.support
+    letters = sorted(source.space.names, key=word_key(sdeg))
+    inside = [name for name in letters if name in support]
+    tails = [
+        list(combinations_with_replacement(inside, m))
+        for m in range(min(morphism.max_weight, top))
+    ]
+    found = set()
+    for k, table in source.brackets.items():
+        for block, vec in table.items():
+            if not any(name in support for name in vec.coeffs):
+                continue
+            for group in tails[: max(0, top - k + 1)]:
+                for tail in group:
+                    word, sign = normalize_word(block + tail, sdeg)
+                    if sign:
+                        found.add(word)
+    inside_space = GradedSpace([(name, source.space.degree(name)) for name in inside])
+    found.update(basis_words(inside_space, min(inside_top, top), sdeg))
+    rank = {name: i for i, name in enumerate(letters)}
+    return sorted(found, key=lambda w: (len(w), [rank[name] for name in w]))
+
+
 def check_linfty_morphism(morphism, weight):
     """F . Q = Q-hat . F on every source basis word up to the given weight.
 
@@ -368,22 +452,51 @@ def check_linfty_morphism(morphism, weight):
         sum over terms v of Q(w) of  f_{|v|}(v)
           -  sum over arities j of  q-hat_j(weight-j part of F(w)),
     the per-arity identity the full coalgebra equation projects to.
+
+    Only what can be nonzero is evaluated; W is max_weight and k_s, k_t
+    the largest source and target arities (0 without brackets).  A term
+    q_k(block) . tail of Q(w) has weight n - k + 1 and f vanishes above W,
+    so only arities k >= n - W + 1 are unshuffled; the weight-j part of
+    F(w) needs n <= j W.  Hence the scan stops at weight
+    max(W + k_s - 1, k_t W), above which both sides are exactly zero.
+    With a support, f vanishes on every word holding an outside letter:
+    only the unshuffles whose block holds all of them and only bracket
+    outputs in the support are visited, F(w) only on all-inside words, and
+    the words scanned are those of _candidate_words.  The failure is still
+    the first word in basis order, with the value lhs - rhs.
     """
     source, target = morphism.source, morphism.target
-    for word in basis_words(source.space, weight, source.sdeg):
-        lhs = GradedVector()
-        for v, c in coderivation_extend(source, {word: ONE}).items():
-            lhs = lhs + morphism.component(v).scale(c)
-        rhs = GradedVector()
-        for j in target.brackets:
-            if j > len(word):
-                continue
-            part = {}
-            _expand_partitions(morphism, word, ONE, part, block_count=j)
-            for v, c in part.items():
-                rhs = rhs + target.apply_bracket(v).scale(c)
+    top_weight = morphism.max_weight
+    k_s = max(source.brackets, default=0)
+    k_t = max(target.brackets, default=0)
+    top = min(weight, max(top_weight + k_s - 1, k_t * top_weight))
+    support = morphism.support
+    if support is None:
+        words = basis_words(source.space, top, source.sdeg)
+    else:
+        words = _candidate_words(morphism, top, k_t * top_weight)
+    for word in words:
+        n = len(word)
+        outside = () if support is None else tuple(
+            p for p, name in enumerate(word) if name not in support
+        )
+        terms = {}
+        _add_unshuffle_terms(
+            source, word, ONE, terms,
+            [k for k in source.brackets if n - k + 1 <= top_weight], outside, support,
+        )
+        lhs = {}
+        _apply_to_terms(terms, morphism.component, lhs)
+        rhs = {}
+        if not outside:
+            for j, table in target.brackets.items():
+                part = {}
+                _expand_partitions(morphism, word, ONE, part, block_count=j)
+                _apply_to_terms(part, table.get, rhs)
         if lhs != rhs:
-            return CheckReport.failed("morphism", word, lhs - rhs)
+            for name, c in rhs.items():
+                accumulate(lhs, name, -c)
+            return CheckReport.failed("morphism", word, GradedVector(lhs))
     return CheckReport.passed()
 
 

@@ -6,8 +6,17 @@ from fractions import Fraction
 import pytest
 
 from defcalc.artin import ArtinVector, make_artin
-from defcalc.dgla import Dgla, check_dgla, gauge_act, mc_residual, mc_solve
+from defcalc.dgla import (
+    Dgla,
+    check_dgla,
+    gauge_act,
+    mc_residual,
+    mc_solve,
+    tensor_cdga_dgla,
+    trivial_cdga,
+)
 from defcalc.graded import GradedMap, GradedSpace, GradedVector
+from defcalc.hitchin import HitchinPair, build_hitchin_morphism
 from defcalc.linfty import (
     LInftyMorphism,
     LInftyStructure,
@@ -19,6 +28,7 @@ from defcalc.linfty import (
     coderivation_extend,
     linfty_from_dgla,
     linfty_mc_residual,
+    morphism_extend,
     normalize_word,
     pushforward_mc,
     shifted_degrees,
@@ -28,8 +38,12 @@ from defcalc.linfty import (
 from test_dgla import (
     MATRIX_UNITS,
     contractible,
+    derham_fat_point,
     gl2,
     gl2_brackets,
+    heisenberg,
+    interval_cdga,
+    mutate_one_entry,
     semidirect,
     two_line,
 )
@@ -169,6 +183,21 @@ def test_coderivation_extension_respects_permutation_signs():
         assert left == right
 
 
+def test_coderivation_extension_is_linear():
+    structure = linfty_from_dgla(semidirect())
+    words = basis_words(structure.space, 3)
+    rng = random.Random(31)
+    for _ in range(20):
+        u, w = rng.sample(words, 2)
+        a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(1, 4))
+        expected = {}
+        for word, coeff in ((u, a), (w, b)):
+            for v, c in coderivation_extend(structure, {word: ONE}).items():
+                expected[v] = expected.get(v, 0) + coeff * c
+        expected = {v: c for v, c in expected.items() if c}
+        assert coderivation_extend(structure, {u: a, w: b}) == expected
+
+
 def test_identity_morphism_passes():
     for model in (two_line(), semidirect()):
         structure = linfty_from_dgla(model)
@@ -191,6 +220,230 @@ def test_broken_morphism_fails():
     )
     report = check_linfty_morphism(skew, 4)
     assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# The pruned checkers against the full scans they replaced.
+
+
+def _full(ok, axiom=None, witness=None, value=None):
+    """A report as a tuple, with the key order of its value."""
+    return (ok, axiom, witness, value, None if value is None else list(value.coeffs))
+
+
+def _full_report(report):
+    return _full(report.ok, report.axiom, report.witness, report.value)
+
+
+def full_scan_check_codifferential(structure, weight):
+    """Q . Q on every basis word up to weight, every unshuffle evaluated."""
+    for word in basis_words(structure.space, weight, structure.sdeg):
+        total = GradedVector()
+        for v, c in coderivation_extend(structure, {word: ONE}).items():
+            total = total + structure.apply_bracket(v).scale(c)
+        if not total.is_zero():
+            return _full(False, "codifferential", word, total)
+    return _full(True)
+
+
+def full_scan_check_linfty_morphism(morphism, weight):
+    """F . Q - Q-hat . F on every basis word up to weight, every unshuffle
+    and every set partition evaluated."""
+    source, target = morphism.source, morphism.target
+    for word in basis_words(source.space, weight, source.sdeg):
+        lhs = GradedVector()
+        for v, c in coderivation_extend(source, {word: ONE}).items():
+            lhs = lhs + morphism.component(v).scale(c)
+        image = morphism_extend(morphism, {word: ONE})
+        rhs = GradedVector()
+        for j in target.brackets:
+            for v, c in image.items():
+                if len(v) == j:
+                    rhs = rhs + target.apply_bracket(v).scale(c)
+        if lhs != rhs:
+            return _full(False, "morphism", word, lhs - rhs)
+    return _full(True)
+
+
+def _regenerated(morphism, component):
+    return LInftyMorphism(
+        morphism.source, morphism.target, component,
+        max_weight=morphism.max_weight, support=morphism.support,
+    )
+
+
+def corrupt_morphism(morphism, rng):
+    """Scale one arity, or add a target letter to one component entry."""
+    if rng.random() < 0.4:
+        arity = rng.randint(1, morphism.max_weight)
+        factor = rng.choice([2, -1, Fraction(1, 2), 0])
+        return _regenerated(
+            morphism,
+            lambda k, w: morphism.component(w).scale(factor if k == arity else 1),
+        )
+    sdeg, tdeg = morphism.source.sdeg, morphism.target.sdeg
+    letters = sorted(morphism.support)
+    while True:
+        word, sign = normalize_word(
+            [rng.choice(letters) for _ in range(rng.randint(1, morphism.max_weight))], sdeg
+        )
+        want = sum(sdeg[n] for n in word) if sign else None
+        outputs = [n for n in morphism.target.space.names if tdeg[n] == want]
+        if outputs:
+            break
+    delta = GradedVector({rng.choice(outputs): rng.choice([1, -1, 2])})
+    return _regenerated(
+        morphism,
+        lambda k, w: morphism.component(w) + delta if w == word else morphism.component(w),
+    )
+
+
+def test_check_linfty_morphism_matches_full_scan_oracle():
+    rng = random.Random(6006)
+    letter = GradedSpace([("l", 1)])
+    two = GradedSpace([("l1", 1), ("l2", 1)])
+    rank2 = HitchinPair(2, letter, [[{"l": 1}, {"l": 2}], [{}, {"l": -1}]])
+    rank2_two = HitchinPair(2, two, [[{"l1": 1}, {}], [{}, {"l2": 1}]])
+    rank3 = HitchinPair(
+        3, letter, [[{}, {"l": 1}, {"l": 3}], [{}, {}, {"l": -2}], [{}, {}, {}]]
+    )
+    # (pair, cdga, weight, mutants); the weights reach past the scan bound
+    # max(W + k_s - 1, k_t W) = 3 for rank 2 and 4 for rank 3 where cheap
+    cases = [
+        (rank2, trivial_cdga(), 4, 8),
+        (rank2_two, trivial_cdga(), 4, 4),
+        (rank2, interval_cdga(), 4, 6),
+        (rank2, derham_fat_point(), 3, 6),
+        (rank3, trivial_cdga(), 4, 3),
+        (rank3, interval_cdga(), 3, 2),
+        (rank3, derham_fat_point(), 2, 3),
+    ]
+    outcomes = set()
+    for pair, cdga, weight, mutants in cases:
+        morphism = build_hitchin_morphism(pair, cdga)
+        assert _full_report(check_linfty_morphism(morphism, weight)) == _full(True)
+        for _ in range(mutants):
+            mutant = corrupt_morphism(morphism, rng)
+            expected = full_scan_check_linfty_morphism(mutant, weight)
+            assert _full_report(check_linfty_morphism(mutant, weight)) == expected
+            outcomes.add(expected[0])
+    # table morphisms without a support: the identity with f2 entries added
+    for model in (semidirect(), gl2(), two_line()):
+        structure = linfty_from_dgla(model)
+        sdeg = structure.sdeg
+        names = model.space.names
+        for _ in range(4):
+            f2 = {}
+            for _ in range(rng.randint(1, 2)):
+                word, sign = normalize_word((rng.choice(names), rng.choice(names)), sdeg)
+                outputs = [n for n in names if sign and sdeg[n] == sdeg[word[0]] + sdeg[word[1]]]
+                if outputs:
+                    f2[word] = {rng.choice(outputs): rng.choice([1, -1])}
+            morphism = LInftyMorphism(
+                structure, structure, {1: {(n,): {n: 1} for n in names}, 2: f2}
+            )
+            assert morphism.support is None
+            expected = full_scan_check_linfty_morphism(morphism, 4)
+            assert _full_report(check_linfty_morphism(morphism, 4)) == expected
+            outcomes.add(expected[0])
+    assert outcomes == {True, False}
+
+
+def test_check_codifferential_matches_full_scan_oracle():
+    rng = random.Random(6007)
+    axioms = set()
+    for cdga, inner, weight, mutants in [
+        (trivial_cdga(), gl2(), 4, 8),
+        (interval_cdga(), gl2(), 4, 6),
+        (interval_cdga(), heisenberg(), 4, 6),
+        (derham_fat_point(), semidirect(), 4, 6),
+        (derham_fat_point(), heisenberg(), 3, 6),
+    ]:
+        model = tensor_cdga_dgla(cdga, inner)
+        structure = linfty_from_dgla(model)
+        assert _full_report(check_codifferential(structure, weight)) == _full(True)
+        for _ in range(mutants):
+            mutant = Dgla(model.space, model.d, mutate_one_entry(model.space, model.brackets, rng))
+            structure = linfty_from_dgla(mutant)
+            expected = full_scan_check_codifferential(structure, weight)
+            assert _full_report(check_codifferential(structure, weight)) == expected
+            axioms.add(expected[1])
+    assert axioms == {None, "codifferential"}
+
+
+# ---------------------------------------------------------------------------
+# Each scan bound is reached: the only defect sits exactly on it.
+
+
+def test_codifferential_defect_at_twice_the_top_arity_minus_one():
+    # only q3: q3(x1 x2 x3) = y and q3(y x4 x5) = z, so Q . Q first fails on
+    # x1 ... x5, at weight 2 * 3 - 1
+    xs = [f"x{i}" for i in range(1, 6)]
+    space = GradedSpace([(x, 1) for x in xs] + [("y", 2), ("z", 3)])
+    structure = LInftyStructure(
+        space, {3: {("x1", "x2", "x3"): {"y": 1}, ("y", "x4", "x5"): {"z": 1}}}
+    )
+    assert check_codifferential(structure, 4).ok
+    for weight in (5, 6):
+        report = check_codifferential(structure, weight)
+        assert report.witness == tuple(xs)
+        assert _full_report(report) == full_scan_check_codifferential(structure, weight)
+
+
+@pytest.mark.parametrize("source_arity, top_weight", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("with_support", [False, True])
+def test_morphism_defect_at_weight_plus_source_arity_minus_one(
+    source_arity, top_weight, with_support
+):
+    # q_k(x1 ... xk) = y and f_W(y . x_{k+1} ... x_{k+W-1}) = t, with no
+    # other bracket or component: the defect f_W(q_k(block) . tail) first
+    # appears at weight W + k - 1
+    n = source_arity + top_weight - 1
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    source = LInftyStructure(
+        GradedSpace([(x, 1) for x in xs] + [("y", 2)]),
+        {source_arity: {tuple(xs[:source_arity]): {"y": 1}}},
+    )
+    target = LInftyStructure(GradedSpace([("t", 2)]), {})
+    # with a support, x1 is outside it: only the block absorbs it
+    support = xs[1:] + ["y"] if with_support else None
+    morphism = LInftyMorphism(
+        source, target, {top_weight: {("y",) + tuple(xs[source_arity:]): {"t": 1}}},
+        support=support,
+    )
+    assert check_linfty_morphism(morphism, n - 1).ok
+    for weight in (n, n + 1):
+        report = check_linfty_morphism(morphism, weight)
+        assert report.witness == tuple(xs)
+        assert _full_report(report) == full_scan_check_linfty_morphism(morphism, weight)
+
+
+@pytest.mark.parametrize("target_arity, top_weight", [(2, 2), (1, 3), (3, 1)])
+@pytest.mark.parametrize("with_support", [False, True])
+def test_morphism_defect_at_target_arity_times_weight(target_arity, top_weight, with_support):
+    # f_W sends the i-th run of W letters to s_i and q-hat(s1 ... s_kt) = u,
+    # with no source bracket: F(x1 ... x_n) meets the target bracket first
+    # at n = k_t W
+    n = target_arity * top_weight
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    ss = [f"s{i}" for i in range(1, target_arity + 1)]
+    source = LInftyStructure(GradedSpace([(x, 1) for x in xs]), {})
+    target = LInftyStructure(
+        GradedSpace([(s, 1) for s in ss] + [("u", 2)]),
+        {target_arity: {tuple(ss): {"u": 1}}},
+    )
+    runs = {
+        tuple(xs[i * top_weight:(i + 1) * top_weight]): {s: 1} for i, s in enumerate(ss)
+    }
+    morphism = LInftyMorphism(
+        source, target, {top_weight: runs}, support=xs if with_support else None
+    )
+    if n > 1:
+        assert check_linfty_morphism(morphism, n - 1).ok
+    for weight in (n, n + 1):
+        report = check_linfty_morphism(morphism, weight)
+        assert report.witness == tuple(xs)
+        assert _full_report(report) == full_scan_check_linfty_morphism(morphism, weight)
 
 
 def test_linfty_residual_is_minus_dgla_residual():
