@@ -70,7 +70,6 @@ from .hitchin import (
     g_coefficient,
     hitchin_map,
     hitchin_target,
-    make_hitchin_pair,
     matrix_wedge_dgla,
     obstruction_kernel_map,
     trace_commutator_oracle,
@@ -134,7 +133,6 @@ __all__ = [
     "linfty_from_dgla",
     "linfty_mc_residual",
     "make_artin",
-    "make_hitchin_pair",
     "matrix_wedge_dgla",
     "mc_residual",
     "mc_solve",

@@ -11,7 +11,13 @@ tuple); every routine that iterates over monomials uses that order.
 
 from __future__ import annotations
 
+import math
+
 from .graded import GradedVector, accumulate, as_fraction
+
+# Most monomials an integer truncation may keep.  Enumerating more would
+# exhaust memory long before any computation over the algebra finished.
+MAX_MONOMIALS = 10**5
 
 
 def monomial_degree(monomial):
@@ -105,7 +111,8 @@ def make_artin(variables, truncation):
     truncation may be an integer n, keeping all monomials of total degree
     < n (so every product of n maximal-ideal elements vanishes), or an
     explicit iterable of exponent tuples which is validated as a division
-    closed set containing 1.
+    closed set containing 1.  An integer truncation that would keep more
+    than MAX_MONOMIALS monomials raises ValueError before any is built.
     """
     variables = tuple(variables)
     if isinstance(truncation, bool):
@@ -113,17 +120,14 @@ def make_artin(variables, truncation):
     if isinstance(truncation, int):
         if truncation < 1:
             raise ValueError("integer truncation must be >= 1")
-        monos = []
-
-        def fill(prefix, remaining):
-            if not remaining:
-                monos.append(tuple(prefix))
-                return
-            budget = truncation - 1 - sum(prefix)
-            for e in range(budget + 1):
-                fill(prefix + [e], remaining - 1)
-
-        fill([], len(variables))
+        if math.comb(truncation - 1 + len(variables), len(variables)) > MAX_MONOMIALS:
+            raise ValueError(
+                f"truncation {truncation} of Q[{', '.join(map(str, variables))}] keeps "
+                f"more than {MAX_MONOMIALS} monomials"
+            )
+        monos = [()]
+        for _ in variables:
+            monos = [m + (e,) for m in monos for e in range(truncation - sum(m))]
         return ArtinAlgebra(variables, monos)
     return ArtinAlgebra(variables, truncation)
 

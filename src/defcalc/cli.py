@@ -5,7 +5,9 @@ artin, mc-element); every rational is a string like "3/4" so nothing is
 ever read as a float.  Reports are JSON with sorted keys and fully
 deterministic content: identical inputs and options give byte-identical
 bytes.  Exit codes: 0 all checks passed, 1 some check failed (the report
-carries the witnesses), 2 usage or parse errors.
+carries the witnesses), 2 rejected input (a document's shape, an option's
+range, or any ValueError the library raises on it), 3 a fault in defcalc
+itself.
 """
 
 from __future__ import annotations
@@ -51,13 +53,82 @@ from .linfty import (
 )
 
 
-class CliError(Exception):
-    """User-facing input problem; maps to exit code 2."""
+class CliError(ValueError):
+    """User-facing input problem; main maps every ValueError to exit code 2."""
+
+
+# Leaf shapes: the exact JSON types a leaf may have (true is not an int, 1.0
+# is not an int) and the message when it has another.
+_RATIONAL, _EXPONENT = "rational", "exponent"
+_LEAVES = {
+    str: ((str,), "expected a string"),
+    int: ((int,), "expected an integer"),
+    _RATIONAL: ((str, int), "rational values must be strings or integers"),
+    _EXPONENT: ((int,), "exponents must be non-negative integers"),
+}
+
+_BASIS = [{"name": str, "degree": int}]
+_DIFFERENTIAL = [{"from": str, "to": str, "coeff": _RATIONAL}]
+_PAIR_TABLE = [{"a": str, "b": str, "out": str, "coeff": _RATIONAL}]
+_ALGEBRA = {"variables": [str], "truncation?": int, "monomials?": [[_EXPONENT]]}
+
+# Shape of each document kind: field -> shape, where a shape is a leaf, [shape]
+# for a list of it, or a dict for an object; "?" marks an optional field.
+# Fields not listed are ignored.
+_SHAPES = {
+    "dgla": {"basis": _BASIS, "differential?": _DIFFERENTIAL, "bracket?": _PAIR_TABLE},
+    "cdga": {
+        "basis": _BASIS,
+        "differential?": _DIFFERENTIAL,
+        "product?": _PAIR_TABLE,
+        "unit": str,
+    },
+    "linfty": {
+        "basis": _BASIS,
+        "brackets?": [{"arity": int, "word": [str], "out": str, "coeff": _RATIONAL}],
+    },
+    "hitchin-pair": {"rank": int, "l_basis": _BASIS, "theta": [[[_RATIONAL]]]},
+    "artin": _ALGEBRA,
+    "mc-element": {
+        "algebra": _ALGEBRA,
+        "terms?": [{"monomial": [_EXPONENT], "name": str, "coeff": _RATIONAL}],
+    },
+}
+
+
+def _shape_error(value, shape):
+    """(path below value, message) where value breaks the shape, or None."""
+    if type(shape) is dict:
+        if type(value) is not dict:
+            return "", "expected an object"
+        for key, sub in shape.items():
+            field = key.rstrip("?")
+            if field not in value:
+                if field == key:
+                    return "", f"missing field {field!r}"
+            elif error := _shape_error(value[field], sub):
+                return f".{field}{error[0]}", error[1]
+    elif type(shape) is list:
+        if type(value) is not list:
+            return "", "expected a list"
+        for pos, item in enumerate(value):
+            if error := _shape_error(item, shape[0]):
+                return f"[{pos}]{error[0]}", error[1]
+    else:
+        types, message = _LEAVES[shape]
+        if type(value) not in types or (shape is _EXPONENT and value < 0):
+            return "", message
+    return None
+
+
+def _check_shape(value, shape, where):
+    """Raise CliError unless the JSON value has the shape (see _SHAPES)."""
+    error = _shape_error(value, shape)
+    if error:
+        raise CliError(f"{where}{error[0]}: {error[1]}")
 
 
 def _fraction(value, where):
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise CliError(f"{where}: rational values must be strings or integers")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -68,51 +139,40 @@ def _frac_str(value):
     return str(Fraction(value))
 
 
-def _require(data, key, where, kind=None):
-    if key not in data:
-        raise CliError(f"{where}: missing field {key!r}")
-    value = data[key]
-    if kind is not None and type(value) is not kind:  # exact: true is not an int
-        raise CliError(f"{where}: field {key!r} has the wrong type")
-    return value
+def _read_sparse(data, key, where, fields, unknown):
+    """Sum the "coeff" of each entry of data[key] under its other fields.
+
+    Returns {tuple of the fields' values: coefficient} in first-seen order,
+    zero sums kept; a list value (a word, a monomial) becomes a tuple.
+    unknown(values) is a message for an entry naming something that does
+    not exist, or None.
+    """
+    table = {}
+    for pos, entry in enumerate(data.get(key, ())):
+        label = f"{where}.{key}[{pos}]"
+        values = tuple(
+            tuple(entry[f]) if type(entry[f]) is list else entry[f] for f in fields
+        )
+        message = unknown(values)
+        if message:
+            raise CliError(f"{label}: {message}")
+        table[values] = table.get(values, 0) + _fraction(entry["coeff"], label)
+    return table
 
 
-def _monomial(value, variables, where):
-    """Exponent tuple: one non-negative JSON integer per variable."""
-    if not isinstance(value, list) or len(value) != len(variables):
-        raise CliError(f"{where}: wrong exponent count")
-    if any(type(e) is not int or e < 0 for e in value):
-        raise CliError(f"{where}: exponents must be non-negative integers")
-    return tuple(value)
+def _unknown_name(space, names):
+    for name in names:
+        if name not in space:
+            return f"unknown basis name {name!r}"
+    return None
 
 
-def _parse_basis(data, where, key="basis"):
-    entries = _require(data, key, where, list)
-    pairs = []
-    for pos, entry in enumerate(entries):
-        name = _require(entry, "name", f"{where}.{key}[{pos}]", str)
-        degree = _require(entry, "degree", f"{where}.{key}[{pos}]", int)
-        pairs.append((name, degree))
-    try:
-        return GradedSpace(pairs)
-    except ValueError as exc:
-        raise CliError(f"{where}: {exc}") from exc
+def _parse_basis(entries):
+    return GradedSpace([(e["name"], e["degree"]) for e in entries])
 
 
-def _parse_differential(data, space, where):
-    columns = {}
-    for pos, entry in enumerate(data.get("differential", [])):
-        label = f"{where}.differential[{pos}]"
-        src = _require(entry, "from", label, str)
-        dst = _require(entry, "to", label, str)
-        coeff = _fraction(_require(entry, "coeff", label), label)
-        if src not in space or dst not in space:
-            raise CliError(f"{label}: unknown basis name")
-        columns.setdefault(src, {})[dst] = columns.get(src, {}).get(dst, 0) + coeff
-    try:
-        return GradedMap(space, space, 1, columns)
-    except ValueError as exc:
-        raise CliError(f"{where}: differential: {exc}") from exc
+def _basis_list(space):
+    return [{"name": n, "degree": d} for n, d in space.basis_pairs()]
 
 
 def _emit_differential(gmap, space):
@@ -124,27 +184,10 @@ def _emit_differential(gmap, space):
     return out
 
 
-def _parse_pair_table(data, space, where, key):
-    table = {}
-    for pos, entry in enumerate(data.get(key, [])):
-        label = f"{where}.{key}[{pos}]"
-        a = _require(entry, "a", label, str)
-        b = _require(entry, "b", label, str)
-        out = _require(entry, "out", label, str)
-        coeff = _fraction(_require(entry, "coeff", label), label)
-        for name in (a, b, out):
-            if name not in space:
-                raise CliError(f"{label}: unknown basis name {name!r}")
-        cell = table.setdefault((a, b), {})
-        cell[out] = cell.get(out, 0) + coeff
-    return table
-
-
-def _emit_pair_table(table, key):
+def _emit_pair_table(table):
     out = []
     for (a, b), vec in table.items():
-        coeffs = vec.coeffs if isinstance(vec, GradedVector) else vec
-        for name, coeff in coeffs.items():
+        for name, coeff in vec.coeffs.items():
             out.append({"a": a, "b": b, "out": name, "coeff": _frac_str(coeff)})
     out.sort(key=lambda e: (e["a"], e["b"], e["out"]))
     return out
@@ -159,111 +202,86 @@ class Document:
         self.kernel = kernel
 
 
-def _parse_dgla(data, where):
-    space = _parse_basis(data, where)
-    differential = _parse_differential(data, space, where)
-    brackets = _parse_pair_table(data, space, where, "bracket")
-    kernel = Dgla(space, differential, brackets)
-    normalized = {
-        "kind": "dgla",
-        "basis": [{"name": n, "degree": d} for n, d in space.basis_pairs()],
-        "differential": _emit_differential(kernel.d, space),
-        "bracket": _emit_pair_table(kernel.brackets, "bracket"),
-    }
-    return Document("dgla", normalized, kernel)
+def _parse_dgla_or_cdga(data, where):
+    """A dgla (its "bracket" table) or a cdga (its "product" table and unit)."""
+    kind = data["kind"]
+    key = "bracket" if kind == "dgla" else "product"
+    space = _parse_basis(data["basis"])
 
+    def unknown(names):
+        return _unknown_name(space, names)
 
-def _parse_cdga(data, where):
-    space = _parse_basis(data, where)
-    differential = _parse_differential(data, space, where)
-    products = _parse_pair_table(data, space, where, "product")
-    unit = _require(data, "unit", where, str)
-    try:
-        kernel = Cdga(space, differential, products, unit)
-    except ValueError as exc:
-        raise CliError(f"{where}: {exc}") from exc
-    normalized = {
-        "kind": "cdga",
-        "basis": [{"name": n, "degree": d} for n, d in space.basis_pairs()],
-        "differential": _emit_differential(kernel.d, space),
-        "product": _emit_pair_table(kernel.products, "product"),
-        "unit": unit,
-    }
-    return Document("cdga", normalized, kernel)
+    columns, table = {}, {}
+    entries = _read_sparse(data, "differential", where, ("from", "to"), unknown)
+    for (src, dst), c in entries.items():
+        columns.setdefault(src, {})[dst] = c
+    differential = GradedMap(space, space, 1, columns)
+    for (a, b, out), c in _read_sparse(data, key, where, ("a", "b", "out"), unknown).items():
+        table.setdefault((a, b), {})[out] = c
+    if kind == "dgla":
+        kernel = Dgla(space, differential, table)
+        normalized = {"bracket": _emit_pair_table(kernel.brackets)}
+    else:
+        kernel = Cdga(space, differential, table, data["unit"])
+        normalized = {"product": _emit_pair_table(kernel.products), "unit": kernel.unit}
+    normalized.update(
+        kind=kind,
+        basis=_basis_list(space),
+        differential=_emit_differential(differential, space),
+    )
+    return Document(kind, normalized, kernel)
 
 
 def _parse_linfty(data, where):
-    space = _parse_basis(data, where)
+    space = _parse_basis(data["basis"])
+    entries = _read_sparse(
+        data, "brackets", where, ("arity", "word", "out"),
+        lambda values: _unknown_name(space, values[1] + (values[2],)),
+    )
     brackets = {}
-    for pos, entry in enumerate(data.get("brackets", [])):
-        label = f"{where}.brackets[{pos}]"
-        arity = _require(entry, "arity", label, int)
-        word = tuple(_require(entry, "word", label, list))
-        out = _require(entry, "out", label, str)
-        coeff = _fraction(_require(entry, "coeff", label), label)
-        for name in word + (out,):
-            if name not in space:
-                raise CliError(f"{label}: unknown basis name {name!r}")
-        cell = brackets.setdefault(arity, {}).setdefault(word, {})
-        cell[out] = cell.get(out, 0) + coeff
-    try:
-        kernel = LInftyStructure(space, brackets)
-    except ValueError as exc:
-        raise CliError(f"{where}: {exc}") from exc
-    bracket_list = []
-    for arity in sorted(kernel.brackets):
-        for word in sorted(kernel.brackets[arity]):
-            for out, coeff in kernel.brackets[arity][word].coeffs.items():
-                bracket_list.append(
-                    {
-                        "arity": arity,
-                        "word": list(word),
-                        "out": out,
-                        "coeff": _frac_str(coeff),
-                    }
-                )
-    bracket_list.sort(key=lambda e: (e["arity"], e["word"], e["out"]))
-    normalized = {
-        "kind": "linfty",
-        "basis": [{"name": n, "degree": d} for n, d in space.basis_pairs()],
-        "brackets": bracket_list,
-    }
+    for (arity, word, out), c in entries.items():
+        brackets.setdefault(arity, {}).setdefault(word, {})[out] = c
+    kernel = LInftyStructure(space, brackets)
+    bracket_list = sorted(
+        (
+            {"arity": arity, "word": list(word), "out": out, "coeff": _frac_str(coeff)}
+            for arity, values in kernel.brackets.items()
+            for word, vec in values.items()
+            for out, coeff in vec.coeffs.items()
+        ),
+        key=lambda e: (e["arity"], e["word"], e["out"]),
+    )
+    normalized = {"kind": "linfty", "basis": _basis_list(space), "brackets": bracket_list}
     return Document("linfty", normalized, kernel)
 
 
 def _parse_hitchin_pair(data, where):
-    rank = _require(data, "rank", where, int)
-    l_space = _parse_basis(data, where, key="l_basis")
-    theta_rows = _require(data, "theta", where, list)
-    if len(theta_rows) != rank:
+    rank = data["rank"]
+    l_space = _parse_basis(data["l_basis"])
+    rows = data["theta"]
+    if len(rows) != rank:
         raise CliError(f"{where}: theta must have {rank} rows")
     theta = []
-    for i, row in enumerate(theta_rows):
-        if not isinstance(row, list) or len(row) != rank:
+    for i, row in enumerate(rows):
+        if len(row) != rank:
             raise CliError(f"{where}: theta row {i} must have {rank} entries")
         new_row = []
         for j, entry in enumerate(row):
             label = f"{where}.theta[{i}][{j}]"
-            if not isinstance(entry, list) or len(entry) != len(l_space.names):
-                raise CliError(
-                    f"{label}: expected {len(l_space.names)} coefficients"
-                )
-            vec = {
-                name: _fraction(c, label)
-                for name, c in zip(l_space.names, entry)
-            }
-            new_row.append(vec)
+            if len(entry) != len(l_space.names):
+                raise CliError(f"{label}: expected {len(l_space.names)} coefficients")
+            new_row.append(
+                {name: _fraction(c, label) for name, c in zip(l_space.names, entry)}
+            )
         theta.append(new_row)
     try:
         kernel = HitchinPair(rank, l_space, theta)
     except HiggsFieldError as exc:
         raise CliError(f"{where}: invalid Higgs field: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"{where}: {exc}") from exc
     normalized = {
         "kind": "hitchin-pair",
         "rank": rank,
-        "l_basis": [{"name": n, "degree": d} for n, d in l_space.basis_pairs()],
+        "l_basis": _basis_list(l_space),
         "theta": [
             [
                 [_frac_str(kernel.theta[i][j][name]) for name in l_space.names]
@@ -276,28 +294,15 @@ def _parse_hitchin_pair(data, where):
 
 
 def _parse_artin_payload(data, where):
-    variables = tuple(_require(data, "variables", where, list))
-    for v in variables:
-        if not isinstance(v, str):
-            raise CliError(f"{where}: variable names must be strings")
+    variables = data["variables"]
     if "truncation" in data:
-        truncation = _require(data, "truncation", where, int)
-        try:
-            kernel = make_artin(variables, truncation)
-        except ValueError as exc:
-            raise CliError(f"{where}: {exc}") from exc
-        normalized = {"variables": list(variables), "truncation": truncation}
-        return normalized, kernel
-    monomials = _require(data, "monomials", where, list)
-    monos = set()
-    for pos, mono in enumerate(monomials):
-        monos.add(_monomial(mono, variables, f"{where}.monomials[{pos}]"))
-    try:
-        kernel = ArtinAlgebra(variables, monos)
-    except ValueError as exc:
-        raise CliError(f"{where}: {exc}") from exc
+        kernel = make_artin(variables, data["truncation"])
+        return {"variables": variables, "truncation": data["truncation"]}, kernel
+    if "monomials" not in data:
+        raise CliError(f"{where}: missing field 'truncation' or 'monomials'")
+    kernel = ArtinAlgebra(variables, map(tuple, data["monomials"]))
     normalized = {
-        "variables": list(variables),
+        "variables": variables,
         "monomials": [list(m) for m in sorted(kernel.monomials, key=monomial_key)],
     }
     return normalized, kernel
@@ -305,22 +310,19 @@ def _parse_artin_payload(data, where):
 
 def _parse_artin(data, where):
     normalized, kernel = _parse_artin_payload(data, where)
-    normalized = {"kind": "artin", **normalized}
-    return Document("artin", normalized, kernel)
+    return Document("artin", {"kind": "artin", **normalized}, kernel)
 
 
 def _parse_mc_element(data, where):
-    algebra_data = _require(data, "algebra", where, dict)
-    algebra_norm, algebra = _parse_artin_payload(algebra_data, f"{where}.algebra")
-    terms = {}
-    for pos, entry in enumerate(data.get("terms", [])):
-        label = f"{where}.terms[{pos}]"
-        mono = _monomial(_require(entry, "monomial", label), algebra.variables, label)
-        name = _require(entry, "name", label, str)
-        coeff = _fraction(_require(entry, "coeff", label), label)
+    algebra_norm, algebra = _parse_artin_payload(data["algebra"], f"{where}.algebra")
+
+    def outside(values):
+        mono = values[0]
         if mono not in algebra.monomials or mono == algebra.unit:
-            raise CliError(f"{label}: monomial outside the maximal ideal")
-        terms[(mono, name)] = terms.get((mono, name), 0) + coeff
+            return "monomial outside the maximal ideal"
+        return None
+
+    terms = _read_sparse(data, "terms", where, ("monomial", "name"), outside)
     kernel = ArtinVector({k: v for k, v in terms.items() if v != 0})
     normalized = {
         "kind": "mc-element",
@@ -334,8 +336,8 @@ def _parse_mc_element(data, where):
 
 
 _PARSERS = {
-    "dgla": _parse_dgla,
-    "cdga": _parse_cdga,
+    "dgla": _parse_dgla_or_cdga,
+    "cdga": _parse_dgla_or_cdga,
     "linfty": _parse_linfty,
     "hitchin-pair": _parse_hitchin_pair,
     "artin": _parse_artin,
@@ -344,25 +346,28 @@ _PARSERS = {
 
 
 def parse_document(path):
-    """Load and validate one document; construction invariants run here."""
+    """Load and validate one document; construction invariants run here.
+
+    The document's shape (see _SHAPES) is checked once, before its kind's
+    parser runs, so the parsers read only well-typed fields.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except OSError as exc:
-        raise CliError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    if not isinstance(raw, dict):
-        raise CliError(f"{path}: top level must be an object")
-    kind = _require(raw, "kind", path, str)
-    parser = _PARSERS.get(kind)
-    if parser is None:
+    except (OSError, ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
+        raise CliError(f"{path}: {exc}") from exc
+    _check_shape(raw, {"kind": str}, path)
+    kind = raw["kind"]
+    if kind not in _SHAPES:
         raise CliError(f"{path}: unknown kind {kind!r}")
+    _check_shape(raw, _SHAPES[kind], path)
     try:
-        return parser(raw, path)
+        return _PARSERS[kind](raw, path)
     except CliError:
         raise
     except ValueError as exc:
@@ -528,14 +533,8 @@ def _cmd_gauge_equiv(args):
     if algebra != algebra_y:
         raise CliError("the two elements live over different algebras")
     for vec in (x, y):
-        try:
-            validate_artin_vector(vec, algebra, doc.kernel.space, degree=1)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    try:
-        result = gauge_equivalent(x, y, doc.kernel, algebra)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        validate_artin_vector(vec, algebra, doc.kernel.space, degree=1)
+    result = gauge_equivalent(x, y, doc.kernel, algebra)
     report = _base_report(args, "gauge-equiv")
     if result.equivalent:
         report["equivalent"] = True
@@ -582,12 +581,7 @@ def _cmd_hitchin_verify(args):
 def _load_mc_input(args, morphism):
     doc = _expect(parse_document(args.files[1]), ("mc-element",), "the element file")
     algebra, x = doc.kernel
-    try:
-        validate_artin_vector(
-            x, algebra, morphism.source_dgla.space, degree=1
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    validate_artin_vector(x, algebra, morphism.source_dgla.space, degree=1)
     return algebra, x
 
 
@@ -596,10 +590,7 @@ def _cmd_pushforward(args):
     cdga = _load_cdga(args, 2)
     morphism = build_hitchin_morphism(doc.kernel, cdga)
     algebra, x = _load_mc_input(args, morphism)
-    try:
-        image = pushforward_mc(morphism, x, algebra)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    image = pushforward_mc(morphism, x, algebra)
     report = _base_report(args, "pushforward")
     report["image"] = _jsonable(image)
     return report, 0
@@ -610,10 +601,7 @@ def _cmd_hitchin_map(args):
     cdga = _load_cdga(args, 2)
     morphism = build_hitchin_morphism(doc.kernel, cdga)
     algebra, x = _load_mc_input(args, morphism)
-    try:
-        sections = hitchin_map(x, morphism, algebra)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    sections = hitchin_map(x, morphism, algebra)
     report = _base_report(args, "hitchin-map")
     report["sections"] = {
         str(k + 1): _jsonable(section) for k, section in enumerate(sections)
@@ -723,7 +711,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report, code = run_command(args.command, args)
-    except CliError as exc:
+    except ValueError as exc:  # rejected input: CliError or a library check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault in defcalc itself, not a failed check

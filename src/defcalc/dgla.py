@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
-from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
+from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear, complex_cohomology
 
 ONE = Fraction(1)
 
@@ -348,11 +348,11 @@ def tensor_cdga_dgla(cdga, dgla):
     space = GradedSpace(basis)
 
     def embed(avec, xvec):
-        out = GradedVector()
+        out = {}
         for a, ca in avec.coeffs.items():
             for x, cx in xvec.coeffs.items():
-                out = out + GradedVector({tensor_name(a, x): ca * cx})
-        return out
+                accumulate(out, tensor_name(a, x), ca * cx)
+        return GradedVector(out)
 
     columns = {}
     for a in A.space.names:
@@ -411,11 +411,11 @@ def hom_dgla(space, differential):
 
     def map_to_vector(cols):
         """Hom-basis vector for the map with the given columns dict."""
-        out = GradedVector()
+        out = {}
         for v, image in cols.items():
             for w, c in image.coeffs.items():
-                out = out + GradedVector({hom_name(w, v): c})
-        return out
+                accumulate(out, hom_name(w, v), c)
+        return GradedVector(out)
 
     brackets = {}
     for f in hom_space.names:
@@ -618,7 +618,7 @@ def mc_solve(dgla, algebra, directions=None):
     the direction (recorded, lift abandoned) or a particular preimage under d
     is chosen by deterministic elimination and the induction continues.
     """
-    summary = _cohomology_of(dgla)
+    summary = complex_cohomology(dgla.space, dgla.d)
     if directions is None:
         if not algebra.variables:
             raise ValueError("algebra has no variables to seed directions with")
@@ -676,12 +676,6 @@ def mc_solve(dgla, algebra, directions=None):
             raise AssertionError("lift terminated with a nonzero residual")
         solutions.append(x)
     return McSolveResult(summary, list(directions), events, solutions)
-
-
-def _cohomology_of(dgla):
-    from .graded import complex_cohomology
-
-    return complex_cohomology(dgla.space, dgla.d)
 
 
 class GaugeResult:

@@ -112,10 +112,6 @@ class HitchinPair:
         return out
 
 
-def make_hitchin_pair(rank, l_space, theta):
-    return HitchinPair(rank, l_space, theta)
-
-
 def matrix_wedge_dgla(rank, l_space, theta):
     """The dgla gl_r (x) Lambda L with differential [theta, -].
 
@@ -128,18 +124,15 @@ def matrix_wedge_dgla(rank, l_space, theta):
     l_names = l_space.names
     order = {name: p for p, name in enumerate(l_names)}
     basis = []
-    for q in range(len(l_names) + 1):
-        for combo in combinations(l_names, q):
-            for i in range(1, rank + 1):
-                for j in range(1, rank + 1):
-                    basis.append((matrix_name(i, j) + wedge_suffix(combo), q))
-    space = GradedSpace(basis)
     parts = {}
     for q in range(len(l_names) + 1):
         for combo in combinations(l_names, q):
             for i in range(1, rank + 1):
                 for j in range(1, rank + 1):
-                    parts[matrix_name(i, j) + wedge_suffix(combo)] = (i, j, combo)
+                    name = matrix_name(i, j) + wedge_suffix(combo)
+                    basis.append((name, q))
+                    parts[name] = (i, j, combo)
+    space = GradedSpace(basis)
 
     entries = tuple(
         tuple(_entry_vector(theta[p][q], l_space) for q in range(rank))

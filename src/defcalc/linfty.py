@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
+from . import linalg
 from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
 from .dgla import CheckReport
 from .graded import GradedSpace, GradedVector, accumulate, koszul_sign, signed_sort_keyed
@@ -504,10 +505,6 @@ def check_linfty_morphism(morphism, weight):
 # Maurer-Cartan theory over an Artinian base.
 
 
-def _validate_mc_element(x, structure, algebra):
-    validate_artin_vector(x, algebra, structure.space, degree=1)
-
-
 def _power_step(power, x, sdeg, algebra):
     """One more symmetric factor of x, with coefficient multiplication."""
     out = {}
@@ -560,7 +557,7 @@ def _bracket_series(x, structure, algebra, head=None):
 def linfty_mc_residual(x, structure, algebra):
     """sum_n q_n(x^n) / n! for a shifted-degree-0 element with nilpotent
     coefficients; nilpotency makes the sum finite."""
-    _validate_mc_element(x, structure, algebra)
+    validate_artin_vector(x, algebra, structure.space, degree=1)
     return _bracket_series(x, structure, algebra)
 
 
@@ -655,8 +652,8 @@ def verify_homotopy_witness(path, x, y, structure, algebra):
     The sign of the dt term is the one fixed by expanding the equation for
     two-bracket structures, where it reads dz0/dt = d z1 + [z0, z1].
     """
-    _validate_mc_element(x, structure, algebra)
-    _validate_mc_element(y, structure, algebra)
+    validate_artin_vector(x, algebra, structure.space, degree=1)
+    validate_artin_vector(y, algebra, structure.space, degree=1)
     for tdeg, vec in path.even.items():
         validate_artin_vector(vec, algebra, structure.space, degree=1)
     for tdeg, vec in path.odd.items():
@@ -693,10 +690,8 @@ def abelian_homotopy_witness(x, y, structure, algebra):
     """
     if any(k >= 2 for k in structure.brackets):
         raise ValueError("linear witness construction requires an abelian structure")
-    _validate_mc_element(x, structure, algebra)
-    _validate_mc_element(y, structure, algebra)
-    from . import linalg
-
+    validate_artin_vector(x, algebra, structure.space, degree=1)
+    validate_artin_vector(y, algebra, structure.space, degree=1)
     space = structure.space
     source_names = space.names_of_degree(0)
     target_names = space.names_of_degree(1)

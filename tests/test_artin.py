@@ -43,6 +43,18 @@ def test_make_artin_rejects_bad_input():
         ArtinAlgebra(("t",), {(1,), (2,)})
 
 
+def test_make_artin_monomial_ceiling(monkeypatch):
+    from defcalc import artin
+
+    # Q[s,t]/(s,t)^4 keeps 10 monomials, Q[s,t]/(s,t)^5 keeps 15
+    monkeypatch.setattr(artin, "MAX_MONOMIALS", 10)
+    assert len(make_artin(("s", "t"), 4).monomials) == 10
+    with pytest.raises(ValueError, match="more than 10 monomials"):
+        make_artin(("s", "t"), 5)
+    # many variables, nothing but the unit: no recursion limit to hit
+    assert make_artin([f"v{i}" for i in range(3000)], 1).monomials == {(0,) * 3000}
+
+
 def test_explicit_monomial_set():
     # the "fat point" Q[s,t]/(s^2, t^2) given explicitly
     monos = {(0, 0), (1, 0), (0, 1), (1, 1)}

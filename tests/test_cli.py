@@ -396,3 +396,77 @@ def test_bad_artin_exponent_rejected(tmp_path, exponent):
     )
     with pytest.raises(CliError, match="exponents"):
         parse_document(path)
+
+
+def mutated(name, path, value):
+    payload = load_sample(name)
+    node = payload
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return payload
+
+
+def basis(*pairs):
+    return [{"name": n, "degree": d} for n, d in pairs]
+
+
+# d(a) = b, d(b) = c, so d o d != 0
+NOT_A_COMPLEX = {
+    "kind": "dgla",
+    "basis": basis(("a", 0), ("b", 1), ("c", 2)),
+    "differential": [
+        {"from": "a", "to": "b", "coeff": "1"},
+        {"from": "b", "to": "c", "coeff": "1"},
+    ],
+}
+# [e1, e1] lands in degree 1, not 2
+WRONG_DEGREE_BRACKET = {
+    "kind": "dgla",
+    "basis": basis(("e1", 1)),
+    "bracket": [{"a": "e1", "b": "e1", "out": "e1", "coeff": "1"}],
+}
+HUGE = 10**12
+
+# Each invocation once ended in "internal error" (exit 3); a dict stands for
+# a document written to a file.
+REJECTED = {
+    "basis entry int": ["check-dgla", mutated("dgla_obstructed.json", ("basis", 0), 5)],
+    "basis entry bool": ["check-dgla", mutated("dgla_obstructed.json", ("basis", 0), True)],
+    "basis entry null": ["check-dgla", mutated("dgla_obstructed.json", ("basis", 0), None)],
+    "differential null": [
+        "check-dgla", mutated("dgla_obstructed.json", ("differential",), None)
+    ],
+    "bracket entry not an object": [
+        "check-dgla", mutated("dgla_obstructed.json", ("bracket", 0), 5)
+    ],
+    "terms not a list": [
+        "gauge-equiv", sample("dgla_contractible.json"),
+        mutated("mc_flow_x.json", ("terms",), 5), sample("mc_flow_y.json"),
+    ],
+    "list as a word letter": [
+        "check-linfty",
+        mutated("linfty_obstructed.json", ("brackets", 0, "word", 0), ["e1"]),
+    ],
+    "float in l_basis": [
+        "hitchin-build", mutated("hitchin_r2_zero.json", ("l_basis", 0), 0.5)
+    ],
+    "cohomology of d o d != 0": ["cohomology", NOT_A_COMPLEX],
+    "mc-solve with d o d != 0": ["mc-solve", NOT_A_COMPLEX],
+    "mc-solve with a wrong-degree bracket": ["mc-solve", WRONG_DEGREE_BRACKET],
+    "huge truncation": [
+        "gauge-equiv", sample("dgla_contractible.json"),
+        mutated("mc_flow_x.json", ("algebra", "truncation"), HUGE),
+        sample("mc_flow_y.json"),
+    ],
+    "huge order": ["mc-solve", sample("dgla_obstructed.json"), "--order", str(HUGE)],
+}
+
+
+@pytest.mark.parametrize("argv", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_input_exits_two(capsys, tmp_path, argv):
+    argv = [
+        write(tmp_path, f"in{pos}.json", arg) if isinstance(arg, dict) else arg
+        for pos, arg in enumerate(argv)
+    ]
+    assert_rejected(capsys, argv)
