@@ -129,6 +129,13 @@ def _check_shape(value, shape, where):
 
 
 def _fraction(value, where):
+    """A rational leaf: an integer, or a string "p", "p/q" or a plain decimal.
+
+    Exponent notation is rejected before Fraction sees it: "1e1000000"
+    would build a million-digit integer.
+    """
+    if type(value) is str and ("e" in value or "E" in value):
+        raise CliError(f"{where}: bad rational {value!r} (exponent notation)")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

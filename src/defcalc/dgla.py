@@ -53,10 +53,14 @@ def _sign(exponent):
     return -1 if exponent % 2 else 1
 
 
-def _complete_skew(space, table, sign_rule):
-    """Fill missing mirror entries of a pairwise table.
+def _complete_skew(space, table, sign_rule, label):
+    """Drop zero entries, check names, then fill in missing mirror entries.
 
-    sign_rule(da, db) gives the factor relating the (b, a) entry to the
+    Names must exist; they are checked before any mirror is formed, so an
+    unknown name is a ValueError.  Degrees are not checked here, so that
+    broken presentations can be constructed and then reported on: check_dgla
+    and check_cdga report an entry outside degree |a| + |b| as the degree
+    axiom.  sign_rule(da, db) gives the factor relating the (b, a) entry to the
     (a, b) entry.  Explicitly given mirrors are kept as is; consistency is
     the checker's job, not the constructor's.
     """
@@ -67,24 +71,19 @@ def _complete_skew(space, table, sign_rule):
         if vec.is_zero():
             continue
         out[(a, b)] = vec
+    degrees = space.degrees
+    for (a, b), vec in out.items():
+        if a not in degrees or b not in degrees:
+            raise ValueError(f"{label} entry ({a!r}, {b!r}) uses unknown basis names")
+        for name in vec.coeffs:
+            if name not in degrees:
+                raise ValueError(f"{label} [{a!r},{b!r}] hits unknown name {name!r}")
     for (a, b) in list(out):
         if (b, a) not in out:
-            mirror = out[(a, b)].scale(sign_rule(space.degree(a), space.degree(b)))
+            mirror = out[(a, b)].scale(sign_rule(degrees[a], degrees[b]))
             if not mirror.is_zero():
                 out[(b, a)] = mirror
     return out
-
-
-def _validate_names(space, table, label):
-    """Names must exist.  Degrees are not checked here, so that broken
-    presentations can be constructed and then reported on: check_dgla and
-    check_cdga report an entry outside degree |a| + |b| as the degree axiom."""
-    for (a, b), vec in table.items():
-        if a not in space or b not in space:
-            raise ValueError(f"{label} entry ({a!r}, {b!r}) uses unknown basis names")
-        for name in vec.coeffs:
-            if name not in space:
-                raise ValueError(f"{label} [{a!r},{b!r}] hits unknown name {name!r}")
 
 
 class Dgla:
@@ -104,11 +103,9 @@ class Dgla:
         if differential.degree != 1:
             raise ValueError("differential must have degree +1")
         self.d = differential
-        table = _complete_skew(
-            space, brackets, lambda da, db: -_sign(da * db)
+        self.brackets = _complete_skew(
+            space, brackets, lambda da, db: -_sign(da * db), "bracket"
         )
-        _validate_names(space, table, "bracket")
-        self.brackets = table
 
     def bracket_basis(self, a, b):
         return self.brackets.get((a, b), GradedVector())
@@ -144,9 +141,9 @@ class Cdga:
         for name in space.names:
             table.setdefault((unit, name), GradedVector.basis(name))
             table.setdefault((name, unit), GradedVector.basis(name))
-        table = _complete_skew(space, table, lambda da, db: _sign(da * db))
-        _validate_names(space, table, "product")
-        self.products = table
+        self.products = _complete_skew(
+            space, table, lambda da, db: _sign(da * db), "product"
+        )
 
     def product_basis(self, a, b):
         return self.products.get((a, b), GradedVector())
@@ -333,49 +330,66 @@ def tensor_cdga_dgla(cdga, dgla):
     """Tensor of a commutative differential graded algebra with a dgla.
 
     On decomposables: d(a @ x) = da @ x + (-1)^|a| a @ dx and
-    [a @ x, b @ y] = (-1)^(|b| |x|) ab @ [x, y].
+    [a @ x, b @ y] = (-1)^(|b| |x|) ab @ [x, y].  Both tables are built from
+    nonzero entries only: each differential column from the columns of d_A
+    and d_L, each bracket from a nonzero product ab (taken in A's name
+    order) and a nonzero bracket [x, y]; signs are parity tests.
     """
     A, L = cdga, dgla
+    a_deg, x_deg = A.space.degrees, L.space.degrees
     basis = []
+    names = {}  # names[a][x] = tensor_name(a, x)
     seen = set()
     for a in A.space.names:
+        row = names[a] = {}
         for x in L.space.names:
-            name = tensor_name(a, x)
+            name = row[x] = tensor_name(a, x)
             if name in seen:
                 raise ValueError(f"tensor basis name collision at {name!r}")
-            basis.append((name, A.space.degree(a) + L.space.degree(x)))
+            basis.append((name, a_deg[a] + x_deg[x]))
             seen.add(name)
     space = GradedSpace(basis)
 
-    def embed(avec, xvec):
-        out = {}
-        for a, ca in avec.coeffs.items():
-            for x, cx in xvec.coeffs.items():
-                accumulate(out, tensor_name(a, x), ca * cx)
-        return GradedVector(out)
-
+    # tensor names are injective, so every term lands on its own key
     columns = {}
+    dx_names = [x for x in L.space.names if L.d.columns.get(x)]
     for a in A.space.names:
-        for x in L.space.names:
-            img = embed(A.d.column(a), GradedVector.basis(x)) + embed(
-                GradedVector.basis(a), L.d.column(x)
-            ).scale(_sign(A.space.degree(a)))
-            if not img.is_zero():
-                columns[tensor_name(a, x)] = img
-    differential = GradedMap(space, space, 1, columns)
+        da = A.d.columns.get(a)
+        odd = a_deg[a] % 2
+        row = names[a]
+        for x in L.space.names if da else dx_names:
+            col = {}
+            if da:
+                for a2, c in da.coeffs.items():
+                    col[names[a2][x]] = c
+            dx = L.d.columns.get(x)
+            if dx:
+                for x2, c in dx.coeffs.items():
+                    col[row[x2]] = -c if odd else c
+            columns[row[x]] = GradedVector.from_nonzero(col)
+    differential = GradedMap(space, space, 1)  # homogeneous as d_A and d_L are
+    differential.columns = columns
 
+    # the nonzero products ab in A's name order, each term of ab given as
+    # (names[a2], c, c == 1) so that a unit coefficient costs no product
+    index = {n: i for i, n in enumerate(A.space.names)}
+    products = sorted(
+        (index[a], index[b], a, b, [(names[e], c, c == 1) for e, c in ab.coeffs.items()])
+        for (a, b), ab in A.products.items()
+        if ab
+    )
     brackets = {}
     for (x, y), vec in L.brackets.items():
-        for a in A.space.names:
-            for b in A.space.names:
-                ab = A.product_basis(a, b)
-                if ab.is_zero():
-                    continue
-                out = embed(ab, vec).scale(
-                    _sign(A.space.degree(b) * L.space.degree(x))
-                )
-                if not out.is_zero():
-                    brackets[(tensor_name(a, x), tensor_name(b, y))] = out
+        x_odd = x_deg[x] % 2
+        for _, _, a, b, terms in products:
+            flip = x_odd and a_deg[b] % 2
+            out = {}
+            for row, ca, unit in terms:
+                for x2, cx in vec.coeffs.items():
+                    c = cx if unit else ca * cx
+                    out[row[x2]] = -c if flip else c
+            if out:
+                brackets[(names[a][x], names[b][y])] = GradedVector.from_nonzero(out)
 
     return Dgla(space, differential, brackets)
 

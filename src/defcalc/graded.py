@@ -135,6 +135,14 @@ class GradedVector:
     def basis(cls, name):
         return cls({name: ONE})
 
+    @classmethod
+    def from_nonzero(cls, coeffs):
+        """The vector that takes coeffs as its own dict, uncopied and
+        unchecked: every value must already be a nonzero Fraction."""
+        result = cls()
+        result.coeffs = coeffs
+        return result
+
     def is_zero(self):
         return not self.coeffs
 
@@ -151,24 +159,19 @@ class GradedVector:
         out = dict(self.coeffs)
         for name, c in other.coeffs.items():
             accumulate(out, name, c)
-        result = GradedVector()
-        result.coeffs = out
-        return result
+        return GradedVector.from_nonzero(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        result = GradedVector()
-        result.coeffs = {n: -c for n, c in self.coeffs.items()}
-        return result
+        return GradedVector.from_nonzero({n: -c for n, c in self.coeffs.items()})
 
     def scale(self, factor):
         factor = as_fraction(factor)
-        result = GradedVector()
-        if factor != 0:
-            result.coeffs = {n: factor * c for n, c in self.coeffs.items()}
-        return result
+        if factor == 0:
+            return GradedVector()
+        return GradedVector.from_nonzero({n: factor * c for n, c in self.coeffs.items()})
 
     def __rmul__(self, factor):
         return self.scale(factor)

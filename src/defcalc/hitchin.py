@@ -118,21 +118,32 @@ def matrix_wedge_dgla(rank, l_space, theta):
     Lambda^q sits in degree q; the bracket is
         [phi (x) h, psi (x) w] = phi psi (x) h^w - (-1)^{|h||w|} psi phi (x) w^h
     and the differential sends psi (x) w to sum_a [theta_a, psi] (x) l_a^w.
+    Both tables hold nonzero entries only: E_ij (x) h meets only the
+    E_kl (x) w with k = j or l = i, and each wedge h^w is formed once.
     No theta^theta check happens here: a bad theta shows up as d^2 != 0
     under check_dgla, which callers may rely on.
     """
     l_names = l_space.names
     order = {name: p for p, name in enumerate(l_names)}
+    combos = [c for q in range(len(l_names) + 1) for c in combinations(l_names, q)]
     basis = []
-    parts = {}
-    for q in range(len(l_names) + 1):
-        for combo in combinations(l_names, q):
-            for i in range(1, rank + 1):
-                for j in range(1, rank + 1):
-                    name = matrix_name(i, j) + wedge_suffix(combo)
-                    basis.append((name, q))
-                    parts[name] = (i, j, combo)
+    parts = []  # (name, (i, j, combo)) in basis order
+    names = {}
+    for combo in combos:
+        for i in range(1, rank + 1):
+            for j in range(1, rank + 1):
+                name = names[(i, j, combo)] = matrix_name(i, j) + wedge_suffix(combo)
+                basis.append((name, len(combo)))
+                parts.append((name, (i, j, combo)))
     space = GradedSpace(basis)
+    # wedge[(h, w)] = (canonical word of h^w, its sign, minus its sign)
+    # when h^w != 0; w^h has the same word and sign (-1)^{|h||w|} times it
+    wedge = {}
+    for h in combos:
+        for w in combos:
+            word, sign = wedge_word(h + w, order)
+            if sign:
+                wedge[(h, w)] = (word, ONE, -ONE) if sign > 0 else (word, -ONE, ONE)
 
     entries = tuple(
         tuple(_entry_vector(theta[p][q], l_space) for q in range(rank))
@@ -144,41 +155,49 @@ def matrix_wedge_dgla(rank, l_space, theta):
     }
 
     columns = {}
-    for name, (i, j, combo) in parts.items():
+    for name, (i, j, combo) in parts:
         col = {}
         for l in l_names:
-            word, sign = wedge_word((l,) + combo, order)
-            if sign == 0:
+            hit = wedge.get(((l,), combo))
+            if hit is None:
                 continue
+            word, sign, _ = hit
             tmat = theta_mats[l]
             # [theta_l, E_ij] = sum_p tmat[p][i] E_pj - sum_q tmat[j][q] E_iq
             for p in range(1, rank + 1):
                 c = tmat[p - 1][i - 1]
                 if c:
-                    accumulate(col, matrix_name(p, j) + wedge_suffix(word), c * sign)
+                    accumulate(col, names[(p, j, word)], c * sign)
             for q in range(1, rank + 1):
                 c = tmat[j - 1][q - 1]
                 if c:
-                    accumulate(col, matrix_name(i, q) + wedge_suffix(word), -c * sign)
+                    accumulate(col, names[(i, q, word)], -c * sign)
         if col:
-            columns[name] = col
+            columns[name] = GradedVector.from_nonzero(col)
     differential = GradedMap(space, space, 1, columns)
 
+    by_row, by_col = {}, {}
+    for pos, (_, (i, j, _)) in enumerate(parts):
+        by_row.setdefault(i, []).append(pos)
+        by_col.setdefault(j, []).append(pos)
     brackets = {}
-    for na, (i, j, h) in parts.items():
-        for nb, (k, l, w) in parts.items():
+    for na, (i, j, h) in parts:
+        for pos in sorted({*by_row.get(j, ()), *by_col.get(i, ())}):
+            nb, (k, l, w) = parts[pos]
+            hit = wedge.get((h, w))
+            if hit is None:
+                continue
+            # E_ij E_kl (x) h^w - (-1)^{|h||w|} E_kl E_ij (x) w^h
+            word, sign, minus = hit
             entry = {}
             if j == k:
-                word, sign = wedge_word(h + w, order)
-                if sign:
-                    accumulate(entry, matrix_name(i, l) + wedge_suffix(word), sign)
+                entry[names[(i, l, word)]] = sign
             if l == i:
-                word, sign = wedge_word(w + h, order)
-                if sign:
-                    flip = -1 if (len(h) * len(w)) % 2 else 1
-                    accumulate(entry, matrix_name(k, j) + wedge_suffix(word), -flip * sign)
+                key = names[(k, j, word)]
+                if entry.pop(key, None) is None:  # i = j = k = l cancels
+                    entry[key] = minus
             if entry:
-                brackets[(na, nb)] = entry
+                brackets[(na, nb)] = GradedVector.from_nonzero(entry)
     return Dgla(space, differential, brackets)
 
 

@@ -73,7 +73,7 @@ class LInftyStructure:
 
     def __init__(self, space, brackets):
         self.space = space
-        self.sdeg = shifted_degrees(space)
+        self.sdeg = sdeg = shifted_degrees(space)
         table = {}
         for k, entries in brackets.items():
             k = int(k)
@@ -84,29 +84,29 @@ class LInftyStructure:
                 if len(word) != k:
                     raise ValueError(f"arity {k} entry has word of length {len(word)}")
                 for name in word:
-                    if name not in space:
+                    if name not in sdeg:
                         raise ValueError(f"unknown basis name {name!r} in bracket word")
                 if not isinstance(vec, GradedVector):
                     vec = GradedVector(vec)
-                cword, sign = normalize_word(word, self.sdeg)
+                cword, sign = normalize_word(word, sdeg)
                 if sign == 0:
                     if not vec.is_zero():
                         raise ValueError(
                             f"bracket value on the vanishing word {word!r} must be zero"
                         )
                     continue
-                cvec = vec.scale(sign)
+                cvec = vec if sign == 1 else -vec
                 if cword in canon and canon[cword] != cvec:
                     raise ValueError(
                         f"inconsistent symmetric values for word {cword!r}"
                     )
-                want = sum(self.sdeg[name] for name in cword) + 1
+                want = sum([sdeg[name] for name in cword]) + 1
                 for out_name in cvec.coeffs:
-                    if out_name not in space:
+                    if out_name not in sdeg:
                         raise ValueError(
                             f"bracket output uses unknown name {out_name!r}"
                         )
-                    if self.sdeg[out_name] != want:
+                    if sdeg[out_name] != want:
                         raise ValueError(
                             f"q_{k} is not homogeneous of shifted degree +1 on "
                             f"{cword!r}: output {out_name!r}"
@@ -133,24 +133,24 @@ def linfty_from_dgla(dgla):
     """The structure with q_1 = -d, q_2(x . y) = (-1)^|x| [x, y], q_k = 0.
 
     Degrees in the sign are unshifted; the two fixed conventions make the
-    codifferential condition equivalent to the dgla axioms.
+    codifferential condition equivalent to the dgla axioms.  q_2 is read off
+    the nonzero bracket entries on canonical words, in basis_words order.
     """
     space = dgla.space
     sdeg = shifted_degrees(space)
     q1 = {}
     for name in space.names:
-        col = dgla.d.column(name)
-        if not col.is_zero():
+        col = dgla.d.columns.get(name)
+        if col:
             q1[(name,)] = -col
-    q2 = {}
-    letters = sorted(space.names, key=word_key(sdeg))
-    for a, b in combinations_with_replacement(letters, 2):
-        word, sign = normalize_word((a, b), sdeg)
-        if sign == 0:
-            continue
-        val = dgla.bracket_basis(a, b).scale(sign * (-1 if space.degree(a) % 2 else 1))
-        if not val.is_zero():
-            q2[word] = val
+    rank = {n: i for i, n in enumerate(sorted(space.names, key=word_key(sdeg)))}
+    entries = sorted(
+        (rank[a], rank[b], a, b, vec)
+        for (a, b), vec in dgla.brackets.items()
+        # only canonical words; a repeated letter of odd shifted degree vanishes
+        if vec and (rank[a] < rank[b] or (a == b and sdeg[a] % 2 == 0))
+    )
+    q2 = {(a, b): -vec if space.degrees[a] % 2 else vec for _, _, a, b, vec in entries}
     brackets = {}
     if q1:
         brackets[1] = q1

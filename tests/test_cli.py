@@ -428,7 +428,8 @@ WRONG_DEGREE_BRACKET = {
 }
 HUGE = 10**12
 
-# Each invocation once ended in "internal error" (exit 3); a dict stands for
+# Each invocation once ended in "internal error" (exit 3), or, for exponent
+# notation, in a parse whose cost grows with the exponent; a dict stands for
 # a document written to a file.
 REJECTED = {
     "basis entry int": ["check-dgla", mutated("dgla_obstructed.json", ("basis", 0), 5)],
@@ -460,7 +461,25 @@ REJECTED = {
         sample("mc_flow_y.json"),
     ],
     "huge order": ["mc-solve", sample("dgla_obstructed.json"), "--order", str(HUGE)],
+    "coefficient in exponent notation": [
+        "check-dgla", mutated("dgla_obstructed.json", ("bracket", 0, "coeff"), "1e1000000")
+    ],
 }
+
+
+@pytest.mark.parametrize("coeff", ["1e3", "2E-1", " 1.5e2"])
+def test_exponent_notation_rejected_with_its_path(tmp_path, coeff):
+    payload = mutated("dgla_obstructed.json", ("bracket", 0, "coeff"), coeff)
+    path = write(tmp_path, "exp.json", payload)
+    with pytest.raises(CliError, match=r"\.bracket\[0\]: bad rational .*exponent"):
+        parse_document(path)
+
+
+@pytest.mark.parametrize("coeff, value", [("3", "3"), ("-3/4", "-3/4"), ("0.25", "1/4")])
+def test_plain_rationals_accepted(tmp_path, coeff, value):
+    payload = mutated("dgla_obstructed.json", ("bracket", 0, "coeff"), coeff)
+    doc = parse_document(write(tmp_path, "plain.json", payload))
+    assert json.loads(emit_document(doc))["bracket"][0]["coeff"] == value
 
 
 @pytest.mark.parametrize("argv", REJECTED.values(), ids=list(REJECTED))

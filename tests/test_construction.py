@@ -1,0 +1,318 @@
+"""The sparse constructions against their full-scan oracles.
+
+tensor_cdga_dgla, linfty_from_dgla and matrix_wedge_dgla build their tables
+from nonzero entries only.  The oracles below visit every pair of basis
+names instead, and every table must come out the same: the same keys in
+the same order, with the same values.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+
+import pytest
+
+from defcalc.dgla import Cdga, Dgla, hom_dgla, tensor_cdga_dgla, tensor_name, trivial_cdga
+from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate, wedge_word
+from defcalc.hitchin import (
+    HitchinPair,
+    build_hitchin_morphism,
+    matrix_name,
+    matrix_wedge_dgla,
+    sym_space,
+    wedge_suffix,
+)
+from defcalc.linfty import (
+    LInftyStructure,
+    linfty_from_dgla,
+    normalize_word,
+    shifted_degrees,
+    word_key,
+)
+
+from test_dgla import contractible, derham_fat_point, heisenberg, interval_cdga, semidirect
+
+
+def _sign(exponent):
+    return -1 if exponent % 2 else 1
+
+
+# ---------------------------------------------------------------------------
+# Full-scan oracles.
+
+
+def oracle_tensor_cdga_dgla(cdga, dgla):
+    """Every (a, x) column and every (a, b) product against every bracket."""
+    A, L = cdga, dgla
+    basis = []
+    for a in A.space.names:
+        for x in L.space.names:
+            basis.append((tensor_name(a, x), A.space.degree(a) + L.space.degree(x)))
+    space = GradedSpace(basis)
+
+    def embed(avec, xvec):
+        out = {}
+        for a, ca in avec.coeffs.items():
+            for x, cx in xvec.coeffs.items():
+                accumulate(out, tensor_name(a, x), ca * cx)
+        return GradedVector(out)
+
+    columns = {}
+    for a in A.space.names:
+        for x in L.space.names:
+            img = embed(A.d.column(a), GradedVector.basis(x)) + embed(
+                GradedVector.basis(a), L.d.column(x)
+            ).scale(_sign(A.space.degree(a)))
+            if not img.is_zero():
+                columns[tensor_name(a, x)] = img
+    differential = GradedMap(space, space, 1, columns)
+
+    brackets = {}
+    for (x, y), vec in L.brackets.items():
+        for a in A.space.names:
+            for b in A.space.names:
+                ab = A.product_basis(a, b)
+                if ab.is_zero():
+                    continue
+                out = embed(ab, vec).scale(_sign(A.space.degree(b) * L.space.degree(x)))
+                if not out.is_zero():
+                    brackets[(tensor_name(a, x), tensor_name(b, y))] = out
+    return Dgla(space, differential, brackets)
+
+
+def oracle_linfty_from_dgla(dgla):
+    """q_2 from every pair of letters in basis_words order."""
+    space = dgla.space
+    sdeg = shifted_degrees(space)
+    q1 = {}
+    for name in space.names:
+        col = dgla.d.column(name)
+        if not col.is_zero():
+            q1[(name,)] = -col
+    q2 = {}
+    letters = sorted(space.names, key=word_key(sdeg))
+    for a, b in combinations_with_replacement(letters, 2):
+        word, sign = normalize_word((a, b), sdeg)
+        if sign == 0:
+            continue
+        val = dgla.bracket_basis(a, b).scale(sign * _sign(space.degree(a)))
+        if not val.is_zero():
+            q2[word] = val
+    brackets = {}
+    if q1:
+        brackets[1] = q1
+    if q2:
+        brackets[2] = q2
+    return LInftyStructure(space, brackets)
+
+
+def oracle_matrix_wedge_dgla(rank, l_space, theta):
+    """Every pair of basis elements tried for a bracket."""
+    l_names = l_space.names
+    order = {name: p for p, name in enumerate(l_names)}
+    basis = []
+    parts = {}
+    for q in range(len(l_names) + 1):
+        for combo in combinations(l_names, q):
+            for i in range(1, rank + 1):
+                for j in range(1, rank + 1):
+                    name = matrix_name(i, j) + wedge_suffix(combo)
+                    basis.append((name, q))
+                    parts[name] = (i, j, combo)
+    space = GradedSpace(basis)
+    entries = [
+        [v if isinstance(v, GradedVector) else GradedVector(v or {}) for v in row]
+        for row in theta
+    ]
+    theta_mats = {
+        l: [[entries[p][q][l] for q in range(rank)] for p in range(rank)] for l in l_names
+    }
+
+    columns = {}
+    for name, (i, j, combo) in parts.items():
+        col = {}
+        for l in l_names:
+            word, sign = wedge_word((l,) + combo, order)
+            if sign == 0:
+                continue
+            tmat = theta_mats[l]
+            for p in range(1, rank + 1):
+                c = tmat[p - 1][i - 1]
+                if c:
+                    accumulate(col, matrix_name(p, j) + wedge_suffix(word), c * sign)
+            for q in range(1, rank + 1):
+                c = tmat[j - 1][q - 1]
+                if c:
+                    accumulate(col, matrix_name(i, q) + wedge_suffix(word), -c * sign)
+        if col:
+            columns[name] = col
+    differential = GradedMap(space, space, 1, columns)
+
+    brackets = {}
+    for na, (i, j, h) in parts.items():
+        for nb, (k, l, w) in parts.items():
+            entry = {}
+            if j == k:
+                word, sign = wedge_word(h + w, order)
+                if sign:
+                    accumulate(entry, matrix_name(i, l) + wedge_suffix(word), sign)
+            if l == i:
+                word, sign = wedge_word(w + h, order)
+                if sign:
+                    flip = _sign(len(h) * len(w))
+                    accumulate(entry, matrix_name(k, j) + wedge_suffix(word), -flip * sign)
+            if entry:
+                brackets[(na, nb)] = entry
+    return Dgla(space, differential, brackets)
+
+
+# ---------------------------------------------------------------------------
+# Comparison: keys in order, values and their types.
+
+
+def table_items(table):
+    return [
+        (key, [(name, c, type(c)) for name, c in vec.coeffs.items()])
+        for key, vec in table.items()
+    ]
+
+
+def assert_same_dgla(new, old):
+    assert new.space == old.space
+    assert table_items(new.d.columns) == table_items(old.d.columns)
+    assert table_items(new.brackets) == table_items(old.brackets)
+
+
+def assert_same_linfty(new, old):
+    assert new.space == old.space
+    assert list(new.brackets) == list(old.brackets)
+    for k, table in old.brackets.items():
+        assert table_items(new.brackets[k]) == table_items(table)
+
+
+# ---------------------------------------------------------------------------
+# Models.
+
+
+def exterior_cdga(c):
+    """1, w1, w2 in degree 1 and w12 = c w1 w2 in degree 2."""
+    space = GradedSpace([("1", 0), ("w1", 1), ("w2", 1), ("w12", 2)])
+    return Cdga(space, None, {("w1", "w2"): {"w12": c}}, "1")
+
+
+def seeded_theta(rng, rank, letters):
+    """Nilpotent or diagonal theta whose letter components commute."""
+    theta = [[{} for _ in range(rank)] for _ in range(rank)]
+    scale = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 3]))
+    if rng.random() < 0.5:
+        for i in range(rank - 1):
+            c = Fraction(rng.randint(1, 6))
+            theta[i][i + 1] = {letters[0]: c}
+            if len(letters) > 1:
+                theta[i][i + 1][letters[1]] = scale * c
+        if rank >= 3:
+            theta[0][rank - 1] = {letters[0]: Fraction(rng.randint(-4, -1))}
+    else:
+        for i in range(rank):
+            theta[i][i] = {name: Fraction(rng.randint(-5, 5)) for name in letters}
+    return theta
+
+
+def seeded_pairs():
+    rng = random.Random(808)
+    cdgas = [
+        ("trivial", trivial_cdga()),
+        ("interval", interval_cdga()),
+        ("exterior", exterior_cdga(Fraction(rng.randint(2, 7), 3))),
+        ("fatpoint", derham_fat_point()),
+    ]
+    cases = []
+    for rank in (2, 3, 4):
+        for n_letters in (1, 2):
+            letters = [f"l{i + 1}" for i in range(n_letters)]
+            l_space = GradedSpace([(name, 1) for name in letters])
+            pair = HitchinPair(rank, l_space, seeded_theta(rng, rank, letters))
+            for label, cdga in cdgas:
+                cases.append(pytest.param(pair, cdga, id=f"r{rank}-l{n_letters}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("pair, cdga", seeded_pairs())
+def test_hitchin_construction_matches_full_scan(pair, cdga):
+    morphism = build_hitchin_morphism(pair, cdga)
+    inner = oracle_matrix_wedge_dgla(pair.rank, pair.l_space, pair.theta)
+    assert_same_dgla(matrix_wedge_dgla(pair.rank, pair.l_space, pair.theta), inner)
+    source = oracle_tensor_cdga_dgla(cdga, inner)
+    assert_same_dgla(morphism.source_dgla, source)
+    space = sym_space(pair)
+    target = oracle_tensor_cdga_dgla(cdga, Dgla(space, None, {}))
+    assert_same_dgla(morphism.target_dgla, target)
+    assert_same_linfty(morphism.source, oracle_linfty_from_dgla(source))
+    assert_same_linfty(morphism.target, oracle_linfty_from_dgla(target))
+
+
+def test_matrix_wedge_with_raw_theta_entries():
+    l_space = GradedSpace([("l1", 1), ("l2", 1)])
+    theta = [[{"l1": 1}, None], [{"l2": Fraction(1, 2)}, {"l1": -2, "l2": 3}]]
+    assert_same_dgla(
+        matrix_wedge_dgla(2, l_space, theta), oracle_matrix_wedge_dgla(2, l_space, theta)
+    )
+
+
+def end_complex():
+    """v0 -> v1 -> v2 with d v0 = 2 v1, and v3 in degree 1 off the chain."""
+    space = GradedSpace([("v0", 0), ("v1", 1), ("v2", 2), ("v3", 1)])
+    return Dgla(space, GradedMap(space, space, 1, {"v0": {"v1": 2}}), {})
+
+
+def one_sided():
+    """A table given without mirrors, its names listed out of basis order."""
+    space = GradedSpace([("z", 0), ("p", 1), ("q", 1), ("r", 2)])
+    d = GradedMap(space, space, 1, {"z": {"p": 1, "q": -1}})
+    brackets = {
+        ("q", "p"): {"r": 3},
+        ("p", "p"): {"r": Fraction(1, 2)},
+        ("z", "q"): {"q": 2},
+        ("p", "z"): {"p": -1},
+    }
+    return Dgla(space, d, brackets)
+
+
+def endomorphisms(model):
+    return hom_dgla(model.space, model.d)
+
+
+INNER_DGLAS = {
+    "End(V) contractible": lambda: endomorphisms(contractible()),
+    "End(V) chain": lambda: endomorphisms(end_complex()),
+    "heisenberg": heisenberg,
+    "semidirect": semidirect,
+    "one-sided table": one_sided,
+}
+
+
+@pytest.mark.parametrize("make", INNER_DGLAS.values(), ids=list(INNER_DGLAS))
+@pytest.mark.parametrize(
+    "cdga",
+    [trivial_cdga(), interval_cdga(), exterior_cdga(Fraction(-2)), derham_fat_point()],
+    ids=["trivial", "interval", "exterior", "fatpoint"],
+)
+def test_tensor_and_linfty_match_full_scan(make, cdga):
+    inner = make()
+    new, old = tensor_cdga_dgla(cdga, inner), oracle_tensor_cdga_dgla(cdga, inner)
+    assert_same_dgla(new, old)
+    assert_same_linfty(linfty_from_dgla(inner), oracle_linfty_from_dgla(inner))
+    assert_same_linfty(linfty_from_dgla(new), oracle_linfty_from_dgla(old))
+
+
+def test_wrong_degree_dgla_raises_the_same_error():
+    # both entries leave degree |a| + |b|; the first in basis_words order,
+    # not in table order, is the one reported
+    space = GradedSpace([("a", 1), ("b", 1)])
+    wrong = Dgla(space, None, {("b", "b"): {"b": 1}, ("a", "a"): {"a": 1}})
+    with pytest.raises(ValueError) as new:
+        linfty_from_dgla(wrong)
+    with pytest.raises(ValueError) as old:
+        oracle_linfty_from_dgla(wrong)
+    assert str(new.value) == str(old.value)
+    assert "('a', 'a')" in str(new.value)

@@ -193,6 +193,16 @@ def test_degree_is_the_last_axiom_checked():
     assert (report.axiom, report.witness) == ("commutativity", ("w", "w"))
 
 
+def test_unknown_name_in_a_one_sided_entry_is_a_value_error():
+    # the mirror of ("a", "zz") would need the degree of "zz"
+    space = GradedSpace([("a", 0)])
+    table = {("a", "zz"): {"a": 1}}
+    with pytest.raises(ValueError, match="bracket entry .* unknown basis names"):
+        Dgla(space, None, table)
+    with pytest.raises(ValueError, match="product entry .* unknown basis names"):
+        Cdga(space, None, table, "a")
+
+
 def test_derham_fat_point_leibniz_exactness():
     model = derham_fat_point()
     # d(x * x) = 2 x dx comes out of the product rule, not by fiat

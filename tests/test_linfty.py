@@ -94,6 +94,18 @@ def test_structure_construction_validation():
         )
 
 
+def test_structure_stores_words_in_canonical_order_with_the_koszul_sign():
+    # p, q have shifted degree 1 and a, b shifted degree 0; r has shifted
+    # degree 3, the degree of q_2 on p . q
+    space = GradedSpace([("a", 1), ("b", 1), ("p", 2), ("q", 2), ("r", 4)])
+    structure = LInftyStructure(
+        space, {2: {("q", "p"): {"r": 3}, ("b", "a"): {"p": 2}}}
+    )
+    assert structure.brackets == {
+        2: {("p", "q"): GradedVector({"r": -3}), ("a", "b"): GradedVector({"p": 2})}
+    }
+
+
 def test_linfty_from_dgla_signs():
     # q1 = -d
     structure = linfty_from_dgla(contractible())
