@@ -26,7 +26,6 @@ from .artin import (
 )
 from .dgla import (
     Cdga,
-    CheckReport,
     Dgla,
     check_cdga,
     check_dgla,
@@ -428,10 +427,7 @@ def _load_cdga(args, index):
 
 
 def _base_report(args, command):
-    options = {}
-    for key in ("weight", "order", "seed"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
+    options = {key: getattr(args, key) for key in ("weight", "order", "seed")}
     return {"command": command, "inputs": list(args.files), "options": options}
 
 
@@ -671,32 +667,29 @@ _OPTION_MINIMUM = {
 
 
 def _build_parser():
+    """One parser for every command: a command name, its files and the
+    options all commands share; run_command checks the file count."""
     parser = argparse.ArgumentParser(
         prog="defcalc",
         description="Exact deformation calculus on finite graded models.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, min_files, max_files) in _COMMANDS.items():
-        cmd = sub.add_parser(name)
-        if min_files == max_files:
-            cmd.add_argument("files", nargs=min_files)
-        else:
-            cmd.add_argument("files", nargs="+")
-        cmd.add_argument(
-            "--weight", type=int, default=4,
-            help="weight bound for coalgebra checks (default 4)",
-        )
-        cmd.add_argument(
-            "--order", type=int, default=3,
-            help="truncation order of the solver base (default 3)",
-        )
-        cmd.add_argument(
-            "--report", default=None, help="write the JSON report to this path"
-        )
-        cmd.add_argument(
-            "--seed", type=int, default=0,
-            help="echoed in the report; commands are deterministic",
-        )
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("files", nargs="+")
+    parser.add_argument(
+        "--weight", type=int, default=4,
+        help="weight bound for coalgebra checks (default 4)",
+    )
+    parser.add_argument(
+        "--order", type=int, default=3,
+        help="truncation order of the solver base (default 3)",
+    )
+    parser.add_argument(
+        "--report", default=None, help="write the JSON report to this path"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="echoed in the report; commands are deterministic",
+    )
     return parser
 
 

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
+from .artin import ArtinVector, validate_artin_vector
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear, complex_cohomology
 
 ONE = Fraction(1)

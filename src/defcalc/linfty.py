@@ -62,60 +62,73 @@ def basis_words(space, max_weight, sdeg=None):
     return out
 
 
+def _check_outputs(k, word, vec, sdeg, out_sdeg, shift):
+    """Raise ValueError unless every output of vec on the canonical word is a
+    known name of shifted degree |word| + shift: 1 for a bracket q_k, 0 for a
+    morphism component f_k."""
+    want = sum([sdeg[name] for name in word]) + shift
+    for out_name in vec.coeffs:
+        if out_name not in out_sdeg:
+            noun = "bracket" if shift else "morphism"
+            raise ValueError(f"{noun} output uses unknown name {out_name!r}")
+        if out_sdeg[out_name] != want:
+            if shift:
+                raise ValueError(
+                    f"q_{k} is not homogeneous of shifted degree +1 on "
+                    f"{word!r}: output {out_name!r}"
+                )
+            raise ValueError(
+                f"morphism component on {word!r} is not degree 0: output {out_name!r}"
+            )
+
+
+def _word_table(k, entries, sdeg, out_sdeg, shift):
+    """The arity-k table {word: vector} on canonical words, zeros dropped.
+
+    Words may be in any order; they are canonicalized with the Koszul sign.
+    A word must have k known letters, a vanishing word must carry zero, two
+    orderings of one word must agree, and every output must be a known name
+    of shifted degree |word| + shift (1 for brackets, 0 for morphism
+    components).  Violations raise ValueError.
+    """
+    noun = "bracket" if shift else "morphism"
+    if k < 1:
+        raise ValueError(f"{noun} arity must be >= 1")
+    canon = {}
+    for word, vec in entries.items():
+        if len(word) != k:
+            raise ValueError(f"arity {k} entry has word of length {len(word)}")
+        for name in word:
+            if name not in sdeg:
+                raise ValueError(f"unknown basis name {name!r} in {noun} word")
+        if not isinstance(vec, GradedVector):
+            vec = GradedVector(vec)
+        cword, sign = normalize_word(word, sdeg)
+        if sign == 0:
+            if not vec.is_zero():
+                raise ValueError(f"{noun} value on the vanishing word {word!r} must be zero")
+            continue
+        cvec = vec if sign == 1 else -vec
+        if cword in canon and canon[cword] != cvec:
+            raise ValueError(f"inconsistent symmetric values for word {cword!r}")
+        _check_outputs(k, cword, cvec, sdeg, out_sdeg, shift)
+        canon[cword] = cvec
+    return {word: vec for word, vec in canon.items() if vec}
+
+
 class LInftyStructure:
     """Finite graded space with brackets q_k, k >= 1, on canonical words.
 
-    brackets maps arity k to a dict canonical word -> GradedVector.  Input
-    keys may be in any order; they are canonicalized with the Koszul sign,
-    and conflicting or wrong-degree values are rejected.  Each q_k must
-    raise the shifted degree by exactly 1.
+    brackets maps arity k to a dict word -> GradedVector, read by
+    _word_table: each q_k must raise the shifted degree by exactly 1.
     """
 
     def __init__(self, space, brackets):
         self.space = space
         self.sdeg = sdeg = shifted_degrees(space)
-        table = {}
-        for k, entries in brackets.items():
-            k = int(k)
-            if k < 1:
-                raise ValueError("bracket arity must be >= 1")
-            canon = {}
-            for word, vec in entries.items():
-                if len(word) != k:
-                    raise ValueError(f"arity {k} entry has word of length {len(word)}")
-                for name in word:
-                    if name not in sdeg:
-                        raise ValueError(f"unknown basis name {name!r} in bracket word")
-                if not isinstance(vec, GradedVector):
-                    vec = GradedVector(vec)
-                cword, sign = normalize_word(word, sdeg)
-                if sign == 0:
-                    if not vec.is_zero():
-                        raise ValueError(
-                            f"bracket value on the vanishing word {word!r} must be zero"
-                        )
-                    continue
-                cvec = vec if sign == 1 else -vec
-                if cword in canon and canon[cword] != cvec:
-                    raise ValueError(
-                        f"inconsistent symmetric values for word {cword!r}"
-                    )
-                want = sum([sdeg[name] for name in cword]) + 1
-                for out_name in cvec.coeffs:
-                    if out_name not in sdeg:
-                        raise ValueError(
-                            f"bracket output uses unknown name {out_name!r}"
-                        )
-                    if sdeg[out_name] != want:
-                        raise ValueError(
-                            f"q_{k} is not homogeneous of shifted degree +1 on "
-                            f"{cword!r}: output {out_name!r}"
-                        )
-                if not cvec.is_zero():
-                    canon[cword] = cvec
-            if canon:
-                table[k] = canon
-        self.brackets = table
+        tables = {int(k): _word_table(int(k), entries, sdeg, sdeg, 1)
+                  for k, entries in brackets.items()}
+        self.brackets = {k: table for k, table in tables.items() if table}
 
     def bracket_value(self, k, word):
         table = self.brackets.get(k)
@@ -287,41 +300,32 @@ def _set_partitions(n, max_block):
 class LInftyMorphism:
     """Weighted components f_k of a morphism between two structures.
 
-    components is either a dict arity -> (dict canonical word -> target
-    GradedVector) or a callable (arity, word) -> vector or None, evaluated
-    lazily and cached.  support, when given, is the set of source letters on
-    which components may be nonzero; any block containing another letter
-    contributes nothing, which evaluation uses as an exact shortcut.
+    components is either a dict arity -> (dict word -> target vector), read
+    by _word_table, or a callable (arity, canonical word) -> vector or None;
+    both are evaluated through component, lazily, cached and degree-checked.
+    support is the set of source letters on which components may be
+    nonzero, every source letter by default; a block containing another
+    letter contributes nothing, which evaluation uses as an exact shortcut.
     """
 
     def __init__(self, source, target, components, max_weight=None, support=None):
         self.source = source
         self.target = target
-        self.support = None if support is None else frozenset(support)
+        self.support = frozenset(support if support is not None else source.space.names)
         self._cache = {}
         if callable(components):
-            self._generator = components
             if max_weight is None:
                 raise ValueError("generator components need an explicit max_weight")
-            self.max_weight = max_weight
+            self._generator = components
         else:
-            self._generator = None
-            table = {}
-            for k, entries in components.items():
-                k = int(k)
-                canon = {}
-                for word, vec in entries.items():
-                    cword, sign = normalize_word(word, source.sdeg)
-                    if sign == 0:
-                        continue
-                    if not isinstance(vec, GradedVector):
-                        vec = GradedVector(vec)
-                    canon[cword] = vec.scale(sign)
-                table[k] = canon
-            self._table = table
-            self.max_weight = max_weight if max_weight is not None else max(
-                table, default=0
-            )
+            tables = {
+                int(k): _word_table(int(k), entries, source.sdeg, target.sdeg, 0)
+                for k, entries in components.items()
+            }
+            self._generator = lambda k, word: tables.get(k, {}).get(word)
+            if max_weight is None:
+                max_weight = max(tables, default=0)
+        self.max_weight = max_weight
 
     def component(self, word):
         """f_k evaluated on a canonical word, k = len(word)."""
@@ -329,22 +333,11 @@ class LInftyMorphism:
         if cached is not None:
             return cached
         k = len(word)
-        if k > self.max_weight:
+        if k > self.max_weight or any(n not in self.support for n in word):
             return GradedVector()
-        if self.support is not None and any(n not in self.support for n in word):
-            return GradedVector()
-        if self._generator is None:
-            vec = self._table.get(k, {}).get(word)
-            return vec if vec is not None else GradedVector()
         vec = self._generator(k, word)
         cached = vec if vec is not None else GradedVector()
-        want = sum(self.source.sdeg[n] for n in word)
-        for out_name in cached.coeffs:
-            if self.target.sdeg[out_name] != want:
-                raise ValueError(
-                    f"morphism component on {word!r} is not degree 0: "
-                    f"output {out_name!r}"
-                )
+        _check_outputs(k, word, cached, self.source.sdeg, self.target.sdeg, 0)
         self._cache[word] = cached
         return cached
 
@@ -366,9 +359,7 @@ def _expand_partitions(morphism, word, coeff, out, block_count=None):
     optionally keeping only partitions with a fixed number of blocks.
     Partitions with a block longer than max_weight are skipped: f vanishes
     on it."""
-    if morphism.support is not None and any(
-        n not in morphism.support for n in word
-    ):
+    if any(n not in morphism.support for n in word):
         return
     src_deg = morphism.source.sdeg
     tgt_deg = morphism.target.sdeg
@@ -410,7 +401,8 @@ def morphism_extend(morphism, element):
 
 def _candidate_words(morphism, top, inside_top):
     """The source words of weight <= top on which F . Q - Q-hat . F can be
-    nonzero for a morphism with a support, in basis_words order.
+    nonzero, in basis_words order; exact for any support, the full one
+    included.
 
     A word with a letter outside the support has F(w) = 0, and a term
     q_k(block) . tail of Q(w) survives f only when the block holds every
@@ -460,11 +452,12 @@ def check_linfty_morphism(morphism, weight):
     so only arities k >= n - W + 1 are unshuffled; the weight-j part of
     F(w) needs n <= j W.  Hence the scan stops at weight
     max(W + k_s - 1, k_t W), above which both sides are exactly zero.
-    With a support, f vanishes on every word holding an outside letter:
-    only the unshuffles whose block holds all of them and only bracket
-    outputs in the support are visited, F(w) only on all-inside words, and
-    the words scanned are those of _candidate_words.  The failure is still
-    the first word in basis order, with the value lhs - rhs.
+    f vanishes on every word holding a letter outside the support (every
+    source letter by default): only the unshuffles whose block holds all
+    of them and only bracket outputs in the support are visited, F(w) only
+    on all-inside words, and the words scanned are those of
+    _candidate_words.  The failure is still the first word in basis order,
+    with the value lhs - rhs.
     """
     source, target = morphism.source, morphism.target
     top_weight = morphism.max_weight
@@ -472,15 +465,9 @@ def check_linfty_morphism(morphism, weight):
     k_t = max(target.brackets, default=0)
     top = min(weight, max(top_weight + k_s - 1, k_t * top_weight))
     support = morphism.support
-    if support is None:
-        words = basis_words(source.space, top, source.sdeg)
-    else:
-        words = _candidate_words(morphism, top, k_t * top_weight)
-    for word in words:
+    for word in _candidate_words(morphism, top, k_t * top_weight):
         n = len(word)
-        outside = () if support is None else tuple(
-            p for p, name in enumerate(word) if name not in support
-        )
+        outside = tuple(p for p, name in enumerate(word) if name not in support)
         terms = {}
         _add_unshuffle_terms(
             source, word, ONE, terms,

@@ -356,6 +356,15 @@ def test_weight_below_one_exits_two(capsys, weight):
         )
 
 
+@pytest.mark.parametrize("command, least, most", [("check-dgla", 1, 1), ("gauge-equiv", 3, 3)])
+def test_wrong_file_count_exits_two_with_the_file_range(capsys, command, least, most):
+    dgla = sample("dgla_obstructed.json")
+    assert main([command, dgla, dgla]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command} takes between {least} and {most} files\n"
+
+
 def test_options_unread_by_a_command_are_not_checked(capsys):
     code, report = run(
         capsys, "check-dgla", sample("dgla_obstructed.json"),

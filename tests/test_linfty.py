@@ -234,6 +234,46 @@ def test_broken_morphism_fails():
     assert not report.ok
 
 
+# a and b have shifted degree 0, p shifted degree 1
+LETTERS = GradedSpace([("a", 1), ("b", 1), ("p", 2)])
+
+
+# the texts reach CLI stderr
+@pytest.mark.parametrize("brackets, message", [
+    ({0: {(): {"p": 1}}}, "bracket arity must be >= 1"),
+    ({2: {("a",): {"p": 1}}}, "arity 2 entry has word of length 1"),
+    ({1: {("zz",): {"p": 1}}}, "unknown basis name 'zz' in bracket word"),
+    ({2: {("p", "p"): {"a": 1}}}, "bracket value on the vanishing word ('p', 'p') must be zero"),
+    ({2: {("a", "b"): {"p": 1}, ("b", "a"): {"p": -1}}},
+     "inconsistent symmetric values for word ('a', 'b')"),
+    # a zero value on one ordering conflicts with a nonzero one on the other
+    ({2: {("a", "b"): {}, ("b", "a"): {"p": 1}}},
+     "inconsistent symmetric values for word ('a', 'b')"),
+    ({1: {("a",): {"zz": 1}}}, "bracket output uses unknown name 'zz'"),
+    ({1: {("a",): {"a": 1}}}, "q_1 is not homogeneous of shifted degree +1 on ('a',): output 'a'"),
+])
+def test_structure_rejection_texts(brackets, message):
+    with pytest.raises(ValueError) as info:
+        LInftyStructure(LETTERS, brackets)
+    assert str(info.value) == message
+
+
+# the target's q_1 makes the checker evaluate f_1 on every letter
+@pytest.mark.parametrize("components, max_weight, message", [
+    ({1: {("a",): {"p": 1}}}, None, "morphism component on ('a',) is not degree 0: output 'p'"),
+    ({2: {("a", "b"): {"a": 1}, ("b", "a"): {"a": 5}}}, None,
+     "inconsistent symmetric values for word ('a', 'b')"),
+    ({1: {("zz",): {"a": 1}}}, None, "unknown basis name 'zz' in morphism word"),
+    (lambda k, word: GradedVector({"zz": 1}), 1, "morphism output uses unknown name 'zz'"),
+])
+def test_morphism_components_are_checked_like_brackets(components, max_weight, message):
+    source = LInftyStructure(LETTERS, {})
+    target = LInftyStructure(LETTERS, {1: {("a",): {"p": 1}}})
+    with pytest.raises(ValueError) as info:
+        check_linfty_morphism(LInftyMorphism(source, target, components, max_weight), 2)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # The pruned checkers against the full scans they replaced.
 
@@ -354,7 +394,7 @@ def test_check_linfty_morphism_matches_full_scan_oracle():
             morphism = LInftyMorphism(
                 structure, structure, {1: {(n,): {n: 1} for n in names}, 2: f2}
             )
-            assert morphism.support is None
+            assert morphism.support == frozenset(names)
             expected = full_scan_check_linfty_morphism(morphism, 4)
             assert _full_report(check_linfty_morphism(morphism, 4)) == expected
             outcomes.add(expected[0])
