@@ -1,7 +1,10 @@
 """Exact deformation calculus on finite-dimensional graded models.
 
-Everything is computed over the rationals with fractions.Fraction; there
-are no floats and no tolerances anywhere.  The layers, bottom up:
+Everything is computed exactly over the rationals; there are no floats and
+no tolerances anywhere.  Whole values may be Python ints inside a kernel
+loop, every public vector, witness and report value is a
+fractions.Fraction, and every division has a Fraction operand.  The
+layers, bottom up:
 
 graded   signed multilinear algebra: graded spaces, the sparse
          accumulate step and bilinear extension, the sign-tracking sort

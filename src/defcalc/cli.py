@@ -142,7 +142,14 @@ def _fraction(value, where):
 
 
 def _frac_str(value):
-    return str(Fraction(value))
+    """The text of one coefficient, which must be a Fraction or an int.
+
+    Anything else, a float or a bool above all, is a fault in defcalc and
+    raises TypeError rather than being written as "4.0" or expanded.
+    """
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return str(value)
+    raise TypeError(f"coefficient {value!r} is a {type(value).__name__}, not a rational")
 
 
 def _read_sparse(data, key, where, fields, unknown):
@@ -386,13 +393,15 @@ def emit_document(document):
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
+    """A report value: Fractions and every vector coefficient as text, and
+    a float anywhere a TypeError."""
+    if isinstance(value, (Fraction, float)):
+        return _frac_str(value)
     if isinstance(value, GradedVector):
-        return {name: str(c) for name, c in sorted(value.coeffs.items())}
+        return {name: _frac_str(c) for name, c in sorted(value.coeffs.items())}
     if isinstance(value, ArtinVector):
         return [
-            {"monomial": list(mono), "name": name, "coeff": str(c)}
+            {"monomial": list(mono), "name": name, "coeff": _frac_str(c)}
             for (mono, name), c in sorted(value.terms.items())
         ]
     if isinstance(value, dict):
@@ -492,7 +501,7 @@ def _solver_payload(result):
             "direction": e.direction,
             "order": e.order,
             "monomial": list(e.monomial),
-            "class": [str(c) for c in e.coords],
+            "class": [_frac_str(c) for c in e.coords],
             "cocycle": _jsonable(e.cocycle),
         }
         for e in result.events
@@ -630,8 +639,8 @@ def _cmd_obstruction(args):
                 "direction": event.direction,
                 "order": event.order,
                 "monomial": list(event.monomial),
-                "class": [str(c) for c in event.coords],
-                "kernel_image": [str(c) for c in coords],
+                "class": [_frac_str(c) for c in event.coords],
+                "kernel_image": [_frac_str(c) for c in coords],
             }
         )
     report = _base_report(args, "obstruction")
@@ -666,10 +675,18 @@ _OPTION_MINIMUM = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are CliErrors, so that an unknown
+    command, missing files or a bad option value exit 2 with one line."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _build_parser():
     """One parser for every command: a command name, its files and the
     options all commands share; run_command checks the file count."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="defcalc",
         description="Exact deformation calculus on finite graded models.",
     )
@@ -707,9 +724,10 @@ def run_command(command, args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns the exit code.  --help exits 0 through
+    SystemExit, as argparse does."""
     try:
+        args = _build_parser().parse_args(argv)
         report, code = run_command(args.command, args)
     except ValueError as exc:  # rejected input: CliError or a library check
         print(f"error: {exc}", file=sys.stderr)

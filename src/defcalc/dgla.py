@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from . import linalg
 from .artin import ArtinVector, validate_artin_vector
-from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear, complex_cohomology
+from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
+from .graded import complex_cohomology, int_view
 
 ONE = Fraction(1)
 
@@ -161,35 +162,39 @@ def trivial_cdga(unit_name="1"):
 # ---------------------------------------------------------------------------
 # Axiom checks.
 #
-# A table is indexed once into the maps m(a, -) and m(-, c), stored like a
-# GradedMap's columns, and every defect is accumulated straight from them
-# into one sparse dict.  Only the triples or pairs with a term that can be
-# nonzero are visited: m(p, m(q, r)) needs m(q, r) != 0 and m(p, e) != 0 for
-# some e in its support.  Every violation has a nonzero term, so it stays in
+# A table is indexed once into the maps m(a, -) and m(-, c), each value the
+# int view of a table entry, and every defect is accumulated straight from
+# them into one sparse dict, which GradedVector turns back into Fractions.
+# Only the triples or pairs with a term that can be nonzero are visited:
+# m(p, m(q, r)) needs m(q, r) != 0 and m(p, e) != 0 for some e in its
+# support.  Every violation has a nonzero term, so it stays in
 # the visited set and the first one in the fixed order is a full scan's.
 
 
 def _index(table):
-    """left[a][e] = m(a, e) and right[c][e] = m(e, c), nonzero entries only."""
+    """left[a][e] = m(a, e) and right[c][e] = m(e, c) as int views, nonzero
+    entries only."""
     left, right = {}, {}
     for (a, b), vec in table.items():
-        left.setdefault(a, {})[b] = vec
-        right.setdefault(b, {})[a] = vec
+        view = int_view(vec.coeffs)
+        left.setdefault(a, {})[b] = view
+        right.setdefault(b, {})[a] = view
     return left, right
 
 
 def _add_image(out, vec, columns, sign):
-    """out += sign * f(vec) on a sparse name -> Fraction dict, dropping zeros;
-    f is given by its columns (name -> GradedVector) and vec may be None."""
+    """out += sign * f(vec) on a sparse name -> coefficient dict, dropping
+    zeros; vec is a coefficient dict or None, and f is given by its columns
+    (name -> coefficient dict)."""
     if vec is None:
         return
-    for e, ce in vec.coeffs.items():
+    for e, ce in vec.items():
         col = columns.get(e)
         if col is None:
             continue
         if sign < 0:
             ce = -ce
-        for name, c in col.coeffs.items():
+        for name, c in col.items():
             accumulate(out, name, ce * c)
 
 
@@ -225,15 +230,16 @@ def _degree_violations(space, table):
 def _leibniz_violations(space, d, table, left, right):
     """Pairs (a, b) in name order with d m(a, b) != m(da, b) + (-1)^|a| m(a, db)."""
     pairs = set(table)
-    for a, da in d.columns.items():
-        for e in da.coeffs:
+    d_cols = {a: int_view(da.coeffs) for a, da in d.columns.items()}
+    for a, da in d_cols.items():
+        for e in da:
             pairs.update((a, c) for c in left.get(e, ()))
             pairs.update((p, a) for p in right.get(e, ()))
     for a, b in sorted(pairs):
         out = {}
-        _add_image(out, table.get((a, b)), d.columns, 1)
-        _add_image(out, d.columns.get(a), right.get(b, {}), -1)
-        _add_image(out, d.columns.get(b), left.get(a, {}), -_sign(space.degree(a)))
+        _add_image(out, left.get(a, {}).get(b), d_cols, 1)
+        _add_image(out, d_cols.get(a), right.get(b, {}), -1)
+        _add_image(out, d_cols.get(b), left.get(a, {}), -_sign(space.degree(a)))
         if out:
             yield CheckReport.failed("leibniz", (a, b), GradedVector(out))
 
@@ -266,10 +272,11 @@ def _dgla_violations(dgla):
             candidates.update((ix, iy, index[c]) for c in left.get(e, ()))
     for ia, ib, ic in sorted(candidates):
         a, b, c = names[ia], names[ib], names[ic]
+        left_a, left_b = left.get(a, {}), left.get(b, {})
         out = {}
-        _add_image(out, table.get((b, c)), left.get(a, {}), 1)
-        _add_image(out, table.get((a, b)), right.get(c, {}), -1)
-        _add_image(out, table.get((a, c)), left.get(b, {}), -_sign(deg(a) * deg(b)))
+        _add_image(out, left_b.get(c), left_a, 1)
+        _add_image(out, left_a.get(b), right.get(c, {}), -1)
+        _add_image(out, left_a.get(c), left_b, -_sign(deg(a) * deg(b)))
         if out:
             yield CheckReport.failed("jacobi", (a, b, c), GradedVector(out))
     yield from _leibniz_violations(space, dgla.d, table, left, right)
@@ -309,9 +316,10 @@ def _cdga_violations(cdga):
         return min(k for k in keys if k[:2] in table)
 
     for x, y, z in sorted(candidates, key=visit_order):
+        left_x = left.get(x, {})
         out = {}
-        _add_image(out, table.get((x, y)), right.get(z, {}), 1)
-        _add_image(out, table.get((y, z)), left.get(x, {}), -1)
+        _add_image(out, left_x.get(y), right.get(z, {}), 1)
+        _add_image(out, left.get(y, {}).get(z), left_x, -1)
         if out:
             yield CheckReport.failed("associativity", (x, y, z), GradedVector(out))
     yield from _leibniz_violations(space, cdga.d, table, left, right)

@@ -1,7 +1,10 @@
 """Graded vector spaces with named bases, sign bookkeeping and cohomology.
 
-Everything is exact: coefficients are fractions.Fraction and all elimination
-is rational with a fixed pivot order, so repeated runs give identical output.
+Everything is exact: all elimination is rational with a fixed pivot order,
+so repeated runs give identical output.  Coefficients follow one rule:
+whole values may be Python ints inside a kernel loop (int_view), every
+public vector, witness and report value is a fractions.Fraction, and every
+division has a Fraction operand, so no float can arise.
 
 Vectors are sparse dictionaries basis name -> coefficient.  Maps store one
 column per basis name and carry a single integer degree; homogeneity is
@@ -20,12 +23,30 @@ ONE = Fraction(1)
 
 
 def accumulate(out, key, value):
-    """out[key] += value on a sparse dict, dropping the key when it cancels."""
-    total = out.get(key, ZERO) + value
-    if total:
-        out[key] = total
+    """out[key] += value on a sparse dict, dropping the key when it cancels.
+
+    A new key starts from value itself, so int values stay ints.
+    """
+    old = out.get(key)
+    if old is None:
+        if value:
+            out[key] = value
     else:
-        out.pop(key, None)
+        total = old + value
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+
+
+def int_view(coeffs):
+    """A copy of a coefficient dict with each whole value as an int.
+
+    Products of ints cost a fraction of Fraction products, so kernel loops
+    multiply views; what they return goes back through GradedVector or
+    ArtinVector, which make every value a Fraction again.
+    """
+    return {k: c.numerator if c.denominator == 1 else c for k, c in coeffs.items()}
 
 
 def signed_sort(items, key, odd):

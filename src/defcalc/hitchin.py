@@ -25,7 +25,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from .artin import ArtinVector
 from .dgla import CheckReport, Dgla, mc_residual, tensor_cdga_dgla, tensor_name
-from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_fraction
+from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_fraction, int_view
 from .graded import complex_cohomology, wedge_word
 from .linfty import LInftyMorphism, linfty_from_dgla, pushforward_series
 
@@ -275,10 +275,11 @@ def _sym_entry_mul(order):
 
 
 def _theta_sym_matrix(pair):
+    """theta over Sym L, entries as int views."""
     out = {}
     for i in range(pair.rank):
         for j in range(pair.rank):
-            entry = {(l,): c for l, c in pair.theta[i][j].coeffs.items()}
+            entry = {(l,): c for l, c in int_view(pair.theta[i][j].coeffs).items()}
             if entry:
                 out[(i, j)] = entry
     return out
@@ -337,14 +338,14 @@ def g_coefficient(k, args, pair, cdga):
     out = {}
     if not omega.is_zero():
         trace = _word_trace_sum(k, fmats, _theta_sym_matrix(pair), order)
-        _add_form_times_trace(out, omega, trace)
+        _add_form_times_trace(out, omega.coeffs, trace)
     return GradedVector(out)
 
 
 def _add_form_times_trace(out, omega, trace):
-    """out += omega (x) trace, a CDGA vector times Sym-monomial coefficients."""
+    """out += omega (x) trace: CDGA coefficients times Sym-monomial ones."""
     for mono, c in trace.items():
-        for a_name, ca in omega.coeffs.items():
+        for a_name, ca in omega.items():
             accumulate(out, tensor_name(a_name, sym_name(mono)), c * ca)
 
 
@@ -379,7 +380,8 @@ def build_hitchin_morphism(pair, cdga):
             omega = cdga.multiply(omega, GradedVector({a_name: 1}))
             if omega.is_zero():
                 return None
-        fmats = [{(i - 1, j - 1): {(l,): ONE}} for _, i, j, l in parts]
+        fmats = [{(i - 1, j - 1): {(l,): 1}} for _, i, j, l in parts]
+        omega = int_view(omega.coeffs)
         out = {}
         for k in range(arity, pair.rank + 1):
             _add_form_times_trace(out, omega, _word_trace_sum(k, fmats, theta_mat, order))

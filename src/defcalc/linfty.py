@@ -21,7 +21,8 @@ from itertools import combinations, combinations_with_replacement
 from . import linalg
 from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
 from .dgla import CheckReport
-from .graded import GradedSpace, GradedVector, accumulate, koszul_sign, signed_sort_keyed
+from .graded import GradedSpace, GradedVector, accumulate, as_fraction, int_view
+from .graded import koszul_sign, signed_sort_keyed
 
 ONE = Fraction(1)
 
@@ -172,16 +173,24 @@ def linfty_from_dgla(dgla):
     return LInftyStructure(space, brackets)
 
 
-def _add_unshuffle_terms(structure, word, coeff, out, arities, forced=(), keep=None,
+def _int_tables(structure):
+    """The bracket tables of a structure with int-view values."""
+    return {
+        k: {word: int_view(vec.coeffs) for word, vec in table.items()}
+        for k, table in structure.brackets.items()
+    }
+
+
+def _add_unshuffle_terms(tables, sdeg, word, coeff, out, arities, forced=(), keep=None,
                          canonical=True):
     """Accumulate the terms  coeff . sign . q_k(block) . tail  of Q(word).
 
+    tables are the structure's _int_tables and sdeg its shifted degrees.
     Only arities in the given list, blocks holding every position in forced
     and bracket outputs in keep (all when None) are visited, in the order of
     the full unshuffle scan.  The blocks of a canonical word are canonical
     and looked up directly; other orderings fall back to normalize_word.
     """
-    sdeg = structure.sdeg
     n = len(word)
     degrees = [sdeg[name] for name in word]
     free = [p for p in range(n) if p not in forced]
@@ -189,7 +198,7 @@ def _add_unshuffle_terms(structure, word, coeff, out, arities, forced=(), keep=N
     for k in arities:
         if k > n or k < len(forced):
             continue
-        table = structure.brackets[k]
+        table = tables[k]
         for chosen in combinations(free, k - len(forced)):
             subset = tuple(sorted(forced + chosen)) if forced else chosen
             block = tuple([word[p] for p in subset])
@@ -208,7 +217,7 @@ def _add_unshuffle_terms(structure, word, coeff, out, arities, forced=(), keep=N
             perm = [p + 1 for p in subset] + [p + 1 for p in rest]
             eps = koszul_sign(perm, degrees) * bsign
             tail = tuple([word[p] for p in rest])
-            for name, c in vec.coeffs.items():
+            for name, c in vec.items():
                 if keep is not None and name not in keep:
                     continue
                 new_word, s = normalize_word((name,) + tail, sdeg)
@@ -219,11 +228,11 @@ def _add_unshuffle_terms(structure, word, coeff, out, arities, forced=(), keep=N
 
 def _apply_to_terms(terms, value, out):
     """out += sum over words v of terms[v] . value(v), for a map value from
-    words to GradedVector or None."""
+    words to a coefficient dict or None."""
     for v, c in terms.items():
         vec = value(v)
         if vec:
-            for name, x in vec.coeffs.items():
+            for name, x in vec.items():
                 accumulate(out, name, c * x)
 
 
@@ -232,16 +241,18 @@ def coderivation_extend(structure, element):
 
     On a word v1 . ... . vn the value is the sum over k and (k, n-k)
     unshuffles of  sign . q_k(chosen k letters) . (remaining letters).
-    element is a dict word -> coefficient; so is the result.
+    element is a dict word -> coefficient; so is the result, with Fraction
+    values.
     """
+    sdeg, tables = structure.sdeg, _int_tables(structure)
     out = {}
     for word, coeff in element.items():
-        cword, sign = normalize_word(word, structure.sdeg)
+        cword, sign = normalize_word(word, sdeg)
         _add_unshuffle_terms(
-            structure, word, coeff, out, list(structure.brackets),
+            tables, sdeg, word, coeff, out, list(tables),
             canonical=sign == 1 and cword == tuple(word),
         )
-    return out
+    return {word: as_fraction(c) for word, c in out.items()}
 
 
 def check_codifferential(structure, weight):
@@ -257,16 +268,17 @@ def check_codifferential(structure, weight):
     and the corestriction is exactly zero.  Failure reports the first word
     in basis order and the nonzero vector.
     """
-    arities = structure.brackets
-    top = min(weight, 2 * max(arities, default=0) - 1)
-    for word in basis_words(structure.space, top, structure.sdeg):
+    sdeg, tables = structure.sdeg, _int_tables(structure)
+    top = min(weight, 2 * max(tables, default=0) - 1)
+    for word in basis_words(structure.space, top, sdeg):
         n = len(word)
         terms = {}
         _add_unshuffle_terms(
-            structure, word, ONE, terms, [k for k in arities if n - k + 1 in arities]
+            tables, sdeg, word, 1, terms, [k for k in tables if n - k + 1 in tables]
         )
+        # every term has weight n - k + 1, an arity
         total = {}
-        _apply_to_terms(terms, structure.apply_bracket, total)
+        _apply_to_terms(terms, lambda v: tables[len(v)].get(v), total)
         if total:
             return CheckReport.failed("codifferential", word, GradedVector(total))
     return CheckReport.passed()
@@ -313,6 +325,7 @@ class LInftyMorphism:
         self.target = target
         self.support = frozenset(support if support is not None else source.space.names)
         self._cache = {}
+        self._views = {}
         if callable(components):
             if max_weight is None:
                 raise ValueError("generator components need an explicit max_weight")
@@ -341,12 +354,20 @@ class LInftyMorphism:
         self._cache[word] = cached
         return cached
 
+    def _view(self, word):
+        """The int view of component(word), computed once per word."""
+        view = self._views.get(word)
+        if view is None:
+            view = self._views[word] = int_view(self.component(word).coeffs)
+        return view
+
 
 def _sym_multiply(element, vector, sdeg):
-    """Append one target-space vector to each word of a coalgebra element."""
+    """Append one target-space vector, a coefficient dict, to each word of a
+    coalgebra element."""
     out = {}
     for word, coeff in element.items():
-        for name, c in vector.coeffs.items():
+        for name, c in vector.items():
             new_word, s = normalize_word(word + (name,), sdeg)
             if s == 0:
                 continue
@@ -369,10 +390,10 @@ def _expand_partitions(morphism, word, coeff, out, block_count=None):
             continue
         perm = [p + 1 for block in blocks for p in block]
         eps = koszul_sign(perm, degrees)
-        partial = {(): ONE}
+        partial = {(): 1}
         for block in blocks:
-            vec = morphism.component(tuple(word[p] for p in block))
-            if vec.is_zero():
+            vec = morphism._view(tuple(word[p] for p in block))
+            if not vec:
                 partial = None
                 break
             partial = _sym_multiply(partial, vec, tgt_deg)
@@ -391,12 +412,13 @@ def morphism_extend(morphism, element):
     On a word the value is the sum over unordered set partitions of the
     letters of  sign . f(block 1) . ... . f(block s), the sign being the
     Koszul reordering of the letters into the concatenated blocks; the
-    weight 2 case reads f2(v1 . v2) + f1(v1) . f1(v2).
+    weight 2 case reads f2(v1 . v2) + f1(v1) . f1(v2).  Values are
+    Fractions, as in the element.
     """
     out = {}
     for word, coeff in element.items():
         _expand_partitions(morphism, word, coeff, out)
-    return out
+    return {word: as_fraction(c) for word, c in out.items()}
 
 
 def _candidate_words(morphism, top, inside_top):
@@ -465,21 +487,22 @@ def check_linfty_morphism(morphism, weight):
     k_t = max(target.brackets, default=0)
     top = min(weight, max(top_weight + k_s - 1, k_t * top_weight))
     support = morphism.support
+    source_tables, target_tables = _int_tables(source), _int_tables(target)
     for word in _candidate_words(morphism, top, k_t * top_weight):
         n = len(word)
         outside = tuple(p for p, name in enumerate(word) if name not in support)
         terms = {}
         _add_unshuffle_terms(
-            source, word, ONE, terms,
-            [k for k in source.brackets if n - k + 1 <= top_weight], outside, support,
+            source_tables, source.sdeg, word, 1, terms,
+            [k for k in source_tables if n - k + 1 <= top_weight], outside, support,
         )
         lhs = {}
-        _apply_to_terms(terms, morphism.component, lhs)
+        _apply_to_terms(terms, morphism._view, lhs)
         rhs = {}
         if not outside:
-            for j, table in target.brackets.items():
+            for j, table in target_tables.items():
                 part = {}
-                _expand_partitions(morphism, word, ONE, part, block_count=j)
+                _expand_partitions(morphism, word, 1, part, block_count=j)
                 _apply_to_terms(part, table.get, rhs)
         if lhs != rhs:
             for name, c in rhs.items():

@@ -498,3 +498,60 @@ def test_rejected_input_exits_two(capsys, tmp_path, argv):
         for pos, arg in enumerate(argv)
     ]
     assert_rejected(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus", "x"], "error: argument command: invalid choice: 'bogus'"),
+        (["check-dgla"], "error: the following arguments are required: files"),
+        (
+            ["check-dgla", sample("dgla_obstructed.json"), "--weight", "x"],
+            "error: argument --weight: invalid int value: 'x'",
+        ),
+    ],
+    ids=["unknown command", "missing files", "non-integer option"],
+)
+def test_command_line_errors_exit_two_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and "usage" not in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: defcalc")
+
+
+def test_coefficient_text_accepts_only_rationals():
+    from fractions import Fraction
+
+    from defcalc.cli import _frac_str
+
+    assert _frac_str(Fraction(-3, 4)) == "-3/4"
+    assert _frac_str(Fraction(4)) == _frac_str(4) == "4"
+    for leak in (4.0, True, "4", None):
+        with pytest.raises(TypeError, match="not a rational"):
+            _frac_str(leak)
+
+
+@pytest.mark.parametrize("leak", ["witness vector", "bare value"])
+def test_float_in_a_report_is_an_internal_fault(capsys, monkeypatch, tmp_path, leak):
+    from defcalc import cli
+    from defcalc.dgla import CheckReport
+    from defcalc.graded import GradedVector
+
+    value = GradedVector.from_nonzero({"e1": 4.0}) if leak == "witness vector" else 4.0
+    monkeypatch.setattr(
+        cli, "check_dgla", lambda dgla: CheckReport.failed("jacobi", ("e1",), value)
+    )
+    report = tmp_path / "report.json"
+    code = main(["check-dgla", sample("dgla_obstructed.json"), "--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not report.exists()
+    assert captured.err.startswith("internal error: TypeError: coefficient 4.0 is a float")
