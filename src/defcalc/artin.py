@@ -37,11 +37,6 @@ def _exponent(e, mono):
     return e
 
 
-def divides(a, b):
-    """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 class ArtinAlgebra:
     """Local Artinian algebra presented by variables and surviving monomials."""
 
@@ -170,6 +165,15 @@ class ArtinVector:
     def single(cls, mono, name, coeff=1):
         return cls({(tuple(mono), name): coeff})
 
+    @classmethod
+    def from_nonzero(cls, terms):
+        """The vector that takes terms as its own dict, uncopied and
+        unchecked: every key must already be a (monomial tuple, name) pair
+        and every value a nonzero Fraction."""
+        result = cls()
+        result.terms = terms
+        return result
+
     def is_zero(self):
         return not self.terms
 
@@ -180,24 +184,19 @@ class ArtinVector:
         out = dict(self.terms)
         for key, c in other.terms.items():
             accumulate(out, key, c)
-        result = ArtinVector()
-        result.terms = out
-        return result
+        return ArtinVector.from_nonzero(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        result = ArtinVector()
-        result.terms = {k: -c for k, c in self.terms.items()}
-        return result
+        return ArtinVector.from_nonzero({k: -c for k, c in self.terms.items()})
 
     def scale(self, factor):
         factor = as_fraction(factor)
-        result = ArtinVector()
-        if factor != 0:
-            result.terms = {k: factor * c for k, c in self.terms.items()}
-        return result
+        if factor == 0:
+            return ArtinVector()
+        return ArtinVector.from_nonzero({k: factor * c for k, c in self.terms.items()})
 
     def __rmul__(self, factor):
         return self.scale(factor)
@@ -207,11 +206,9 @@ class ArtinVector:
 
     def order_part(self, order):
         """Terms whose monomial has the given total degree."""
-        result = ArtinVector()
-        result.terms = {
-            k: c for k, c in self.terms.items() if monomial_degree(k[0]) == order
-        }
-        return result
+        return ArtinVector.from_nonzero(
+            {k: c for k, c in self.terms.items() if monomial_degree(k[0]) == order}
+        )
 
     def min_order(self):
         """Smallest monomial degree present, or None for the zero vector."""
@@ -238,9 +235,7 @@ class ArtinVector:
                 continue
             for out_name, oc in col.coeffs.items():
                 accumulate(out, (mono, out_name), c * oc)
-        result = ArtinVector()
-        result.terms = out
-        return result
+        return ArtinVector.from_nonzero(out)
 
     def __repr__(self):
         if not self.terms:

@@ -33,7 +33,13 @@ from .dgla import (
     mc_solve,
     trivial_cdga,
 )
-from .graded import GradedMap, GradedSpace, GradedVector, complex_cohomology
+from .graded import (
+    GradedMap,
+    GradedSpace,
+    GradedVector,
+    as_fraction,
+    complex_cohomology,
+)
 from .hitchin import (
     HiggsFieldError,
     HitchinPair,
@@ -128,16 +134,11 @@ def _check_shape(value, shape, where):
 
 
 def _fraction(value, where):
-    """A rational leaf: an integer, or a string "p", "p/q" or a plain decimal.
-
-    Exponent notation is rejected before Fraction sees it: "1e1000000"
-    would build a million-digit integer.
-    """
-    if type(value) is str and ("e" in value or "E" in value):
-        raise CliError(f"{where}: bad rational {value!r} (exponent notation)")
+    """A rational leaf read by graded.as_fraction, with its JSON path in the
+    error."""
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+        return as_fraction(value)
+    except ValueError as exc:
         raise CliError(f"{where}: bad rational {value!r} ({exc})") from exc
 
 
@@ -411,259 +412,159 @@ def _jsonable(value):
     return value
 
 
-def _check_entry(name, report):
-    entry = {"name": name, "ok": bool(report.ok)}
-    if not report.ok:
-        entry["axiom"] = report.axiom
-        entry["witness"] = _jsonable(report.witness)
-        entry["value"] = _jsonable(report.value)
-    return entry
+def _checks(*named):
+    """The "checks" field of (name, CheckReport) pairs, each failure with its
+    axiom, witness and value, and whether every check passed."""
+    entries = []
+    for name, result in named:
+        entry = {"name": name, "ok": bool(result.ok)}
+        if not result.ok:
+            entry["axiom"] = result.axiom
+            entry["witness"] = _jsonable(result.witness)
+            entry["value"] = _jsonable(result.value)
+        entries.append(entry)
+    return {"checks": entries}, all(entry["ok"] for entry in entries)
 
 
-def _expect(document, kinds, role):
-    if document.kind not in kinds:
-        raise CliError(
-            f"{role} must have kind {' or '.join(kinds)}, got {document.kind!r}"
-        )
-    return document
+def _cmd_check_dgla(args, dgla):
+    return _checks(("dgla-axioms", check_dgla(dgla)))
 
 
-def _load_cdga(args, index):
-    if len(args.files) > index:
-        doc = _expect(parse_document(args.files[index]), ("cdga",), "the CDGA file")
-        return doc.kernel
-    return trivial_cdga()
+def _cmd_check_linfty(args, structure):
+    if isinstance(structure, Dgla):
+        structure = linfty_from_dgla(structure)
+    return _checks(("codifferential", check_codifferential(structure, args.weight)))
 
 
-def _base_report(args, command):
-    options = {key: getattr(args, key) for key in ("weight", "order", "seed")}
-    return {"command": command, "inputs": list(args.files), "options": options}
+def _cmd_check_morphism(args, pair, cdga):
+    morphism = build_hitchin_morphism(pair, cdga)
+    return _checks(("morphism-identity", check_linfty_morphism(morphism, args.weight)))
 
 
-def _cohomology_payload(summary):
-    dims = {str(d): summary.dimension(d) for d in summary.degrees()}
-    reps = {
-        str(d): [_jsonable(rep) for rep in summary.representatives(d)]
-        for d in summary.degrees()
-    }
-    return {"dimensions": dims, "representatives": reps}
-
-
-def _cmd_check_dgla(args):
-    doc = _expect(parse_document(args.files[0]), ("dgla",), "the input")
-    report = _base_report(args, "check-dgla")
-    result = check_dgla(doc.kernel)
-    report["checks"] = [_check_entry("dgla-axioms", result)]
-    return report, 0 if result.ok else 1
-
-
-def _cmd_check_linfty(args):
-    doc = _expect(parse_document(args.files[0]), ("linfty", "dgla"), "the input")
-    structure = (
-        doc.kernel if doc.kind == "linfty" else linfty_from_dgla(doc.kernel)
-    )
-    result = check_codifferential(structure, args.weight)
-    report = _base_report(args, "check-linfty")
-    report["checks"] = [_check_entry("codifferential", result)]
-    return report, 0 if result.ok else 1
-
-
-def _build_morphism(args):
-    doc = _expect(parse_document(args.files[0]), ("hitchin-pair",), "the input")
-    cdga = _load_cdga(args, 1)
-    return doc.kernel, cdga, build_hitchin_morphism(doc.kernel, cdga)
-
-
-def _cmd_check_morphism(args):
-    _, _, morphism = _build_morphism(args)
-    result = check_linfty_morphism(morphism, args.weight)
-    report = _base_report(args, "check-morphism")
-    report["checks"] = [_check_entry("morphism-identity", result)]
-    return report, 0 if result.ok else 1
-
-
-def _cmd_cohomology(args):
-    doc = parse_document(args.files[0])
-    report = _base_report(args, "cohomology")
-    if doc.kind == "hitchin-pair":
-        summary = complex_C_cohomology(doc.kernel, _load_cdga(args, 1))
-    elif doc.kind in ("dgla", "cdga"):
-        summary = complex_cohomology(doc.kernel.space, doc.kernel.d)
+def _cmd_cohomology(args, source, cdga):
+    if isinstance(source, HitchinPair):
+        summary = complex_C_cohomology(source, cdga)
     else:
-        raise CliError("cohomology expects a dgla, cdga, or hitchin-pair file")
-    report["cohomology"] = _cohomology_payload(summary)
-    return report, 0
+        summary = complex_cohomology(source.space, source.d)
+    degrees = summary.degrees()
+    dims = {str(d): summary.dimension(d) for d in degrees}
+    reps = {str(d): _jsonable(summary.representatives(d)) for d in degrees}
+    return {"cohomology": {"dimensions": dims, "representatives": reps}}, True
+
+
+def _event(event, key, value):
+    """The report entry of one obstruction event, plus the field key."""
+    return {
+        "direction": event.direction,
+        "order": event.order,
+        "monomial": list(event.monomial),
+        "class": [_frac_str(c) for c in event.coords],
+        key: value,
+    }
 
 
 def _solver_payload(result):
-    events = [
-        {
-            "direction": e.direction,
-            "order": e.order,
-            "monomial": list(e.monomial),
-            "class": [_frac_str(c) for c in e.coords],
-            "cocycle": _jsonable(e.cocycle),
-        }
-        for e in result.events
-    ]
-    solutions = [
-        None if x is None else _jsonable(x) for x in result.solutions
-    ]
     return {
         "tangent_dimension": result.tangent_dimension(),
-        "directions": [_jsonable(x) for x in result.directions],
-        "events": events,
-        "solutions": solutions,
+        "directions": _jsonable(result.directions),
+        "events": [_event(e, "cocycle", _jsonable(e.cocycle)) for e in result.events],
+        "solutions": _jsonable(result.solutions),
         "obstructed": result.obstructed_directions(),
     }
 
 
-def _mc_solve_target(args):
-    doc = parse_document(args.files[0])
-    if doc.kind == "dgla":
-        return doc.kernel
-    if doc.kind == "hitchin-pair":
-        return build_hitchin_dgla(doc.kernel, _load_cdga(args, 1))
-    raise CliError("mc-solve expects a dgla or hitchin-pair file")
+def _cmd_mc_solve(args, source, cdga):
+    if isinstance(source, HitchinPair):
+        source = build_hitchin_dgla(source, cdga)
+    result = mc_solve(source, make_artin(("t",), args.order))
+    return {"solver": _solver_payload(result)}, True
 
 
-def _cmd_mc_solve(args):
-    dgla = _mc_solve_target(args)
-    algebra = make_artin(("t",), args.order)
-    result = mc_solve(dgla, algebra)
-    report = _base_report(args, "mc-solve")
-    report["solver"] = _solver_payload(result)
-    return report, 0
-
-
-def _cmd_gauge_equiv(args):
-    doc = _expect(parse_document(args.files[0]), ("dgla",), "the first input")
-    xdoc = _expect(parse_document(args.files[1]), ("mc-element",), "the second input")
-    ydoc = _expect(parse_document(args.files[2]), ("mc-element",), "the third input")
-    algebra, x = xdoc.kernel
-    algebra_y, y = ydoc.kernel
+def _cmd_gauge_equiv(args, dgla, x_element, y_element):
+    (algebra, x), (algebra_y, y) = x_element, y_element
     if algebra != algebra_y:
         raise CliError("the two elements live over different algebras")
     for vec in (x, y):
-        validate_artin_vector(vec, algebra, doc.kernel.space, degree=1)
-    result = gauge_equivalent(x, y, doc.kernel, algebra)
-    report = _base_report(args, "gauge-equiv")
+        validate_artin_vector(vec, algebra, dgla.space, degree=1)
+    result = gauge_equivalent(x, y, dgla, algebra)
     if result.equivalent:
-        report["equivalent"] = True
-        report["witness"] = _jsonable(result.witness)
-        return report, 0
-    report["equivalent"] = False
-    report["failure"] = {
+        return {"equivalent": True, "witness": _jsonable(result.witness)}, True
+    failure = {
         "order": result.order,
         "monomial": list(result.monomial),
         "residual": _jsonable(result.residual),
     }
-    return report, 1
+    return {"equivalent": False, "failure": failure}, False
 
 
-def _cmd_hitchin_build(args):
-    doc = _expect(parse_document(args.files[0]), ("hitchin-pair",), "the input")
-    cdga = _load_cdga(args, 1)
-    dgla = build_hitchin_dgla(doc.kernel, cdga)
-    result = check_dgla(dgla)
-    report = _base_report(args, "hitchin-build")
-    report["dimension"] = len(dgla.space.names)
-    report["degrees"] = {
+def _cmd_hitchin_build(args, pair, cdga):
+    dgla = build_hitchin_dgla(pair, cdga)
+    fields, ok = _checks(("dgla-axioms", check_dgla(dgla)))
+    fields["dimension"] = len(dgla.space.names)
+    fields["degrees"] = {
         str(d): len(dgla.space.names_of_degree(d))
         for d in sorted(dgla.space.degrees_present())
     }
-    report["checks"] = [_check_entry("dgla-axioms", result)]
-    return report, 0 if result.ok else 1
+    return fields, ok
 
 
-def _cmd_hitchin_verify(args):
-    pair, cdga, morphism = _build_morphism(args)
-    checks = [
-        _check_entry("cdga-axioms", check_cdga(cdga)),
-        _check_entry("dgla-axioms", check_dgla(morphism.source_dgla)),
-        _check_entry(
-            "morphism-identity", check_linfty_morphism(morphism, args.weight)
-        ),
-    ]
-    report = _base_report(args, "hitchin-verify")
-    report["checks"] = checks
-    return report, 0 if all(c["ok"] for c in checks) else 1
+def _cmd_hitchin_verify(args, pair, cdga):
+    morphism = build_hitchin_morphism(pair, cdga)
+    return _checks(
+        ("cdga-axioms", check_cdga(cdga)),
+        ("dgla-axioms", check_dgla(morphism.source_dgla)),
+        ("morphism-identity", check_linfty_morphism(morphism, args.weight)),
+    )
 
 
-def _load_mc_input(args, morphism):
-    doc = _expect(parse_document(args.files[1]), ("mc-element",), "the element file")
-    algebra, x = doc.kernel
+def _cmd_pushforward(args, pair, element, cdga):
+    morphism = build_hitchin_morphism(pair, cdga)
+    algebra, x = element
     validate_artin_vector(x, algebra, morphism.source_dgla.space, degree=1)
-    return algebra, x
+    return {"image": _jsonable(pushforward_mc(morphism, x, algebra))}, True
 
 
-def _cmd_pushforward(args):
-    doc = _expect(parse_document(args.files[0]), ("hitchin-pair",), "the input")
-    cdga = _load_cdga(args, 2)
-    morphism = build_hitchin_morphism(doc.kernel, cdga)
-    algebra, x = _load_mc_input(args, morphism)
-    image = pushforward_mc(morphism, x, algebra)
-    report = _base_report(args, "pushforward")
-    report["image"] = _jsonable(image)
-    return report, 0
-
-
-def _cmd_hitchin_map(args):
-    doc = _expect(parse_document(args.files[0]), ("hitchin-pair",), "the input")
-    cdga = _load_cdga(args, 2)
-    morphism = build_hitchin_morphism(doc.kernel, cdga)
-    algebra, x = _load_mc_input(args, morphism)
+def _cmd_hitchin_map(args, pair, element, cdga):
+    morphism = build_hitchin_morphism(pair, cdga)
+    algebra, x = element
+    validate_artin_vector(x, algebra, morphism.source_dgla.space, degree=1)
     sections = hitchin_map(x, morphism, algebra)
-    report = _base_report(args, "hitchin-map")
-    report["sections"] = {
-        str(k + 1): _jsonable(section) for k, section in enumerate(sections)
-    }
-    return report, 0
+    return {"sections": {str(k + 1): _jsonable(s) for k, s in enumerate(sections)}}, True
 
 
-def _cmd_obstruction(args):
-    doc = _expect(parse_document(args.files[0]), ("hitchin-pair",), "the input")
-    cdga = _load_cdga(args, 1)
-    morphism = build_hitchin_morphism(doc.kernel, cdga)
+def _cmd_obstruction(args, pair, cdga):
+    morphism = build_hitchin_morphism(pair, cdga)
     target = morphism.target_dgla
     target_cohomology = complex_cohomology(target.space, target.d)
-    algebra = make_artin(("t",), args.order)
-    result = mc_solve(morphism.source_dgla, algebra)
+    result = mc_solve(morphism.source_dgla, make_artin(("t",), args.order))
     entries = []
     for event in result.primary_obstructions():
-        coords = obstruction_kernel_map(
-            event.cocycle, morphism, target_cohomology
-        )
-        entries.append(
-            {
-                "direction": event.direction,
-                "order": event.order,
-                "monomial": list(event.monomial),
-                "class": [_frac_str(c) for c in event.coords],
-                "kernel_image": [_frac_str(c) for c in coords],
-            }
-        )
-    report = _base_report(args, "obstruction")
-    report["solver"] = _solver_payload(result)
-    report["obstruction_classes"] = entries
-    report["all_in_kernel"] = all(
-        all(c == "0" for c in e["kernel_image"]) for e in entries
-    )
-    return report, 0
+        coords = obstruction_kernel_map(event.cocycle, morphism, target_cohomology)
+        entries.append(_event(event, "kernel_image", [_frac_str(c) for c in coords]))
+    return {
+        "solver": _solver_payload(result),
+        "obstruction_classes": entries,
+        "all_in_kernel": all(c == "0" for e in entries for c in e["kernel_image"]),
+    }, True
 
 
+# Each command's handler and one slot per input file: the kinds that file may
+# have, "|"-separated.  A trailing "cdga?" is the optional CDGA file, the
+# trivial CDGA when absent.  handler(args, *kernels) returns the report's own
+# fields and whether every check passed.  The README's command table mirrors
+# this one.
 _COMMANDS = {
-    "check-dgla": (_cmd_check_dgla, 1, 1),
-    "check-linfty": (_cmd_check_linfty, 1, 1),
-    "check-morphism": (_cmd_check_morphism, 1, 2),
-    "cohomology": (_cmd_cohomology, 1, 2),
-    "mc-solve": (_cmd_mc_solve, 1, 2),
-    "gauge-equiv": (_cmd_gauge_equiv, 3, 3),
-    "hitchin-build": (_cmd_hitchin_build, 1, 2),
-    "hitchin-verify": (_cmd_hitchin_verify, 1, 2),
-    "pushforward": (_cmd_pushforward, 2, 3),
-    "hitchin-map": (_cmd_hitchin_map, 2, 3),
-    "obstruction": (_cmd_obstruction, 1, 2),
+    "check-dgla": (_cmd_check_dgla, ("dgla",)),
+    "check-linfty": (_cmd_check_linfty, ("linfty|dgla",)),
+    "check-morphism": (_cmd_check_morphism, ("hitchin-pair", "cdga?")),
+    "cohomology": (_cmd_cohomology, ("dgla|cdga|hitchin-pair", "cdga?")),
+    "mc-solve": (_cmd_mc_solve, ("dgla|hitchin-pair", "cdga?")),
+    "gauge-equiv": (_cmd_gauge_equiv, ("dgla", "mc-element", "mc-element")),
+    "hitchin-build": (_cmd_hitchin_build, ("hitchin-pair", "cdga?")),
+    "hitchin-verify": (_cmd_hitchin_verify, ("hitchin-pair", "cdga?")),
+    "pushforward": (_cmd_pushforward, ("hitchin-pair", "mc-element", "cdga?")),
+    "hitchin-map": (_cmd_hitchin_map, ("hitchin-pair", "mc-element", "cdga?")),
+    "obstruction": (_cmd_obstruction, ("hitchin-pair", "cdga?")),
 }
 
 
@@ -711,16 +612,35 @@ def _build_parser():
 
 
 def run_command(command, args):
-    """Dispatch one parsed invocation; returns (report dict, exit code)."""
-    handler, min_files, max_files = _COMMANDS[command]
-    if not (min_files <= len(args.files) <= max_files):
-        raise CliError(
-            f"{command} takes between {min_files} and {max_files} files"
-        )
-    for option, (least, readers) in _OPTION_MINIMUM.items():
-        if command in readers and getattr(args, option) < least:
-            raise CliError(f"{command}: --{option} must be at least {least}")
-    return handler(args)
+    """Run one parsed invocation; returns (report dict, exit code).
+
+    The file count comes from the command's slots and the options from
+    _OPTION_MINIMUM; each file is parsed and its kind checked against its
+    slot before the handler runs, and the report head is built here.
+    """
+    handler, slots = _COMMANDS[command]
+    least = sum(not slot.endswith("?") for slot in slots)
+    if not (least <= len(args.files) <= len(slots)):
+        raise CliError(f"{command} takes between {least} and {len(slots)} files")
+    for option, (minimum, readers) in _OPTION_MINIMUM.items():
+        if command in readers and getattr(args, option) < minimum:
+            raise CliError(f"{command}: --{option} must be at least {minimum}")
+    kernels = []
+    for path, slot in zip(args.files, slots):
+        doc = parse_document(path)
+        kinds = slot.rstrip("?").split("|")
+        if doc.kind not in kinds:
+            raise CliError(
+                f"{path}: {command} expects kind {' or '.join(kinds)}, got {doc.kind!r}"
+            )
+        kernels.append(doc.kernel)
+    if len(kernels) < len(slots):
+        kernels.append(trivial_cdga())
+    fields, ok = handler(args, *kernels)
+    options = {key: getattr(args, key) for key in ("weight", "order", "seed")}
+    report = {"command": command, "inputs": list(args.files), "options": options}
+    report.update(fields)
+    return report, 0 if ok else 1
 
 
 def main(argv=None):

@@ -209,11 +209,15 @@ def _complex_violations(space, d):
 def _mirror_violations(space, table, axiom, sign):
     """Pairs with m(a, b) != sign (-1)^(|a||b|) m(b, a)."""
     deg = space.degree
+    empty = GradedVector()
     for a, b in sorted(table):
-        lhs = table[(a, b)]
-        rhs = table.get((b, a), GradedVector()).scale(sign * _sign(deg(a) * deg(b)))
-        if lhs != rhs:
-            yield CheckReport.failed(axiom, (a, b), lhs - rhs)
+        lhs, mirror = table[(a, b)], table.get((b, a), empty)
+        s = sign * _sign(deg(a) * deg(b))
+        m = mirror.coeffs
+        if lhs.coeffs.keys() != m.keys() or any(
+            c != (m[n] if s > 0 else -m[n]) for n, c in lhs.coeffs.items()
+        ):
+            yield CheckReport.failed(axiom, (a, b), lhs - mirror.scale(s))
 
 
 def _degree_violations(space, table):
@@ -475,7 +479,6 @@ def hom_dgla(space, differential):
 
 def bracket_artin(dgla, algebra, x, y):
     """Coefficient-bilinear extension of the bracket to L (x) m_A."""
-    out = ArtinVector()
     terms = {}
     for (mx, ax), cx in x.terms.items():
         for (my, ay), cy in y.terms.items():
@@ -488,8 +491,7 @@ def bracket_artin(dgla, algebra, x, y):
             factor = cx * cy
             for name, c in vec.coeffs.items():
                 accumulate(terms, (mono, name), factor * c)
-    out.terms = terms
-    return out
+    return ArtinVector.from_nonzero(terms)
 
 
 def mc_residual(x, dgla, algebra):

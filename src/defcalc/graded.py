@@ -76,12 +76,24 @@ def signed_sort_keyed(seq):
 
 
 def as_fraction(value):
+    """value as a Fraction: a Fraction, an int (not a bool), or a string
+    "p", "p/q" or a plain decimal.
+
+    A bool or a float raises TypeError.  A string in exponent notation
+    raises ValueError before Fraction sees it, because "1e1000000" would
+    build a million-digit integer; so does a zero denominator.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if "e" in value or "E" in value:
+            raise ValueError("exponent notation")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 

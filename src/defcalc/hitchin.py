@@ -461,9 +461,7 @@ def hitchin_map(x, morphism, algebra):
             if mono == algebra.unit:
                 raise AssertionError("constant term survived the subtraction")
             terms[(mono, tensor_name(a_name, sym_name(sym)))] = c
-        section = ArtinVector()
-        section.terms = terms
-        sections.append(section)
+        sections.append(ArtinVector.from_nonzero(terms))
 
     push = pushforward_series(morphism, x, algebra)
     split = [dict() for _ in range(r)]

@@ -181,15 +181,14 @@ def _int_tables(structure):
     }
 
 
-def _add_unshuffle_terms(tables, sdeg, word, coeff, out, arities, forced=(), keep=None,
-                         canonical=True):
+def _add_unshuffle_terms(tables, sdeg, word, coeff, out, arities, forced=(), keep=None):
     """Accumulate the terms  coeff . sign . q_k(block) . tail  of Q(word).
 
     tables are the structure's _int_tables and sdeg its shifted degrees.
     Only arities in the given list, blocks holding every position in forced
     and bracket outputs in keep (all when None) are visited, in the order of
-    the full unshuffle scan.  The blocks of a canonical word are canonical
-    and looked up directly; other orderings fall back to normalize_word.
+    the full unshuffle scan.  word must be canonical, so that its blocks
+    are canonical and looked up directly.
     """
     n = len(word)
     degrees = [sdeg[name] for name in word]
@@ -203,19 +202,11 @@ def _add_unshuffle_terms(tables, sdeg, word, coeff, out, arities, forced=(), kee
             subset = tuple(sorted(forced + chosen)) if forced else chosen
             block = tuple([word[p] for p in subset])
             vec = table.get(block)
-            bsign = 1
             if vec is None:
-                if canonical:
-                    continue
-                cblock, bsign = normalize_word(block, sdeg)
-                if bsign == 0 or cblock == block:
-                    continue
-                vec = table.get(cblock)
-                if vec is None:
-                    continue
+                continue
             rest = [p for p in range(n) if p not in subset]
             perm = [p + 1 for p in subset] + [p + 1 for p in rest]
-            eps = koszul_sign(perm, degrees) * bsign
+            eps = koszul_sign(perm, degrees)
             tail = tuple([word[p] for p in rest])
             for name, c in vec.items():
                 if keep is not None and name not in keep:
@@ -248,10 +239,8 @@ def coderivation_extend(structure, element):
     out = {}
     for word, coeff in element.items():
         cword, sign = normalize_word(word, sdeg)
-        _add_unshuffle_terms(
-            tables, sdeg, word, coeff, out, list(tables),
-            canonical=sign == 1 and cword == tuple(word),
-        )
+        if sign:
+            _add_unshuffle_terms(tables, sdeg, cword, coeff * sign, out, list(tables))
     return {word: as_fraction(c) for word, c in out.items()}
 
 
@@ -552,9 +541,7 @@ def _power_series(x, algebra, sdeg, value, head=None, limit=None):
         n += 1
         inv /= n
         power = _power_step(power, x, sdeg, algebra)
-    out = ArtinVector()
-    out.terms = terms
-    return out
+    return ArtinVector.from_nonzero(terms)
 
 
 def _bracket_series(x, structure, algebra, head=None):
@@ -636,9 +623,7 @@ def _embed_path_part(part, algebra_ext):
     for tdeg, vec in part.items():
         for (mono, name), c in vec.terms.items():
             out[(mono + (tdeg,), name)] = c
-    v = ArtinVector()
-    v.terms = out
-    return v
+    return ArtinVector.from_nonzero(out)
 
 
 def _t_derivative(x):
@@ -648,9 +633,7 @@ def _t_derivative(x):
         if j == 0:
             continue
         accumulate(out, (mono[:-1] + (j - 1,), name), j * c)
-    v = ArtinVector()
-    v.terms = out
-    return v
+    return ArtinVector.from_nonzero(out)
 
 
 def verify_homotopy_witness(path, x, y, structure, algebra):
@@ -721,6 +704,4 @@ def abelian_homotopy_witness(x, y, structure, algebra):
         for name, c in zip(source_names, sol):
             if c != 0:
                 odd_terms[(mono, name)] = c
-    w = ArtinVector()
-    w.terms = odd_terms
-    return PolyPath(even={0: x, 1: y - x}, odd={0: w})
+    return PolyPath(even={0: x, 1: y - x}, odd={0: ArtinVector.from_nonzero(odd_terms)})

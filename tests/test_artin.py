@@ -104,6 +104,16 @@ def test_artin_vector_parts():
     assert x.monomials_present() == [(1,), (2,)]
     assert (x - x).is_zero()
     assert x.scale(3).terms[((1,), "a")] == Fraction(6)
+    assert x.scale(0).is_zero()
+    terms = {((1,), "a"): Fraction(2)}
+    assert ArtinVector.from_nonzero(terms).terms is terms
+
+
+def test_artin_vector_reads_only_exact_rationals():
+    with pytest.raises(TypeError):
+        ArtinVector({((1,), "a"): True})
+    with pytest.raises(ValueError, match="exponent notation"):
+        ArtinVector({((1,), "a"): "1e5"})
 
 
 def test_artin_vector_apply_map():

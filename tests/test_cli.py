@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from defcalc.cli import CliError, emit_document, main, parse_document
+from defcalc.cli import _COMMANDS, CliError, emit_document, main, parse_document
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
 
@@ -54,11 +54,11 @@ def test_check_dgla_command(capsys):
 def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, tmp_path):
     from defcalc import cli
 
-    def broken(args):
+    def broken(args, *kernels):
         raise RuntimeError("boom")
 
-    _, min_files, max_files = cli._COMMANDS["check-dgla"]
-    monkeypatch.setitem(cli._COMMANDS, "check-dgla", (broken, min_files, max_files))
+    _, slots = cli._COMMANDS["check-dgla"]
+    monkeypatch.setitem(cli._COMMANDS, "check-dgla", (broken, slots))
     report = tmp_path / "report.json"
     code = main(["check-dgla", sample("dgla_obstructed.json"), "--report", str(report)])
     captured = capsys.readouterr()
@@ -275,8 +275,50 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     assert "Higgs" in err
 
 
-def test_wrong_kind_rejected(capsys):
-    assert main(["check-dgla", sample("cdga_interval.json")]) == 2
+# One shipped sample of each kind, in the order a wrong kind is picked.
+KIND_SAMPLES = {
+    "dgla": "dgla_contractible.json",
+    "cdga": "cdga_interval.json",
+    "linfty": "linfty_obstructed.json",
+    "hitchin-pair": "hitchin_r2_zero.json",
+    "mc-element": "mc_flow_x.json",
+    "artin": "artin_t3.json",
+}
+
+
+def slot_kinds(slot):
+    return slot.rstrip("?").split("|")
+
+
+@pytest.mark.parametrize(
+    "command, pos",
+    [(command, pos) for command, (_, slots) in _COMMANDS.items() for pos in range(len(slots))],
+)
+def test_a_file_of_the_wrong_kind_exits_two_with_one_message(capsys, tmp_path, command, pos):
+    _, slots = _COMMANDS[command]
+    kinds = slot_kinds(slots[pos])
+    wrong = next(kind for kind in KIND_SAMPLES if kind not in kinds)
+    least = sum(not slot.endswith("?") for slot in slots)
+    files = [
+        sample(KIND_SAMPLES[wrong if i == pos else slot_kinds(slots[i])[0]])
+        for i in range(max(pos + 1, least))
+    ]
+    report = tmp_path / "report.json"
+    assert main([command, *files, "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert captured.err == (
+        f"error: {files[pos]}: {command} expects kind {' or '.join(kinds)}, got {wrong!r}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["cohomology", "mc-solve"])
+def test_the_optional_cdga_file_is_checked_after_a_dgla(capsys, command):
+    linfty = sample("linfty_obstructed.json")
+    assert main([command, sample("dgla_obstructed.json"), linfty]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {linfty}: {command} expects kind cdga, got 'linfty'\n"
 
 
 def test_float_coefficients_rejected(capsys, tmp_path):

@@ -75,6 +75,19 @@ def test_graded_vector_arithmetic():
     assert GradedVector.basis("a")["z"] == 0
 
 
+def test_graded_vector_reads_only_exact_rationals():
+    assert GradedVector({"a": "-3/4", "b": "0.25", "c": 2}).coeffs == {
+        "a": Fraction(-3, 4), "b": Fraction(1, 4), "c": Fraction(2)
+    }
+    for value in (True, 0.5):
+        with pytest.raises(TypeError):
+            GradedVector({"a": value})
+    with pytest.raises(ValueError, match="exponent notation"):
+        GradedVector({"a": "1e5"})
+    with pytest.raises(ValueError, match="zero denominator"):
+        GradedVector({"a": "1/0"})
+
+
 def test_graded_map_degree_discipline():
     space = GradedSpace([("u", 0), ("v", 1), ("w", 2)])
     d = GradedMap(space, space, 1, {"u": {"v": 1}})
