@@ -9,8 +9,10 @@ layers, bottom up:
 graded   signed multilinear algebra: graded spaces, the sparse
          accumulate step and bilinear extension, the sign-tracking sort
          behind Koszul signs and exterior words, cochain cohomology with
-         class projection.
-linalg   the one exact row reduction and the solvers built on it.
+         class projection and lift, and the one single-degree preimage
+         solver.
+linalg   the one exact row reduction, rref; the kernel, independent-column
+         and prepared-solve routines read its output.
 artin    finite-dimensional local base rings (truncated polynomial style)
          and elements of m (x) V.
 dgla     differential graded Lie and commutative algebras, their axiom
@@ -75,7 +77,6 @@ from .hitchin import (
     hitchin_target,
     matrix_wedge_dgla,
     obstruction_kernel_map,
-    trace_commutator_oracle,
 )
 from .linfty import (
     LInftyMorphism,
@@ -143,7 +144,6 @@ __all__ = [
     "obstruction_kernel_map",
     "pushforward_mc",
     "tensor_cdga_dgla",
-    "trace_commutator_oracle",
     "trivial_cdga",
     "validate_artin_vector",
     "verify_homotopy_witness",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .graded import GradedVector, accumulate, as_fraction
+from .graded import GradedVector, accumulate, as_fraction, as_int
 
 # Most monomials an integer truncation may keep.  Enumerating more would
 # exhaust memory long before any computation over the algebra finished.
@@ -30,9 +30,7 @@ def monomial_key(monomial):
 
 def _exponent(e, mono):
     """e itself when it is a non-bool, non-negative int; never rounded."""
-    if isinstance(e, bool) or not isinstance(e, int):
-        raise TypeError(f"exponent {e!r} in {mono!r} is not an int")
-    if e < 0:
+    if as_int(e, "monomial exponent") < 0:
         raise ValueError(f"negative exponent in {mono!r}")
     return e
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import linalg
 from .artin import ArtinVector, validate_artin_vector
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
-from .graded import complex_cohomology, int_view
+from .graded import PreimageSolver, complex_cohomology, int_view
 
 ONE = Fraction(1)
 
@@ -414,63 +413,47 @@ def hom_dgla(space, differential):
     """Endomorphism dgla of a complex (V, d).
 
     Basis maps E[w, v] send v to w and have degree |w| - |v|; the bracket is
-    the graded commutator and the differential is [d, -].
+    the graded commutator and the differential is [d, -].  Both come from
+    E[w, v] E[y, x] = [v = y] E[w, x]: the nonzero brackets of f = E[w, v]
+    are those with g = E[v, x] or g = E[y, w], met in basis order, and
+    [d, f] = d f - (-1)^|f| f d reads the column d(w) and the row of d at v.
     """
-    V, d = space, differential
+    d = differential
     if d.degree != 1:
         raise ValueError("differential must have degree +1")
-    basis = []
-    factors = {}
-    for w in V.names:
-        for v in V.names:
-            name = hom_name(w, v)
-            basis.append((name, V.degree(w) - V.degree(v)))
-            factors[name] = (w, v)
-    hom_space = GradedSpace(basis)
-
-    def compose_basis(f, g):
-        """E-basis expansion of f o g for basis maps f = (w, v), g = (y, x)."""
-        (w, v), (y, x) = factors[f], factors[g]
-        if v == y:
-            return GradedVector.basis(hom_name(w, x))
-        return GradedVector()
-
-    def map_to_vector(cols):
-        """Hom-basis vector for the map with the given columns dict."""
-        out = {}
-        for v, image in cols.items():
-            for w, c in image.coeffs.items():
-                accumulate(out, hom_name(w, v), c)
-        return GradedVector(out)
+    names, deg = space.names, space.degrees
+    hom_space = GradedSpace([(hom_name(w, v), deg[w] - deg[v]) for w in names for v in names])
 
     brackets = {}
-    for f in hom_space.names:
-        df_deg = hom_space.degree(f)
-        for g in hom_space.names:
-            val = compose_basis(f, g) - compose_basis(g, f).scale(
-                _sign(df_deg * hom_space.degree(g))
-            )
-            if not val.is_zero():
-                brackets[(f, g)] = val
+    for w in names:
+        for v in names:
+            f, f_odd = hom_name(w, v), (deg[w] - deg[v]) % 2
+            for y in names:
+                for x in names if y == v else (w,):
+                    # [f, g] = [v = y] E[w, x] - (-1)^(|f||g|) [x = w] E[y, v]
+                    out = {hom_name(w, x): ONE} if y == v else {}
+                    if x == w:
+                        sign = ONE if f_odd and (deg[y] - deg[x]) % 2 else -ONE
+                        accumulate(out, hom_name(y, v), sign)
+                    if out:
+                        brackets[(f, hom_name(y, x))] = GradedVector.from_nonzero(out)
 
+    rows = {}  # rows[v] = [(src, d(src)[v])] in basis order
+    for src in names:
+        for v, c in d.column(src).coeffs.items():
+            rows.setdefault(v, []).append((src, c))
     columns = {}
-    for f in hom_space.names:
-        (w, v) = factors[f]
-        fdeg = hom_space.degree(f)
-        # d o f: columns of f composed with d; f o d: f applied to columns of d.
-        left = map_to_vector({v: d.column(w)})
-        right_cols = {}
-        for src in V.names:
-            img = d.column(src)
-            if img[v] != 0:
-                right_cols[src] = GradedVector({w: img[v]})
-        right = map_to_vector(right_cols)
-        img = left - right.scale(_sign(fdeg))
-        if not img.is_zero():
-            columns[f] = img
-    hom_diff = GradedMap(hom_space, hom_space, 1, columns)
-
-    return Dgla(hom_space, hom_diff, brackets)
+    for w in names:
+        dw = d.column(w).coeffs
+        for v in names:
+            # [d, f] = d f - (-1)^|f| f d
+            col = {hom_name(w2, v): c for w2, c in dw.items()}
+            odd = (deg[w] - deg[v]) % 2
+            for src, c in rows.get(v, ()):
+                col[hom_name(w, src)] = c if odd else -c
+            if col:
+                columns[hom_name(w, v)] = GradedVector.from_nonzero(col)
+    return Dgla(hom_space, GradedMap(hom_space, hom_space, 1, columns), brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -567,27 +550,6 @@ def bch_product(a, b, dgla, algebra):
 # Order-by-order Maurer-Cartan solving and gauge equivalence.
 
 
-class _DifferentialSolver:
-    """Cached exact solver for d u = v restricted to one source degree."""
-
-    def __init__(self, dgla, source_degree):
-        space = dgla.space
-        self.source_names = space.names_of_degree(source_degree)
-        self.target_names = space.names_of_degree(source_degree + 1)
-        rows = [
-            [dgla.d.column(src)[tgt] for src in self.source_names]
-            for tgt in self.target_names
-        ]
-        self.prepared = linalg.PreparedSolve(rows, len(self.source_names))
-
-    def preimage(self, vector):
-        rhs = vector.to_dense(self.target_names)
-        sol = self.prepared.solve(rhs)
-        if sol is None:
-            return None
-        return GradedVector.from_dense(self.source_names, sol)
-
-
 class ObstructionEvent:
     """One projected obstruction class met during the order-by-order lift."""
 
@@ -639,8 +601,8 @@ def mc_solve(dgla, algebra, directions=None):
     Default directions: each degree 1 cohomology representative seeded along
     the first variable of the algebra.  At every order the residual
     coefficient of each monomial is a cocycle; its class in H^2 either blocks
-    the direction (recorded, lift abandoned) or a particular preimage under d
-    is chosen by deterministic elimination and the induction continues.
+    the direction (recorded, lift abandoned) or the same solve's preimage
+    under d, free variables zero, corrects it and the induction continues.
     """
     summary = complex_cohomology(dgla.space, dgla.d)
     if directions is None:
@@ -660,7 +622,6 @@ def mc_solve(dgla, algebra, directions=None):
         if not mc_residual(x, dgla, algebra).order_part(1).is_zero():
             raise ValueError("direction is not a cocycle at first order")
 
-    solver = _DifferentialSolver(dgla, 1)
     events = []
     solutions = []
     max_order = algebra.nilpotency_order - 1
@@ -675,17 +636,12 @@ def mc_solve(dgla, algebra, directions=None):
             correction = ArtinVector()
             for mono in part.monomials_present():
                 vec = part.coefficient_vector(mono)
-                coords = summary.project(2, vec)
+                coords, pre = summary.lift(2, vec)
                 event = ObstructionEvent(idx, order, mono, coords, vec)
                 events.append(event)
                 if not event.vanishes():
                     blocked = True
                     break
-                pre = solver.preimage(vec)
-                if pre is None:
-                    raise AssertionError(
-                        "vanishing obstruction class without a preimage"
-                    )
                 correction = correction + ArtinVector(
                     {(mono, name): -c for name, c in pre.coeffs.items()}
                 )
@@ -735,7 +691,7 @@ def gauge_equivalent(x, y, dgla, algebra):
     for label, v in (("x", x), ("y", y)):
         if not is_mc(v, dgla, algebra):
             raise ValueError(f"{label} does not satisfy the Maurer-Cartan equation")
-    solver = _DifferentialSolver(dgla, 0)
+    solver = PreimageSolver(dgla.space, dgla.d, 0)
     a = ArtinVector()
     max_order = algebra.nilpotency_order - 1
     for order in range(1, max_order + 1):

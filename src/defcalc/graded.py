@@ -97,6 +97,14 @@ def as_fraction(value):
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def as_int(value, what):
+    """value itself when it is an int and not a bool; anything else raises a
+    TypeError that names the field, so 1.5 and True are never read as 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+
+
 class GradedSpace:
     """Finite graded vector space: an ordered basis of (name, degree) pairs.
 
@@ -113,7 +121,7 @@ class GradedSpace:
             if name in degrees:
                 raise ValueError(f"duplicate basis name {name!r}")
             names.append(name)
-            degrees[name] = int(degree)
+            degrees[name] = as_int(degree, "basis degree")
         self.names = tuple(names)
         self.degrees = degrees
 
@@ -246,7 +254,7 @@ class GradedMap:
     def __init__(self, source, target, degree, columns=None):
         self.source = source
         self.target = target
-        self.degree = int(degree)
+        self.degree = as_int(degree, "map degree")
         cols = {}
         if columns:
             for name, vec in columns.items():
@@ -389,20 +397,27 @@ class NotAComplexError(ValueError):
         super().__init__(f"d*d is nonzero on basis vector {witness!r}: {value!r}")
 
 
-class DegreeBlock:
-    """Cohomology data in a single degree."""
+def _block_rows(d, source_names, target_names):
+    """The matrix of d from source_names to target_names, one row per target."""
+    return [[d.column(src)[tgt] for src in source_names] for tgt in target_names]
 
-    def __init__(self, degree, dimension, representatives, basis_names, proj_matrix):
-        self.degree = degree
-        self.dimension = dimension
+
+class DegreeBlock:
+    """Cohomology data in a single degree: representatives, and the matrix
+    with columns [representatives | d(preimage_names)], where preimage_names
+    are the basis vectors one degree down at d's pivot columns."""
+
+    def __init__(self, names, representatives, proj_matrix, preimage_names):
+        self.names = names
         self.representatives = representatives
-        self._basis_names = basis_names
-        self._proj_matrix = proj_matrix
+        self.dimension = len(representatives)
+        self.proj_matrix = proj_matrix
+        self.preimage_names = preimage_names
 
     @cached_property
-    def _projector(self):
+    def projector(self):
         """Solver for the coordinates in representatives + coboundary basis."""
-        return linalg.PreparedSolve(self._proj_matrix, len(self._proj_matrix[0]))
+        return linalg.PreparedSolve(self.proj_matrix, len(self.proj_matrix[0]))
 
 
 class CohomologySummary:
@@ -411,7 +426,9 @@ class CohomologySummary:
     Representatives are cocycles whose classes form a basis of cohomology in
     each degree; they are chosen greedily in basis order, so the summary is
     reproducible.  project(degree, z) returns the coordinates of the class of
-    the cocycle z in the representative basis and is zero on coboundaries.
+    the cocycle z in the representative basis and is zero on coboundaries;
+    lift(degree, z) returns them together with a preimage of the coboundary
+    part.
     """
 
     def __init__(self, space, blocks):
@@ -434,25 +451,36 @@ class CohomologySummary:
 
     def project(self, degree, vector):
         """Coordinates of the class of a cocycle in the representative basis."""
+        return self.lift(degree, vector)[0]
+
+    def lift(self, degree, vector):
+        """(class coordinates, preimage) of a cocycle z from one solve.
+
+        z = sum of coords times representatives + d(preimage), where the
+        preimage combines only the basis vectors at d's pivot columns (free
+        variables zero).  So d(preimage) == z exactly when the class is zero.
+        """
         block = self.blocks.get(degree)
         if block is None:
             if vector.is_zero():
-                return []
+                return [], GradedVector()
             raise ValueError(f"no basis in degree {degree}")
         for name in vector.coeffs:
             if self.space.degree(name) != degree:
                 raise ValueError(
                     f"vector is not homogeneous of degree {degree}: contains {name!r}"
                 )
-        dense = vector.to_dense(block._basis_names)
-        if block._proj_matrix is None:
+        dense = vector.to_dense(block.names)
+        if block.proj_matrix is None:
             if any(c != 0 for c in dense):
                 raise ValueError("vector outside the zero cocycle space")
-            return []
-        coords = block._projector.solve(dense)
+            return [], GradedVector()
+        coords = block.projector.solve(dense)
         if coords is None:
             raise ValueError("vector is not a cocycle in this degree")
-        return coords[: block.dimension]
+        dim = block.dimension
+        preimage = {n: c for n, c in zip(block.preimage_names, coords[dim:]) if c}
+        return coords[:dim], GradedVector.from_nonzero(preimage)
 
 
 def complex_cohomology(space, differential):
@@ -460,7 +488,10 @@ def complex_cohomology(space, differential):
 
     The differential must have degree +1 and square to zero; otherwise
     NotAComplexError reports a witness basis vector.  All elimination is
-    rational with pivots in declared basis order.
+    rational with pivots in declared basis order.  Each d: degree k -> k + 1
+    is reduced once: its kernel basis spans the cocycles of degree k, and
+    its pivot columns, the greedy independent ones, the coboundaries of
+    degree k + 1.
     """
     if differential.degree != 1:
         raise ValueError(f"differential must have degree +1, got {differential.degree}")
@@ -469,36 +500,41 @@ def complex_cohomology(space, differential):
         if not dd.is_zero():
             raise NotAComplexError(name, dd)
 
-    degrees = space.degrees_present()
     blocks = {}
-    for deg in degrees:
-        basis_here = space.names_of_degree(deg)
-        basis_above = space.names_of_degree(deg + 1)
-        basis_below = space.names_of_degree(deg - 1)
-        n = len(basis_here)
-        if n == 0:
-            continue
-
-        d_rows = [
-            [differential.column(src)[tgt] for src in basis_here] for tgt in basis_above
+    pivot_names = {}  # degree k + 1 -> names of degree k at the pivots of d
+    for deg in space.degrees_present():
+        here = space.names_of_degree(deg)
+        n = len(here)
+        red, pivots = linalg.rref(
+            _block_rows(differential, here, space.names_of_degree(deg + 1)), n
+        )
+        pivot_names[deg + 1] = [here[p] for p in pivots]
+        below = pivot_names.get(deg, [])
+        image_basis = [differential.column(src).to_dense(here) for src in below]
+        kernel_cols = linalg.kernel_basis(red, pivots, n)
+        rep_cols = [
+            kernel_cols[i] for i in linalg.extend_independent(image_basis, kernel_cols, n)
         ]
-        kernel_cols = linalg.nullspace(d_rows, n)
-
-        image_cols = []
-        for src in basis_below:
-            col = differential.column(src)
-            if not col.is_zero():
-                image_cols.append(col.to_dense(basis_here))
-        kept = linalg.extend_independent([], image_cols, n)
-        image_basis = [image_cols[i] for i in kept]
-
-        rep_idx = linalg.extend_independent(image_basis, kernel_cols, n)
-        rep_cols = [kernel_cols[i] for i in rep_idx]
-        representatives = [GradedVector.from_dense(basis_here, col) for col in rep_cols]
-
+        representatives = [GradedVector.from_dense(here, col) for col in rep_cols]
         span_cols = rep_cols + image_basis
         proj_matrix = linalg.matrix_from_columns(span_cols, n) if span_cols else None
-        blocks[deg] = DegreeBlock(
-            deg, len(rep_cols), representatives, basis_here, proj_matrix
-        )
+        blocks[deg] = DegreeBlock(here, representatives, proj_matrix, below)
     return CohomologySummary(space, blocks)
+
+
+class PreimageSolver:
+    """d u = v for u in one degree: d is reduced once, then each v costs a
+    matrix-vector product.  The preimage has its free variables set to
+    zero, the one combination of the basis vectors at d's pivot columns;
+    None when v is not in the image."""
+
+    def __init__(self, space, d, degree):
+        self.source_names = names = space.names_of_degree(degree)
+        self.target_names = space.names_of_degree(degree + 1)
+        self.prepared = linalg.PreparedSolve(_block_rows(d, names, self.target_names), len(names))
+
+    def preimage(self, vector):
+        sol = self.prepared.solve(vector.to_dense(self.target_names))
+        if sol is None:
+            return None
+        return GradedVector.from_dense(self.source_names, sol)

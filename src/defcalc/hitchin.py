@@ -24,12 +24,11 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .artin import ArtinVector
-from .dgla import CheckReport, Dgla, mc_residual, tensor_cdga_dgla, tensor_name
-from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_fraction, int_view
+from .dgla import Dgla, mc_residual, tensor_cdga_dgla, tensor_name
+from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_int, int_view
 from .graded import complex_cohomology, wedge_word
 from .linfty import LInftyMorphism, linfty_from_dgla, pushforward_series
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -75,7 +74,7 @@ class HitchinPair:
     """
 
     def __init__(self, rank, l_space, theta):
-        rank = int(rank)
+        rank = as_int(rank, "rank")
         if rank < 1:
             raise ValueError("rank must be a positive integer")
         if rank > 9:
@@ -496,75 +495,3 @@ def obstruction_kernel_map(cocycle, morphism, target_cohomology=None):
         target = morphism.target_dgla
         target_cohomology = complex_cohomology(target.space, target.d)
     return target_cohomology.project(2, image)
-
-
-def _fraction_matrix(rows):
-    mat = tuple(tuple(as_fraction(v) for v in row) for row in rows)
-    r = len(mat)
-    if any(len(row) != r for row in mat):
-        raise ValueError("expected a square matrix")
-    return mat, r
-
-
-def _poly_entry_mul(e1, e2, dest):
-    """Entries in Q[t]: keys are t-degrees."""
-    for d1, c1 in e1.items():
-        for d2, c2 in e2.items():
-            accumulate(dest, d1 + d2, c1 * c2)
-
-
-def _poly_matrix(mat, degree):
-    """A square matrix of rationals times t^degree."""
-    return {
-        (i, j): {degree: c} for i, row in enumerate(mat) for j, c in enumerate(row) if c
-    }
-
-
-def _commutator(m1, m2):
-    out = _mat_mul(m1, m2, _poly_entry_mul)
-    for key, entry in _mat_mul(m2, m1, _poly_entry_mul).items():
-        for d, c in entry.items():
-            accumulate(out.setdefault(key, {}), d, -c)
-    return out
-
-
-def trace_commutator_oracle(a_rows, b_rows, k):
-    """First-order trace invariance of conjugation directions.
-
-    Expands (A + t[B, A])^k with polynomial entries, takes the coefficient
-    of t, and checks the matrix identity  coefficient = [B, A^k]  together
-    with the vanishing of its trace.  Both checks are exact; the report
-    carries the failing positions if any.
-    """
-    a_mat, r = _fraction_matrix(a_rows)
-    b_mat, r2 = _fraction_matrix(b_rows)
-    if r != r2:
-        raise ValueError("matrix sizes differ")
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    a_poly, tb = _poly_matrix(a_mat, 0), _poly_matrix(b_mat, 1)
-    poly = _commutator(tb, a_poly)  # t [B, A]; adding A touches only t^0
-    for key, entry in a_poly.items():
-        poly.setdefault(key, {}).update(entry)
-    power, a_power = poly, a_poly
-    for _ in range(k - 1):
-        power = _mat_mul(power, poly, _poly_entry_mul)
-        a_power = _mat_mul(a_power, a_poly, _poly_entry_mul)
-    expected = _commutator(tb, a_power)
-
-    def t_part(m, i, j):
-        return m.get((i, j), {}).get(1, ZERO)
-
-    t_coeff = tuple(tuple(t_part(power, i, j) for j in range(r)) for i in range(r))
-    mismatches = [
-        (i, j)
-        for i in range(r)
-        for j in range(r)
-        if t_coeff[i][j] != t_part(expected, i, j)
-    ]
-    if mismatches:
-        return CheckReport.failed("t-coefficient", tuple(mismatches), t_coeff)
-    trace = sum(t_coeff[i][i] for i in range(r))
-    if trace != 0:
-        return CheckReport.failed("trace", (k,), trace)
-    return CheckReport.passed()

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Small dense routines backing cohomology, obstruction projection and the
-order-by-order solvers.  Matrices are lists of rows of Fractions.  Pivot
-selection is always the first nonzero entry in scan order, so every routine
-is deterministic for a fixed input.
+order-by-order solvers.  Matrices are lists of rows of Fractions.  rref is
+the one elimination; every other routine reads its output.  Pivot selection
+is always the first nonzero entry in scan order, so every routine is
+deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -57,27 +58,26 @@ def rank(rows):
     return len(rref(rows)[1])
 
 
-def nullspace(rows, ncols):
-    """Basis of the kernel of the matrix, as column vectors of length ncols.
-
-    One basis vector per free column, free variable set to 1, in increasing
-    column order.
-    """
-    if ncols == 0:
-        return []
-    if not rows:
-        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(rows)
+def kernel_basis(red, pivots, ncols):
+    """Kernel basis read off a reduction (red, pivots) of a matrix with ncols
+    columns: one vector per free column, free variable set to 1, in
+    increasing column order."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         vec = [ZERO] * ncols
         vec[fc] = ONE
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
+
+
+def nullspace(rows, ncols):
+    """Basis of the kernel of the matrix, as column vectors of length ncols."""
+    return kernel_basis(*rref(rows, ncols), ncols)
 
 
 def solve(rows, rhs, ncols):
@@ -134,26 +134,10 @@ class PreparedSolve:
 def extend_independent(base_cols, candidate_cols, nrows):
     """Indices of candidates that extend base_cols to a larger independent set.
 
-    Scans candidates in order and keeps the greedy ones; deterministic.  Each
-    column is reduced against the echelon rows kept so far (each row is 1 at
-    its pivot and 0 at the pivots of the rows before it) and is independent
-    exactly when something is left.
+    These are the greedy ones in candidate order: the pivot columns of
+    rref([base | candidates]) that lie past the base.
     """
-    echelon = []
-
-    def add_if_independent(col):
-        vec = list(col)
-        for pivot, row in echelon:
-            factor = vec[pivot]
-            if factor != 0:
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        pivot = next((i for i in range(nrows) if vec[i] != 0), None)
-        if pivot is None:
-            return False
-        inv = ONE / vec[pivot]
-        echelon.append((pivot, [a * inv for a in vec]))
-        return True
-
-    for col in base_cols:
-        add_if_independent(col)
-    return [idx for idx, cand in enumerate(candidate_cols) if add_if_independent(cand)]
+    nbase = len(base_cols)
+    cols = list(base_cols) + list(candidate_cols)
+    pivots = rref(matrix_from_columns(cols, nrows))[1]
+    return [p - nbase for p in pivots if p >= nbase]

@@ -18,10 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from . import linalg
 from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
 from .dgla import CheckReport
-from .graded import GradedSpace, GradedVector, accumulate, as_fraction, int_view
+from .graded import GradedMap, GradedSpace, GradedVector, PreimageSolver, accumulate
+from .graded import as_fraction, as_int, int_view
 from .graded import koszul_sign, signed_sort_keyed
 
 ONE = Fraction(1)
@@ -127,7 +127,7 @@ class LInftyStructure:
     def __init__(self, space, brackets):
         self.space = space
         self.sdeg = sdeg = shifted_degrees(space)
-        tables = {int(k): _word_table(int(k), entries, sdeg, sdeg, 1)
+        tables = {as_int(k, "bracket arity"): _word_table(k, entries, sdeg, sdeg, 1)
                   for k, entries in brackets.items()}
         self.brackets = {k: table for k, table in tables.items() if table}
 
@@ -321,7 +321,7 @@ class LInftyMorphism:
             self._generator = components
         else:
             tables = {
-                int(k): _word_table(int(k), entries, source.sdeg, target.sdeg, 0)
+                as_int(k, "component arity"): _word_table(k, entries, source.sdeg, target.sdeg, 0)
                 for k, entries in components.items()
             }
             self._generator = lambda k, word: tables.get(k, {}).get(word)
@@ -592,8 +592,8 @@ class PolyPath:
     """
 
     def __init__(self, even, odd):
-        self.even = {int(m): v for m, v in even.items() if not v.is_zero()}
-        self.odd = {int(m): v for m, v in odd.items() if not v.is_zero()}
+        self.even = {as_int(m, "t-degree"): v for m, v in even.items() if not v.is_zero()}
+        self.odd = {as_int(m, "t-degree"): v for m, v in odd.items() if not v.is_zero()}
 
     def max_t_degree(self):
         return max([*self.even, *self.odd], default=0)
@@ -686,22 +686,13 @@ def abelian_homotopy_witness(x, y, structure, algebra):
     validate_artin_vector(x, algebra, structure.space, degree=1)
     validate_artin_vector(y, algebra, structure.space, degree=1)
     space = structure.space
-    source_names = space.names_of_degree(0)
-    target_names = space.names_of_degree(1)
-    q1 = structure.brackets.get(1, {})
-    rows = [
-        [q1.get((src,), GradedVector())[tgt] for src in source_names]
-        for tgt in target_names
-    ]
-    prepared = linalg.PreparedSolve(rows, len(source_names))
+    q1 = {src: vec for (src,), vec in structure.brackets.get(1, {}).items()}
+    solver = PreimageSolver(space, GradedMap(space, space, 1, q1), 0)
     diff = x - y
     odd_terms = {}
     for mono in diff.monomials_present():
-        vec = diff.coefficient_vector(mono)
-        sol = prepared.solve(vec.to_dense(target_names))
-        if sol is None:
+        pre = solver.preimage(diff.coefficient_vector(mono))
+        if pre is None:
             return None
-        for name, c in zip(source_names, sol):
-            if c != 0:
-                odd_terms[(mono, name)] = c
+        odd_terms.update(((mono, name), c) for name, c in pre.coeffs.items())
     return PolyPath(even={0: x, 1: y - x}, odd={0: ArtinVector.from_nonzero(odd_terms)})

@@ -41,7 +41,6 @@ from defcalc.hitchin import (
     matrix_wedge_dgla,
     obstruction_kernel_map,
     sym_name,
-    trace_commutator_oracle,
 )
 from defcalc.linfty import (
     check_codifferential,
@@ -49,6 +48,7 @@ from defcalc.linfty import (
     linfty_from_dgla,
     pushforward_mc,
 )
+from test_hitchin import trace_commutator_oracle
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

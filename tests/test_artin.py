@@ -183,3 +183,9 @@ def test_library_never_rounds_exponents_or_takes_bools():
         with pytest.raises(TypeError):
             make_artin(("t",), truncation)
     assert make_artin(("t",), 2) == ArtinAlgebra(("t",), [(0,), (1,)])
+
+
+@pytest.mark.parametrize("exponent", [1.7, True, "1"])
+def test_exponent_error_names_the_field(exponent):
+    with pytest.raises(TypeError, match="monomial exponent must be an int"):
+        ArtinAlgebra(("s", "t"), [(0, 0), (0, exponent)])

@@ -17,14 +17,16 @@ from defcalc.dgla import (
     gauge_act,
     gauge_equivalent,
     hom_dgla,
+    hom_name,
     is_mc,
     mc_residual,
     mc_solve,
     tensor_cdga_dgla,
     trivial_cdga,
 )
-from defcalc.graded import GradedMap, GradedSpace, GradedVector
+from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate
 from defcalc.hitchin import HitchinPair, build_hitchin_dgla, matrix_wedge_dgla
+from test_graded import random_complex
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +474,67 @@ def test_hom_dgla_random_complexes():
                 columns[f"u{i}"] = col
         h = hom_dgla(space, GradedMap(space, space, 1, columns))
         assert check_dgla(h).ok
+
+
+def dense_hom_dgla(space, d):
+    """The former hom_dgla: every pair of basis maps through the composition
+    of basis maps, and [d, f] from d o f and f o d as whole maps."""
+
+    def compose_basis(f, g):
+        (w, v), (y, x) = factors[f], factors[g]
+        return GradedVector.basis(hom_name(w, x)) if v == y else GradedVector()
+
+    def map_to_vector(cols):
+        out = {}
+        for v, image in cols.items():
+            for w, c in image.coeffs.items():
+                accumulate(out, hom_name(w, v), c)
+        return GradedVector(out)
+
+    basis, factors = [], {}
+    for w in space.names:
+        for v in space.names:
+            basis.append((hom_name(w, v), space.degree(w) - space.degree(v)))
+            factors[hom_name(w, v)] = (w, v)
+    hom_space = GradedSpace(basis)
+    sign = lambda e: -1 if e % 2 else 1
+    brackets = {}
+    for f in hom_space.names:
+        for g in hom_space.names:
+            s = sign(hom_space.degree(f) * hom_space.degree(g))
+            val = compose_basis(f, g) - compose_basis(g, f).scale(s)
+            if not val.is_zero():
+                brackets[(f, g)] = val
+    columns = {}
+    for f in hom_space.names:
+        w, v = factors[f]
+        left = map_to_vector({v: d.column(w)})
+        right_cols = {}
+        for src in space.names:
+            img = d.column(src)
+            if img[v] != 0:
+                right_cols[src] = GradedVector({w: img[v]})
+        img = left - map_to_vector(right_cols).scale(sign(hom_space.degree(f)))
+        if not img.is_zero():
+            columns[f] = img
+    return Dgla(hom_space, GradedMap(hom_space, hom_space, 1, columns), brackets)
+
+
+def table_items(table):
+    return [(key, list(vec.coeffs.items())) for key, vec in table.items()]
+
+
+def test_hom_dgla_matches_dense_oracle():
+    rng = random.Random(4040)
+    sizes = set()
+    for _ in range(300):
+        space, d = random_complex(rng, max_dim=2)
+        h, oracle = hom_dgla(space, d), dense_hom_dgla(space, d)
+        assert h.space == oracle.space
+        assert table_items(h.brackets) == table_items(oracle.brackets)
+        assert table_items(h.d.columns) == table_items(oracle.d.columns)
+        sizes.add(len(space))
+    assert {0, 1, 6} <= sizes
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from defcalc import linalg
 from defcalc.graded import (
     CohomologySummary,
     GradedMap,
     GradedSpace,
     GradedVector,
     NotAComplexError,
+    PreimageSolver,
+    as_int,
     complex_cohomology,
     koszul_sign,
     signed_sort,
     wedge_word,
 )
+from test_linalg import incremental_extend_independent
 
 
 def compose_perm(p, q):
@@ -206,3 +210,193 @@ def test_random_two_step_complexes_have_consistent_euler_characteristic():
         for degree in summary.degrees():
             for rep in summary.representatives(degree):
                 assert d.apply(rep).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the one-reduction cohomology: the former two-pass
+# complex_cohomology (nullspace for the kernel, one extend_independent for
+# the image, another for the representatives), built on the former
+# incremental extend_independent, and the former per-degree preimage solver.
+
+
+def d_rows(d, source_names, target_names):
+    return [[d.column(src)[tgt] for src in source_names] for tgt in target_names]
+
+
+def two_pass_cohomology(space, d):
+    """degree -> (representatives, projector matrix columns, dimension)."""
+    out = {}
+    for deg in space.degrees_present():
+        here = space.names_of_degree(deg)
+        n = len(here)
+        kernel_cols = linalg.nullspace(d_rows(d, here, space.names_of_degree(deg + 1)), n)
+        image_cols = [
+            d.column(src).to_dense(here)
+            for src in space.names_of_degree(deg - 1)
+            if not d.column(src).is_zero()
+        ]
+        image_basis = [image_cols[i] for i in incremental_extend_independent([], image_cols, n)]
+        rep_cols = [
+            kernel_cols[i]
+            for i in incremental_extend_independent(image_basis, kernel_cols, n)
+        ]
+        reps = [GradedVector.from_dense(here, col) for col in rep_cols]
+        out[deg] = (reps, rep_cols + image_basis, len(rep_cols))
+    return out
+
+
+def per_degree_preimage(space, d, degree, vector):
+    """The former dgla._DifferentialSolver(dgla, degree).preimage."""
+    source, target = space.names_of_degree(degree), space.names_of_degree(degree + 1)
+    sol = linalg.PreparedSolve(d_rows(d, source, target), len(source)).solve(
+        vector.to_dense(target)
+    )
+    return None if sol is None else GradedVector.from_dense(source, sol)
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0)
+
+
+def random_complex(rng, max_dim=3):
+    """A seeded cochain complex over a few consecutive degrees, its basis
+    shuffled across degrees.  Each d_k is a random combination of the rows
+    that kill the image of d_(k-1), so d d = 0; dimensions may be 0 (an
+    empty degree), d may be zero, and columns of d are often dependent."""
+    low = rng.randint(-2, 1)
+    dims = [rng.randint(0, max_dim) for _ in range(rng.randint(1, 5))]
+    names = {low + k: [f"b{low + k}_{i}" for i in range(n)] for k, n in enumerate(dims)}
+    zero = rng.random() < 0.1
+    columns = {}
+    prev = []  # d_(k-1) as rows over the names of degree k
+    for k in sorted(names):
+        here, above = names[k], names.get(k + 1, [])
+        # the vectors q with q . d_(k-1) = 0 span the allowed rows of d_k
+        allowed = linalg.nullspace(
+            [[row[j] for row in prev] for j in range(len(prev[0]))] if prev and prev[0] else [],
+            len(here),
+        )
+        rows = []
+        for _ in above:
+            row = [Fraction(0)] * len(here)
+            for q in allowed:
+                c = Fraction(0) if zero else random_rational(rng)
+                row = [a + c * b for a, b in zip(row, q)]
+            rows.append(row)
+        for j, src in enumerate(here):
+            col = {tgt: rows[i][j] for i, tgt in enumerate(above) if rows[i][j]}
+            if col:
+                columns[src] = col
+        prev = rows
+    basis = [(name, k) for k in names for name in names[k]]
+    rng.shuffle(basis)
+    space = GradedSpace(basis)
+    return space, GradedMap(space, space, 1, columns)
+
+
+def combination(vectors, coords):
+    out = GradedVector()
+    for v, c in zip(vectors, coords):
+        out = out + v.scale(c)
+    return out
+
+
+def random_combination(rng, vectors):
+    return combination(vectors, [random_rational(rng) for _ in vectors])
+
+
+def test_one_reduction_cohomology_matches_two_pass_oracle():
+    rng = random.Random(1212)
+    seen = {"zero class": 0, "nonzero class": 0, "dependent image": 0, "empty": 0}
+    for _ in range(250):
+        space, d = random_complex(rng)
+        if not len(space):
+            seen["empty"] += 1
+        summary = complex_cohomology(space, d)
+        oracle = two_pass_cohomology(space, d)
+        assert summary.degrees() == sorted(oracle)
+        for deg, (reps, span_cols, dim) in oracle.items():
+            here = space.names_of_degree(deg)
+            below = space.names_of_degree(deg - 1)
+            assert summary.dimension(deg) == dim
+            assert [list(r.coeffs.items()) for r in summary.representatives(deg)] == [
+                list(r.coeffs.items()) for r in reps
+            ]
+            images = [d.column(src) for src in below]
+            if sum(1 for v in images if v) > len(span_cols) - dim:
+                seen["dependent image"] += 1
+            cocycles = [GradedVector.from_dense(here, col) for col in span_cols]
+            for _ in range(3):
+                u = random_combination(rng, [GradedVector.basis(src) for src in below])
+                z = random_combination(rng, cocycles[:dim]) + d.apply(u)
+                coords, pre = summary.lift(deg, z)
+                expected = []
+                if span_cols:
+                    expected = linalg.PreparedSolve(
+                        linalg.matrix_from_columns(span_cols, len(here)), len(span_cols)
+                    ).solve(z.to_dense(here))[:dim]
+                assert coords == expected == summary.project(deg, z)
+                boundary = z - combination(reps, coords)
+                assert d.apply(pre) == boundary
+                assert pre == per_degree_preimage(space, d, deg - 1, boundary)
+                solved = linalg.solve(d_rows(d, below, here), boundary.to_dense(here), len(below))
+                assert pre == GradedVector.from_dense(below, solved)
+                if all(c == 0 for c in coords):
+                    seen["zero class"] += 1
+                    assert d.apply(pre) == z
+                else:
+                    seen["nonzero class"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_preimage_solver_matches_per_degree_oracle():
+    rng = random.Random(3434)
+    outcomes = set()
+    for _ in range(200):
+        space, d = random_complex(rng)
+        for deg in range(-3, 6):
+            solver = PreimageSolver(space, d, deg)
+            source, target = space.names_of_degree(deg), space.names_of_degree(deg + 1)
+            for _ in range(2):
+                v = random_combination(rng, [GradedVector.basis(n) for n in target])
+                if rng.random() < 0.5:
+                    v = d.apply(random_combination(rng, [GradedVector.basis(n) for n in source]))
+                pre = solver.preimage(v)
+                assert pre == per_degree_preimage(space, d, deg, v)
+                solved = linalg.solve(d_rows(d, source, target), v.to_dense(target), len(source))
+                if pre is None:
+                    assert solved is None
+                else:
+                    assert pre == GradedVector.from_dense(source, solved)
+                    assert d.apply(pre) == v
+                outcomes.add(pre is None)
+    assert outcomes == {True, False}
+
+
+def test_lift_on_the_frozen_projection_complex():
+    space, d = make_complex([("u", 0), ("v", 1), ("z", 1)], {"u": {"v": 2}})
+    summary = complex_cohomology(space, d)
+    assert summary.lift(1, GradedVector({"z": 2, "v": 5})) == (
+        [Fraction(2)], GradedVector({"u": Fraction(5, 2)})
+    )
+    assert summary.lift(0, GradedVector()) == ([], GradedVector())
+    assert summary.lift(7, GradedVector()) == ([], GradedVector())
+
+
+@pytest.mark.parametrize("value", [1.5, True, "x", None])
+def test_graded_space_degrees_are_ints(value):
+    with pytest.raises(TypeError, match="basis degree must be an int"):
+        GradedSpace([("a", value)])
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"])
+def test_graded_map_degree_is_an_int(value):
+    space = GradedSpace([("a", 0)])
+    with pytest.raises(TypeError, match="map degree must be an int"):
+        GradedMap(space, space, value)
+
+
+def test_as_int_passes_ints_through():
+    assert as_int(-3, "x") == -3
+    with pytest.raises(TypeError, match=r"^field must be an int, got bool$"):
+        as_int(False, "field")

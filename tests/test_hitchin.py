@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from defcalc.artin import ArtinVector, make_artin
-from defcalc.dgla import Cdga, check_dgla, mc_solve, trivial_cdga
-from defcalc.graded import GradedMap, GradedSpace, GradedVector, complex_cohomology
+from defcalc.dgla import Cdga, CheckReport, check_dgla, mc_solve, trivial_cdga
+from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate, as_fraction
+from defcalc.graded import complex_cohomology
 from defcalc.hitchin import (
     HiggsFieldError,
     HitchinPair,
@@ -21,7 +22,6 @@ from defcalc.hitchin import (
     matrix_wedge_dgla,
     obstruction_kernel_map,
     sym_name,
-    trace_commutator_oracle,
     wedge_suffix,
 )
 from defcalc.linfty import check_linfty_morphism, pushforward_mc
@@ -298,6 +298,92 @@ def test_obstruction_kernel_map_validation():
         obstruction_kernel_map(GradedVector({"w*E12^l1": 1}), morphism2)
 
 
+# ---------------------------------------------------------------------------
+# Acceptance criterion 3's oracle: first-order trace invariance of
+# conjugation directions, by plain polynomial matrix arithmetic.
+
+
+def _fraction_matrix(rows):
+    mat = tuple(tuple(as_fraction(v) for v in row) for row in rows)
+    r = len(mat)
+    if any(len(row) != r for row in mat):
+        raise ValueError("expected a square matrix")
+    return mat, r
+
+
+def _poly_entry_mul(e1, e2, dest):
+    """Entries in Q[t]: keys are t-degrees."""
+    for d1, c1 in e1.items():
+        for d2, c2 in e2.items():
+            accumulate(dest, d1 + d2, c1 * c2)
+
+
+def _poly_mat_mul(m1, m2):
+    out = {}
+    for (i, j), e1 in m1.items():
+        for (k, l), e2 in m2.items():
+            if j == k:
+                _poly_entry_mul(e1, e2, out.setdefault((i, l), {}))
+    return {key: entry for key, entry in out.items() if entry}
+
+
+def _poly_matrix(mat, degree):
+    """A square matrix of rationals times t^degree."""
+    return {
+        (i, j): {degree: c} for i, row in enumerate(mat) for j, c in enumerate(row) if c
+    }
+
+
+def _commutator(m1, m2):
+    out = _poly_mat_mul(m1, m2)
+    for key, entry in _poly_mat_mul(m2, m1).items():
+        for d, c in entry.items():
+            accumulate(out.setdefault(key, {}), d, -c)
+    return out
+
+
+def trace_commutator_oracle(a_rows, b_rows, k):
+    """First-order trace invariance of conjugation directions.
+
+    Expands (A + t[B, A])^k with polynomial entries, takes the coefficient
+    of t, and checks the matrix identity  coefficient = [B, A^k]  together
+    with the vanishing of its trace.  Both checks are exact; the report
+    carries the failing positions if any.
+    """
+    a_mat, r = _fraction_matrix(a_rows)
+    b_mat, r2 = _fraction_matrix(b_rows)
+    if r != r2:
+        raise ValueError("matrix sizes differ")
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    a_poly, tb = _poly_matrix(a_mat, 0), _poly_matrix(b_mat, 1)
+    poly = _commutator(tb, a_poly)  # t [B, A]; adding A touches only t^0
+    for key, entry in a_poly.items():
+        poly.setdefault(key, {}).update(entry)
+    power, a_power = poly, a_poly
+    for _ in range(k - 1):
+        power = _poly_mat_mul(power, poly)
+        a_power = _poly_mat_mul(a_power, a_poly)
+    expected = _commutator(tb, a_power)
+
+    def t_part(m, i, j):
+        return m.get((i, j), {}).get(1, Fraction(0))
+
+    t_coeff = tuple(tuple(t_part(power, i, j) for j in range(r)) for i in range(r))
+    mismatches = [
+        (i, j)
+        for i in range(r)
+        for j in range(r)
+        if t_coeff[i][j] != t_part(expected, i, j)
+    ]
+    if mismatches:
+        return CheckReport.failed("t-coefficient", tuple(mismatches), t_coeff)
+    trace = sum(t_coeff[i][i] for i in range(r))
+    if trace != 0:
+        return CheckReport.failed("trace", (k,), trace)
+    return CheckReport.passed()
+
+
 def test_trace_commutator_oracle_frozen():
     a = [[0, 1], [0, 0]]
     b = [[1, 0], [0, 0]]
@@ -314,3 +400,9 @@ def test_trace_commutator_oracle_random():
         b = [[Fraction(rng.randint(-3, 3)) for _ in range(r)] for _ in range(r)]
         report = trace_commutator_oracle(a, b, k)
         assert report.ok, (report.axiom, report.witness)
+
+
+@pytest.mark.parametrize("rank", [2.0, True, "2"])
+def test_rank_is_an_int(rank):
+    with pytest.raises(TypeError, match="rank must be an int"):
+        HitchinPair(rank, one_letter_space(), [[{}, {}], [{}, {}]])

@@ -22,6 +22,28 @@ def rank_per_candidate(base_cols, candidate_cols, nrows):
     return kept
 
 
+def incremental_extend_independent(base_cols, candidate_cols, nrows):
+    """The former extend_independent: each column is reduced against the
+    echelon rows kept so far and is independent when something is left."""
+    echelon = []
+
+    def add_if_independent(col):
+        vec = list(col)
+        for pivot, row in echelon:
+            factor = vec[pivot]
+            if factor != 0:
+                vec = [a - factor * b for a, b in zip(vec, row)]
+        pivot = next((i for i in range(nrows) if vec[i] != 0), None)
+        if pivot is None:
+            return False
+        echelon.append((pivot, [a / vec[pivot] for a in vec]))
+        return True
+
+    for col in base_cols:
+        add_if_independent(col)
+    return [idx for idx, cand in enumerate(candidate_cols) if add_if_independent(cand)]
+
+
 def random_column(rng, nrows, earlier):
     """A sparse rational column, or a combination of earlier ones."""
     if earlier and rng.random() < 0.3:
@@ -46,12 +68,15 @@ def test_extend_independent_matches_rank_oracle():
             cols.append(random_column(rng, nrows, cols))
         split = rng.randint(0, len(cols))
         cases.append((cols[:split], cols[split:], nrows))
-    deficient = 0
+    deficient = dependent_base = 0
     for base, candidates, nrows in cases:
         kept = linalg.extend_independent(base, candidates, nrows)
         assert kept == rank_per_candidate(base, candidates, nrows)
+        assert kept == incremental_extend_independent(base, candidates, nrows)
         deficient += len(kept) < len(candidates)
-    assert deficient > 50
+        if base:
+            dependent_base += linalg.rank(linalg.matrix_from_columns(base, nrows)) < len(base)
+    assert deficient > 50 and dependent_base > 20
 
 
 def random_system(rng):
@@ -91,3 +116,14 @@ def test_rref_pivots_only_in_the_allowed_columns():
     assert pivots == [1]
     assert red == [[0, 1, 2], [0, 0, 1]]
     assert linalg.rref(rows)[1] == [1, 2]
+
+
+def test_nullspace_is_the_kernel_read_off_rref():
+    rng = random.Random(808)
+    for _ in range(200):
+        rows, ncols, _ = random_system(rng)
+        basis = linalg.nullspace(rows, ncols)
+        assert len(basis) == ncols - (linalg.rank(rows) if rows else 0)
+        for vec in basis:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+        assert basis == linalg.kernel_basis(*linalg.rref(rows, ncols), ncols)

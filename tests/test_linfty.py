@@ -628,3 +628,26 @@ def test_pushforward_of_solver_output():
     result = mc_solve(model, algebra)
     for x in result.solutions:
         assert pushforward_mc(identity, x, algebra) == x
+
+
+@pytest.mark.parametrize("key", [1.0, True, "1"])
+def test_bracket_arities_are_ints(key):
+    space = GradedSpace([("a", 1), ("b", 2)])
+    with pytest.raises(TypeError, match="bracket arity must be an int"):
+        LInftyStructure(space, {key: {("a",): {"b": 1}}})
+
+
+@pytest.mark.parametrize("key", [1.0, True, "1"])
+def test_component_arities_are_ints(key):
+    source = LInftyStructure(GradedSpace([("a", 1)]), {})
+    with pytest.raises(TypeError, match="component arity must be an int"):
+        LInftyMorphism(source, source, {key: {("a",): {"a": 1}}})
+
+
+@pytest.mark.parametrize("tdeg", [0.0, False, "0"])
+def test_path_t_degrees_are_ints(tdeg):
+    x = ArtinVector.single((1,), "a")
+    with pytest.raises(TypeError, match="t-degree must be an int"):
+        PolyPath({tdeg: x}, {})
+    with pytest.raises(TypeError, match="t-degree must be an int"):
+        PolyPath({}, {tdeg: x})
