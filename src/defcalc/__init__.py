@@ -25,15 +25,17 @@ linfty   the same homotopical data as coderivations of the reduced
          Maurer-Cartan residual, the pushforward of Maurer-Cartan elements
          and homotopies over a polynomial-in-t extension of the base.
 hitchin  the matrix-valued models: a square matrix of anticommuting
-         one-letter forms, the associated dgla, the family of trace maps
-         into an abelian target (one sparse matrix product and trace over
-         any coefficient ring), and the obstruction-kernel consequence.
+         one-letter forms with theta ^ theta = 0, the associated dgla, the
+         family of trace maps into an abelian target (one sparse matrix
+         product, behind the theta ^ theta check and every trace, over any
+         coefficient ring), and the obstruction-kernel consequence.
 cli      batch front end over JSON documents with deterministic reports.
 """
 
 from .artin import (
     ArtinAlgebra,
     ArtinVector,
+    artin_multiply,
     make_artin,
     validate_artin_vector,
 )
@@ -115,6 +117,7 @@ __all__ = [
     "ObstructionEvent",
     "PolyPath",
     "abelian_homotopy_witness",
+    "artin_multiply",
     "bch_product",
     "bracket_artin",
     "build_hitchin_dgla",

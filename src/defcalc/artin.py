@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .graded import GradedVector, accumulate, as_fraction, as_int
+from .graded import GradedVector, accumulate, as_fraction, as_int, mapping_items
 
 # Most monomials an integer truncation may keep.  Enumerating more would
 # exhaust memory long before any computation over the algebra finished.
@@ -152,7 +152,9 @@ class ArtinVector:
     def __init__(self, terms=None):
         data = {}
         if terms:
-            for key, value in terms.items():
+            for key, value in mapping_items(terms):
+                if type(key) is not tuple:
+                    raise TypeError(f"a term key must be a (monomial, name) pair, got {key!r}")
                 mono, name = key
                 c = as_fraction(value)
                 if c != 0:
@@ -195,9 +197,6 @@ class ArtinVector:
         if factor == 0:
             return ArtinVector()
         return ArtinVector.from_nonzero({k: factor * c for k, c in self.terms.items()})
-
-    def __rmul__(self, factor):
-        return self.scale(factor)
 
     def __eq__(self, other):
         return isinstance(other, ArtinVector) and self.terms == other.terms

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .artin import ArtinVector, validate_artin_vector
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
-from .graded import PreimageSolver, complex_cohomology, int_view
+from .graded import PreimageSolver, complex_cohomology, int_view, mapping_items
 
 ONE = Fraction(1)
 
@@ -54,23 +54,26 @@ def _sign(exponent):
 
 
 def _complete_skew(space, table, sign_rule, label):
-    """Drop zero entries, check names, then fill in missing mirror entries.
+    """Drop zero entries, check keys and names, then fill in missing mirror
+    entries.
 
-    Names must exist; they are checked before any mirror is formed, so an
-    unknown name is a ValueError.  Degrees are not checked here, so that
-    broken presentations can be constructed and then reported on: check_dgla
-    and check_cdga report an entry outside degree |a| + |b| as the degree
-    axiom.  sign_rule(da, db) gives the factor relating the (b, a) entry to the
+    Keys must be pairs of existing names; both are checked before any
+    mirror is formed, so a bad key is a ValueError.  Degrees are not checked
+    here, so that broken presentations can be constructed and then reported
+    on: check_dgla and check_cdga report an entry outside degree |a| + |b|
+    as the degree axiom.  sign_rule(da, db) gives the factor relating the (b, a) entry to the
     (a, b) entry.  Explicitly given mirrors are kept as is; consistency is
     the checker's job, not the constructor's.
     """
     out = {}
-    for (a, b), vec in table.items():
+    for key, vec in mapping_items(table):
+        if type(key) is not tuple or len(key) != 2:
+            raise ValueError(f"{label} key {key!r} is not a pair of basis names")
         if not isinstance(vec, GradedVector):
             vec = GradedVector(vec)
         if vec.is_zero():
             continue
-        out[(a, b)] = vec
+        out[key] = vec
     degrees = space.degrees
     for (a, b), vec in out.items():
         if a not in degrees or b not in degrees:
@@ -99,7 +102,7 @@ class Dgla:
     def __init__(self, space, differential, brackets):
         self.space = space
         if differential is None:
-            differential = GradedMap.zero(space, space, 1)
+            differential = GradedMap(space, space, 1)
         if differential.degree != 1:
             raise ValueError("differential must have degree +1")
         self.d = differential
@@ -113,9 +116,6 @@ class Dgla:
     def bracket(self, x, y):
         return bilinear(self.brackets, x, y)
 
-    def dimension(self):
-        return len(self.space)
-
 
 class Cdga:
     """Graded commutative algebra with differential and designated unit.
@@ -128,7 +128,7 @@ class Cdga:
     def __init__(self, space, differential, products, unit):
         self.space = space
         if differential is None:
-            differential = GradedMap.zero(space, space, 1)
+            differential = GradedMap(space, space, 1)
         if differential.degree != 1:
             raise ValueError("differential must have degree +1")
         self.d = differential
@@ -152,10 +152,9 @@ class Cdga:
         return bilinear(self.products, x, y)
 
 
-def trivial_cdga(unit_name="1"):
-    """The ground field as a one-element algebra in degree 0."""
-    space = GradedSpace([(unit_name, 0)])
-    return Cdga(space, None, {}, unit_name)
+def trivial_cdga():
+    """The ground field as a one-element algebra in degree 0, unit "1"."""
+    return Cdga(GradedSpace([("1", 0)]), None, {}, "1")
 
 
 # ---------------------------------------------------------------------------

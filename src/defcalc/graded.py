@@ -49,19 +49,13 @@ def int_view(coeffs):
     return {k: c.numerator if c.denominator == 1 else c for k, c in coeffs.items()}
 
 
-def signed_sort(items, key, odd):
-    """Sort items by key with adjacent swaps: (sorted tuple, sign).
-
-    Each swap of two items for which odd() holds flips the sign; equal keys
-    are never swapped.  This is the Koszul sign of the sorting permutation.
-    """
-    return signed_sort_keyed([(key(x), odd(x), x) for x in items])
-
-
 def signed_sort_keyed(seq):
-    """signed_sort on a list of (key, odd, item) triples whose key and
-    parity are already computed, so each is evaluated once per item.  The
-    list is sorted in place."""
+    """Sort a list of (key, odd, item) triples in place by key with adjacent
+    swaps: (tuple of the sorted items, sign).
+
+    Each swap of two odd items flips the sign; equal keys are never swapped.
+    This is the Koszul sign of the sorting permutation.
+    """
     sign = 1
     for i in range(1, len(seq)):
         cur = seq[i]
@@ -105,6 +99,14 @@ def as_int(value, what):
     raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
+def mapping_items(value):
+    """value.items(); anything that is not a mapping raises TypeError."""
+    try:
+        return value.items()
+    except AttributeError:
+        raise TypeError(f"expected a mapping, got {type(value).__name__}") from None
+
+
 class GradedSpace:
     """Finite graded vector space: an ordered basis of (name, degree) pairs.
 
@@ -142,7 +144,7 @@ class GradedSpace:
         try:
             return self.degrees[name]
         except KeyError:
-            raise KeyError(f"{name!r} is not a basis name of this space") from None
+            raise ValueError(f"{name!r} is not a basis name of this space") from None
 
     def names_of_degree(self, degree):
         return [n for n in self.names if self.degrees[n] == degree]
@@ -166,7 +168,7 @@ class GradedVector:
     def __init__(self, coeffs=None):
         data = {}
         if coeffs:
-            for name, value in coeffs.items():
+            for name, value in mapping_items(coeffs):
                 c = as_fraction(value)
                 if c != 0:
                     data[name] = c
@@ -193,9 +195,6 @@ class GradedVector:
     def __getitem__(self, name):
         return self.coeffs.get(name, ZERO)
 
-    def __iter__(self):
-        return iter(self.coeffs.items())
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for name, c in other.coeffs.items():
@@ -214,14 +213,8 @@ class GradedVector:
             return GradedVector()
         return GradedVector.from_nonzero({n: factor * c for n, c in self.coeffs.items()})
 
-    def __rmul__(self, factor):
-        return self.scale(factor)
-
     def __eq__(self, other):
         return isinstance(other, GradedVector) and self.coeffs == other.coeffs
-
-    def support(self):
-        return set(self.coeffs)
 
     def homogeneous_degree(self, space):
         """The common degree of the support, or None for 0 or mixed."""
@@ -257,7 +250,7 @@ class GradedMap:
         self.degree = as_int(degree, "map degree")
         cols = {}
         if columns:
-            for name, vec in columns.items():
+            for name, vec in mapping_items(columns):
                 if name not in source:
                     raise ValueError(f"column {name!r} is not in the source basis")
                 if not isinstance(vec, GradedVector):
@@ -279,10 +272,6 @@ class GradedMap:
                 cols[name] = vec
         self.columns = cols
 
-    @classmethod
-    def zero(cls, source, target, degree):
-        return cls(source, target, degree, {})
-
     def column(self, name):
         return self.columns.get(name, GradedVector())
 
@@ -297,41 +286,6 @@ class GradedMap:
 
     def __call__(self, vector):
         return self.apply(vector)
-
-    def compose(self, inner):
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition mismatch: inner target is not outer source")
-        cols = {}
-        for name, vec in inner.columns.items():
-            image = self.apply(vec)
-            if not image.is_zero():
-                cols[name] = image
-        return GradedMap(inner.source, self.target, self.degree + inner.degree, cols)
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("cannot add maps of different degrees")
-        cols = dict(self.columns)
-        out = GradedMap(self.source, self.target, self.degree, {})
-        for name, vec in other.columns.items():
-            s = cols.get(name, GradedVector()) + vec
-            if s.is_zero():
-                cols.pop(name, None)
-            else:
-                cols[name] = s
-        out.columns = {n: v for n, v in cols.items() if not v.is_zero()}
-        return out
-
-    def scale(self, factor):
-        out = GradedMap(self.source, self.target, self.degree, {})
-        factor = as_fraction(factor)
-        if factor != 0:
-            out.columns = {n: v.scale(factor) for n, v in self.columns.items()}
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def is_zero(self):
         return not self.columns

@@ -56,6 +56,21 @@ def sym_name(multiset):
     return ".".join(multiset)
 
 
+def _sym_matrix(rows, rank, l_space):
+    """An r x r matrix of L-vectors (dicts or GradedVector; None means zero)
+    as a sparse matrix over Sym L: {(i, j): {(l,): c}}, nonzero entries
+    only, coefficients as int views."""
+    if len(rows) != rank or any(len(row) != rank for row in rows):
+        raise ValueError(f"expected a {rank} x {rank} matrix")
+    out = {}
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            coeffs = int_view(_entry_vector(value, l_space).coeffs)
+            if coeffs:
+                out[(i, j)] = {(l,): c for l, c in coeffs.items()}
+    return out
+
+
 def _entry_vector(value, l_space):
     vec = value if isinstance(value, GradedVector) else GradedVector(value or {})
     for name in vec.coeffs:
@@ -69,8 +84,9 @@ class HitchinPair:
 
     theta is given as an r x r nested sequence whose entries are vectors
     over the basis of l_space (dicts or GradedVector; None means zero).
-    The wedge square is expanded entrywise at construction and any nonzero
-    entry is rejected with its (row, col, terms) witness.
+    The wedge square is formed at construction by the module's one matrix
+    product, and its first nonzero entry in row-major order is rejected
+    with its (row, col, terms) witness.
     """
 
     def __init__(self, rank, l_space, theta):
@@ -81,34 +97,26 @@ class HitchinPair:
             raise ValueError("rank above 9 is not supported by the naming scheme")
         if len(l_space.degrees_present()) > 1:
             raise ValueError("L must be concentrated in a single degree")
-        if len(theta) != rank or any(len(row) != rank for row in theta):
-            raise ValueError(f"theta must be a {rank} x {rank} matrix")
         self.rank = rank
         self.l_space = l_space
+        self._theta_matrix = _sym_matrix(theta, rank, l_space)
         self.theta = tuple(
             tuple(_entry_vector(v, l_space) for v in row) for row in theta
         )
-        self._l_order = {name: p for p, name in enumerate(l_space.names)}
-        square = self._wedge_square()
-        for i in range(rank):
-            for j in range(rank):
-                if square[i][j]:
-                    raise HiggsFieldError((i, j, square[i][j]))
+        self._l_order = order = {name: p for p, name in enumerate(l_space.names)}
 
-    def _wedge_square(self):
-        r = self.rank
-        order = self._l_order
-        out = [[{} for _ in range(r)] for _ in range(r)]
-        for i in range(r):
-            for j in range(r):
-                acc = out[i][j]
-                for m in range(r):
-                    for a, ca in self.theta[i][m].coeffs.items():
-                        for b, cb in self.theta[m][j].coeffs.items():
-                            word, sign = wedge_word((a, b), order)
-                            if sign:
-                                accumulate(acc, word, ca * cb * sign)
-        return out
+        def wedge_mul(e1, e2, dest):
+            for a, ca in e1.items():
+                for b, cb in e2.items():
+                    word, sign = wedge_word(a + b, order)
+                    if sign:
+                        accumulate(dest, word, ca * cb * sign)
+
+        square = _mat_mul(self._theta_matrix, self._theta_matrix, wedge_mul)
+        if square:
+            i, j = min(square)
+            terms = {word: Fraction(c) for word, c in square[(i, j)].items()}
+            raise HiggsFieldError((i, j, terms))
 
 
 def matrix_wedge_dgla(rank, l_space, theta):
@@ -273,17 +281,6 @@ def _sym_entry_mul(order):
     return entry_mul
 
 
-def _theta_sym_matrix(pair):
-    """theta over Sym L, entries as int views."""
-    out = {}
-    for i in range(pair.rank):
-        for j in range(pair.rank):
-            entry = {(l,): c for l, c in int_view(pair.theta[i][j].coeffs).items()}
-            if entry:
-                out[(i, j)] = entry
-    return out
-
-
 def _word_trace_sum(k, fmats, theta_mat, order):
     """Sum of traces of all length-k matrix words using each f once.
 
@@ -325,18 +322,14 @@ def g_coefficient(k, args, pair, cdga):
     fmats = []
     for om, f in args:
         om = om if isinstance(om, GradedVector) else GradedVector(om)
+        for name in om.coeffs:
+            if name not in cdga.space:
+                raise ValueError(f"form uses unknown CDGA basis name {name!r}")
         omega = cdga.multiply(omega, om)
-        mat = {}
-        for i in range(pair.rank):
-            for j in range(pair.rank):
-                vec = _entry_vector(f[i][j], pair.l_space)
-                entry = {(l,): c for l, c in vec.coeffs.items()}
-                if entry:
-                    mat[(i, j)] = entry
-        fmats.append(mat)
+        fmats.append(_sym_matrix(f, pair.rank, pair.l_space))
     out = {}
     if not omega.is_zero():
-        trace = _word_trace_sum(k, fmats, _theta_sym_matrix(pair), order)
+        trace = _word_trace_sum(k, fmats, pair._theta_matrix, order)
         _add_form_times_trace(out, omega.coeffs, trace)
     return GradedVector(out)
 
@@ -362,7 +355,7 @@ def build_hitchin_morphism(pair, cdga):
     source = linfty_from_dgla(source_dgla)
     target = linfty_from_dgla(target_dgla)
     order = pair._l_order
-    theta_mat = _theta_sym_matrix(pair)
+    theta_mat = pair._theta_matrix
 
     letter_parts = {}
     for a_name in cdga.space.names:

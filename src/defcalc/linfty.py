@@ -21,7 +21,7 @@ from itertools import combinations, combinations_with_replacement
 from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
 from .dgla import CheckReport
 from .graded import GradedMap, GradedSpace, GradedVector, PreimageSolver, accumulate
-from .graded import as_fraction, as_int, int_view
+from .graded import as_fraction, as_int, int_view, mapping_items
 from .graded import koszul_sign, signed_sort_keyed
 
 ONE = Fraction(1)
@@ -96,7 +96,9 @@ def _word_table(k, entries, sdeg, out_sdeg, shift):
     if k < 1:
         raise ValueError(f"{noun} arity must be >= 1")
     canon = {}
-    for word, vec in entries.items():
+    for word, vec in mapping_items(entries):
+        if type(word) is not tuple:
+            raise TypeError(f"a {noun} word must be a tuple of names, got {word!r}")
         if len(word) != k:
             raise ValueError(f"arity {k} entry has word of length {len(word)}")
         for name in word:
@@ -128,7 +130,7 @@ class LInftyStructure:
         self.space = space
         self.sdeg = sdeg = shifted_degrees(space)
         tables = {as_int(k, "bracket arity"): _word_table(k, entries, sdeg, sdeg, 1)
-                  for k, entries in brackets.items()}
+                  for k, entries in mapping_items(brackets)}
         self.brackets = {k: table for k, table in tables.items() if table}
 
     def bracket_value(self, k, word):
@@ -322,7 +324,7 @@ class LInftyMorphism:
         else:
             tables = {
                 as_int(k, "component arity"): _word_table(k, entries, source.sdeg, target.sdeg, 0)
-                for k, entries in components.items()
+                for k, entries in mapping_items(components)
             }
             self._generator = lambda k, word: tables.get(k, {}).get(word)
             if max_weight is None:
@@ -592,8 +594,8 @@ class PolyPath:
     """
 
     def __init__(self, even, odd):
-        self.even = {as_int(m, "t-degree"): v for m, v in even.items() if not v.is_zero()}
-        self.odd = {as_int(m, "t-degree"): v for m, v in odd.items() if not v.is_zero()}
+        self.even = _path_part(even)
+        self.odd = _path_part(odd)
 
     def max_t_degree(self):
         return max([*self.even, *self.odd], default=0)
@@ -606,6 +608,18 @@ class PolyPath:
         for v in self.even.values():
             total = total + v
         return total
+
+
+def _path_part(part):
+    """{t-degree: ArtinVector} with the zero vectors dropped."""
+    out = {}
+    for m, v in mapping_items(part):
+        m = as_int(m, "t-degree")
+        if not isinstance(v, ArtinVector):
+            raise TypeError(f"expected an ArtinVector, got {type(v).__name__}")
+        if v:
+            out[m] = v
+    return out
 
 
 def _parameter_extension(algebra, max_degree):

@@ -41,6 +41,8 @@ def test_make_artin_rejects_bad_input():
         ArtinAlgebra(("t",), {(0,), (2,)})
     with pytest.raises(ValueError):
         ArtinAlgebra(("t",), {(1,), (2,)})
+    with pytest.raises(ValueError, match="wrong arity, expected 2"):
+        ArtinAlgebra(("s", "t"), [(0, 0), (1,)])
 
 
 def test_make_artin_monomial_ceiling(monkeypatch):

@@ -438,6 +438,24 @@ def test_bad_mc_element_exponent_rejected(capsys, tmp_path, exponent):
     )
 
 
+def test_artin_document_by_monomials_or_neither(tmp_path):
+    monomials = {"kind": "artin", "variables": ["s", "t"], "monomials": [[1, 0], [0, 0], [0, 1]]}
+    doc = parse_document(write(tmp_path, "artin.json", monomials))
+    assert doc.kernel.maximal_ideal == ((0, 1), (1, 0))
+    assert json.loads(emit_document(doc))["monomials"] == [[0, 0], [0, 1], [1, 0]]
+    neither = write(tmp_path, "neither.json", {"kind": "artin", "variables": ["t"]})
+    with pytest.raises(CliError, match="neither.json: missing field 'truncation' or 'monomials'"):
+        parse_document(neither)
+
+
+def test_unwritable_report_exits_two_after_stdout(capsys, tmp_path):
+    report = str(tmp_path / "missing" / "report.json")
+    assert main(["check-dgla", sample("dgla_obstructed.json"), "--report", report]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "pass"
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("exponent", [1.7, True])
 def test_bad_artin_exponent_rejected(tmp_path, exponent):
     path = write(

@@ -172,6 +172,13 @@ def test_check_cdga_catches_commutativity():
     assert report.axiom == "commutativity"
 
 
+def test_check_cdga_catches_unit():
+    # an explicit 1.w = 2w overrides the unit products the constructor fills in
+    space = GradedSpace([("1", 0), ("w", 1)])
+    report = check_cdga(Cdga(space, None, {("1", "w"): {"w": 2}}, "1"))
+    assert (report.ok, report.axiom, report.witness) == (False, "unit", ("1", "w"))
+
+
 def test_check_dgla_catches_wrong_degree():
     space = GradedSpace([("a", 0), ("b", 0), ("c", 1)])
     report = check_dgla(Dgla(space, None, {("a", "b"): {"c": 1}}))
@@ -432,6 +439,14 @@ def test_tensor_differential_sign():
     assert t.d.column("x*u").coeffs == {"dx*u": Fraction(1), "x*v": Fraction(1)}
     assert t.d.column("dx*u").coeffs == {"dx*v": Fraction(-1)}
     assert check_dgla(t).ok
+
+
+def test_tensor_rejects_a_name_collision():
+    # "1" (x) "x*y" and "1*x" (x) "y" would both be named "1*x*y"
+    cdga = Cdga(GradedSpace([("1", 0), ("1*x", 0)]), None, {}, "1")
+    dgla = Dgla(GradedSpace([("x*y", 0), ("y", 0)]), None, {})
+    with pytest.raises(ValueError, match=r"tensor basis name collision at '1\*x\*y'"):
+        tensor_cdga_dgla(cdga, dgla)
 
 
 def test_tensor_with_gl2_satisfies_axioms():

@@ -68,6 +68,8 @@ def test_pair_validation():
     with pytest.raises(ValueError):
         # wrong shape
         HitchinPair(2, l_space, [[{}]])
+    with pytest.raises(ValueError, match="theta entry uses unknown name 'zz'"):
+        HitchinPair(2, l_space, [[{}, {"zz": 1}], [{}, {}]])
 
 
 def test_noncommuting_field_rejected_with_witness():
@@ -128,7 +130,7 @@ def test_bad_field_shows_up_as_broken_complex():
 
 def test_build_hitchin_dgla_degrees():
     total = build_hitchin_dgla(diag_pair(), interval_cdga())
-    assert total.dimension() == 16
+    assert len(total.space) == 16
     counts = {
         d: len(total.space.names_of_degree(d))
         for d in total.space.degrees_present()

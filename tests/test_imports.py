@@ -1,12 +1,18 @@
-"""Every name a library module imports is used in that module, and every
-private module-level helper is used somewhere in the library."""
+"""Every name a library module imports is used in that module, every
+private module-level helper is used somewhere in the library, and every
+public module-level function or class is used in the library, exported
+from defcalc, or named by the benchmark under bench/."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "defcalc"
+import defcalc
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "defcalc"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -33,16 +39,16 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def dead_helpers(trees):
-    """Module-level _-prefixed functions and classes of the trees that no
-    code in them uses outside the helper's own definition."""
+def unused_definitions(trees, private):
+    """Module-level functions and classes of the trees, _-prefixed ones or
+    public ones, that no code in them uses outside the definition itself."""
     defined, used = set(), set()
     for tree in trees:
         for node in tree.body:
             owner = None
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 owner = node.name
-                if owner.startswith("_"):
+                if owner.startswith("_") == private:
                     defined.add(owner)
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
@@ -58,14 +64,40 @@ def dead_helpers(trees):
     return sorted(defined - used)
 
 
+def uncalled_public(trees, exported, other_text):
+    """Public module-level names of the trees that nothing in them uses,
+    that are not in exported and that other_text never names."""
+    return [
+        name for name in unused_definitions(trees, private=False)
+        if name not in exported and not re.search(rf"\b{name}\b", other_text)
+    ]
+
+
 def test_the_scan_finds_a_dead_helper():
     trees = [
         ast.parse("def _used():\n    pass\n\ndef _loop():\n    return _loop()\n"),
         ast.parse("from m import _used\n\nclass _Alone:\n    pass\n\nx = _used()\n"),
     ]
-    assert dead_helpers(trees) == ["_Alone", "_loop"]
+    assert unused_definitions(trees, private=True) == ["_Alone", "_loop"]
 
 
 def test_no_dead_helpers():
     sources = sorted(SOURCE.glob("*.py"))
-    assert dead_helpers([ast.parse(p.read_text(encoding="utf-8")) for p in sources]) == []
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sources]
+    assert unused_definitions(trees, private=True) == []
+
+
+def test_the_scan_finds_an_uncalled_public_function():
+    trees = [
+        ast.parse("def used():\n    pass\n\ndef alone():\n    pass\n\nclass Shown:\n    pass\n"),
+        ast.parse("def benched():\n    pass\n\ndef exported():\n    pass\n\nx = used()\n"),
+    ]
+    assert uncalled_public(trees, {"exported"}, "lib.benched(1)\nShown_x = 2\n") == [
+        "Shown", "alone"
+    ]
+
+
+def test_no_uncalled_public_functions():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py")))
+    assert uncalled_public(trees, set(defcalc.__all__), bench) == []
