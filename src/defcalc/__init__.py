@@ -6,15 +6,15 @@ loop, every public vector, witness and report value is a
 fractions.Fraction, and every division has a Fraction operand.  The
 layers, bottom up:
 
-graded   signed multilinear algebra: graded spaces, the sparse
-         accumulate step and bilinear extension, the sign-tracking sort
+graded   signed multilinear algebra: graded spaces, the one sparse
+         vector arithmetic (accumulate, and the base GradedVector and
+         ArtinVector share), bilinear extension, the sign-tracking sort
          behind Koszul signs and exterior words, cochain cohomology with
-         class projection and lift, and the one single-degree preimage
-         solver.
+         class projection and lift, and the single-degree preimage solver.
 linalg   the one exact row reduction, rref; the kernel, independent-column
-         and prepared-solve routines read its output.
+         and prepared-solve routines (solve among them) read its output.
 artin    finite-dimensional local base rings (truncated polynomial style)
-         and elements of m (x) V.
+         and elements of m (x) V, keyed vectors on graded's arithmetic.
 dgla     differential graded Lie and commutative algebras, their axiom
          checkers (degrees included), tensor and Hom constructions,
          Maurer-Cartan residuals, gauge action, order-by-order solving

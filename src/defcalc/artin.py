@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .graded import GradedVector, accumulate, as_fraction, as_int, mapping_items
+from .graded import GradedVector, _SparseVector, accumulate, as_fraction, as_int, mapping_items
 
 # Most monomials an integer truncation may keep.  Enumerating more would
 # exhaust memory long before any computation over the algebra finished.
@@ -138,8 +138,8 @@ def artin_multiply(a, x, y):
     return out
 
 
-class ArtinVector:
-    """Element of (graded space) tensor (maximal ideal): terms keyed by
+class ArtinVector(_SparseVector):
+    """Element of (graded space) tensor (maximal ideal): coeffs keyed by
     (monomial, basis name) with nonzero rational coefficients.
 
     The unit monomial is deliberately excluded; these vectors always live in
@@ -147,86 +147,54 @@ class ArtinVector:
     finite sum.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
+        if terms is not None:
+            keyed = {}
             for key, value in mapping_items(terms):
                 if type(key) is not tuple:
                     raise TypeError(f"a term key must be a (monomial, name) pair, got {key!r}")
                 mono, name = key
-                c = as_fraction(value)
-                if c != 0:
-                    data[(tuple(mono), name)] = c
-        self.terms = data
+                keyed[(tuple(mono), name)] = value
+            terms = keyed
+        super().__init__(terms)
+
+    @property
+    def terms(self):
+        """The coefficient dict, read-only: the same dict as coeffs."""
+        return self.coeffs
 
     @classmethod
     def single(cls, mono, name, coeff=1):
         return cls({(tuple(mono), name): coeff})
 
-    @classmethod
-    def from_nonzero(cls, terms):
-        """The vector that takes terms as its own dict, uncopied and
-        unchecked: every key must already be a (monomial tuple, name) pair
-        and every value a nonzero Fraction."""
-        result = cls()
-        result.terms = terms
-        return result
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(out, key, c)
-        return ArtinVector.from_nonzero(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ArtinVector.from_nonzero({k: -c for k, c in self.terms.items()})
-
-    def scale(self, factor):
-        factor = as_fraction(factor)
-        if factor == 0:
-            return ArtinVector()
-        return ArtinVector.from_nonzero({k: factor * c for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, ArtinVector) and self.terms == other.terms
-
     def order_part(self, order):
         """Terms whose monomial has the given total degree."""
         return ArtinVector.from_nonzero(
-            {k: c for k, c in self.terms.items() if monomial_degree(k[0]) == order}
+            {k: c for k, c in self.coeffs.items() if monomial_degree(k[0]) == order}
         )
 
     def min_order(self):
         """Smallest monomial degree present, or None for the zero vector."""
-        if not self.terms:
+        if not self.coeffs:
             return None
-        return min(monomial_degree(k[0]) for k in self.terms)
+        return min(monomial_degree(k[0]) for k in self.coeffs)
 
     def coefficient_vector(self, mono):
         """The graded vector multiplying a given monomial."""
         mono = tuple(mono)
         return GradedVector(
-            {name: c for (m, name), c in self.terms.items() if m == mono}
+            {name: c for (m, name), c in self.coeffs.items() if m == mono}
         )
 
     def monomials_present(self):
-        return sorted({k[0] for k in self.terms}, key=monomial_key)
+        return sorted({k[0] for k in self.coeffs}, key=monomial_key)
 
     def apply_map(self, gmap):
         """Apply a graded map to the space factor, monomial by monomial."""
         out = {}
-        for (mono, name), c in self.terms.items():
+        for (mono, name), c in self.coeffs.items():
             col = gmap.columns.get(name)
             if col is None:
                 continue
@@ -235,23 +203,23 @@ class ArtinVector:
         return ArtinVector.from_nonzero(out)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "ArtinVector(0)"
-        keys = sorted(self.terms, key=lambda k: (monomial_key(k[0]), k[1]))
-        parts = " + ".join(f"{self.terms[k]}*{k[0]}*{k[1]}" for k in keys)
+        keys = sorted(self.coeffs, key=lambda k: (monomial_key(k[0]), k[1]))
+        parts = " + ".join(f"{self.coeffs[k]}*{k[0]}*{k[1]}" for k in keys)
         return f"ArtinVector({parts})"
 
 
-def validate_artin_vector(x, algebra, space=None, degree=None):
-    """Check monomials lie in the maximal ideal and optionally fix the degree."""
-    for mono, name in x.terms:
+def validate_artin_vector(x, algebra, space, degree):
+    """Check monomials lie in the maximal ideal and names in space, of degree degree."""
+    for mono, name in x.coeffs:
         if mono not in algebra.monomials or mono == algebra.unit:
             raise ValueError(
                 f"monomial {mono!r} is not in the maximal ideal of the algebra"
             )
-        if space is not None and name not in space:
+        if name not in space:
             raise ValueError(f"{name!r} is not a basis name of the space")
-        if degree is not None and space.degree(name) != degree:
+        if space.degree(name) != degree:
             raise ValueError(
                 f"expected a vector concentrated in degree {degree}, found {name!r} "
                 f"of degree {space.degree(name)}"

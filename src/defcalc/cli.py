@@ -337,7 +337,7 @@ def _parse_mc_element(data, where):
         "algebra": algebra_norm,
         "terms": [
             {"monomial": list(mono), "name": name, "coeff": _frac_str(c)}
-            for (mono, name), c in sorted(kernel.terms.items())
+            for (mono, name), c in sorted(kernel.coeffs.items())
         ],
     }
     return Document("mc-element", normalized, (algebra, kernel))
@@ -397,7 +397,7 @@ def _jsonable(value):
     if isinstance(value, ArtinVector):
         return [
             {"monomial": list(mono), "name": name, "coeff": _frac_str(c)}
-            for (mono, name), c in sorted(value.terms.items())
+            for (mono, name), c in sorted(value.coeffs.items())
         ]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]

@@ -137,7 +137,7 @@ class Cdga:
         if space.degree(unit) != 0:
             raise ValueError("unit must have degree 0")
         self.unit = unit
-        table = dict(products or {})
+        table = dict(mapping_items(products))
         for name in space.names:
             table.setdefault((unit, name), GradedVector.basis(name))
             table.setdefault((name, unit), GradedVector.basis(name))
@@ -462,8 +462,8 @@ def hom_dgla(space, differential):
 def bracket_artin(dgla, algebra, x, y):
     """Coefficient-bilinear extension of the bracket to L (x) m_A."""
     terms = {}
-    for (mx, ax), cx in x.terms.items():
-        for (my, ay), cy in y.terms.items():
+    for (mx, ax), cx in x.coeffs.items():
+        for (my, ay), cy in y.coeffs.items():
             mono = algebra.multiply_monomials(mx, my)
             if mono is None:
                 continue

@@ -160,29 +160,31 @@ class GradedSpace:
         return f"GradedSpace({items})"
 
 
-class GradedVector:
-    """Sparse vector: mapping basis name -> nonzero rational coefficient."""
+class _SparseVector:
+    """Sparse vector: coeffs maps each key to a nonzero Fraction.
+
+    The arithmetic of GradedVector and ArtinVector, which differ only in
+    their keys.  None is the zero vector; any other non-mapping raises
+    TypeError.  Vectors of different classes are never equal.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         data = {}
-        if coeffs:
-            for name, value in mapping_items(coeffs):
+        if coeffs is not None:
+            for key, value in mapping_items(coeffs):
                 c = as_fraction(value)
                 if c != 0:
-                    data[name] = c
+                    data[key] = c
         self.coeffs = data
-
-    @classmethod
-    def basis(cls, name):
-        return cls({name: ONE})
 
     @classmethod
     def from_nonzero(cls, coeffs):
         """The vector that takes coeffs as its own dict, uncopied and
-        unchecked: every value must already be a nonzero Fraction."""
-        result = cls()
+        unchecked: every key must already be valid for the class and every
+        value a nonzero Fraction."""
+        result = cls.__new__(cls)
         result.coeffs = coeffs
         return result
 
@@ -192,29 +194,39 @@ class GradedVector:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __getitem__(self, name):
-        return self.coeffs.get(name, ZERO)
-
     def __add__(self, other):
         out = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            accumulate(out, name, c)
-        return GradedVector.from_nonzero(out)
+        for key, c in other.coeffs.items():
+            accumulate(out, key, c)
+        return self.from_nonzero(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return GradedVector.from_nonzero({n: -c for n, c in self.coeffs.items()})
+        return self.from_nonzero({k: -c for k, c in self.coeffs.items()})
 
     def scale(self, factor):
         factor = as_fraction(factor)
         if factor == 0:
-            return GradedVector()
-        return GradedVector.from_nonzero({n: factor * c for n, c in self.coeffs.items()})
+            return self.from_nonzero({})
+        return self.from_nonzero({k: factor * c for k, c in self.coeffs.items()})
 
     def __eq__(self, other):
-        return isinstance(other, GradedVector) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+
+class GradedVector(_SparseVector):
+    """Sparse vector: mapping basis name -> nonzero rational coefficient."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis(cls, name):
+        return cls({name: ONE})
+
+    def __getitem__(self, name):
+        return self.coeffs.get(name, ZERO)
 
     def homogeneous_degree(self, space):
         """The common degree of the support, or None for 0 or mixed."""
@@ -249,7 +261,7 @@ class GradedMap:
         self.target = target
         self.degree = as_int(degree, "map degree")
         cols = {}
-        if columns:
+        if columns is not None:
             for name, vec in mapping_items(columns):
                 if name not in source:
                     raise ValueError(f"column {name!r} is not in the source basis")

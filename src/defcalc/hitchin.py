@@ -72,7 +72,7 @@ def _sym_matrix(rows, rank, l_space):
 
 
 def _entry_vector(value, l_space):
-    vec = value if isinstance(value, GradedVector) else GradedVector(value or {})
+    vec = value if isinstance(value, GradedVector) else GradedVector(value)
     for name in vec.coeffs:
         if name not in l_space:
             raise ValueError(f"theta entry uses unknown name {name!r}")
@@ -211,9 +211,7 @@ def matrix_wedge_dgla(rank, l_space, theta):
 def build_hitchin_dgla(pair, cdga):
     """The deformation dgla A (x) (gl_r (x) Lambda L) of a validated pair."""
     inner = matrix_wedge_dgla(pair.rank, pair.l_space, pair.theta)
-    total = tensor_cdga_dgla(cdga, inner)
-    total.hitchin_pair = pair
-    return total
+    return tensor_cdga_dgla(cdga, inner)
 
 
 def sym_space(pair):
@@ -229,9 +227,7 @@ def hitchin_target(pair, cdga):
     """The abelian dgla A (x) Sym L with differential d_A (x) id."""
     space = sym_space(pair)
     inner = Dgla(space, GradedMap(space, space, 1, {}), {})
-    total = tensor_cdga_dgla(cdga, inner)
-    total.hitchin_pair = pair
-    return total
+    return tensor_cdga_dgla(cdga, inner)
 
 
 def complex_C_cohomology(pair, cdga):
@@ -430,7 +426,7 @@ def hitchin_map(x, morphism, algebra):
             for l, c in pair.theta[i][j].coeffs.items():
                 theta.setdefault((i, j), {})[(algebra.unit, cdga.unit, (l,))] = c
     full = {k: dict(v) for k, v in theta.items()}
-    for (mono, name), c in x.terms.items():
+    for (mono, name), c in x.coeffs.items():
         part = morphism.letter_parts.get(name)
         if part is None:
             continue
@@ -457,10 +453,10 @@ def hitchin_map(x, morphism, algebra):
 
     push = pushforward_series(morphism, x, algebra)
     split = [dict() for _ in range(r)]
-    for (mono, name), c in push.terms.items():
+    for (mono, name), c in push.coeffs.items():
         split[morphism.target_weights[name] - 1][(mono, name)] = c
     for k in range(r):
-        if split[k] != sections[k].terms:
+        if split[k] != sections[k].coeffs:
             raise AssertionError(
                 f"trace power {k + 1} disagrees with the morphism pushforward"
             )

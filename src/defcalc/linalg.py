@@ -82,18 +82,8 @@ def nullspace(rows, ncols):
 
 def solve(rows, rhs, ncols):
     """One solution of A x = b in ncols unknowns, or None if the system is
-    inconsistent.
-
-    Free variables are set to zero, so the solution is deterministic; with
-    no rows it is the zero vector, as for PreparedSolve(rows, ncols).
-    """
-    red, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(rows)], ncols)
-    if any(row[ncols] != 0 for row in red[len(pivots):]):
-        return None
-    sol = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = red[r][ncols]
-    return sol
+    inconsistent: PreparedSolve(rows, ncols).solve(rhs)."""
+    return PreparedSolve(rows, ncols).solve(rhs)
 
 
 class PreparedSolve:

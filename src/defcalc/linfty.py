@@ -510,7 +510,7 @@ def _power_step(power, x, sdeg, algebra):
     """One more symmetric factor of x, with coefficient multiplication."""
     out = {}
     for (word, mono), c in power.items():
-        for (m2, name), c2 in x.terms.items():
+        for (m2, name), c2 in x.coeffs.items():
             mono2 = algebra.multiply_monomials(mono, m2)
             if mono2 is None:
                 continue
@@ -635,14 +635,14 @@ def _parameter_extension(algebra, max_degree):
 def _embed_path_part(part, algebra_ext):
     out = {}
     for tdeg, vec in part.items():
-        for (mono, name), c in vec.terms.items():
+        for (mono, name), c in vec.coeffs.items():
             out[(mono + (tdeg,), name)] = c
     return ArtinVector.from_nonzero(out)
 
 
 def _t_derivative(x):
     out = {}
-    for (mono, name), c in x.terms.items():
+    for (mono, name), c in x.coeffs.items():
         j = mono[-1]
         if j == 0:
             continue
@@ -681,7 +681,7 @@ def verify_homotopy_witness(path, x, y, structure, algebra):
         return CheckReport.failed("path-mc", (), residual)
 
     # sum_n q_n(z1 . z0^(n-1)) / (n-1)! is the series of z0 headed by z1
-    head = {((name,), mono): c for (mono, name), c in z1.terms.items()}
+    head = {((name,), mono): c for (mono, name), c in z1.coeffs.items()}
     dt_part = _t_derivative(z0) + _bracket_series(z0, structure, ext, head)
     if not dt_part.is_zero():
         return CheckReport.failed("path-dt", (), dt_part)

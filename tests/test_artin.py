@@ -109,6 +109,9 @@ def test_artin_vector_parts():
     assert x.scale(0).is_zero()
     terms = {((1,), "a"): Fraction(2)}
     assert ArtinVector.from_nonzero(terms).terms is terms
+    # sibling classes over one arithmetic: results keep their class
+    assert type(x + x) is type(-x) is type(x.scale(0)) is ArtinVector
+    assert ArtinVector() != GradedVector() and not isinstance(ArtinVector(), GradedVector)
 
 
 def test_artin_vector_reads_only_exact_rationals():

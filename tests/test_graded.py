@@ -19,7 +19,7 @@ from defcalc.graded import (
     signed_sort_keyed,
     wedge_word,
 )
-from test_linalg import incremental_extend_independent
+from test_linalg import augmented_solve, incremental_extend_independent
 
 
 def compose_perm(p, q):
@@ -336,7 +336,7 @@ def test_one_reduction_cohomology_matches_two_pass_oracle():
                 boundary = z - combination(reps, coords)
                 assert d.apply(pre) == boundary
                 assert pre == per_degree_preimage(space, d, deg - 1, boundary)
-                solved = linalg.solve(d_rows(d, below, here), boundary.to_dense(here), len(below))
+                solved = augmented_solve(d_rows(d, below, here), boundary.to_dense(here), len(below))
                 assert pre == GradedVector.from_dense(below, solved)
                 if all(c == 0 for c in coords):
                     seen["zero class"] += 1
@@ -360,7 +360,7 @@ def test_preimage_solver_matches_per_degree_oracle():
                     v = d.apply(random_combination(rng, [GradedVector.basis(n) for n in source]))
                 pre = solver.preimage(v)
                 assert pre == per_degree_preimage(space, d, deg, v)
-                solved = linalg.solve(d_rows(d, source, target), v.to_dense(target), len(source))
+                solved = augmented_solve(d_rows(d, source, target), v.to_dense(target), len(source))
                 if pre is None:
                     assert solved is None
                 else:

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
-private module-level helper is used somewhere in the library, and every
+private module-level helper is used somewhere in the library, every
 public module-level function or class is used in the library, exported
-from defcalc, or named by the benchmark under bench/."""
+from defcalc, or named by the benchmark under bench/, and the sparse vector
+arithmetic is defined by one class only."""
 
 import ast
 import pathlib
@@ -101,3 +102,33 @@ def test_no_uncalled_public_functions():
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
     bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py")))
     assert uncalled_public(trees, set(defcalc.__all__), bench) == []
+
+
+VECTOR_ARITHMETIC = {"__add__", "__sub__", "__neg__", "scale", "from_nonzero"}
+
+
+def repeated_methods(trees, names):
+    """{method: [classes]} for each of names that more than one class of
+    the trees defines."""
+    owners = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in names:
+                        owners.setdefault(item.name, []).append(node.name)
+    return {name: classes for name, classes in sorted(owners.items()) if len(classes) > 1}
+
+
+def test_the_scan_finds_a_repeated_method():
+    trees = [
+        ast.parse("class A:\n    def scale(self):\n        pass\n\n    def __add__(self, o):\n"
+                  "        pass\n"),
+        ast.parse("class B:\n    def scale(self):\n        pass\n\ndef __add__(a, b):\n    pass\n"),
+    ]
+    assert repeated_methods(trees, {"scale", "__add__"}) == {"scale": ["A", "B"]}
+
+
+def test_vector_arithmetic_is_defined_once():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SOURCE.glob("*.py"))]
+    assert repeated_methods(trees, VECTOR_ARITHMETIC) == {}

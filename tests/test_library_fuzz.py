@@ -243,7 +243,8 @@ def two_names():
 
 
 # Calls that once raised KeyError, IndexError or AttributeError, or, for the
-# unknown form name and the string keys and word, returned as if valid.
+# unknown form name, the string keys and word and the falsy non-mappings,
+# returned as if valid.
 FINDINGS = {
     "unknown name in a kernel-map cocycle": (
         lambda: obstruction_kernel_map(GradedVector({"nope": 1}), MORPHISM), ValueError),
@@ -265,7 +266,22 @@ FINDINGS = {
     "string as a bracket word": (
         lambda: LInftyStructure(GradedSpace(LINFTY_BASIS), {2: {"xx": {"y": 1}}}), TypeError),
     "string as a term key": (lambda: ArtinVector({"ab": 1}), TypeError),
+    "zero as a vector": (lambda: GradedVector(0), TypeError),
+    "empty string as a vector": (lambda: GradedVector(""), TypeError),
+    "empty list as an Artin vector": (lambda: ArtinVector([]), TypeError),
+    "zero as map columns": (lambda: GradedMap(two_names(), two_names(), 1, 0), TypeError),
+    "zero as a product table": (lambda: Cdga(two_names(), None, 0, "a"), TypeError),
+    "zero as a theta entry": (
+        lambda: HitchinPair(1, GradedSpace([("l", 1)]), [[0]]), TypeError),
 }
+
+
+def test_none_is_the_zero_vector_where_documented():
+    assert GradedVector(None) == GradedVector() and ArtinVector(None) == ArtinVector()
+    assert GradedMap(two_names(), two_names(), 1, None).is_zero()
+    l_space = GradedSpace([("l", 1)])
+    pair = HitchinPair(2, l_space, [[None, {"l": 1}], [None, None]])
+    assert pair.theta == HitchinPair(2, l_space, [[{}, {"l": 1}], [{}, {}]]).theta
 
 
 @pytest.mark.parametrize("call, error", FINDINGS.values(), ids=list(FINDINGS))
