@@ -21,14 +21,17 @@ dgla     differential graded Lie and commutative algebras, their axiom
          with obstruction classes.
 linfty   the same homotopical data as coderivations of the reduced
          symmetric coalgebra: codifferential and morphism checks through a
-         chosen weight, and one nilpotent power series behind the
-         Maurer-Cartan residual, the pushforward of Maurer-Cartan elements
-         and homotopies over a polynomial-in-t extension of the base.
+         chosen weight, whose unshuffle loops merge canonical words
+         instead of sorting them, and one nilpotent power series behind
+         the Maurer-Cartan residual, the pushforward of Maurer-Cartan
+         elements and homotopies over a polynomial-in-t extension of the
+         base.
 hitchin  the matrix-valued models: a square matrix of anticommuting
          one-letter forms with theta ^ theta = 0, the associated dgla, the
          family of trace maps into an abelian target (one sparse matrix
-         product, behind the theta ^ theta check and every trace, over any
-         coefficient ring), and the obstruction-kernel consequence.
+         product, behind the theta ^ theta check, the powers of theta and
+         the Hitchin map, over any coefficient ring; one closed-form trace
+         of matrix-unit words), and the obstruction-kernel consequence.
 cli      batch front end over JSON documents with deterministic reports.
 """
 

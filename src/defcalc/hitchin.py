@@ -277,28 +277,54 @@ def _sym_entry_mul(order):
     return entry_mul
 
 
-def _word_trace_sum(k, fmats, theta_mat, order):
-    """Sum of traces of all length-k matrix words using each f once.
-
-    Words are built by choosing an ordered placement of the f's among the k
-    slots and filling the rest with theta; this is the coefficient of
-    t_1...t_n in tr((theta + sum t_i f_i)^k).
-    """
-    n = len(fmats)
+def _theta_powers(theta, rank, order):
+    """theta^0 .. theta^rank over Sym L, theta a sparse matrix of _sym_matrix."""
     entry_mul = _sym_entry_mul(order)
+    powers = [{(a, a): {(): 1} for a in range(rank)}]
+    for _ in range(rank):
+        powers.append(_mat_mul(powers[-1], theta, entry_mul))
+    return powers
+
+
+def _word_trace_sum(k, units, powers, order):
+    """Sum of traces of all length-k matrix words using each unit once.
+
+    units are matrix units (i, j, l), 0-based, standing for E_ij (x) l, and
+    the other slots hold theta, whose powers are powers[g] = theta^g; this is
+    the coefficient of t_1...t_n in tr((theta + sum t_m E_{i_m j_m} l_m)^k).
+    A word is fixed by the slot of the first unit (k choices, one trace by
+    cyclicity), the cyclic order sigma of the others and the composition
+    g_1 + ... + g_n = k - n of theta powers between them, and
+        tr(E_{i_1 j_1} theta^{g_1} ... E_{i_n j_n} theta^{g_n})
+          = prod_m (theta^{g_m})_{j_sigma(m), i_sigma(m+1)},
+    indices cyclic; so no matrix is multiplied.  With no units the value
+    is tr(theta^k), and with more units than slots it is zero.
+    """
+    n = len(units)
+    if n == 0:
+        return _mat_trace(powers[k])
+    free = k - n
+    if free < 0:
+        return {}
+    entry_mul = _sym_entry_mul(order)
+    letters = tuple(sorted([l for _, _, l in units], key=order.get))
     total = {}
-    for positions in permutations(range(k), n):
-        slots = [theta_mat] * k
-        for t, p in enumerate(positions):
-            slots[p] = fmats[t]
-        prod = slots[0]
-        for m in slots[1:]:
-            prod = _mat_mul(prod, m, entry_mul)
-            if not prod:
-                break
-        else:
-            for mono, c in _mat_trace(prod).items():
-                accumulate(total, mono, c)
+    for rest in permutations(units[1:]):
+        cycle = (units[0],) + rest + (units[0],)
+        # partial[used] = sum over the gaps chosen so far using `used`
+        # powers of theta of the product of their entries
+        partial = {0: {letters: k}}
+        for m in range(n):
+            b, a = cycle[m][1], cycle[m + 1][0]
+            step = {}
+            for used, poly in partial.items():
+                for g in range(free - used if m == n - 1 else 0, free - used + 1):
+                    entry = powers[g].get((b, a))
+                    if entry:
+                        entry_mul(poly, entry, step.setdefault(used + g, {}))
+            partial = {used: poly for used, poly in step.items() if poly}
+        for mono, c in partial.get(free, {}).items():
+            accumulate(total, mono, c)
     return total
 
 
@@ -309,23 +335,36 @@ def g_coefficient(k, args, pair, cdga):
     and f an r x r matrix of L-vectors.  The value is the product
     omega_1 ... omega_n tensored with the coefficient of t_1...t_n in
     tr((theta + sum t_i f_i)^k); with a single argument this is
-    k tr(f theta^(k-1)).
+    k tr(f theta^(k-1)).  The trace is multilinear in the f_i, so each f_i
+    is expanded into matrix units and the unit traces are summed.
     """
+    k = as_int(k, "power")
     if k < 1 or k > pair.rank:
         raise ValueError(f"power {k} outside 1..{pair.rank}")
     order = pair._l_order
     omega = GradedVector({cdga.unit: 1})
-    fmats = []
+    # {sorted units: coefficient} of the product of the expanded arguments
+    unit_words = {(): 1}
     for om, f in args:
         om = om if isinstance(om, GradedVector) else GradedVector(om)
         for name in om.coeffs:
             if name not in cdga.space:
                 raise ValueError(f"form uses unknown CDGA basis name {name!r}")
         omega = cdga.multiply(omega, om)
-        fmats.append(_sym_matrix(f, pair.rank, pair.l_space))
+        fmat = _sym_matrix(f, pair.rank, pair.l_space)
+        grown = {}
+        for units, c in unit_words.items():
+            for (i, j), entry in fmat.items():
+                for (l,), x in entry.items():
+                    accumulate(grown, tuple(sorted(units + ((i, j, l),))), c * x)
+        unit_words = grown
     out = {}
     if not omega.is_zero():
-        trace = _word_trace_sum(k, fmats, pair._theta_matrix, order)
+        powers = _theta_powers(pair._theta_matrix, pair.rank, order)
+        trace = {}
+        for units, c in unit_words.items():
+            for mono, t in _word_trace_sum(k, units, powers, order).items():
+                accumulate(trace, mono, c * t)
         _add_form_times_trace(out, omega.coeffs, trace)
     return GradedVector(out)
 
@@ -351,7 +390,8 @@ def build_hitchin_morphism(pair, cdga):
     source = linfty_from_dgla(source_dgla)
     target = linfty_from_dgla(target_dgla)
     order = pair._l_order
-    theta_mat = pair._theta_matrix
+    powers = _theta_powers(pair._theta_matrix, pair.rank, order)
+    products = {key: int_view(vec.coeffs) for key, vec in cdga.products.items()}
 
     letter_parts = {}
     for a_name in cdga.space.names:
@@ -361,18 +401,34 @@ def build_hitchin_morphism(pair, cdga):
                     key = tensor_name(a_name, matrix_name(i, j) + "^" + l)
                     letter_parts[key] = (a_name, i, j, l)
 
+    # per-morphism caches: the trace depends on the multiset of units only,
+    # the form product on the CDGA parts in argument order (odd forms
+    # anticommute), and each is built from a shorter one
+    traces = {}
+    forms = {(): {cdga.unit: 1}}
+
+    def form(parts):
+        omega = forms.get(parts)
+        if omega is None:
+            omega = {}
+            for name, c in form(parts[:-1]).items():
+                for out_name, p in products.get((name, parts[-1]), {}).items():
+                    accumulate(omega, out_name, c * p)
+            forms[parts] = omega
+        return omega
+
     def component(arity, word):
         parts = [letter_parts[name] for name in word]
-        omega = GradedVector({cdga.unit: 1})
-        for a_name, _, _, _ in parts:
-            omega = cdga.multiply(omega, GradedVector({a_name: 1}))
-            if omega.is_zero():
-                return None
-        fmats = [{(i - 1, j - 1): {(l,): 1}} for _, i, j, l in parts]
-        omega = int_view(omega.coeffs)
+        omega = form(tuple([a_name for a_name, _, _, _ in parts]))
+        if not omega:
+            return None
+        units = tuple(sorted([(i - 1, j - 1, l) for _, i, j, l in parts]))
         out = {}
         for k in range(arity, pair.rank + 1):
-            _add_form_times_trace(out, omega, _word_trace_sum(k, fmats, theta_mat, order))
+            trace = traces.get((k, units))
+            if trace is None:
+                trace = traces[(k, units)] = _word_trace_sum(k, units, powers, order)
+            _add_form_times_trace(out, omega, trace)
         return GradedVector(out)
 
     morphism = LInftyMorphism(

@@ -49,6 +49,43 @@ def normalize_word(names, sdeg):
     return seq, sign
 
 
+def _merge_words(word, tail, sdeg):
+    """word . tail for canonical words: (canonical word, Koszul sign), or
+    None when a letter of odd shifted degree is in both.
+
+    A merge by (shifted degree, name) that puts a tail letter first on a
+    tie: each letter of word passes over the tail letters placed before it,
+    a sign for every odd pair.
+    """
+    merged = []
+    parity = placed = 0
+    n = len(tail)
+    for name in word:
+        key = (sdeg[name], name)
+        while placed < n and (sdeg[tail[placed]], tail[placed]) <= key:
+            merged.append(tail[placed])
+            placed += 1
+        if sdeg[name] % 2:
+            if placed and tail[placed - 1] == name:
+                return None
+            parity += sum([sdeg[t] % 2 for t in tail[:placed]])
+        merged.append(name)
+    merged.extend(tail[placed:])
+    return tuple(merged), -1 if parity % 2 else 1
+
+
+def _unshuffle_sign(subset, odd):
+    """Koszul sign that moves the letters at the sorted positions subset to
+    the front of a word, odd[p] the parity of the letter at p: each odd
+    letter moved passes the odd letters before it that stay behind."""
+    parity = moved = 0
+    for p in subset:
+        if odd[p]:
+            parity += sum(odd[:p]) - moved
+            moved += 1
+    return -1 if parity % 2 else 1
+
+
 def basis_words(space, max_weight, sdeg=None):
     """All nonzero canonical words of weight 1..max_weight, in scan order."""
     if sdeg is None:
@@ -190,10 +227,12 @@ def _add_unshuffle_terms(tables, sdeg, word, coeff, out, arities, forced=(), kee
     Only arities in the given list, blocks holding every position in forced
     and bracket outputs in keep (all when None) are visited, in the order of
     the full unshuffle scan.  word must be canonical, so that its blocks
-    are canonical and looked up directly.
+    and tails are canonical: blocks are looked up directly, the unshuffle
+    sign is a count over the chosen positions and each output is merged
+    into its tail.
     """
     n = len(word)
-    degrees = [sdeg[name] for name in word]
+    odd = [sdeg[name] % 2 for name in word]
     free = [p for p in range(n) if p not in forced]
     unit = coeff == 1
     for k in arities:
@@ -206,15 +245,14 @@ def _add_unshuffle_terms(tables, sdeg, word, coeff, out, arities, forced=(), kee
             vec = table.get(block)
             if vec is None:
                 continue
-            rest = [p for p in range(n) if p not in subset]
-            perm = [p + 1 for p in subset] + [p + 1 for p in rest]
-            eps = koszul_sign(perm, degrees)
-            tail = tuple([word[p] for p in rest])
+            eps = _unshuffle_sign(subset, odd)
+            tail = tuple([word[p] for p in range(n) if p not in subset])
             for name, c in vec.items():
                 if keep is not None and name not in keep:
                     continue
-                new_word, s = normalize_word((name,) + tail, sdeg)
-                if s:
+                merged = _merge_words((name,), tail, sdeg)
+                if merged is not None:
+                    new_word, s = merged
                     term = c if unit else coeff * c
                     accumulate(out, new_word, term if eps * s > 0 else -term)
 
@@ -259,6 +297,7 @@ def check_codifferential(structure, weight):
     and the corestriction is exactly zero.  Failure reports the first word
     in basis order and the nonzero vector.
     """
+    weight = as_int(weight, "weight")
     sdeg, tables = structure.sdeg, _int_tables(structure)
     top = min(weight, 2 * max(tables, default=0) - 1)
     for word in basis_words(structure.space, top, sdeg):
@@ -429,22 +468,24 @@ def _candidate_words(morphism, top, inside_top):
     sdeg, support = source.sdeg, morphism.support
     letters = sorted(source.space.names, key=word_key(sdeg))
     inside = [name for name in letters if name in support]
-    tails = [
-        list(combinations_with_replacement(inside, m))
-        for m in range(min(morphism.max_weight, top))
-    ]
-    found = set()
+    tail_top = min(morphism.max_weight, top) - 1
+    inside_top = min(inside_top, top)
+    inside_space = GradedSpace([(name, source.space.degree(name)) for name in inside])
+    inside_words = basis_words(inside_space, max(tail_top, inside_top), sdeg)
+    tails = [[()]] + [[] for _ in range(tail_top)]
+    for word in inside_words:
+        if len(word) <= tail_top:
+            tails[len(word)].append(word)
+    found = {word for word in inside_words if len(word) <= inside_top}
     for k, table in source.brackets.items():
         for block, vec in table.items():
             if not any(name in support for name in vec.coeffs):
                 continue
             for group in tails[: max(0, top - k + 1)]:
                 for tail in group:
-                    word, sign = normalize_word(block + tail, sdeg)
-                    if sign:
-                        found.add(word)
-    inside_space = GradedSpace([(name, source.space.degree(name)) for name in inside])
-    found.update(basis_words(inside_space, min(inside_top, top), sdeg))
+                    merged = _merge_words(block, tail, sdeg)
+                    if merged is not None:
+                        found.add(merged[0])
     rank = {name: i for i, name in enumerate(letters)}
     return sorted(found, key=lambda w: (len(w), [rank[name] for name in w]))
 
@@ -472,6 +513,7 @@ def check_linfty_morphism(morphism, weight):
     _candidate_words.  The failure is still the first word in basis order,
     with the value lhs - rhs.
     """
+    weight = as_int(weight, "weight")
     source, target = morphism.source, morphism.target
     top_weight = morphism.max_weight
     k_s = max(source.brackets, default=0)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -12,6 +13,11 @@ from defcalc.graded import complex_cohomology
 from defcalc.hitchin import (
     HiggsFieldError,
     HitchinPair,
+    _mat_mul,
+    _mat_trace,
+    _sym_entry_mul,
+    _theta_powers,
+    _word_trace_sum,
     build_hitchin_dgla,
     build_hitchin_morphism,
     complex_C_cohomology,
@@ -298,6 +304,112 @@ def test_obstruction_kernel_map_validation():
     morphism2 = build_hitchin_morphism(pair2, cdga)
     with pytest.raises(ValueError):
         obstruction_kernel_map(GradedVector({"w*E12^l1": 1}), morphism2)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form trace of matrix-unit words against the placement loop it
+# replaced.
+
+
+def placement_trace_oracle(k, fmats, theta_mat, order):
+    """Sum of traces of all length-k matrix words using each f once.
+
+    Words are built by choosing an ordered placement of the f's among the k
+    slots and filling the rest with theta; this is the coefficient of
+    t_1...t_n in tr((theta + sum t_i f_i)^k).
+    """
+    n = len(fmats)
+    entry_mul = _sym_entry_mul(order)
+    total = {}
+    for positions in permutations(range(k), n):
+        slots = [theta_mat] * k
+        for t, p in enumerate(positions):
+            slots[p] = fmats[t]
+        prod = slots[0]
+        for m in slots[1:]:
+            prod = _mat_mul(prod, m, entry_mul)
+            if not prod:
+                break
+        else:
+            for mono, c in _mat_trace(prod).items():
+                accumulate(total, mono, c)
+    return total
+
+
+THETA_KINDS = ("zero", "nilpotent", "diagonal", "mixed")
+
+
+def random_theta_matrix(rng, rank, letters, kind):
+    """A sparse matrix over Sym L of the given kind; theta ^ theta need not
+    vanish, since the trace identity holds for any matrix."""
+    out = {}
+    for i in range(rank):
+        for j in range(rank):
+            if kind == "zero" or (kind == "nilpotent" and j <= i):
+                continue
+            if (kind == "diagonal" and i != j) or (kind == "mixed" and rng.random() < 0.4):
+                continue
+            chosen = rng.sample(letters, rng.randint(1, len(letters)))
+            out[(i, j)] = {(l,): rng.choice([-2, -1, 1, 3, Fraction(1, 2)]) for l in chosen}
+    return out
+
+
+def test_word_trace_sum_matches_the_placement_loop():
+    rng = random.Random(1515)
+    seen = set()
+    for rank in range(1, 5):
+        for letters in (["l"], ["l1", "l2"]):
+            order = {l: p for p, l in enumerate(letters)}
+            pool = [(i, j, l) for i in range(rank) for j in range(rank) for l in letters]
+            for kind in THETA_KINDS:
+                theta = random_theta_matrix(rng, rank, letters, kind)
+                powers = _theta_powers(theta, rank, order)
+                for k in range(1, rank + 1):
+                    for n in range(k + 2):
+                        units = [rng.choice(pool) for _ in range(n)]
+                        if n >= 2 and rng.random() < 0.5:
+                            units[-1] = units[0]
+                        fmats = [{(i, j): {(l,): 1}} for i, j, l in units]
+                        want = placement_trace_oracle(k, fmats, theta, order)
+                        assert _word_trace_sum(k, tuple(units), powers, order) == want
+                        assert _word_trace_sum(k, tuple(sorted(units)), powers, order) == want
+                        seen.add((n == 0, n > k, len(set(units)) < n, bool(want)))
+    assert (True, False, False, True) in seen  # tr(theta^k) != 0
+    assert (False, True, False, False) in seen  # more units than slots
+    assert (False, False, True, True) in seen  # a repeated unit
+    assert (False, False, False, True) in seen
+
+
+def test_g_coefficient_matches_the_placement_loop_on_general_matrices():
+    rng = random.Random(1516)
+    cdga = trivial_cdga()
+    one = GradedVector({"1": 1})
+    nonzero = 0
+    for rank in range(1, 5):
+        for letters in (["l"], ["l1", "l2"]):
+            l_space = GradedSpace([(l, 1) for l in letters])
+            order = {l: p for p, l in enumerate(letters)}
+            for kind in THETA_KINDS:
+                # one letter in theta, so that theta ^ theta = 0
+                theta_mat = random_theta_matrix(rng, rank, letters[:1], kind)
+                theta = [
+                    [{l: c for (l,), c in theta_mat.get((i, j), {}).items()} for j in range(rank)]
+                    for i in range(rank)
+                ]
+                pair = HitchinPair(rank, l_space, theta)
+                for k in range(1, rank + 1):
+                    n = rng.randint(1, min(k, 3))
+                    fs = [random_theta_matrix(rng, rank, letters, "mixed") for _ in range(n)]
+                    args = [
+                        (one, [[{l: c for (l,), c in f.get((i, j), {}).items()}
+                                for j in range(rank)] for i in range(rank)])
+                        for f in fs
+                    ]
+                    trace = placement_trace_oracle(k, fs, theta_mat, order)
+                    want = GradedVector({f"1*{sym_name(mono)}": c for mono, c in trace.items()})
+                    assert g_coefficient(k, args, pair, cdga) == want
+                    nonzero += bool(want)
+    assert nonzero >= 20
 
 
 # ---------------------------------------------------------------------------

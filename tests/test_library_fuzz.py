@@ -243,8 +243,8 @@ def two_names():
 
 
 # Calls that once raised KeyError, IndexError or AttributeError, or, for the
-# unknown form name, the string keys and word and the falsy non-mappings,
-# returned as if valid.
+# unknown form name, the string keys and word, the falsy non-mappings and the
+# bool weights and power, returned as if valid.
 FINDINGS = {
     "unknown name in a kernel-map cocycle": (
         lambda: obstruction_kernel_map(GradedVector({"nope": 1}), MORPHISM), ValueError),
@@ -273,6 +273,13 @@ FINDINGS = {
     "zero as a product table": (lambda: Cdga(two_names(), None, 0, "a"), TypeError),
     "zero as a theta entry": (
         lambda: HitchinPair(1, GradedSpace([("l", 1)]), [[0]]), TypeError),
+    "bool as a codifferential weight": (
+        lambda: check_codifferential(LInftyStructure(GradedSpace(LINFTY_BASIS), LINFTY_BRACKETS), True),
+        TypeError),
+    "bool as a morphism weight": (lambda: check_linfty_morphism(MORPHISM, True), TypeError),
+    "bool as a trace power": (
+        lambda: g_coefficient(True, [({"1": 1}, [[{"l1": 1}, {}], [{}, {}]])], PAIR, CDGA),
+        TypeError),
 }
 
 

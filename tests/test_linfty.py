@@ -15,12 +15,14 @@ from defcalc.dgla import (
     tensor_cdga_dgla,
     trivial_cdga,
 )
-from defcalc.graded import GradedMap, GradedSpace, GradedVector
+from defcalc.graded import GradedMap, GradedSpace, GradedVector, koszul_sign
 from defcalc.hitchin import HitchinPair, build_hitchin_morphism
 from defcalc.linfty import (
     LInftyMorphism,
     LInftyStructure,
     PolyPath,
+    _merge_words,
+    _unshuffle_sign,
     abelian_homotopy_witness,
     basis_words,
     check_codifferential,
@@ -35,6 +37,7 @@ from defcalc.linfty import (
     verify_homotopy_witness,
 )
 
+from test_construction import exterior_cdga
 from test_dgla import (
     MATRIX_UNITS,
     contractible,
@@ -66,6 +69,50 @@ def test_normalize_word():
     assert normalize_word(("q", "p"), sdeg) == (("p", "q"), -1)
     # even letters sort before odd ones for free
     assert normalize_word(("p", "a"), sdeg) == (("a", "p"), 1)
+
+
+def random_canonical_word(rng, letters, sdeg, length):
+    while True:
+        word, sign = normalize_word([rng.choice(letters) for _ in range(length)], sdeg)
+        if sign:
+            return word
+
+
+def test_merge_words_matches_normalize_word():
+    rng = random.Random(2121)
+    # shifted degrees -1..2, so both parities, with repeats made likely
+    space = GradedSpace([(f"v{i}", i % 4) for i in range(7)])
+    sdeg = shifted_degrees(space)
+    letters = space.names
+    seen = set()
+    for _ in range(3000):
+        word = random_canonical_word(rng, letters, sdeg, rng.randint(1, 3))
+        tail = random_canonical_word(rng, letters, sdeg, rng.randint(0, 4))
+        want, sign = normalize_word(word + tail, sdeg)
+        got = _merge_words(word, tail, sdeg)
+        if sign == 0:
+            assert got is None, (word, tail)
+            seen.add("vanishes")
+        else:
+            assert got == (want, sign), (word, tail)
+            seen.add(sign)
+            if set(word) & set(tail):
+                seen.add("even repeat")
+    assert seen == {"vanishes", "even repeat", 1, -1}
+
+
+def test_unshuffle_sign_matches_koszul_sign():
+    rng = random.Random(2122)
+    signs = set()
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        degrees = [rng.randint(-1, 2) for _ in range(n)]
+        subset = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        rest = [p for p in range(n) if p not in subset]
+        want = koszul_sign([p + 1 for p in subset] + [p + 1 for p in rest], degrees)
+        assert _unshuffle_sign(subset, [d % 2 for d in degrees]) == want
+        signs.add(want)
+    assert signs == {1, -1}
 
 
 def test_basis_words_frozen_count():
@@ -398,6 +445,21 @@ def test_check_linfty_morphism_matches_full_scan_oracle():
             expected = full_scan_check_linfty_morphism(morphism, 4)
             assert _full_report(check_linfty_morphism(morphism, 4)) == expected
             outcomes.add(expected[0])
+    # odd forms: the form product depends on the order of the CDGA parts;
+    # the valid morphisms pass and the ones with f_2 doubled fail alike
+    for pair, cdga in [
+        (rank2, exterior_cdga(Fraction(-2))),
+        (rank2, derham_fat_point()),
+        (rank3, exterior_cdga(Fraction(3))),
+    ]:
+        morphism = build_hitchin_morphism(pair, cdga)
+        doubled = _regenerated(
+            morphism, lambda k, w, m=morphism: m.component(w).scale(2 if k == 2 else 1)
+        )
+        assert _full_report(check_linfty_morphism(morphism, 3)) == _full(True)
+        expected = full_scan_check_linfty_morphism(doubled, 3)
+        assert expected[0] is False
+        assert _full_report(check_linfty_morphism(doubled, 3)) == expected
     assert outcomes == {True, False}
 
 
