@@ -25,13 +25,14 @@ linfty   the same homotopical data as coderivations of the reduced
          instead of sorting them, and one nilpotent power series behind
          the Maurer-Cartan residual, the pushforward of Maurer-Cartan
          elements and homotopies over a polynomial-in-t extension of the
-         base.
+         base, where a gauge witness a gives the homotopy exp(t a) . x.
 hitchin  the matrix-valued models: a square matrix of anticommuting
          one-letter forms with theta ^ theta = 0, the associated dgla, the
          family of trace maps into an abelian target (one sparse matrix
-         product, behind the theta ^ theta check, the powers of theta and
-         the Hitchin map, over any coefficient ring; one closed-form trace
-         of matrix-unit words), and the obstruction-kernel consequence.
+         product, behind the theta ^ theta check and the powers of theta;
+         one closed-form trace of matrix-unit words), the Hitchin map as
+         the pushforward along that morphism split by Sym power, and the
+         obstruction-kernel consequence.
 cli      batch front end over JSON documents with deterministic reports.
 """
 
@@ -87,10 +88,10 @@ from .linfty import (
     LInftyMorphism,
     LInftyStructure,
     PolyPath,
-    abelian_homotopy_witness,
     check_codifferential,
     check_linfty_morphism,
     coderivation_extend,
+    homotopy_from_gauge,
     linfty_from_dgla,
     linfty_mc_residual,
     morphism_extend,
@@ -119,7 +120,6 @@ __all__ = [
     "NotAComplexError",
     "ObstructionEvent",
     "PolyPath",
-    "abelian_homotopy_witness",
     "artin_multiply",
     "bch_product",
     "bracket_artin",
@@ -138,6 +138,7 @@ __all__ = [
     "hitchin_map",
     "hitchin_target",
     "hom_dgla",
+    "homotopy_from_gauge",
     "is_mc",
     "koszul_sign",
     "linfty_from_dgla",

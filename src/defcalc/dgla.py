@@ -610,11 +610,12 @@ def mc_solve(dgla, algebra, directions=None):
         t1 = tuple(1 if i == 0 else 0 for i in range(len(algebra.variables)))
         if t1 not in algebra.monomials:
             raise ValueError("first variable does not survive in the algebra")
-        directions = []
-        for rep in summary.representatives(1):
-            directions.append(
-                ArtinVector({(t1, name): c for name, c in rep.coeffs.items()})
-            )
+        directions = [
+            ArtinVector({(t1, name): c for name, c in rep.coeffs.items()})
+            for rep in summary.representatives(1)
+        ]
+    else:
+        directions = list(directions)  # read once: it may be an iterator
     for x in directions:
         validate_artin_vector(x, algebra, dgla.space, degree=1)
         # a seed whose linear part is not closed is no tangent vector at all
@@ -654,7 +655,7 @@ def mc_solve(dgla, algebra, directions=None):
         if not final.is_zero():
             raise AssertionError("lift terminated with a nonzero residual")
         solutions.append(x)
-    return McSolveResult(summary, list(directions), events, solutions)
+    return McSolveResult(summary, directions, events, solutions)
 
 
 class GaugeResult:
@@ -692,10 +693,12 @@ def gauge_equivalent(x, y, dgla, algebra):
             raise ValueError(f"{label} does not satisfy the Maurer-Cartan equation")
     solver = PreimageSolver(dgla.space, dgla.d, 0)
     a = ArtinVector()
-    max_order = algebra.nilpotency_order - 1
-    for order in range(1, max_order + 1):
+    top = algebra.nilpotency_order
+    for order in range(1, top + 1):
         diff = y - gauge_act(a, x, dgla, algebra)
         if diff.is_zero():
+            return GaugeResult(True, witness=a)
+        if order == top:  # m^top = 0: every order is settled
             break
         low = diff.min_order()
         if low > order:
@@ -713,6 +716,4 @@ def gauge_equivalent(x, y, dgla, algebra):
             a = a + ArtinVector(
                 {(mono, name): c for name, c in pre.coeffs.items()}
             )
-    if gauge_act(a, x, dgla, algebra) != y:
-        raise AssertionError("gauge search terminated without matching y")
-    return GaugeResult(True, witness=a)
+    raise AssertionError("gauge search terminated without matching y")

@@ -19,8 +19,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
-from .dgla import CheckReport
-from .graded import GradedMap, GradedSpace, GradedVector, PreimageSolver, accumulate
+from .dgla import CheckReport, GaugeResult, gauge_act
+from .graded import GradedSpace, GradedVector, accumulate
 from .graded import as_fraction, as_int, int_view, mapping_items
 from .graded import koszul_sign, signed_sort_keyed
 
@@ -295,9 +295,11 @@ def check_codifferential(structure, weight):
     arity j are visited, and the scan stops at weight 2 k_max - 1 (k_max
     the largest arity): above it every (j, k) pair has a missing bracket
     and the corestriction is exactly zero.  Failure reports the first word
-    in basis order and the nonzero vector.
+    in basis order and the nonzero vector.  A weight below 1 would examine
+    nothing and raises ValueError.
     """
-    weight = as_int(weight, "weight")
+    if as_int(weight, "weight") < 1:
+        raise ValueError(f"weight must be at least 1, got {weight}")
     sdeg, tables = structure.sdeg, _int_tables(structure)
     top = min(weight, 2 * max(tables, default=0) - 1)
     for word in basis_words(structure.space, top, sdeg):
@@ -511,9 +513,10 @@ def check_linfty_morphism(morphism, weight):
     of them and only bracket outputs in the support are visited, F(w) only
     on all-inside words, and the words scanned are those of
     _candidate_words.  The failure is still the first word in basis order,
-    with the value lhs - rhs.
+    with the value lhs - rhs.  A weight below 1 raises ValueError.
     """
-    weight = as_int(weight, "weight")
+    if as_int(weight, "weight") < 1:
+        raise ValueError(f"weight must be at least 1, got {weight}")
     source, target = morphism.source, morphism.target
     top_weight = morphism.max_weight
     k_s = max(source.brackets, default=0)
@@ -665,8 +668,9 @@ def _path_part(part):
 
 
 def _parameter_extension(algebra, max_degree):
-    """The algebra with one extra nilpotent-free polynomial variable, truncated
-    far enough that no product in the verification overflows."""
+    """The algebra with one extra polynomial variable t, kept up to
+    t^max_degree; callers choose max_degree so that none of their products
+    overflows."""
     var = "t"
     while var in algebra.variables:
         var += "_"
@@ -674,7 +678,7 @@ def _parameter_extension(algebra, max_degree):
     return ArtinAlgebra(algebra.variables + (var,), monos)
 
 
-def _embed_path_part(part, algebra_ext):
+def _embed_path_part(part):
     out = {}
     for tdeg, vec in part.items():
         for (mono, name), c in vec.coeffs.items():
@@ -715,8 +719,8 @@ def verify_homotopy_witness(path, x, y, structure, algebra):
 
     bound = max(1, path.max_t_degree()) * max(1, algebra.nilpotency_order - 1) + 1
     ext = _parameter_extension(algebra, bound)
-    z0 = _embed_path_part(path.even, ext)
-    z1 = _embed_path_part(path.odd, ext)
+    z0 = _embed_path_part(path.even)
+    z1 = _embed_path_part(path.odd)
 
     residual = linfty_mc_residual(z0, structure, ext)
     if not residual.is_zero():
@@ -730,25 +734,24 @@ def verify_homotopy_witness(path, x, y, structure, algebra):
     return CheckReport.passed()
 
 
-def abelian_homotopy_witness(x, y, structure, algebra):
-    """Linear path construction, abelian structures only.
+def homotopy_from_gauge(result, x, dgla, algebra):
+    """The homotopy z0(t) = exp(t a) . x, z1 = -a from x to exp(a) . x,
+    for the witness a of an equivalent GaugeResult.
 
-    The path x + t (y - x) + dt w is a homotopy witness exactly when
-    q_1(w) = x - y; that equation is solved per monomial, and None is
-    returned when some monomial has no solution.
+    exp(t a) . x is the gauge action over the base extended by t, with a
+    scaled by t; a is nilpotent, so the path is polynomial in t.  Check it
+    with verify_homotopy_witness on linfty_from_dgla(dgla).
     """
-    if any(k >= 2 for k in structure.brackets):
-        raise ValueError("linear witness construction requires an abelian structure")
-    validate_artin_vector(x, algebra, structure.space, degree=1)
-    validate_artin_vector(y, algebra, structure.space, degree=1)
-    space = structure.space
-    q1 = {src: vec for (src,), vec in structure.brackets.get(1, {}).items()}
-    solver = PreimageSolver(space, GradedMap(space, space, 1, q1), 0)
-    diff = x - y
-    odd_terms = {}
-    for mono in diff.monomials_present():
-        pre = solver.preimage(diff.coefficient_vector(mono))
-        if pre is None:
-            return None
-        odd_terms.update(((mono, name), c) for name, c in pre.coeffs.items())
-    return PolyPath(even={0: x, 1: y - x}, odd={0: ArtinVector.from_nonzero(odd_terms)})
+    if not isinstance(result, GaugeResult):
+        raise TypeError(f"expected a GaugeResult, got {type(result).__name__}")
+    if not result:
+        raise ValueError("the gauge result is not an equivalence, so it has no witness")
+    a = result.witness
+    if not isinstance(a, ArtinVector):
+        raise TypeError(f"expected an ArtinVector witness, got {type(a).__name__}")
+    ext = _parameter_extension(algebra, algebra.nilpotency_order)
+    flow = gauge_act(_embed_path_part({1: a}), _embed_path_part({0: x}), dgla, ext)
+    even = {}
+    for (mono, name), c in flow.coeffs.items():
+        even.setdefault(mono[-1], {})[(mono[:-1], name)] = c
+    return PolyPath({m: ArtinVector.from_nonzero(t) for m, t in even.items()}, {0: -a})

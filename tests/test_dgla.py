@@ -705,6 +705,19 @@ def test_gauge_act_preserves_mc_random():
         assert is_mc(gauge_act(a, x, model, algebra), model, algebra)
 
 
+def test_mc_solve_reads_a_generator_of_directions_once():
+    l_space = GradedSpace([("l", 1)])
+    model = matrix_wedge_dgla(2, l_space, [[{"l": 1}, {}], [{}, {}]])
+    algebra = make_artin(("t",), 3)
+    directions = mc_solve(model, algebra).directions
+    assert len(directions) == 2
+    from_list = mc_solve(model, algebra, list(directions))
+    from_generator = mc_solve(model, algebra, (x for x in directions))
+    assert from_generator.directions == from_list.directions == directions
+    assert from_generator.solutions == from_list.solutions
+    assert len(from_generator.solutions) == 2 and all(from_generator.solutions)
+
+
 def test_mc_solve_obstructed_model():
     model = two_line()
     algebra = make_artin(("t",), 3)

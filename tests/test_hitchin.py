@@ -1,5 +1,6 @@
 """Matrix-of-forms pairs, their dgla, trace maps, obstruction kernel."""
 
+import os
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -7,7 +8,9 @@ from itertools import permutations
 import pytest
 
 from defcalc.artin import ArtinVector, make_artin
-from defcalc.dgla import Cdga, CheckReport, check_dgla, mc_solve, trivial_cdga
+from defcalc.cli import parse_document
+from defcalc.dgla import Cdga, CheckReport, check_dgla, gauge_act, is_mc, mc_solve
+from defcalc.dgla import tensor_name, trivial_cdga
 from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate, as_fraction
 from defcalc.graded import complex_cohomology
 from defcalc.hitchin import (
@@ -31,6 +34,8 @@ from defcalc.hitchin import (
     wedge_suffix,
 )
 from defcalc.linfty import check_linfty_morphism, pushforward_mc
+from test_construction import exterior_cdga
+from test_dgla import derham_fat_point
 
 
 def one_letter_space():
@@ -226,8 +231,150 @@ def test_pushforward_and_hitchin_map_agree_frozen():
     sections = hitchin_map(x, morphism, algebra)
     assert sections[0].is_zero()
     assert sections[1].terms == {((2,), "1*l.l"): Fraction(4)}
+    assert sections == trace_power_oracle(x, pair, cdga, algebra)
     image = pushforward_mc(morphism, x, algebra)
     assert image.terms == {((2,), "1*l.l"): Fraction(4)}
+
+
+# ---------------------------------------------------------------------------
+# The Hitchin map is the pushforward split by Sym power; the direct
+# matrix-power computation it replaced is the oracle.
+
+
+def trace_power_oracle(x, pair, cdga, algebra):
+    """tr((theta + y)^k) - tr(theta^k) for k = 1..rank, y the
+    wedge-degree-one part of x, by matrix powers over A (x) Sym L with
+    Artinian coefficients: entry keys are (monomial, CDGA basis name,
+    Sym-monomial)."""
+    order = pair._l_order
+    r = pair.rank
+    letter_parts = {
+        tensor_name(a_name, matrix_name(i, j) + "^" + l): (a_name, i, j, l)
+        for a_name in cdga.space.names
+        for l in pair.l_space.names
+        for i in range(1, r + 1)
+        for j in range(1, r + 1)
+    }
+
+    def entry_mul(e1, e2, dest):
+        for (mono1, a1, sym1), c1 in e1.items():
+            for (mono2, a2, sym2), c2 in e2.items():
+                mono = algebra.multiply_monomials(mono1, mono2)
+                if mono is None:
+                    continue
+                sym = tuple(sorted(sym1 + sym2, key=order.get))
+                for a_name, ca in cdga.product_basis(a1, a2).coeffs.items():
+                    accumulate(dest, (mono, a_name, sym), c1 * c2 * ca)
+
+    theta = {}
+    for i in range(r):
+        for j in range(r):
+            for l, c in pair.theta[i][j].coeffs.items():
+                theta.setdefault((i, j), {})[(algebra.unit, cdga.unit, (l,))] = c
+    full = {key: dict(entry) for key, entry in theta.items()}
+    for (mono, name), c in x.coeffs.items():
+        part = letter_parts.get(name)
+        if part is not None:
+            a_name, i, j, l = part
+            accumulate(full.setdefault((i - 1, j - 1), {}), (mono, a_name, (l,)), c)
+
+    def trace_power(mat, k):
+        prod = mat
+        for _ in range(k - 1):
+            prod = _mat_mul(prod, mat, entry_mul)
+        return _mat_trace(prod)
+
+    sections = []
+    for k in range(1, r + 1):
+        delta = trace_power(full, k)
+        for key, c in trace_power(theta, k).items():
+            accumulate(delta, key, -c)
+        terms = {}
+        for (mono, a_name, sym), c in delta.items():
+            assert mono != algebra.unit, "constant term survived the subtraction"
+            terms[(mono, tensor_name(a_name, sym_name(sym)))] = c
+        sections.append(ArtinVector(terms))
+    return tuple(sections)
+
+
+def nilpotent_pair():
+    return HitchinPair(2, one_letter_space(), [[{}, {"l": 1}], [{}, {}]])
+
+
+def diagonal_two_letter_pair():
+    return HitchinPair(2, two_letter_space(), [[{"l1": 1}, {}], [{}, {"l2": 1}]])
+
+
+def random_element(rng, names, algebra, count=4):
+    """Seeded element over the names, biased towards low-order monomials so
+    that products survive the truncation."""
+    monomials = algebra.maximal_ideal  # sorted by total degree
+    terms = {}
+    for _ in range(count):
+        pick = min(rng.randrange(len(monomials)), rng.randrange(len(monomials)))
+        terms[(monomials[pick], rng.choice(names))] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return ArtinVector(terms)
+
+
+
+def test_hitchin_map_matches_the_matrix_power_oracle():
+    rng = random.Random(1616)
+    pairs = (diag_pair, zero_pair, lambda: zero_pair(3), nilpotent_pair,
+             diagonal_two_letter_pair)
+    cdgas = (trivial_cdga, interval_cdga, lambda: exterior_cdga(1), derham_fat_point)
+    checked = nonzero = 0
+    for make_pair in pairs:
+        for make_cdga in cdgas:
+            pair, cdga = make_pair(), make_cdga()
+            morphism = build_hitchin_morphism(pair, cdga)
+            source = morphism.source_dgla
+            for truncation in (3, 4):
+                algebra = make_artin(("t",), truncation)
+                for x in mc_solve(source, algebra).solutions:
+                    if x is None:
+                        continue
+                    # a gauge move keeps x Maurer-Cartan and fills in more entries
+                    a = random_element(rng, source.space.names_of_degree(0), algebra)
+                    for y in (x, gauge_act(a, x, source, algebra)):
+                        sections = hitchin_map(y, morphism, algebra)
+                        assert sections == trace_power_oracle(y, pair, cdga, algebra)
+                        checked += 1
+                        nonzero += any(sections)
+    assert checked >= 100 and nonzero >= 50, (checked, nonzero)
+
+
+def sample(name):
+    root = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+    return parse_document(os.path.join(root, name)).kernel
+
+
+def test_hitchin_map_is_gauge_invariant_on_the_sample():
+    """For seeded Maurer-Cartan x and y = exp(a) . x, hitchin_map(y) -
+    hitchin_map(x) has zero class in the target cohomology at every
+    monomial."""
+    pair = sample("hitchin_r2_zero.json")
+    cdga = sample("cdga_interval.json")
+    algebra = make_artin(("t",), 4)
+    rng = random.Random(2020)
+    morphism = build_hitchin_morphism(pair, cdga)
+    source, target = morphism.source_dgla, morphism.target_dgla
+    cohomology = complex_cohomology(target.space, target.d)
+    degree0, degree1 = source.space.names_of_degree(0), source.space.names_of_degree(1)
+    moved = nonzero = 0
+    for _ in range(20):
+        x = random_element(rng, degree1, algebra)
+        while not (x and is_mc(x, source, algebra)):
+            x = random_element(rng, degree1, algebra)
+        y = gauge_act(random_element(rng, degree0, algebra), x, source, algebra)
+        moved += y != x
+        sections = hitchin_map(x, morphism, algebra)
+        nonzero += any(sections)
+        for before, after in zip(sections, hitchin_map(y, morphism, algebra)):
+            diff = after - before
+            for mono in diff.monomials_present():
+                coords = cohomology.project(1, diff.coefficient_vector(mono))
+                assert not any(coords), (mono, diff)
+    assert moved >= 15 and nonzero >= 5, (moved, nonzero)
 
 
 def test_hitchin_map_checks_maurer_cartan_once(monkeypatch):

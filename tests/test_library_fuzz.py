@@ -21,6 +21,7 @@ from defcalc import (
     Dgla,
     GradedMap,
     GradedSpace,
+    GaugeResult,
     GradedVector,
     HitchinPair,
     LInftyMorphism,
@@ -38,6 +39,7 @@ from defcalc import (
     gauge_equivalent,
     hitchin_map,
     hom_dgla,
+    homotopy_from_gauge,
     koszul_sign,
     make_artin,
     matrix_wedge_dgla,
@@ -105,6 +107,18 @@ def call_gauge(basis, columns, brackets, x_terms, y_terms):
     gauge_equivalent(ArtinVector(x_terms), ArtinVector(y_terms), dgla, T3)
 
 
+# an abelian dgla with d m = p - q: t p and t q are gauge equivalent
+LINE_BASIS = [("m", 0), ("p", 1), ("q", 1)]
+LINE_D = {"m": {"p": 1, "q": -1}}
+
+
+def call_homotopy(basis, columns, x_terms, y_terms):
+    dgla = make_dgla(basis, columns, {})
+    x = ArtinVector(x_terms)
+    result = gauge_equivalent(x, ArtinVector(y_terms), dgla, T3)
+    homotopy_from_gauge(result, x, dgla, T3)
+
+
 def call_gauge_act(a_terms, b_terms, x_terms):
     dgla = make_dgla(BASIS, D_COLS, BRACKETS)
     a, b = ArtinVector(a_terms), ArtinVector(b_terms)
@@ -147,6 +161,8 @@ CALLS = [
     ("mc_solve", call_mc_solve, [BASIS, D_COLS, BRACKETS, ["t"], 4]),
     ("gauge_equivalent", call_gauge,
      [BASIS, D_COLS, BRACKETS, {((1,), "c"): 1}, {((1,), "c"): 1, ((2,), "c"): 1}]),
+    ("homotopy_from_gauge", call_homotopy,
+     [LINE_BASIS, LINE_D, {((1,), "p"): 1}, {((1,), "q"): 1}]),
     ("gauge_act", call_gauge_act, [{((1,), "z"): 1}, {((2,), "z"): 2}, {((1,), "c"): 1}]),
     ("LInftyStructure", call_linfty, [LINFTY_BASIS, LINFTY_BRACKETS, 3]),
     ("LInftyMorphism", call_linfty_morphism,
@@ -295,6 +311,19 @@ def test_none_is_the_zero_vector_where_documented():
 def test_fuzzer_findings_are_rejected(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("result, error", [
+    (GaugeResult(False), ValueError),
+    (None, TypeError),
+    (True, TypeError),
+    (GaugeResult(True), TypeError),
+    (GaugeResult(True, witness={((1,), "m"): 1}), TypeError),
+], ids=["inequivalent", "None", "bool", "no witness", "dict witness"])
+def test_homotopy_from_gauge_takes_an_equivalent_gauge_result(result, error):
+    x = ArtinVector({((1,), "p"): 1})
+    with pytest.raises(error):
+        homotopy_from_gauge(result, x, make_dgla(LINE_BASIS, LINE_D, {}), T3)
 
 
 def test_valid_calls_succeed():

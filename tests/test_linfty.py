@@ -8,26 +8,28 @@ import pytest
 from defcalc.artin import ArtinVector, make_artin
 from defcalc.dgla import (
     Dgla,
+    GaugeResult,
     check_dgla,
     gauge_act,
+    gauge_equivalent,
     mc_residual,
     mc_solve,
     tensor_cdga_dgla,
     trivial_cdga,
 )
 from defcalc.graded import GradedMap, GradedSpace, GradedVector, koszul_sign
-from defcalc.hitchin import HitchinPair, build_hitchin_morphism
+from defcalc.hitchin import HitchinPair, build_hitchin_morphism, matrix_wedge_dgla
 from defcalc.linfty import (
     LInftyMorphism,
     LInftyStructure,
     PolyPath,
     _merge_words,
     _unshuffle_sign,
-    abelian_homotopy_witness,
     basis_words,
     check_codifferential,
     check_linfty_morphism,
     coderivation_extend,
+    homotopy_from_gauge,
     linfty_from_dgla,
     linfty_mc_residual,
     morphism_extend,
@@ -38,6 +40,7 @@ from defcalc.linfty import (
 )
 
 from test_construction import exterior_cdga
+from test_hitchin import random_element
 from test_dgla import (
     MATRIX_UNITS,
     contractible,
@@ -596,38 +599,106 @@ def test_pushforward_identity():
         pushforward_mc(identity, ArtinVector.single((1,), "a"), algebra)
 
 
-def test_abelian_homotopy_witness_roundtrip():
+def abelian_line(d_m):
+    """m in degree 0, p and q in degree 1, d m = d_m, zero bracket."""
     space = GradedSpace([("m", 0), ("p", 1), ("q", 1)])
-    d = GradedMap(space, space, 1, {"m": {"p": 1, "q": -1}})
-    model = Dgla(space, d, {})
-    structure = linfty_from_dgla(model)
+    return Dgla(space, GradedMap(space, space, 1, {"m": d_m}), {})
+
+
+def test_homotopy_from_gauge_on_an_abelian_dgla():
+    model = abelian_line({"p": 1, "q": -1})
     algebra = make_artin(("t",), 3)
     x = ArtinVector.single((1,), "p")
     y = ArtinVector.single((1,), "q")
     # x - y = t (p - q) = t d m, so the classes agree
-    path = abelian_homotopy_witness(x, y, structure, algebra)
-    assert path is not None
-    report = verify_homotopy_witness(path, x, y, structure, algebra)
+    result = gauge_equivalent(x, y, model, algebra)
+    path = homotopy_from_gauge(result, x, model, algebra)
+    # with a zero bracket exp(t a) . x = x - t da: the straight line
+    assert path.even == {0: x, 1: y - x}
+    assert path.odd == {0: -result.witness}
+    report = verify_homotopy_witness(path, x, y, linfty_from_dgla(model), algebra)
     assert report.ok, (report.axiom, report.witness)
 
 
-def test_abelian_homotopy_witness_distinct_classes():
-    space = GradedSpace([("m", 0), ("p", 1), ("q", 1)])
-    d = GradedMap(space, space, 1, {"m": {"p": 1}})
-    model = Dgla(space, d, {})
-    structure = linfty_from_dgla(model)
+def test_homotopy_from_gauge_needs_an_equivalence():
+    model = abelian_line({"p": 1})
     algebra = make_artin(("t",), 3)
     x = ArtinVector.single((1,), "p")
     y = ArtinVector.single((1,), "q")
-    assert abelian_homotopy_witness(x, y, structure, algebra) is None
+    result = gauge_equivalent(x, y, model, algebra)
+    assert not result
+    with pytest.raises(ValueError, match="not an equivalence"):
+        homotopy_from_gauge(result, x, model, algebra)
 
 
-def test_abelian_homotopy_witness_rejects_brackets():
-    structure = linfty_from_dgla(semidirect())
+@pytest.mark.parametrize("theta", [
+    [[{}, {}], [{}, {}]],
+    [[{"l": 1}, {}], [{}, {}]],
+], ids=["zero", "diagonal"])
+@pytest.mark.parametrize("truncation", [3, 4])
+def test_homotopy_from_gauge_verifies_on_gl2_wedge(theta, truncation):
+    """For seeded y = exp(a) . x on gl2 (x) Lambda(l), the path built from
+    the gauge witness passes verify_homotopy_witness, and the same path
+    with z1 = +a fails unless it stands still."""
+    model = matrix_wedge_dgla(2, GradedSpace([("l", 1)]), theta)
+    structure = linfty_from_dgla(model)
+    algebra = make_artin(("t",), truncation)
+    rng = random.Random(1600 + truncation)
+    found = moving = 0
+    for _ in range(20):
+        # Lambda^2 of one letter is zero, so every degree-1 element is
+        # Maurer-Cartan
+        x, a = (random_element(rng, model.space.names_of_degree(d), algebra) for d in (1, 0))
+        y = gauge_act(a, x, model, algebra)
+        # with theta = 0 the search misses most of these pairs (it ignores
+        # the stabilizer of x), so the seeded witness is used as well
+        results = [GaugeResult(True, witness=a)]
+        searched = gauge_equivalent(x, y, model, algebra)
+        if searched:
+            found += 1
+            results.append(searched)
+        for result in results:
+            path = homotopy_from_gauge(result, x, model, algebra)
+            report = verify_homotopy_witness(path, x, y, structure, algebra)
+            assert report.ok, (report.axiom, report.witness)
+            flipped = PolyPath(path.even, {0: result.witness})
+            still = set(path.even) <= {0}
+            assert bool(verify_homotopy_witness(flipped, x, y, structure, algebra)) == still
+            moving += not still
+    assert found and moving >= 15, (found, moving)
+
+
+def test_homotopy_with_the_wrong_dt_sign_is_rejected():
+    model = semidirect()
     algebra = make_artin(("t",), 3)
+    a = ArtinVector.single((1,), "a")
     x = ArtinVector.single((1,), "x")
-    with pytest.raises(ValueError):
-        abelian_homotopy_witness(x, x, structure, algebra)
+    y = gauge_act(a, x, model, algebra)
+    path = homotopy_from_gauge(GaugeResult(True, witness=a), x, model, algebra)
+    assert path.even == {0: x, 1: y - x} and path.odd == {0: -a}
+    structure = linfty_from_dgla(model)
+    assert verify_homotopy_witness(path, x, y, structure, algebra).ok
+    report = verify_homotopy_witness(PolyPath(path.even, {0: a}), x, y, structure, algebra)
+    assert not report.ok and report.axiom == "path-dt"
+
+
+def chain_structure():
+    """q1(a) = b, q1(b) = c: Q . Q (a) = c, so not a codifferential."""
+    space = GradedSpace([("a", 1), ("b", 2), ("c", 3)])
+    return LInftyStructure(space, {1: {("a",): {"b": 1}, ("b",): {"c": 1}}})
+
+
+@pytest.mark.parametrize("weight", [0, -3])
+def test_coalgebra_checkers_reject_weights_below_one(weight):
+    structure = chain_structure()
+    # identity components into the zero structure: F . Q (a) = b, Q-hat . F (a) = 0
+    flat = LInftyStructure(structure.space, {})
+    morphism = LInftyMorphism(structure, flat, {1: {(n,): {n: 1} for n in structure.space.names}})
+    for check, target in ((check_codifferential, structure), (check_linfty_morphism, morphism)):
+        report = check(target, 4)
+        assert not report.ok and report.witness == ("a",)
+        with pytest.raises(ValueError, match="weight must be at least 1"):
+            check(target, weight)
 
 
 def test_constant_path_verifies():
