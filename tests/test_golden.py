@@ -77,6 +77,8 @@ CASES = [
      S + "cdga_interval.json"],
     ["hitchin-map", S + "hitchin_r2_zero.json", G + "mc_r2_not_mc.json",
      S + "cdga_interval.json"],
+    ["hitchin-verify", G + "hitchin_r4_nilpotent.json", S + "cdga_interval.json",
+     "--weight", "3"],
 ]
 
 
