@@ -211,7 +211,10 @@ class ArtinVector(_SparseVector):
 
 
 def validate_artin_vector(x, algebra, space, degree):
-    """Check monomials lie in the maximal ideal and names in space, of degree degree."""
+    """Check that x is an ArtinVector whose monomials lie in the maximal
+    ideal and whose names are in space, of degree degree."""
+    if not isinstance(x, ArtinVector):
+        raise TypeError(f"expected an ArtinVector, got {type(x).__name__}")
     for mono, name in x.coeffs:
         if mono not in algebra.monomials or mono == algebra.unit:
             raise ValueError(

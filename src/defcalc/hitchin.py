@@ -282,45 +282,54 @@ def _theta_powers(theta, rank, order):
     return powers
 
 
-def _word_trace_sum(k, units, powers, order):
-    """Sum of traces of all length-k matrix words using each unit once.
+def _word_trace_sum(k, mats, powers, order):
+    """Sum of traces of all length-k matrix words using each matrix once.
 
-    units are matrix units (i, j, l), 0-based, standing for E_ij (x) l, and
-    the other slots hold theta, whose powers are powers[g] = theta^g; this is
-    the coefficient of t_1...t_n in tr((theta + sum t_m E_{i_m j_m} l_m)^k).
-    A word is fixed by the slot of the first unit (k choices, one trace by
-    cyclicity), the cyclic order sigma of the others and the composition
-    g_1 + ... + g_n = k - n of theta powers between them, and
-        tr(E_{i_1 j_1} theta^{g_1} ... E_{i_n j_n} theta^{g_n})
-          = prod_m (theta^{g_m})_{j_sigma(m), i_sigma(m+1)},
-    indices cyclic; so no matrix is multiplied.  With no units the value
-    is tr(theta^k), and with more units than slots it is zero.
+    mats are sparse matrices over Sym L, a matrix unit E_ij (x) l being the
+    one-entry matrix {(i, j): {(l,): 1}}, and the other slots hold theta,
+    whose powers are powers[g] = theta^g; this is the coefficient of
+    t_1...t_n in tr((theta + sum t_m f_m)^k).  A word is fixed by the slot
+    of the first matrix (k choices, one trace by cyclicity), the cyclic
+    order sigma of the others and the composition g_1 + ... + g_n = k - n
+    of theta powers between them, and
+        tr(f_1 theta^{g_1} f_sigma(2) ... f_sigma(n) theta^{g_n})
+    is a sum over index paths through the entries; so no matrix is
+    multiplied.  With no matrices the value is tr(theta^k), and with more
+    matrices than slots it is zero.
     """
-    n = len(units)
+    n = len(mats)
     if n == 0:
         return _mat_trace(powers[k])
     free = k - n
     if free < 0:
         return {}
     entry_mul = _sym_entry_mul(order)
-    letters = tuple(sorted([l for _, _, l in units], key=order.get))
+    # (row the path started in, column it is in) -> {theta powers used: poly}
+    start = {key: {0: {mono: k * c for mono, c in entry.items()}}
+             for key, entry in mats[0].items()}
     total = {}
-    for rest in permutations(units[1:]):
-        cycle = (units[0],) + rest + (units[0],)
-        # partial[used] = sum over the gaps chosen so far using `used`
-        # powers of theta of the product of their entries
-        partial = {0: {letters: k}}
-        for m in range(n):
-            b, a = cycle[m][1], cycle[m + 1][0]
+    for rest in permutations(mats[1:]):
+        partial = start
+        for mat in rest:
             step = {}
-            for used, poly in partial.items():
-                for g in range(free - used if m == n - 1 else 0, free - used + 1):
-                    entry = powers[g].get((b, a))
-                    if entry:
-                        entry_mul(poly, entry, step.setdefault(used + g, {}))
-            partial = {used: poly for used, poly in step.items() if poly}
-        for mono, c in partial.get(free, {}).items():
-            accumulate(total, mono, c)
+            for (a, b), polys in partial.items():
+                for used, poly in polys.items():
+                    for g in range(free - used + 1):
+                        power = powers[g]
+                        for (c, d), entry in mat.items():
+                            theta_entry = power.get((b, c))
+                            if theta_entry:
+                                head = {}
+                                entry_mul(poly, theta_entry, head)
+                                dest = step.setdefault((a, d), {}).setdefault(used + g, {})
+                                entry_mul(head, entry, dest)
+            partial = step
+        # the last gap takes the powers left and closes the cycle
+        for (a, b), polys in partial.items():
+            for used, poly in polys.items():
+                theta_entry = powers[free - used].get((b, a))
+                if theta_entry:
+                    entry_mul(poly, theta_entry, total)
     return total
 
 
@@ -331,37 +340,25 @@ def g_coefficient(k, args, pair, cdga):
     and f an r x r matrix of L-vectors.  The value is the product
     omega_1 ... omega_n tensored with the coefficient of t_1...t_n in
     tr((theta + sum t_i f_i)^k); with a single argument this is
-    k tr(f theta^(k-1)).  The trace is multilinear in the f_i, so each f_i
-    is expanded into matrix units and the unit traces are summed.
+    k tr(f theta^(k-1)).
     """
     k = as_int(k, "power")
     if k < 1 or k > pair.rank:
         raise ValueError(f"power {k} outside 1..{pair.rank}")
     order = pair._l_order
     omega = GradedVector({cdga.unit: 1})
-    # {sorted units: coefficient} of the product of the expanded arguments
-    unit_words = {(): 1}
+    mats = []
     for om, f in args:
         om = om if isinstance(om, GradedVector) else GradedVector(om)
         for name in om.coeffs:
             if name not in cdga.space:
                 raise ValueError(f"form uses unknown CDGA basis name {name!r}")
         omega = cdga.multiply(omega, om)
-        fmat = _sym_matrix(f, pair.rank, pair.l_space)
-        grown = {}
-        for units, c in unit_words.items():
-            for (i, j), entry in fmat.items():
-                for (l,), x in entry.items():
-                    accumulate(grown, tuple(sorted(units + ((i, j, l),))), c * x)
-        unit_words = grown
+        mats.append(_sym_matrix(f, pair.rank, pair.l_space))
     out = {}
     if not omega.is_zero():
         powers = _theta_powers(pair._theta_matrix, pair.rank, order)
-        trace = {}
-        for units, c in unit_words.items():
-            for mono, t in _word_trace_sum(k, units, powers, order).items():
-                accumulate(trace, mono, c * t)
-        _add_form_times_trace(out, omega.coeffs, trace)
+        _add_form_times_trace(out, omega.coeffs, _word_trace_sum(k, mats, powers, order))
     return GradedVector(out)
 
 
@@ -424,7 +421,8 @@ def build_hitchin_morphism(pair, cdga):
         for k in range(arity, pair.rank + 1):
             trace = traces.get((k, units))
             if trace is None:
-                trace = traces[(k, units)] = _word_trace_sum(k, units, powers, order)
+                mats = [{(i, j): {(l,): 1}} for i, j, l in units]
+                trace = traces[(k, units)] = _word_trace_sum(k, mats, powers, order)
             _add_form_times_trace(out, omega, trace)
         return GradedVector(out)
 

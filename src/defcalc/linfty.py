@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
 from .dgla import CheckReport, GaugeResult, gauge_act
@@ -284,36 +285,100 @@ def coderivation_extend(structure, element):
     return {word: as_fraction(c) for word, c in out.items()}
 
 
+def _multiplicity(word, block):
+    """Number of position subsets of the canonical word that spell the
+    canonical block: prod over letters x of C(m_word(x), m_block(x))."""
+    if len(set(word)) == len(word):
+        return 1
+    out = 1
+    for name in set(block):
+        out *= comb(word.count(name), block.count(name))
+    return out
+
+
+def _first_nonzero(totals, space, sdeg):
+    """The first word of totals in basis order, (weight, letter ranks),
+    whose defect is nonzero; None when there is none."""
+    failing = [word for word, total in totals.items() if total]
+    if not failing:
+        return None
+    rank = {name: i for i, name in enumerate(sorted(space.names, key=word_key(sdeg)))}
+    return min(failing, key=lambda word: (len(word), [rank[name] for name in word]))
+
+
+def _block_terms(tables, images, top, sdeg):
+    """{word: defect} from the table entries: each entry c e of q_k(B)
+    meets every (T, s, value) of images[e] with |T| + k <= top at the word
+    w = B . T, adding mult . eps . c . s . value, eps the Koszul sign of
+    the merge and mult the number of position subsets of w that spell B
+    (as many unshuffles of w give that term).  images[e] lists its
+    entries by |T|."""
+    totals = {}
+    for k, table in tables.items():
+        for block, vec in table.items():
+            for e, c in vec.items():
+                for group in images.get(e, ())[: max(0, top - k + 1)]:
+                    for tail, s, value in group:
+                        merged = _merge_words(block, tail, sdeg)
+                        if merged is None:
+                            continue
+                        word, eps = merged
+                        coeff = c * s * eps * _multiplicity(word, block)
+                        out = totals.setdefault(word, {})
+                        for name, x in value.items():
+                            accumulate(out, name, coeff * x)
+    return totals
+
+
+def _codifferential_defect(tables, sdeg, word):
+    """The weight-one corestriction of Q . Q on one canonical word, summed
+    in the order of the unshuffle scan."""
+    n = len(word)
+    terms = {}
+    _add_unshuffle_terms(
+        tables, sdeg, word, 1, terms, [k for k in tables if n - k + 1 in tables]
+    )
+    # every term has weight n - k + 1, an arity
+    total = {}
+    _apply_to_terms(terms, lambda v: tables[len(v)].get(v), total)
+    return total
+
+
 def check_codifferential(structure, weight):
     """Q . Q = 0 on every nonzero basis word up to the given weight.
 
     Q . Q is itself a coderivation, so it vanishes on a word exactly when
     its weight-one corestrictions vanish on that word and on all words of
-    lower weight.  On a word of weight n that corestriction is
+    lower weight.  On a word w of weight n that corestriction is
         sum over j + k - 1 = n of  q_j(q_k(block) . tail),
-    so only the unshuffles whose arity k leaves a term of some bracket
-    arity j are visited, and the scan stops at weight 2 k_max - 1 (k_max
-    the largest arity): above it every (j, k) pair has a missing bracket
-    and the corestriction is exactly zero.  Failure reports the first word
-    in basis order and the nonzero vector.  A weight below 1 would examine
-    nothing and raises ValueError.
+    so it is built from the tables, not from the words: each key K of q_j
+    is indexed by its letters e as (T, s, q_j(K)), T = K less one e and s
+    the sign of e . T = K, and every entry c e of q_k(B) meets the T of
+    its e at w = B . T (_block_terms), for j + k - 1 <= weight; above
+    weight 2 k_max - 1 (k_max the largest arity) nothing can be formed.
+    Failure reports the first word in basis order with a nonzero defect,
+    whose value is computed again by the unshuffle scan of that word.  A
+    weight below 1 would examine nothing and raises ValueError.
     """
     if as_int(weight, "weight") < 1:
         raise ValueError(f"weight must be at least 1, got {weight}")
     sdeg, tables = structure.sdeg, _int_tables(structure)
-    top = min(weight, 2 * max(tables, default=0) - 1)
-    for word in basis_words(structure.space, top, sdeg):
-        n = len(word)
-        terms = {}
-        _add_unshuffle_terms(
-            tables, sdeg, word, 1, terms, [k for k in tables if n - k + 1 in tables]
-        )
-        # every term has weight n - k + 1, an arity
-        total = {}
-        _apply_to_terms(terms, lambda v: tables[len(v)].get(v), total)
-        if total:
-            return CheckReport.failed("codifferential", word, GradedVector(total))
-    return CheckReport.passed()
+    images = {}  # e -> [[(T, s, q_j(K)) for the keys K of q_j holding e] for j >= 1]
+    for j, table in tables.items():
+        for key, value in table.items():
+            for p, e in enumerate(key):
+                if p and key[p - 1] == e:
+                    continue
+                tail = key[:p] + key[p + 1:]
+                groups = images.setdefault(e, [[] for _ in range(max(tables))])
+                groups[j - 1].append((tail, _merge_words((e,), tail, sdeg)[1], value))
+    totals = _block_terms(tables, images, weight, sdeg)
+    word = _first_nonzero(totals, structure.space, sdeg)
+    if word is None:
+        return CheckReport.passed()
+    return CheckReport.failed(
+        "codifferential", word, GradedVector(_codifferential_defect(tables, sdeg, word))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -453,98 +518,104 @@ def morphism_extend(morphism, element):
     return {word: as_fraction(c) for word, c in out.items()}
 
 
-def _candidate_words(morphism, top, inside_top):
-    """The source words of weight <= top on which F . Q - Q-hat . F can be
-    nonzero, in basis_words order; exact for any support, the full one
-    included.
+def _target_side(morphism, target_tables, word):
+    """sum over arities j of q-hat_j(weight-j part of F(word))."""
+    rhs = {}
+    for j, table in target_tables.items():
+        part = {}
+        _expand_partitions(morphism, word, 1, part, block_count=j)
+        _apply_to_terms(part, table.get, rhs)
+    return rhs
 
-    A word with a letter outside the support has F(w) = 0, and a term
-    q_k(block) . tail of Q(w) survives f only when the block holds every
-    outside letter, some output of q_k(block) is in the support and the
-    tail has at most max_weight - 1 letters, all inside.  So the words are
-    the bracket-table blocks with an output in the support joined to such
-    tails, plus the all-inside words up to weight inside_top (k_t times
-    max_weight, where F(w) can meet a target bracket).
-    """
-    source = morphism.source
-    sdeg, support = source.sdeg, morphism.support
-    letters = sorted(source.space.names, key=word_key(sdeg))
-    inside = [name for name in letters if name in support]
-    tail_top = min(morphism.max_weight, top) - 1
-    inside_top = min(inside_top, top)
-    inside_space = GradedSpace([(name, source.space.degree(name)) for name in inside])
-    inside_words = basis_words(inside_space, max(tail_top, inside_top), sdeg)
-    tails = [[()]] + [[] for _ in range(tail_top)]
-    for word in inside_words:
-        if len(word) <= tail_top:
-            tails[len(word)].append(word)
-    found = {word for word in inside_words if len(word) <= inside_top}
-    for k, table in source.brackets.items():
-        for block, vec in table.items():
-            if not any(name in support for name in vec.coeffs):
-                continue
-            for group in tails[: max(0, top - k + 1)]:
-                for tail in group:
-                    merged = _merge_words(block, tail, sdeg)
-                    if merged is not None:
-                        found.add(merged[0])
-    rank = {name: i for i, name in enumerate(letters)}
-    return sorted(found, key=lambda w: (len(w), [rank[name] for name in w]))
+
+def _morphism_defect(morphism, source_tables, target_tables, word):
+    """lhs - rhs of F . Q = Q-hat . F on one canonical word, summed in the
+    order of the unshuffle scan and the set-partition expansion."""
+    support = morphism.support
+    n = len(word)
+    outside = tuple(p for p, name in enumerate(word) if name not in support)
+    terms = {}
+    _add_unshuffle_terms(
+        source_tables, morphism.source.sdeg, word, 1, terms,
+        [k for k in source_tables if n - k + 1 <= morphism.max_weight], outside, support,
+    )
+    lhs = {}
+    _apply_to_terms(terms, morphism._view, lhs)
+    if not outside:
+        for name, c in _target_side(morphism, target_tables, word).items():
+            accumulate(lhs, name, -c)
+    return lhs
 
 
 def check_linfty_morphism(morphism, weight):
     """F . Q = Q-hat . F on every source basis word up to the given weight.
 
-    The defect F . Q - Q-hat . F is a coderivation along F, so on the words
-    scanned it vanishes exactly when its weight-one corestriction does;
-    per word that corestriction reads
+    The defect F . Q - Q-hat . F is a coderivation along F, so it vanishes
+    exactly when its weight-one corestriction does; per word w that reads
         sum over terms v of Q(w) of  f_{|v|}(v)
           -  sum over arities j of  q-hat_j(weight-j part of F(w)),
     the per-arity identity the full coalgebra equation projects to.
 
-    Only what can be nonzero is evaluated; W is max_weight and k_s, k_t
-    the largest source and target arities (0 without brackets).  A term
-    q_k(block) . tail of Q(w) has weight n - k + 1 and f vanishes above W,
-    so only arities k >= n - W + 1 are unshuffled; the weight-j part of
-    F(w) needs n <= j W.  Hence the scan stops at weight
-    max(W + k_s - 1, k_t W), above which both sides are exactly zero.
-    f vanishes on every word holding a letter outside the support (every
-    source letter by default): only the unshuffles whose block holds all
-    of them and only bracket outputs in the support are visited, F(w) only
-    on all-inside words, and the words scanned are those of
-    _candidate_words.  The failure is still the first word in basis order,
-    with the value lhs - rhs.  A weight below 1 raises ValueError.
+    The defect is built from the tables, not from the words.  W is
+    max_weight and k_s, k_t the largest source and target arities (0
+    without brackets); the bound is max(W + k_s - 1, k_t W), above which
+    both sides are exactly zero.  f vanishes on every word holding a
+    letter outside the support (every source letter by default), so a term
+    q_k(B) . T of Q(w) survives f only with T all inside, at most W - 1
+    letters, and an output e of q_k(B) in the support.  f(e . T) is
+    evaluated once for every such e and T and kept where nonzero, with s
+    the sign of e . T; each entry c e of q_k(B) then meets those T with
+    |T| + k within the bound at w = B . T (_block_terms).  The right side
+    q-hat_j(F_j(w)) is subtracted on the all-inside words up to k_t W.
+    The failure is the first word in basis order with a nonzero defect,
+    whose value lhs - rhs is computed again by the unshuffle scan and
+    set-partition expansion of that word.
+
+    Every component the defect needs is evaluated before the witness is
+    picked, so a generator whose output has the wrong degree on any such
+    word raises ValueError even when an earlier word fails.  A weight below
+    1 raises ValueError.
     """
     if as_int(weight, "weight") < 1:
         raise ValueError(f"weight must be at least 1, got {weight}")
     source, target = morphism.source, morphism.target
-    top_weight = morphism.max_weight
-    k_s = max(source.brackets, default=0)
-    k_t = max(target.brackets, default=0)
-    top = min(weight, max(top_weight + k_s - 1, k_t * top_weight))
-    support = morphism.support
+    sdeg, support, top_weight = source.sdeg, morphism.support, morphism.max_weight
     source_tables, target_tables = _int_tables(source), _int_tables(target)
-    for word in _candidate_words(morphism, top, k_t * top_weight):
-        n = len(word)
-        outside = tuple(p for p, name in enumerate(word) if name not in support)
-        terms = {}
-        _add_unshuffle_terms(
-            source_tables, source.sdeg, word, 1, terms,
-            [k for k in source_tables if n - k + 1 <= top_weight], outside, support,
-        )
-        lhs = {}
-        _apply_to_terms(terms, morphism._view, lhs)
-        rhs = {}
-        if not outside:
-            for j, table in target_tables.items():
-                part = {}
-                _expand_partitions(morphism, word, 1, part, block_count=j)
-                _apply_to_terms(part, table.get, rhs)
-        if lhs != rhs:
+    k_s = max(source_tables, default=0)
+    k_t = max(target_tables, default=0)
+    top = min(weight, max(top_weight + k_s - 1, k_t * top_weight))
+    tail_top = min(top_weight - 1, top - min(source_tables, default=top))
+    inside_top = min(k_t * top_weight, top)
+    inside = [(name, source.space.degree(name)) for name in source.space.names if name in support]
+    inside_words = basis_words(GradedSpace(inside), max(tail_top, inside_top), sdeg)
+    tails = [tail for tail in [()] + inside_words if len(tail) <= tail_top]
+    # e -> [[(T, s, f(e . T)) with f(e . T) nonzero] for |T| = 0 .. tail_top]
+    images = {}
+    for table in source_tables.values():
+        for vec in table.values():
+            for e in vec:
+                if e in support and e not in images:
+                    images[e] = groups = [[] for _ in range(tail_top + 1)]
+                    for tail in tails:
+                        merged = _merge_words((e,), tail, sdeg)
+                        if merged is not None:
+                            value = morphism._view(merged[0])
+                            if value:
+                                groups[len(tail)].append((tail, merged[1], value))
+    totals = _block_terms(source_tables, images, top, sdeg)
+    for word in inside_words:
+        if len(word) > inside_top:
+            break
+        rhs = _target_side(morphism, target_tables, word)
+        if rhs:
+            out = totals.setdefault(word, {})
             for name, c in rhs.items():
-                accumulate(lhs, name, -c)
-            return CheckReport.failed("morphism", word, GradedVector(lhs))
-    return CheckReport.passed()
+                accumulate(out, name, -c)
+    word = _first_nonzero(totals, source.space, sdeg)
+    if word is None:
+        return CheckReport.passed()
+    value = _morphism_defect(morphism, source_tables, target_tables, word)
+    return CheckReport.failed("morphism", word, GradedVector(value))
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +820,7 @@ def homotopy_from_gauge(result, x, dgla, algebra):
     a = result.witness
     if not isinstance(a, ArtinVector):
         raise TypeError(f"expected an ArtinVector witness, got {type(a).__name__}")
+    validate_artin_vector(x, algebra, dgla.space, degree=1)
     ext = _parameter_extension(algebra, algebra.nilpotency_order)
     flow = gauge_act(_embed_path_part({1: a}), _embed_path_part({0: x}), dgla, ext)
     even = {}

@@ -43,6 +43,7 @@ from defcalc import (
     koszul_sign,
     make_artin,
     matrix_wedge_dgla,
+    mc_residual,
     mc_solve,
     obstruction_kernel_map,
     pushforward_mc,
@@ -295,6 +296,29 @@ FINDINGS = {
     "bool as a morphism weight": (lambda: check_linfty_morphism(MORPHISM, True), TypeError),
     "bool as a trace power": (
         lambda: g_coefficient(True, [({"1": 1}, [[{"l1": 1}, {}], [{}, {}]])], PAIR, CDGA),
+        TypeError),
+    "plain dict into mc_residual": (
+        lambda: mc_residual({((1,), "c"): 1}, make_dgla(BASIS, D_COLS, BRACKETS), T3), TypeError),
+    "plain dict as the gauge element": (
+        lambda: gauge_act({((1,), "z"): 1}, ArtinVector(), make_dgla(BASIS, D_COLS, BRACKETS), T3),
+        TypeError),
+    "plain dict acted on by gauge_act": (
+        lambda: gauge_act(ArtinVector(), {((1,), "c"): 1}, make_dgla(BASIS, D_COLS, BRACKETS), T3),
+        TypeError),
+    "plain dict into bch_product": (
+        lambda: bch_product(
+            {((1,), "z"): 1}, ArtinVector(), make_dgla(BASIS, D_COLS, BRACKETS), T3),
+        TypeError),
+    "plain dict into gauge_equivalent": (
+        lambda: gauge_equivalent(
+            {((1,), "c"): 1}, ArtinVector(), make_dgla(BASIS, D_COLS, BRACKETS), T3),
+        TypeError),
+    "plain dict as an mc_solve direction": (
+        lambda: mc_solve(make_dgla(BASIS, D_COLS, BRACKETS), T3, [{((1,), "c"): 1}]), TypeError),
+    "plain dict as the start of a homotopy": (
+        lambda: homotopy_from_gauge(
+            GaugeResult(True, witness=ArtinVector()), {((1,), "p"): 1},
+            make_dgla(LINE_BASIS, LINE_D, {}), T3),
         TypeError),
 }
 

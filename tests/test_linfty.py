@@ -324,6 +324,24 @@ def test_morphism_components_are_checked_like_brackets(components, max_weight, m
     assert str(info.value) == message
 
 
+def test_malformed_generator_output_raises_before_an_earlier_failure():
+    # q_1(a) = p and f_1(p) = p make the defect nonzero on the first word a;
+    # the term p . b of Q(a . b), a later word, needs f_2(b . p), and every
+    # component the defect needs is evaluated before the witness is picked
+    source = LInftyStructure(LETTERS, {1: {("a",): {"p": 1}}})
+    target = LInftyStructure(LETTERS, {})
+
+    def generator(f2_output):
+        values = {("p",): {"p": 1}, ("b", "p"): {f2_output: 1}}
+        return lambda k, word: GradedVector(values.get(word))
+
+    report = check_linfty_morphism(LInftyMorphism(source, target, generator("p"), 2), 2)
+    assert (report.witness, report.value) == (("a",), GradedVector({"p": 1}))
+    with pytest.raises(ValueError) as info:
+        check_linfty_morphism(LInftyMorphism(source, target, generator("a"), 2), 2)
+    assert str(info.value) == "morphism component on ('b', 'p') is not degree 0: output 'a'"
+
+
 # ---------------------------------------------------------------------------
 # The pruned checkers against the full scans they replaced.
 
@@ -400,6 +418,32 @@ def corrupt_morphism(morphism, rng):
     )
 
 
+# shifted degrees -1 (z), 0 (a, e), 1 (b, c) and 2 (d): every arity has words
+# with outputs, and the even letters a and e may repeat
+RANDOM_SPACE = GradedSpace([("z", 0), ("a", 1), ("e", 1), ("b", 2), ("c", 2), ("d", 3)])
+
+
+def random_table(rng, names, sdeg, out_sdeg, k, shift, entries):
+    """Up to entries random words of k letters from names, each sent to a
+    random multiple of one output of shifted degree |word| + shift."""
+    table = {}
+    for _ in range(entries):
+        word, sign = normalize_word([rng.choice(names) for _ in range(k)], sdeg)
+        want = sum(sdeg[n] for n in word) + shift if sign else None
+        outputs = [n for n in out_sdeg if out_sdeg[n] == want]
+        if outputs:
+            table[word] = {rng.choice(outputs): rng.choice([1, -1, 2, Fraction(1, 2)])}
+    return table
+
+
+def random_structure(rng, space):
+    """Random q1, q2 and q3, not built from a dgla."""
+    sdeg = shifted_degrees(space)
+    return LInftyStructure(space, {
+        k: random_table(rng, space.names, sdeg, sdeg, k, 1, rng.randint(1, 4)) for k in (1, 2, 3)
+    })
+
+
 def test_check_linfty_morphism_matches_full_scan_oracle():
     rng = random.Random(6006)
     letter = GradedSpace([("l", 1)])
@@ -463,7 +507,30 @@ def test_check_linfty_morphism_matches_full_scan_oracle():
         expected = full_scan_check_linfty_morphism(doubled, 3)
         assert expected[0] is False
         assert _full_report(check_linfty_morphism(doubled, 3)) == expected
+    # random structures on both sides, random components up to weight 1-3
+    # and partial supports; an even letter of a block may repeat in its tail
+    names = RANDOM_SPACE.names
+    sdeg = shifted_degrees(RANDOM_SPACE)
+    repeats = set()
+    for _ in range(40):
+        source = random_structure(rng, RANDOM_SPACE)
+        target = source if rng.random() < 0.5 else random_structure(rng, RANDOM_SPACE)
+        top_weight = rng.randint(1, 3)
+        components = {
+            k: random_table(rng, names, sdeg, sdeg, k, 0, rng.randint(0, 4))
+            for k in range(1, top_weight + 1)
+        }
+        if target is source and rng.random() < 0.5:
+            components[1] = {(n,): {n: 1} for n in names}
+        support = rng.sample(names, rng.randint(2, 5)) if rng.random() < 0.6 else None
+        morphism = LInftyMorphism(source, target, components, top_weight, support)
+        expected = full_scan_check_linfty_morphism(morphism, 4)
+        assert _full_report(check_linfty_morphism(morphism, 4)) == expected
+        outcomes.add(expected[0])
+        if not expected[0]:
+            repeats.add(len(set(expected[2])) < len(expected[2]))
     assert outcomes == {True, False}
+    assert repeats == {True, False}
 
 
 def test_check_codifferential_matches_full_scan_oracle():
@@ -485,7 +552,30 @@ def test_check_codifferential_matches_full_scan_oracle():
             expected = full_scan_check_codifferential(structure, weight)
             assert _full_report(check_codifferential(structure, weight)) == expected
             axioms.add(expected[1])
+    repeats = set()
+    for _ in range(40):
+        structure = random_structure(rng, RANDOM_SPACE)
+        expected = full_scan_check_codifferential(structure, 5)
+        assert _full_report(check_codifferential(structure, 5)) == expected
+        axioms.add(expected[1])
+        if not expected[0]:
+            repeats.add(len(set(expected[2])) < len(expected[2]))
     assert axioms == {None, "codifferential"}
+    assert repeats == {True, False}
+    # q2(a . e) = b, and b . a meets q2(a . b) twice: once for each a of a . a . e
+    structure = LInftyStructure(RANDOM_SPACE, {2: {("a", "e"): {"b": 1}, ("a", "b"): {"d": 1}}})
+    report = check_codifferential(structure, 3)
+    assert _full_report(report) == full_scan_check_codifferential(structure, 3)
+    assert (report.witness, report.value) == (("a", "a", "e"), GradedVector({"d": 2}))
+    # q2(x . x) is reached from q1(z) = x and the one other x of z . x, and
+    # cancels q1(q2(z . x)) = q1(u) = -y
+    space = GradedSpace([("z", 0), ("x", 1), ("u", 1), ("y", 2)])
+    structure = LInftyStructure(space, {
+        1: {("z",): {"x": 1}, ("u",): {"y": -1}},
+        2: {("x", "x"): {"y": 1}, ("z", "x"): {"u": 1}},
+    })
+    assert full_scan_check_codifferential(structure, 3) == _full(True)
+    assert check_codifferential(structure, 3).ok
 
 
 # ---------------------------------------------------------------------------
