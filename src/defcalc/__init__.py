@@ -10,15 +10,17 @@ graded   signed multilinear algebra: graded spaces, the one sparse
          vector arithmetic (accumulate, and the base GradedVector and
          ArtinVector share), bilinear extension, the sign-tracking sort
          behind Koszul signs and exterior words, cochain cohomology with
-         class projection and lift, and the single-degree preimage solver.
-linalg   the one exact row reduction, rref; the kernel, independent-column
-         and prepared-solve routines (solve among them) read its output.
+         class projection and lift, each degree built when first read,
+         and the single-degree preimage solver.
+linalg   the one exact row reduction, rref, fraction-free on integer rows;
+         the kernel, independent-column and prepared-solve routines (solve
+         among them) read its output.
 artin    finite-dimensional local base rings (truncated polynomial style)
          and elements of m (x) V, keyed vectors on graded's arithmetic.
 dgla     differential graded Lie and commutative algebras, their axiom
          checkers (degrees included), tensor and Hom constructions,
          Maurer-Cartan residuals, gauge action, order-by-order solving
-         with obstruction classes.
+         with obstruction classes from order-k residuals.
 linfty   the same homotopical data as coderivations of the reduced
          symmetric coalgebra: codifferential and morphism checks through a
          chosen weight, whose unshuffle loops merge canonical words

@@ -602,6 +602,12 @@ def mc_solve(dgla, algebra, directions=None):
     coefficient of each monomial is a cocycle; its class in H^2 either blocks
     the direction (recorded, lift abandoned) or the same solve's preimage
     under d, free variables zero, corrects it and the induction continues.
+
+    x is kept split by monomial order, x = x_1 + x_2 + ..., and the order-k
+    residual is d(x_k) + 1/2 sum over i + j = k of [x_i, x_j]: a correction
+    at order k changes no lower order of the residual, so only the parts
+    below k, all settled, and x_k enter it.  A completed lift is checked
+    against the whole residual.
     """
     summary = complex_cohomology(dgla.space, dgla.d)
     if directions is None:
@@ -619,7 +625,7 @@ def mc_solve(dgla, algebra, directions=None):
     for x in directions:
         validate_artin_vector(x, algebra, dgla.space, degree=1)
         # a seed whose linear part is not closed is no tangent vector at all
-        if not mc_residual(x, dgla, algebra).order_part(1).is_zero():
+        if not x.order_part(1).apply_map(dgla.d).is_zero():
             raise ValueError("direction is not a cocycle at first order")
 
     events = []
@@ -627,10 +633,16 @@ def mc_solve(dgla, algebra, directions=None):
     max_order = algebra.nilpotency_order - 1
     for idx, seed in enumerate(directions):
         x = seed
+        parts = [None] + [seed.order_part(k) for k in range(1, max_order + 1)]
         blocked = False
         for order in range(2, max_order + 1):
-            residual = mc_residual(x, dgla, algebra)
-            part = residual.order_part(order)
+            quadratic = ArtinVector()
+            for i in range(1, order):
+                if parts[i] and parts[order - i]:
+                    quadratic = quadratic + bracket_artin(
+                        dgla, algebra, parts[i], parts[order - i]
+                    )
+            part = parts[order].apply_map(dgla.d) + quadratic.scale(Fraction(1, 2))
             if part.is_zero():
                 continue
             correction = ArtinVector()
@@ -648,6 +660,7 @@ def mc_solve(dgla, algebra, directions=None):
             if blocked:
                 break
             x = x + correction
+            parts[order] = parts[order] + correction
         if blocked:
             solutions.append(None)
             continue

@@ -395,24 +395,64 @@ class CohomologySummary:
     the cocycle z in the representative basis and is zero on coboundaries;
     lift(degree, z) returns them together with a preimage of the coboundary
     part.
+
+    A degree's block is built the first time that degree is read, from the
+    reductions of d out of that degree and out of the one below.  Each
+    reduction is made once and shared by the two blocks that read it, so a
+    caller that reads only H^1 and H^2 never reduces the other degrees.
     """
 
-    def __init__(self, space, blocks):
+    def __init__(self, space, differential):
         self.space = space
-        self.blocks = blocks
+        self.differential = differential
+        self._present = space.degrees_present()
+        self._blocks = {}
+        self._reductions = {}
+
+    def _reduction(self, deg):
+        """(names of degree deg, rref of d from deg to deg + 1, pivots)."""
+        found = self._reductions.get(deg)
+        if found is None:
+            here = self.space.names_of_degree(deg)
+            rows = _block_rows(self.differential, here, self.space.names_of_degree(deg + 1))
+            found = self._reductions[deg] = (here, *linalg.rref(rows, len(here)))
+        return found
+
+    def _block(self, deg):
+        """The DegreeBlock of a degree with basis vectors, else None.
+
+        The kernel of d out of deg spans the cocycles; the pivot columns of
+        d into deg, the greedy independent ones, span the coboundaries."""
+        block = self._blocks.get(deg)
+        if block is not None or deg not in self._present:
+            return block
+        here, red, pivots = self._reduction(deg)
+        n = len(here)
+        lower, _, lower_pivots = self._reduction(deg - 1)
+        below = [lower[p] for p in lower_pivots]
+        image_basis = [self.differential.column(src).to_dense(here) for src in below]
+        kernel_cols = linalg.kernel_basis(red, pivots, n)
+        rep_cols = [
+            kernel_cols[i] for i in linalg.extend_independent(image_basis, kernel_cols, n)
+        ]
+        representatives = [GradedVector.from_dense(here, col) for col in rep_cols]
+        span_cols = rep_cols + image_basis
+        proj_matrix = linalg.matrix_from_columns(span_cols, n) if span_cols else None
+        block = self._blocks[deg] = DegreeBlock(here, representatives, proj_matrix, below)
+        return block
 
     def degrees(self):
-        return sorted(self.blocks)
+        return list(self._present)
 
     def dimension(self, degree):
-        block = self.blocks.get(degree)
+        block = self._block(degree)
         return block.dimension if block else 0
 
     def dimensions(self):
-        return {d: b.dimension for d, b in sorted(self.blocks.items())}
+        return {d: self._block(d).dimension for d in self._present}
 
     def representatives(self, degree):
-        block = self.blocks.get(degree)
+        block = self._block(degree)
         return list(block.representatives) if block else []
 
     def project(self, degree, vector):
@@ -426,7 +466,7 @@ class CohomologySummary:
         preimage combines only the basis vectors at d's pivot columns (free
         variables zero).  So d(preimage) == z exactly when the class is zero.
         """
-        block = self.blocks.get(degree)
+        block = self._block(degree)
         if block is None:
             if vector.is_zero():
                 return [], GradedVector()
@@ -453,11 +493,12 @@ def complex_cohomology(space, differential):
     """Cohomology of (space, differential) with representatives and projection.
 
     The differential must have degree +1 and square to zero; otherwise
-    NotAComplexError reports a witness basis vector.  All elimination is
-    rational with pivots in declared basis order.  Each d: degree k -> k + 1
-    is reduced once: its kernel basis spans the cocycles of degree k, and
-    its pivot columns, the greedy independent ones, the coboundaries of
-    degree k + 1.
+    NotAComplexError reports a witness basis vector.  That check is made
+    here, on every basis vector; the blocks of the summary are built as
+    they are read.  All elimination is rational with pivots in declared
+    basis order.  Each d: degree k -> k + 1 is reduced at most once: its
+    kernel basis spans the cocycles of degree k, and its pivot columns, the
+    greedy independent ones, the coboundaries of degree k + 1.
     """
     if differential.degree != 1:
         raise ValueError(f"differential must have degree +1, got {differential.degree}")
@@ -465,27 +506,7 @@ def complex_cohomology(space, differential):
         dd = differential.apply(differential.column(name))
         if not dd.is_zero():
             raise NotAComplexError(name, dd)
-
-    blocks = {}
-    pivot_names = {}  # degree k + 1 -> names of degree k at the pivots of d
-    for deg in space.degrees_present():
-        here = space.names_of_degree(deg)
-        n = len(here)
-        red, pivots = linalg.rref(
-            _block_rows(differential, here, space.names_of_degree(deg + 1)), n
-        )
-        pivot_names[deg + 1] = [here[p] for p in pivots]
-        below = pivot_names.get(deg, [])
-        image_basis = [differential.column(src).to_dense(here) for src in below]
-        kernel_cols = linalg.kernel_basis(red, pivots, n)
-        rep_cols = [
-            kernel_cols[i] for i in linalg.extend_independent(image_basis, kernel_cols, n)
-        ]
-        representatives = [GradedVector.from_dense(here, col) for col in rep_cols]
-        span_cols = rep_cols + image_basis
-        proj_matrix = linalg.matrix_from_columns(span_cols, n) if span_cols else None
-        blocks[deg] = DegreeBlock(here, representatives, proj_matrix, below)
-    return CohomologySummary(space, blocks)
+    return CohomologySummary(space, differential)
 
 
 class PreimageSolver:

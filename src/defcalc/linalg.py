@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Small dense routines backing cohomology, obstruction projection and the
-order-by-order solvers.  Matrices are lists of rows of Fractions.  rref is
-the one elimination; every other routine reads its output.  Pivot selection
-is always the first nonzero entry in scan order, so every routine is
-deterministic for a fixed input.
+order-by-order solvers.  Matrices are lists of rows of Fractions (ints are
+read as well).  rref is the one elimination; every other routine reads its
+output.  It works on integer rows and returns Fractions, the same ones an
+elimination in Fractions gives.  Pivot selection is always the first
+nonzero entry in scan order, so every routine is deterministic for a fixed
+input.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -20,38 +23,75 @@ def matrix_from_columns(columns, nrows):
     return [[col[i] for col in columns] for i in range(nrows)]
 
 
+def _integer_row(row):
+    """(scale, ints) with row == scale * ints: ints is the row times the lcm
+    of its denominators, divided by the gcd of its entries."""
+    den = math.lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [a // g for a in ints]
+    return Fraction(g, den), ints
+
+
 def rref(rows, ncols=None):
     """Reduced row echelon form, pivoting only in the first ncols columns
     (all of them by default).
 
     Returns (reduced rows, pivot column indices).  The input is not mutated.
+    The elimination is fraction-free: a row is taken as a rational scale
+    times a primitive integer row (_integer_row) when a step first touches
+    it, each step is one integer cross multiplication and one gcd, and only
+    the scales are Fractions.  The rows come back as the Fractions an
+    elimination in Fractions gives, rows past the rank included; a row no
+    step touched comes back as given.
     """
-    mat = [list(row) for row in rows]
+    mat = list(rows)
     nrows = len(mat)
     if ncols is None:
         ncols = len(mat[0]) if nrows else 0
+    scales = [None] * nrows  # None while the row is the input row
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pivot_row = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
+        if scales[r] is None:
+            mat[r] = _integer_row(mat[r])[1]
+        prow = mat[r]
+        p = prow[c]
+        scales[r] = Fraction(1, p)
         for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+            row = mat[i]
+            if i == r or not row[c]:
+                continue
+            scale = scales[i]
+            if scale is None:
+                scale, row = _integer_row(row)
+            # row - (b / p) prow, up to the scale: a row - b prow
+            g = math.gcd(p, row[c])
+            a, b = p // g, row[c] // g
+            row = [a * x - b * y for x, y in zip(row, prow)]
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+            mat[i] = row
+            scales[i] = scale * g / a
         pivots.append(c)
         r += 1
-    return mat, pivots
+    out = []
+    for row, scale in zip(mat, scales):
+        if scale is None:
+            out.append(list(row))
+        else:
+            num, den = scale.numerator, scale.denominator
+            out.append([Fraction(num * x, den) if x else ZERO for x in row])
+    return out, pivots
 
 
 def rank(rows):

@@ -297,13 +297,21 @@ def _multiplicity(word, block):
 
 
 def _first_nonzero(totals, space, sdeg):
-    """The first word of totals in basis order, (weight, letter ranks),
-    whose defect is nonzero; None when there is none."""
-    failing = [word for word, total in totals.items() if total]
-    if not failing:
+    """The first word of totals in basis order, (weight, letter ranks), or
+    None when totals is empty; every word in totals has a nonzero defect."""
+    if not totals:
         return None
     rank = {name: i for i, name in enumerate(sorted(space.names, key=word_key(sdeg)))}
-    return min(failing, key=lambda word: (len(word), [rank[name] for name in word]))
+    return min(totals, key=lambda word: (len(word), [rank[name] for name in word]))
+
+
+def _add_defect(totals, word, value, coeff):
+    """totals[word] += coeff . value, dropping the word when it cancels."""
+    out = totals.setdefault(word, {})
+    for name, x in value.items():
+        accumulate(out, name, coeff * x)
+    if not out:
+        del totals[word]
 
 
 def _block_terms(tables, images, top, sdeg):
@@ -312,7 +320,7 @@ def _block_terms(tables, images, top, sdeg):
     w = B . T, adding mult . eps . c . s . value, eps the Koszul sign of
     the merge and mult the number of position subsets of w that spell B
     (as many unshuffles of w give that term).  images[e] lists its
-    entries by |T|."""
+    entries by |T|.  A word whose terms cancel has no entry."""
     totals = {}
     for k, table in tables.items():
         for block, vec in table.items():
@@ -324,9 +332,7 @@ def _block_terms(tables, images, top, sdeg):
                             continue
                         word, eps = merged
                         coeff = c * s * eps * _multiplicity(word, block)
-                        out = totals.setdefault(word, {})
-                        for name, x in value.items():
-                            accumulate(out, name, coeff * x)
+                        _add_defect(totals, word, value, coeff)
     return totals
 
 
@@ -608,9 +614,7 @@ def check_linfty_morphism(morphism, weight):
             break
         rhs = _target_side(morphism, target_tables, word)
         if rhs:
-            out = totals.setdefault(word, {})
-            for name, c in rhs.items():
-                accumulate(out, name, -c)
+            _add_defect(totals, word, rhs, -1)
     word = _first_nonzero(totals, source.space, sdeg)
     if word is None:
         return CheckReport.passed()

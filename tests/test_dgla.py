@@ -1,15 +1,18 @@
 """Differential graded Lie and commutative algebras, MC calculus, gauge."""
 
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from defcalc.artin import ArtinVector, make_artin
+from defcalc.cli import parse_document
 from defcalc.dgla import (
     Cdga,
     Dgla,
+    ObstructionEvent,
     bch_product,
     bracket_artin,
     check_cdga,
@@ -24,7 +27,7 @@ from defcalc.dgla import (
     tensor_cdga_dgla,
     trivial_cdga,
 )
-from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate
+from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate, complex_cohomology
 from defcalc.hitchin import HitchinPair, build_hitchin_dgla, matrix_wedge_dgla
 from test_graded import random_complex
 
@@ -760,6 +763,117 @@ def test_mc_solve_custom_directions():
     x = ArtinVector.single((1,), "x", 2)
     result = mc_solve(model, algebra, directions=[x])
     assert result.solutions == [x]
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the order-split mc_solve: the former loop, which recomputed the
+# whole residual dx + [x, x] / 2 at every order and read its order-k part.
+
+
+def full_residual_mc_solve(dgla, algebra, directions):
+    """(events, solutions) of the former mc_solve on the given directions."""
+    summary = complex_cohomology(dgla.space, dgla.d)
+    events, solutions = [], []
+    for idx, seed in enumerate(directions):
+        x = seed
+        blocked = False
+        for order in range(2, algebra.nilpotency_order):
+            part = mc_residual(x, dgla, algebra).order_part(order)
+            if part.is_zero():
+                continue
+            correction = ArtinVector()
+            for mono in part.monomials_present():
+                vec = part.coefficient_vector(mono)
+                coords, pre = summary.lift(2, vec)
+                event = ObstructionEvent(idx, order, mono, coords, vec)
+                events.append(event)
+                if not event.vanishes():
+                    blocked = True
+                    break
+                correction = correction + ArtinVector(
+                    {(mono, name): -c for name, c in pre.coeffs.items()}
+                )
+            if blocked:
+                break
+            x = x + correction
+        solutions.append(None if blocked else x)
+    return events, solutions
+
+
+def correction_model(c=3, c_blocked=-2, c_d=5):
+    """x, u, y in degree 1, z, h in degree 2, d y = c_d z: [x, x] = c z is
+    exact, so x needs a correction at order 2; [u, u] = c_blocked h is a
+    nonzero class, so u is blocked; [x, u] = 0."""
+    space = GradedSpace([("x", 1), ("u", 1), ("y", 1), ("z", 2), ("h", 2)])
+    d = GradedMap(space, space, 1, {"y": {"z": c_d}})
+    return Dgla(space, d, {("x", "x"): {"z": c}, ("u", "u"): {"h": c_blocked}})
+
+
+def sample_kernel(name):
+    return parse_document(os.path.join(os.path.dirname(__file__), "..", "sample_inputs", name)).kernel
+
+
+def random_direction(rng, model, algebra, reps):
+    """A seeded tangent vector: H^1 representatives along the variables,
+    plus degree-1 terms of order 2 and above, which need not be closed."""
+    linear = [m for m in algebra.maximal_ideal if sum(m) == 1]
+    higher = [m for m in algebra.maximal_ideal if sum(m) > 1]
+    ones = model.space.names_of_degree(1)
+    terms = {}
+    for rep in rng.sample(reps, rng.randint(1, min(2, len(reps)))):
+        mono, f = rng.choice(linear), Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        for name, c in rep.coeffs.items():
+            terms[(mono, name)] = terms.get((mono, name), 0) + f * c
+    if higher and rng.random() < 0.6:
+        terms[(rng.choice(higher), rng.choice(ones))] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return ArtinVector(terms)
+
+
+def test_mc_solve_matches_the_full_residual_oracle():
+    nilpotent = build_hitchin_dgla(
+        sample_kernel("hitchin_r2_nilpotent.json"), sample_kernel("cdga_interval.json")
+    )
+    zero = build_hitchin_dgla(
+        sample_kernel("hitchin_r2_zero.json"), sample_kernel("cdga_interval.json")
+    )
+    rings = [
+        make_artin(("t",), 6),
+        make_artin(("s", "t"), 4),
+        make_artin(("s", "t", "u"), 3),
+        make_artin(("s", "t"), [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (0, 3), (1, 2)]),
+    ]
+    rng = random.Random(2718)
+    seen = {"blocked": 0, "corrected": 0, "lifted": 0, "order-2 seed": 0, "multivariable": 0}
+    cases = []
+    for model in (correction_model(), correction_model(-1, 7, Fraction(2, 3)), nilpotent, zero):
+        reps = complex_cohomology(model.space, model.d).representatives(1)
+        for algebra in rings:
+            cases.append((model, algebra, None))
+            cases.append((model, algebra, [random_direction(rng, model, algebra, reps) for _ in range(3)]))
+    # x t + y t^2 has a nonzero order-2 term; u t is blocked at order 2
+    t3 = make_artin(("t",), 4)
+    cases.append((correction_model(), t3, [
+        ArtinVector({((1,), "x"): 1, ((2,), "y"): 2}),
+        ArtinVector({((1,), "u"): 1, ((2,), "x"): 1}),
+    ]))
+    for model, algebra, directions in cases:
+        result = mc_solve(model, algebra, directions)
+        events, solutions = full_residual_mc_solve(model, algebra, result.directions)
+        assert [
+            (e.direction, e.order, e.monomial, e.coords, e.cocycle) for e in result.events
+        ] == [(e.direction, e.order, e.monomial, e.coords, e.cocycle) for e in events]
+        assert result.solutions == solutions
+        for got, want in zip(result.solutions, solutions):
+            if want is not None:
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
+                seen["lifted"] += 1
+        seen["blocked"] += solutions.count(None)
+        seen["corrected"] += sum(1 for e in events if e.vanishes())
+        seen["multivariable"] += len(algebra.variables) > 1 and any(solutions)
+        seen["order-2 seed"] += sum(
+            1 for x in result.directions if any(sum(m) == 2 for m, _ in x.coeffs)
+        )
+    assert min(seen.values()) >= 5, seen
 
 
 def test_gauge_equivalent_positive():

@@ -1,13 +1,17 @@
 """Signed multilinear layer: Koszul signs, wedge words, cohomology."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from defcalc import linalg
+from defcalc.cli import parse_document
+from defcalc.dgla import trivial_cdga
 from defcalc.graded import (
     CohomologySummary,
+    DegreeBlock,
     GradedMap,
     GradedSpace,
     GradedVector,
@@ -19,6 +23,7 @@ from defcalc.graded import (
     signed_sort_keyed,
     wedge_word,
 )
+from defcalc.hitchin import build_hitchin_dgla
 from test_linalg import augmented_solve, incremental_extend_independent
 
 
@@ -171,10 +176,14 @@ def test_cohomology_projection():
 
 
 def test_cohomology_rejects_non_complex():
-    space = GradedSpace([("u", 0), ("v", 1), ("w", 2)])
-    d = GradedMap(space, space, 1, {"u": {"v": 1}, "v": {"w": 1}})
-    with pytest.raises(NotAComplexError):
+    # d d is checked on every basis vector when the summary is made, not
+    # when a degree is first read
+    space = GradedSpace([("a", 0), ("b", 1), ("u", 2), ("v", 3), ("w", 4)])
+    d = GradedMap(space, space, 1, {"a": {"b": 1}, "u": {"v": 1}, "v": {"w": 1}})
+    with pytest.raises(NotAComplexError) as caught:
         complex_cohomology(space, d)
+    assert caught.value.witness == "u"
+    assert caught.value.value == GradedVector({"w": 1})
 
 
 def test_projection_rejects_degree_mix():
@@ -378,6 +387,134 @@ def test_lift_on_the_frozen_projection_complex():
     )
     assert summary.lift(0, GradedVector()) == ([], GradedVector())
     assert summary.lift(7, GradedVector()) == ([], GradedVector())
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the lazy summary: the former complex_cohomology, which built
+# the block of every degree up front, and the former lift on those blocks.
+
+
+def eager_cohomology(space, d):
+    """degree -> DegreeBlock for every degree present, in degree order."""
+    blocks = {}
+    pivot_names = {}  # degree k + 1 -> names of degree k at the pivots of d
+    for deg in space.degrees_present():
+        here = space.names_of_degree(deg)
+        n = len(here)
+        red, pivots = linalg.rref(d_rows(d, here, space.names_of_degree(deg + 1)), n)
+        pivot_names[deg + 1] = [here[p] for p in pivots]
+        below = pivot_names.get(deg, [])
+        image_basis = [d.column(src).to_dense(here) for src in below]
+        kernel_cols = linalg.kernel_basis(red, pivots, n)
+        rep_cols = [
+            kernel_cols[i] for i in linalg.extend_independent(image_basis, kernel_cols, n)
+        ]
+        representatives = [GradedVector.from_dense(here, col) for col in rep_cols]
+        span_cols = rep_cols + image_basis
+        proj_matrix = linalg.matrix_from_columns(span_cols, n) if span_cols else None
+        blocks[deg] = DegreeBlock(here, representatives, proj_matrix, below)
+    return blocks
+
+
+def eager_lift(blocks, degree, vector):
+    block = blocks.get(degree)
+    if block is None:
+        assert vector.is_zero()
+        return [], GradedVector()
+    dense = vector.to_dense(block.names)
+    if block.proj_matrix is None:
+        assert not any(dense)
+        return [], GradedVector()
+    coords = linalg.PreparedSolve(block.proj_matrix, len(block.proj_matrix[0])).solve(dense)
+    dim = block.dimension
+    preimage = {n: c for n, c in zip(block.preimage_names, coords[dim:]) if c}
+    return coords[:dim], GradedVector.from_nonzero(preimage)
+
+
+def shipped_complexes():
+    """(label, space, d) of every shipped dgla, cdga and Hitchin pair, the
+    pairs over the trivial and the interval CDGA."""
+    here = os.path.dirname(__file__)
+    paths = [
+        os.path.join(folder, name)
+        for folder in (os.path.join(here, "..", "sample_inputs"), os.path.join(here, "golden", "inputs"))
+        for name in sorted(os.listdir(folder))
+    ]
+    docs = {os.path.basename(p): parse_document(p) for p in paths}
+    interval = docs["cdga_interval.json"].kernel
+    for name, doc in docs.items():
+        if doc.kind in ("dgla", "cdga"):
+            yield name, doc.kernel.space, doc.kernel.d
+        elif doc.kind == "hitchin-pair":
+            for label, cdga in (("trivial", trivial_cdga()), ("interval", interval)):
+                dgla = build_hitchin_dgla(doc.kernel, cdga)
+                yield f"{name} over {label}", dgla.space, dgla.d
+
+
+def test_lazy_cohomology_matches_the_eager_oracle_on_the_shipped_samples():
+    rng = random.Random(4711)
+    labels = []
+    for label, space, d in shipped_complexes():
+        labels.append(label)
+        blocks = eager_cohomology(space, d)
+        present = sorted(blocks)
+        asked = present + [present[0] - 1, present[-1] + 1]
+        for trial in range(4):
+            summary = complex_cohomology(space, d)
+            order = list(reversed(asked)) if trial == 0 else rng.sample(asked, len(asked))
+            for deg in order:
+                block = blocks.get(deg)
+                reps = block.representatives if block else []
+                below = space.names_of_degree(deg - 1)
+                z = random_combination(rng, reps) + d.apply(
+                    random_combination(rng, [GradedVector.basis(n) for n in below])
+                )
+                reads = ["lift", "representatives", "dimension"]
+                rng.shuffle(reads)
+                for read in reads:
+                    if read == "lift":
+                        assert summary.lift(deg, z) == eager_lift(blocks, deg, z), label
+                        assert summary.project(deg, z) == eager_lift(blocks, deg, z)[0]
+                    elif read == "representatives":
+                        assert [list(r.coeffs.items()) for r in summary.representatives(deg)] == [
+                            list(r.coeffs.items()) for r in reps
+                        ], label
+                    else:
+                        assert summary.dimension(deg) == len(reps)
+            assert summary.degrees() == present
+            assert summary.dimensions() == {k: b.dimension for k, b in blocks.items()}
+    assert len(labels) == 11 and sum("over interval" in x for x in labels) == 3, labels
+
+
+def test_cohomology_reduces_each_differential_once_when_first_read(monkeypatch):
+    # dims 1, 2, 3, 4 in degrees 0..3, so the width of a reduction of d out
+    # of degree k names k; extend_independent passes no width, and lift,
+    # which reduces the block's own matrix, is not called
+    space, d = make_complex(
+        [("a0", 0), ("b0", 1), ("b1", 1), ("c0", 2), ("c1", 2), ("c2", 2)]
+        + [(f"e{i}", 3) for i in range(4)],
+        {"a0": {"b0": 1}, "b1": {"c0": 2}, "c1": {"e0": -1}},
+    )
+    widths = {0: -1, 1: 0, 2: 1, 3: 2, 4: 3}
+    reduced = []
+    rref = linalg.rref
+
+    def spy(rows, ncols=None):
+        if ncols is not None:
+            reduced.append(widths[ncols])
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    summary = complex_cohomology(space, d)
+    assert reduced == []
+    assert len(summary.representatives(2)) == 1
+    assert sorted(reduced) == [1, 2]
+    assert summary.dimension(1) == 0
+    assert sorted(reduced) == [0, 1, 2]
+    assert summary.representatives(2) and summary.dimension(0) == 0
+    assert sorted(reduced) == [-1, 0, 1, 2]
+    assert summary.dimensions() == {0: 0, 1: 0, 2: 1, 3: 3}
+    assert sorted(reduced) == [-1, 0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("value", [1.5, True, "x", None])

@@ -6,6 +6,37 @@ from fractions import Fraction
 from defcalc import linalg
 
 
+def fraction_rref(rows, ncols=None):
+    """The former linalg.rref: Gauss-Jordan elimination in Fractions, each
+    pivot row divided by its pivot before it clears its column."""
+    mat = [list(row) for row in rows]
+    nrows = len(mat)
+    if ncols is None:
+        ncols = len(mat[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = None
+        for i in range(r, nrows):
+            if mat[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
 def rank_per_candidate(base_cols, candidate_cols, nrows):
     """The former extend_independent: a full rank for every candidate."""
     kept = []
@@ -120,6 +151,58 @@ def test_prepared_solve_equals_solve():
             assert prepared.solve(other) == augmented_solve(rows, other, ncols)
         outcomes.add(expected is None)
     assert outcomes == {True, False}
+
+
+def random_matrix(rng):
+    """Seeded rows with mixed denominators, large entries, zero rows,
+    duplicate and proportional rows, ints and Fractions side by side."""
+    nrows, width = rng.randint(0, 7), rng.randint(0, 7)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.3:
+            f = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            rows.append([f * x for x in rng.choice(rows)])
+        elif kind < 0.4:
+            rows.append([Fraction(0)] * width)
+        else:
+            rows.append([
+                Fraction(rng.randint(-10**rng.randint(1, 6), 10**6), rng.randint(1, 60))
+                if rng.random() < 0.5 else rng.choice([0, Fraction(0), rng.randint(-3, 3)])
+                for _ in range(width)
+            ])
+    return rows
+
+
+def test_rref_matches_the_fraction_elimination_oracle():
+    rng = random.Random(9090)
+    seen = {"short ncols": 0, "rank deficient": 0, "row past the rank kept": 0}
+    cases = [([], None), ([], 0), ([[]], None), ([[], []], 0), ([[Fraction(0)] * 3] * 2, None)]
+    for _ in range(600):
+        rows = random_matrix(rng)
+        width = len(rows[0]) if rows else 0
+        ncols = None if rng.random() < 0.5 else rng.randint(0, width)
+        cases.append((rows, ncols))
+    for rows, ncols in cases:
+        snapshot = [list(row) for row in rows]
+        red, pivots = linalg.rref(rows, ncols)
+        expected_red, expected_pivots = fraction_rref(rows, ncols)
+        assert pivots == expected_pivots
+        assert red == expected_red
+        # the same entries, of the same types: Fractions where a step wrote
+        assert [[type(x) for x in row] for row in red] == [
+            [type(x) for x in row] for row in expected_red
+        ]
+        assert rows == snapshot
+        width = len(rows[0]) if rows else 0
+        seen["short ncols"] += ncols is not None and ncols < width
+        seen["rank deficient"] += len(pivots) < len(rows)
+        seen["row past the rank kept"] += any(
+            any(x != 0 for x in row) for row in red[len(pivots):]
+        )
+    assert min(seen.values()) > 20, seen
 
 
 def test_rref_pivots_only_in_the_allowed_columns():

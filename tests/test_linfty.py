@@ -19,6 +19,7 @@ from defcalc.dgla import (
 )
 from defcalc.graded import GradedMap, GradedSpace, GradedVector, koszul_sign
 from defcalc.hitchin import HitchinPair, build_hitchin_morphism, matrix_wedge_dgla
+from defcalc import linfty
 from defcalc.linfty import (
     LInftyMorphism,
     LInftyStructure,
@@ -270,6 +271,25 @@ def test_identity_morphism_passes():
         )
         report = check_linfty_morphism(identity, 4)
         assert report.ok, (report.axiom, report.witness)
+
+
+def test_a_passing_check_leaves_no_cancelled_word(monkeypatch):
+    """A word whose defect terms cancel is dropped as it cancels, so both
+    checkers hand an empty table to the witness search when they pass."""
+    tables = []
+    search = linfty._first_nonzero
+
+    def spy(totals, space, sdeg):
+        tables.append(dict(totals))
+        return search(totals, space, sdeg)
+
+    monkeypatch.setattr(linfty, "_first_nonzero", spy)
+    # Jacobi cancels the terms of gl2, trace identities those of the morphism
+    assert check_codifferential(linfty_from_dgla(gl2()), 4).ok
+    letter = GradedSpace([("l", 1)])
+    pair = HitchinPair(2, letter, [[{"l": 1}, {"l": 2}], [{}, {"l": -1}]])
+    assert check_linfty_morphism(build_hitchin_morphism(pair, interval_cdga()), 3).ok
+    assert tables == [{}, {}]
 
 
 def test_broken_morphism_fails():
