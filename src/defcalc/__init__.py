@@ -23,8 +23,9 @@ dgla     differential graded Lie and commutative algebras, their axiom
          with obstruction classes from order-k residuals.
 linfty   the same homotopical data as coderivations of the reduced
          symmetric coalgebra: codifferential and morphism checks through a
-         chosen weight, whose unshuffle loops merge canonical words
-         instead of sorting them, and one nilpotent power series behind
+         chosen weight, which build the defect from the bracket tables and
+         sum the failing word's value again by the one unshuffle scan (for
+         the key order of a full scan), and one nilpotent power series behind
          the Maurer-Cartan residual, the pushforward of Maurer-Cartan
          elements and homotopies over a polynomial-in-t extension of the
          base, where a gauge witness a gives the homotopy exp(t a) . x.

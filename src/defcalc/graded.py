@@ -466,6 +466,8 @@ class CohomologySummary:
         preimage combines only the basis vectors at d's pivot columns (free
         variables zero).  So d(preimage) == z exactly when the class is zero.
         """
+        if not isinstance(vector, GradedVector):
+            raise TypeError(f"expected a GradedVector, got {type(vector).__name__}")
         block = self._block(degree)
         if block is None:
             if vector.is_zero():

@@ -397,23 +397,23 @@ def build_hitchin_morphism(pair, cdga):
 
     # per-morphism caches: the trace depends on the multiset of units only,
     # the form product on the CDGA parts in argument order (odd forms
-    # anticommute), and each is built from a shorter one
+    # anticommute); a form is built on from its longest cached prefix
     traces = {}
     forms = {(): {cdga.unit: 1}}
 
-    def form(parts):
-        omega = forms.get(parts)
-        if omega is None:
-            omega = {}
-            for name, c in form(parts[:-1]).items():
-                for out_name, p in products.get((name, parts[-1]), {}).items():
-                    accumulate(omega, out_name, c * p)
-            forms[parts] = omega
-        return omega
-
     def component(arity, word):
         parts = [letter_parts[name] for name in word]
-        omega = form(tuple([a_name for a_name, _, _, _ in parts]))
+        a_parts = tuple([a_name for a_name, _, _, _ in parts])
+        start = len(a_parts)
+        while a_parts[:start] not in forms:
+            start -= 1
+        omega = forms[a_parts[:start]]
+        for end in range(start + 1, len(a_parts) + 1):
+            prefix, omega = omega, {}
+            for name, c in prefix.items():
+                for out_name, p in products.get((name, a_parts[end - 1]), {}).items():
+                    accumulate(omega, out_name, c * p)
+            forms[a_parts[:end]] = omega
         if not omega:
             return None
         units = tuple(sorted([(i - 1, j - 1, l) for _, i, j, l in parts]))
@@ -467,6 +467,8 @@ def obstruction_kernel_map(cocycle, morphism, target_cohomology=None):
     is projected to degree-2 cohomology of the target complex and the
     coordinate tuple in that model is returned.
     """
+    if not isinstance(cocycle, GradedVector):
+        raise TypeError(f"expected a GradedVector, got {type(cocycle).__name__}")
     source_dgla = morphism.source_dgla
     if not cocycle.is_zero():
         if cocycle.homogeneous_degree(source_dgla.space) != 2:

@@ -101,6 +101,13 @@ def basis_words(space, max_weight, sdeg=None):
     return out
 
 
+def _known_letters(names, sdeg, where):
+    """Raise ValueError unless every name is a basis name."""
+    for name in names:
+        if name not in sdeg:
+            raise ValueError(f"unknown basis name {name!r} in {where}")
+
+
 def _check_outputs(k, word, vec, sdeg, out_sdeg, shift):
     """Raise ValueError unless every output of vec on the canonical word is a
     known name of shifted degree |word| + shift: 1 for a bracket q_k, 0 for a
@@ -139,9 +146,7 @@ def _word_table(k, entries, sdeg, out_sdeg, shift):
             raise TypeError(f"a {noun} word must be a tuple of names, got {word!r}")
         if len(word) != k:
             raise ValueError(f"arity {k} entry has word of length {len(word)}")
-        for name in word:
-            if name not in sdeg:
-                raise ValueError(f"unknown basis name {name!r} in {noun} word")
+        _known_letters(word, sdeg, f"{noun} word")
         if not isinstance(vec, GradedVector):
             vec = GradedVector(vec)
         cword, sign = normalize_word(word, sdeg)
@@ -221,51 +226,28 @@ def _int_tables(structure):
     }
 
 
-def _add_unshuffle_terms(tables, sdeg, word, coeff, out, arities, forced=(), keep=None):
-    """Accumulate the terms  coeff . sign . q_k(block) . tail  of Q(word).
+def _add_unshuffle_terms(tables, sdeg, word, coeff, out):
+    """Accumulate the terms  coeff . sign . q_k(block) . tail  of Q(word)
+    into out, in the order of the unshuffle scan.
 
-    tables are the structure's _int_tables and sdeg its shifted degrees.
-    Only arities in the given list, blocks holding every position in forced
-    and bracket outputs in keep (all when None) are visited, in the order of
-    the full unshuffle scan.  word must be canonical, so that its blocks
-    and tails are canonical: blocks are looked up directly, the unshuffle
-    sign is a count over the chosen positions and each output is merged
-    into its tail.
+    tables are a structure's _int_tables and sdeg its shifted degrees.
+    word must be canonical, so that its blocks and tails are canonical:
+    blocks are looked up directly, the unshuffle sign is a count over the
+    chosen positions and each output is merged into its tail.
     """
     n = len(word)
     odd = [sdeg[name] % 2 for name in word]
-    free = [p for p in range(n) if p not in forced]
-    unit = coeff == 1
-    for k in arities:
-        if k > n or k < len(forced):
-            continue
-        table = tables[k]
-        for chosen in combinations(free, k - len(forced)):
-            subset = tuple(sorted(forced + chosen)) if forced else chosen
-            block = tuple([word[p] for p in subset])
-            vec = table.get(block)
+    for k, table in tables.items():
+        for subset in combinations(range(n), k):
+            vec = table.get(tuple([word[p] for p in subset]))
             if vec is None:
                 continue
             eps = _unshuffle_sign(subset, odd)
             tail = tuple([word[p] for p in range(n) if p not in subset])
             for name, c in vec.items():
-                if keep is not None and name not in keep:
-                    continue
                 merged = _merge_words((name,), tail, sdeg)
                 if merged is not None:
-                    new_word, s = merged
-                    term = c if unit else coeff * c
-                    accumulate(out, new_word, term if eps * s > 0 else -term)
-
-
-def _apply_to_terms(terms, value, out):
-    """out += sum over words v of terms[v] . value(v), for a map value from
-    words to a coefficient dict or None."""
-    for v, c in terms.items():
-        vec = value(v)
-        if vec:
-            for name, x in vec.items():
-                accumulate(out, name, c * x)
+                    accumulate(out, merged[0], coeff * c * eps * merged[1])
 
 
 def coderivation_extend(structure, element):
@@ -274,15 +256,28 @@ def coderivation_extend(structure, element):
     On a word v1 . ... . vn the value is the sum over k and (k, n-k)
     unshuffles of  sign . q_k(chosen k letters) . (remaining letters).
     element is a dict word -> coefficient; so is the result, with Fraction
-    values.
+    values.  A letter that is not a basis name raises ValueError.
     """
     sdeg, tables = structure.sdeg, _int_tables(structure)
     out = {}
-    for word, coeff in element.items():
+    for word, coeff in mapping_items(element):
+        _known_letters(word, sdeg, "coalgebra word")
         cword, sign = normalize_word(word, sdeg)
         if sign:
-            _add_unshuffle_terms(tables, sdeg, cword, coeff * sign, out, list(tables))
+            _add_unshuffle_terms(tables, sdeg, cword, coeff * sign, out)
     return {word: as_fraction(c) for word, c in out.items()}
+
+
+def _scan_value(tables, sdeg, word, value):
+    """sum over the terms c v of Q(word) of c . value(v), for value a map
+    from words to coefficient dicts, summed in the order of the unshuffle
+    scan: the per-word value of a full scan, with its key order."""
+    terms, out = {}, {}
+    _add_unshuffle_terms(tables, sdeg, word, 1, terms)
+    for v, c in terms.items():
+        for name, x in value(v).items():
+            accumulate(out, name, c * x)
+    return out
 
 
 def _multiplicity(word, block):
@@ -336,20 +331,6 @@ def _block_terms(tables, images, top, sdeg):
     return totals
 
 
-def _codifferential_defect(tables, sdeg, word):
-    """The weight-one corestriction of Q . Q on one canonical word, summed
-    in the order of the unshuffle scan."""
-    n = len(word)
-    terms = {}
-    _add_unshuffle_terms(
-        tables, sdeg, word, 1, terms, [k for k in tables if n - k + 1 in tables]
-    )
-    # every term has weight n - k + 1, an arity
-    total = {}
-    _apply_to_terms(terms, lambda v: tables[len(v)].get(v), total)
-    return total
-
-
 def check_codifferential(structure, weight):
     """Q . Q = 0 on every nonzero basis word up to the given weight.
 
@@ -362,9 +343,11 @@ def check_codifferential(structure, weight):
     the sign of e . T = K, and every entry c e of q_k(B) meets the T of
     its e at w = B . T (_block_terms), for j + k - 1 <= weight; above
     weight 2 k_max - 1 (k_max the largest arity) nothing can be formed.
-    Failure reports the first word in basis order with a nonzero defect,
-    whose value is computed again by the unshuffle scan of that word.  A
-    weight below 1 would examine nothing and raises ValueError.
+    Failure reports the first word in basis order with a nonzero defect.
+    Its value is summed again by the unshuffle scan of that word, which
+    gives it the key order of a full scan; the table-built sum has the
+    same terms in table order.  A weight below 1 would examine nothing and
+    raises ValueError.
     """
     if as_int(weight, "weight") < 1:
         raise ValueError(f"weight must be at least 1, got {weight}")
@@ -382,9 +365,8 @@ def check_codifferential(structure, weight):
     word = _first_nonzero(totals, structure.space, sdeg)
     if word is None:
         return CheckReport.passed()
-    return CheckReport.failed(
-        "codifferential", word, GradedVector(_codifferential_defect(tables, sdeg, word))
-    )
+    value = _scan_value(tables, sdeg, word, lambda v: tables.get(len(v), {}).get(v, {}))
+    return CheckReport.failed("codifferential", word, GradedVector(value))
 
 
 @lru_cache(maxsize=None)
@@ -421,12 +403,15 @@ class LInftyMorphism:
     support is the set of source letters on which components may be
     nonzero, every source letter by default; a block containing another
     letter contributes nothing, which evaluation uses as an exact shortcut.
+    A support name that is not a source letter raises ValueError.
     """
 
     def __init__(self, source, target, components, max_weight=None, support=None):
         self.source = source
         self.target = target
         self.support = frozenset(support if support is not None else source.space.names)
+        outside = self.support.difference(source.sdeg)
+        _known_letters(sorted(outside, key=repr), source.sdeg, "the support")
         self._cache = {}
         self._views = {}
         if callable(components):
@@ -516,11 +501,17 @@ def morphism_extend(morphism, element):
     letters of  sign . f(block 1) . ... . f(block s), the sign being the
     Koszul reordering of the letters into the concatenated blocks; the
     weight 2 case reads f2(v1 . v2) + f1(v1) . f1(v2).  Values are
-    Fractions, as in the element.
+    Fractions, as in the element.  Each word is made canonical first, with
+    its Koszul sign; a letter that is not a source basis name raises
+    ValueError.
     """
+    sdeg = morphism.source.sdeg
     out = {}
-    for word, coeff in element.items():
-        _expand_partitions(morphism, word, coeff, out)
+    for word, coeff in mapping_items(element):
+        _known_letters(word, sdeg, "coalgebra word")
+        cword, sign = normalize_word(word, sdeg)
+        if sign:
+            _expand_partitions(morphism, cword, coeff * sign, out)
     return {word: as_fraction(c) for word, c in out.items()}
 
 
@@ -530,27 +521,10 @@ def _target_side(morphism, target_tables, word):
     for j, table in target_tables.items():
         part = {}
         _expand_partitions(morphism, word, 1, part, block_count=j)
-        _apply_to_terms(part, table.get, rhs)
+        for v, c in part.items():
+            for name, x in table.get(v, {}).items():
+                accumulate(rhs, name, c * x)
     return rhs
-
-
-def _morphism_defect(morphism, source_tables, target_tables, word):
-    """lhs - rhs of F . Q = Q-hat . F on one canonical word, summed in the
-    order of the unshuffle scan and the set-partition expansion."""
-    support = morphism.support
-    n = len(word)
-    outside = tuple(p for p, name in enumerate(word) if name not in support)
-    terms = {}
-    _add_unshuffle_terms(
-        source_tables, morphism.source.sdeg, word, 1, terms,
-        [k for k in source_tables if n - k + 1 <= morphism.max_weight], outside, support,
-    )
-    lhs = {}
-    _apply_to_terms(terms, morphism._view, lhs)
-    if not outside:
-        for name, c in _target_side(morphism, target_tables, word).items():
-            accumulate(lhs, name, -c)
-    return lhs
 
 
 def check_linfty_morphism(morphism, weight):
@@ -574,8 +548,8 @@ def check_linfty_morphism(morphism, weight):
     |T| + k within the bound at w = B . T (_block_terms).  The right side
     q-hat_j(F_j(w)) is subtracted on the all-inside words up to k_t W.
     The failure is the first word in basis order with a nonzero defect,
-    whose value lhs - rhs is computed again by the unshuffle scan and
-    set-partition expansion of that word.
+    whose value lhs - rhs is summed again by the unshuffle scan of that
+    word and _target_side, in the key order of a full scan.
 
     Every component the defect needs is evaluated before the witness is
     picked, so a generator whose output has the wrong degree on any such
@@ -618,7 +592,9 @@ def check_linfty_morphism(morphism, weight):
     word = _first_nonzero(totals, source.space, sdeg)
     if word is None:
         return CheckReport.passed()
-    value = _morphism_defect(morphism, source_tables, target_tables, word)
+    value = _scan_value(source_tables, sdeg, word, morphism._view)
+    for name, c in _target_side(morphism, target_tables, word).items():
+        accumulate(value, name, -c)
     return CheckReport.failed("morphism", word, GradedVector(value))
 
 

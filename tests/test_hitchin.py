@@ -1,5 +1,6 @@
 """Matrix-of-forms pairs, their dgla, trace maps, obstruction kernel."""
 
+import gc
 import os
 import random
 from fractions import Fraction
@@ -218,6 +219,20 @@ def test_morphism_with_interval_cdga_passes():
     morphism = build_hitchin_morphism(diag_pair(), interval_cdga())
     report = check_linfty_morphism(morphism, 3)
     assert report.ok, (report.axiom, report.witness)
+
+
+def test_a_dropped_morphism_leaves_no_reference_cycle():
+    # the form cache is filled by a loop over cached prefixes, not by a
+    # closure that calls itself, so a morphism is freed by reference counts
+    gc.collect()
+    gc.disable()
+    try:
+        morphism = build_hitchin_morphism(diag_pair(), interval_cdga())
+        assert morphism.component(("1*E11^l", "w*E11^l")) == GradedVector({"w*l.l": 2})
+        del morphism
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pushforward_and_hitchin_map_agree_frozen():

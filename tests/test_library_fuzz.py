@@ -33,6 +33,7 @@ from defcalc import (
     check_codifferential,
     check_dgla,
     check_linfty_morphism,
+    coderivation_extend,
     complex_cohomology,
     g_coefficient,
     gauge_act,
@@ -45,6 +46,7 @@ from defcalc import (
     matrix_wedge_dgla,
     mc_residual,
     mc_solve,
+    morphism_extend,
     obstruction_kernel_map,
     pushforward_mc,
     tensor_cdga_dgla,
@@ -260,8 +262,9 @@ def two_names():
 
 
 # Calls that once raised KeyError, IndexError or AttributeError, or, for the
-# unknown form name, the string keys and word, the falsy non-mappings and the
-# bool weights and power, returned as if valid.
+# unknown form name, the string keys and word, the falsy non-mappings, the
+# bool weights and power, the support outside the source and the unknown
+# letter of a morphism_extend word, returned as if valid.
 FINDINGS = {
     "unknown name in a kernel-map cocycle": (
         lambda: obstruction_kernel_map(GradedVector({"nope": 1}), MORPHISM), ValueError),
@@ -315,6 +318,20 @@ FINDINGS = {
         TypeError),
     "plain dict as an mc_solve direction": (
         lambda: mc_solve(make_dgla(BASIS, D_COLS, BRACKETS), T3, [{((1,), "c"): 1}]), TypeError),
+    "name outside the source in a support": (
+        lambda: LInftyMorphism(
+            MORPHISM.source, MORPHISM.target, {}, 1, support=[*MORPHISM.support, "zz"]),
+        ValueError),
+    "unknown name in a coderivation_extend word": (
+        lambda: coderivation_extend(MORPHISM.source, {("zz",): 1}), ValueError),
+    "unknown name in a morphism_extend word": (
+        lambda: morphism_extend(MORPHISM, {("zz",): 1}), ValueError),
+    "plain dict lifted": (
+        lambda: complex_cohomology(*space_map(BASIS, D_COLS)).lift(1, {"c": 1}), TypeError),
+    "plain dict projected": (
+        lambda: complex_cohomology(*space_map(BASIS, D_COLS)).project(1, {"c": 1}), TypeError),
+    "plain dict into obstruction_kernel_map": (
+        lambda: obstruction_kernel_map({"1*E11^l1": 1}, MORPHISM), TypeError),
     "plain dict as the start of a homotopy": (
         lambda: homotopy_from_gauge(
             GaugeResult(True, witness=ArtinVector()), {((1,), "p"): 1},

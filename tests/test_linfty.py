@@ -246,6 +246,21 @@ def test_coderivation_extension_respects_permutation_signs():
         assert left == right
 
 
+def test_morphism_extension_respects_permutation_signs():
+    # table components are stored on canonical words, so a word is made
+    # canonical, with its Koszul sign, before its blocks are read; x and y
+    # have even shifted degree, p and q odd
+    space = GradedSpace([("x", 1), ("y", 1), ("u", 1), ("p", 2), ("q", 2), ("r", 3)])
+    structure = LInftyStructure(space, {})
+    morphism = LInftyMorphism(structure, structure, {
+        1: {(n,): {n: 1} for n in space.names},
+        2: {("x", "y"): {"u": 1}, ("p", "q"): {"r": 1}},
+    })
+    assert morphism_extend(morphism, {("y", "x"): ONE}) == {("x", "y"): 1, ("u",): 1}
+    assert morphism_extend(morphism, {("q", "p"): ONE}) == {("p", "q"): -1, ("r",): -1}
+    assert morphism_extend(morphism, {("p", "p"): ONE}) == {}
+
+
 def test_coderivation_extension_is_linear():
     structure = linfty_from_dgla(semidirect())
     words = basis_words(structure.space, 3)
@@ -441,27 +456,62 @@ def corrupt_morphism(morphism, rng):
 # shifted degrees -1 (z), 0 (a, e), 1 (b, c) and 2 (d): every arity has words
 # with outputs, and the even letters a and e may repeat
 RANDOM_SPACE = GradedSpace([("z", 0), ("a", 1), ("e", 1), ("b", 2), ("c", 2), ("d", 3)])
+# three names in each of shifted degrees 0 and 1, two in 2: a word can have
+# three outputs
+WIDE_SPACE = GradedSpace([
+    ("z", 0), ("a", 1), ("e", 1), ("f", 1), ("b", 2), ("c", 2), ("g", 2), ("d", 3), ("h", 3),
+])
+RANDOM_COEFFS = [1, -1, 2, Fraction(1, 2)]
+# q1(y) = v is listed before q1(x) = u: the table-built defect on x . y
+# meets its two terms in table order, the unshuffle scan of x . y in
+# position order, so the two sums list the names p and q in opposite order
+SCAN_ORDER_SPACE = GradedSpace([("x", 1), ("y", 1), ("u", 2), ("v", 2), ("p", 3), ("q", 3)])
+SCAN_ORDER_Q1 = {("y",): {"v": 1}, ("x",): {"u": 1}}
+SCAN_ORDER_Q2 = {("u", "y"): {"p": 1}, ("x", "v"): {"q": 1}}
 
 
-def random_table(rng, names, sdeg, out_sdeg, k, shift, entries):
+def random_table(rng, names, sdeg, out_sdeg, k, shift, entries, width=1):
     """Up to entries random words of k letters from names, each sent to a
-    random multiple of one output of shifted degree |word| + shift."""
+    random combination of up to width outputs of shifted degree
+    |word| + shift."""
     table = {}
     for _ in range(entries):
         word, sign = normalize_word([rng.choice(names) for _ in range(k)], sdeg)
         want = sum(sdeg[n] for n in word) + shift if sign else None
         outputs = [n for n in out_sdeg if out_sdeg[n] == want]
         if outputs:
-            table[word] = {rng.choice(outputs): rng.choice([1, -1, 2, Fraction(1, 2)])}
+            table[word] = {rng.choice(outputs): rng.choice(RANDOM_COEFFS)}
+            for _ in range(width - 1):
+                table[word].setdefault(rng.choice(outputs), rng.choice(RANDOM_COEFFS))
     return table
 
 
-def random_structure(rng, space):
+def random_structure(rng, space, width=1):
     """Random q1, q2 and q3, not built from a dgla."""
     sdeg = shifted_degrees(space)
     return LInftyStructure(space, {
-        k: random_table(rng, space.names, sdeg, sdeg, k, 1, rng.randint(1, 4)) for k in (1, 2, 3)
+        k: random_table(rng, space.names, sdeg, sdeg, k, 1, rng.randint(1, 4), width)
+        for k in (1, 2, 3)
     })
+
+
+def random_morphism(rng, space, width=1):
+    """A morphism between random structures on space: random components up
+    to weight 1-3, sometimes the identity in arity 1, and sometimes a
+    partial support."""
+    names = space.names
+    sdeg = shifted_degrees(space)
+    source = random_structure(rng, space, width)
+    target = source if rng.random() < 0.5 else random_structure(rng, space, width)
+    top_weight = rng.randint(1, 3)
+    components = {
+        k: random_table(rng, names, sdeg, sdeg, k, 0, rng.randint(0, 4), width)
+        for k in range(1, top_weight + 1)
+    }
+    if target is source and rng.random() < 0.5:
+        components[1] = {(n,): {n: 1} for n in names}
+    support = rng.sample(names, rng.randint(2, 5)) if rng.random() < 0.6 else None
+    return LInftyMorphism(source, target, components, top_weight, support)
 
 
 def test_check_linfty_morphism_matches_full_scan_oracle():
@@ -529,21 +579,9 @@ def test_check_linfty_morphism_matches_full_scan_oracle():
         assert _full_report(check_linfty_morphism(doubled, 3)) == expected
     # random structures on both sides, random components up to weight 1-3
     # and partial supports; an even letter of a block may repeat in its tail
-    names = RANDOM_SPACE.names
-    sdeg = shifted_degrees(RANDOM_SPACE)
     repeats = set()
     for _ in range(40):
-        source = random_structure(rng, RANDOM_SPACE)
-        target = source if rng.random() < 0.5 else random_structure(rng, RANDOM_SPACE)
-        top_weight = rng.randint(1, 3)
-        components = {
-            k: random_table(rng, names, sdeg, sdeg, k, 0, rng.randint(0, 4))
-            for k in range(1, top_weight + 1)
-        }
-        if target is source and rng.random() < 0.5:
-            components[1] = {(n,): {n: 1} for n in names}
-        support = rng.sample(names, rng.randint(2, 5)) if rng.random() < 0.6 else None
-        morphism = LInftyMorphism(source, target, components, top_weight, support)
+        morphism = random_morphism(rng, RANDOM_SPACE)
         expected = full_scan_check_linfty_morphism(morphism, 4)
         assert _full_report(check_linfty_morphism(morphism, 4)) == expected
         outcomes.add(expected[0])
@@ -551,6 +589,24 @@ def test_check_linfty_morphism_matches_full_scan_oracle():
             repeats.add(len(set(expected[2])) < len(expected[2]))
     assert outcomes == {True, False}
     assert repeats == {True, False}
+    # several outputs per word, so that witness values have several names
+    # whose key order the comparison pins
+    names_seen = set()
+    rng = random.Random(6008)
+    for space in (RANDOM_SPACE, WIDE_SPACE):
+        for _ in range(40):
+            morphism = random_morphism(rng, space, width=3)
+            expected = full_scan_check_linfty_morphism(morphism, 4)
+            assert _full_report(check_linfty_morphism(morphism, 4)) == expected
+            if not expected[0]:
+                names_seen.add(min(len(expected[4]), 3))
+    assert names_seen == {1, 2, 3}
+    source = LInftyStructure(SCAN_ORDER_SPACE, {1: SCAN_ORDER_Q1})
+    target = LInftyStructure(GradedSpace([("p", 2), ("q", 2)]), {})
+    morphism = LInftyMorphism(source, target, {2: SCAN_ORDER_Q2})
+    expected = full_scan_check_linfty_morphism(morphism, 2)
+    assert expected == _full(False, "morphism", ("x", "y"), GradedVector({"p": 1, "q": 1}))
+    assert _full_report(check_linfty_morphism(morphism, 2)) == expected
 
 
 def test_check_codifferential_matches_full_scan_oracle():
@@ -582,6 +638,22 @@ def test_check_codifferential_matches_full_scan_oracle():
             repeats.add(len(set(expected[2])) < len(expected[2]))
     assert axioms == {None, "codifferential"}
     assert repeats == {True, False}
+    # several outputs per word, so that witness values have several names
+    # whose key order the comparison pins
+    names_seen = set()
+    rng = random.Random(6009)
+    for space in (RANDOM_SPACE, WIDE_SPACE):
+        for _ in range(40):
+            structure = random_structure(rng, space, width=3)
+            expected = full_scan_check_codifferential(structure, 5)
+            assert _full_report(check_codifferential(structure, 5)) == expected
+            if not expected[0]:
+                names_seen.add(min(len(expected[4]), 3))
+    assert names_seen == {1, 2, 3}
+    structure = LInftyStructure(SCAN_ORDER_SPACE, {1: SCAN_ORDER_Q1, 2: SCAN_ORDER_Q2})
+    expected = full_scan_check_codifferential(structure, 2)
+    assert expected == _full(False, "codifferential", ("x", "y"), GradedVector({"p": 1, "q": 1}))
+    assert _full_report(check_codifferential(structure, 2)) == expected
     # q2(a . e) = b, and b . a meets q2(a . b) twice: once for each a of a . a . e
     structure = LInftyStructure(RANDOM_SPACE, {2: {("a", "e"): {"b": 1}, ("a", "b"): {"d": 1}}})
     report = check_codifferential(structure, 3)
