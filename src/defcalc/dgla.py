@@ -699,25 +699,24 @@ def gauge_equivalent(x, y, dgla, algebra):
     Both inputs must satisfy Maurer-Cartan.  At order k the only effect a
     fresh degree k correction a_k has is -d a_k, so each step is a linear
     solve per monomial; an unsolvable monomial stops the search and is
-    reported as the failure certificate.
+    reported as the failure certificate.  Each step goes straight to the
+    lowest order at which y - exp(a) . x is nonzero, which strictly rises.
     """
     for label, v in (("x", x), ("y", y)):
         if not is_mc(v, dgla, algebra):
             raise ValueError(f"{label} does not satisfy the Maurer-Cartan equation")
     solver = PreimageSolver(dgla.space, dgla.d, 0)
     a = ArtinVector()
-    top = algebra.nilpotency_order
-    for order in range(1, top + 1):
+    settled = 0
+    while True:
         diff = y - gauge_act(a, x, dgla, algebra)
         if diff.is_zero():
             return GaugeResult(True, witness=a)
-        if order == top:  # m^top = 0: every order is settled
-            break
-        low = diff.min_order()
-        if low > order:
-            continue
-        if low < order:
+        # below the nilpotency order and rising at every step, so the loop ends
+        order = diff.min_order()
+        if order <= settled:
             raise AssertionError("gauge induction lost a settled order")
+        settled = order
         part = diff.order_part(order)
         for mono in part.monomials_present():
             vec = part.coefficient_vector(mono)
@@ -729,4 +728,3 @@ def gauge_equivalent(x, y, dgla, algebra):
             a = a + ArtinVector(
                 {(mono, name): c for name, c in pre.coeffs.items()}
             )
-    raise AssertionError("gauge search terminated without matching y")

@@ -226,28 +226,17 @@ def _int_tables(structure):
     }
 
 
-def _add_unshuffle_terms(tables, sdeg, word, coeff, out):
-    """Accumulate the terms  coeff . sign . q_k(block) . tail  of Q(word)
-    into out, in the order of the unshuffle scan.
-
-    tables are a structure's _int_tables and sdeg its shifted degrees.
-    word must be canonical, so that its blocks and tails are canonical:
-    blocks are looked up directly, the unshuffle sign is a count over the
-    chosen positions and each output is merged into its tail.
-    """
-    n = len(word)
-    odd = [sdeg[name] % 2 for name in word]
-    for k, table in tables.items():
-        for subset in combinations(range(n), k):
-            vec = table.get(tuple([word[p] for p in subset]))
-            if vec is None:
-                continue
-            eps = _unshuffle_sign(subset, odd)
-            tail = tuple([word[p] for p in range(n) if p not in subset])
-            for name, c in vec.items():
-                merged = _merge_words((name,), tail, sdeg)
-                if merged is not None:
-                    accumulate(out, merged[0], coeff * c * eps * merged[1])
+def _canonical_terms(element, sdeg):
+    """(canonical word, coefficient . Koszul sign) for each term of a
+    coalgebra element whose word does not vanish.  A word that is not a
+    tuple raises TypeError, a letter that is not a basis name ValueError."""
+    for word, coeff in mapping_items(element):
+        if type(word) is not tuple:
+            raise TypeError(f"a coalgebra word must be a tuple of names, got {word!r}")
+        _known_letters(word, sdeg, "coalgebra word")
+        cword, sign = normalize_word(word, sdeg)
+        if sign:
+            yield cword, coeff * sign
 
 
 def coderivation_extend(structure, element):
@@ -256,28 +245,27 @@ def coderivation_extend(structure, element):
     On a word v1 . ... . vn the value is the sum over k and (k, n-k)
     unshuffles of  sign . q_k(chosen k letters) . (remaining letters).
     element is a dict word -> coefficient; so is the result, with Fraction
-    values.  A letter that is not a basis name raises ValueError.
+    values.  A word that is not a tuple raises TypeError, a letter that is
+    not a basis name ValueError.  Each word is made canonical first, so its
+    blocks are looked up directly and each output is merged into its tail.
     """
     sdeg, tables = structure.sdeg, _int_tables(structure)
     out = {}
-    for word, coeff in mapping_items(element):
-        _known_letters(word, sdeg, "coalgebra word")
-        cword, sign = normalize_word(word, sdeg)
-        if sign:
-            _add_unshuffle_terms(tables, sdeg, cword, coeff * sign, out)
+    for word, coeff in _canonical_terms(element, sdeg):
+        n = len(word)
+        odd = [sdeg[name] % 2 for name in word]
+        for k, table in tables.items():
+            for subset in combinations(range(n), k):
+                vec = table.get(tuple([word[p] for p in subset]))
+                if vec is None:
+                    continue
+                eps = _unshuffle_sign(subset, odd)
+                tail = tuple([word[p] for p in range(n) if p not in subset])
+                for name, c in vec.items():
+                    merged = _merge_words((name,), tail, sdeg)
+                    if merged is not None:
+                        accumulate(out, merged[0], coeff * c * eps * merged[1])
     return {word: as_fraction(c) for word, c in out.items()}
-
-
-def _scan_value(tables, sdeg, word, value):
-    """sum over the terms c v of Q(word) of c . value(v), for value a map
-    from words to coefficient dicts, summed in the order of the unshuffle
-    scan: the per-word value of a full scan, with its key order."""
-    terms, out = {}, {}
-    _add_unshuffle_terms(tables, sdeg, word, 1, terms)
-    for v, c in terms.items():
-        for name, x in value(v).items():
-            accumulate(out, name, c * x)
-    return out
 
 
 def _multiplicity(word, block):
@@ -298,6 +286,12 @@ def _first_nonzero(totals, space, sdeg):
         return None
     rank = {name: i for i, name in enumerate(sorted(space.names, key=word_key(sdeg)))}
     return min(totals, key=lambda word: (len(word), [rank[name] for name in word]))
+
+
+def _in_basis_order(value, space):
+    """A defect's coefficient dict as a GradedVector whose names come in
+    the basis order of space, whatever order the sum met them in."""
+    return GradedVector({name: value[name] for name in space.names if name in value})
 
 
 def _add_defect(totals, word, value, coeff):
@@ -343,11 +337,10 @@ def check_codifferential(structure, weight):
     the sign of e . T = K, and every entry c e of q_k(B) meets the T of
     its e at w = B . T (_block_terms), for j + k - 1 <= weight; above
     weight 2 k_max - 1 (k_max the largest arity) nothing can be formed.
-    Failure reports the first word in basis order with a nonzero defect.
-    Its value is summed again by the unshuffle scan of that word, which
-    gives it the key order of a full scan; the table-built sum has the
-    same terms in table order.  A weight below 1 would examine nothing and
-    raises ValueError.
+    Failure reports the first word in basis order with a nonzero defect,
+    and as its value that word's table-built defect, with its names in the
+    basis order of structure.space.  A weight below 1 would examine nothing
+    and raises ValueError.
     """
     if as_int(weight, "weight") < 1:
         raise ValueError(f"weight must be at least 1, got {weight}")
@@ -365,8 +358,8 @@ def check_codifferential(structure, weight):
     word = _first_nonzero(totals, structure.space, sdeg)
     if word is None:
         return CheckReport.passed()
-    value = _scan_value(tables, sdeg, word, lambda v: tables.get(len(v), {}).get(v, {}))
-    return CheckReport.failed("codifferential", word, GradedVector(value))
+    value = _in_basis_order(totals[word], structure.space)
+    return CheckReport.failed("codifferential", word, value)
 
 
 @lru_cache(maxsize=None)
@@ -404,6 +397,8 @@ class LInftyMorphism:
     nonzero, every source letter by default; a block containing another
     letter contributes nothing, which evaluation uses as an exact shortcut.
     A support name that is not a source letter raises ValueError.
+    max_weight, the largest arity with a component, must be an int of at
+    least 0 (0 is the zero morphism); a table's largest arity by default.
     """
 
     def __init__(self, source, target, components, max_weight=None, support=None):
@@ -426,6 +421,8 @@ class LInftyMorphism:
             self._generator = lambda k, word: tables.get(k, {}).get(word)
             if max_weight is None:
                 max_weight = max(tables, default=0)
+        if as_int(max_weight, "max_weight") < 0:
+            raise ValueError(f"max_weight must be at least 0, got {max_weight}")
         self.max_weight = max_weight
 
     def component(self, word):
@@ -502,29 +499,13 @@ def morphism_extend(morphism, element):
     Koszul reordering of the letters into the concatenated blocks; the
     weight 2 case reads f2(v1 . v2) + f1(v1) . f1(v2).  Values are
     Fractions, as in the element.  Each word is made canonical first, with
-    its Koszul sign; a letter that is not a source basis name raises
-    ValueError.
+    its Koszul sign; a word that is not a tuple raises TypeError, a letter
+    that is not a source basis name ValueError.
     """
-    sdeg = morphism.source.sdeg
     out = {}
-    for word, coeff in mapping_items(element):
-        _known_letters(word, sdeg, "coalgebra word")
-        cword, sign = normalize_word(word, sdeg)
-        if sign:
-            _expand_partitions(morphism, cword, coeff * sign, out)
+    for word, coeff in _canonical_terms(element, morphism.source.sdeg):
+        _expand_partitions(morphism, word, coeff, out)
     return {word: as_fraction(c) for word, c in out.items()}
-
-
-def _target_side(morphism, target_tables, word):
-    """sum over arities j of q-hat_j(weight-j part of F(word))."""
-    rhs = {}
-    for j, table in target_tables.items():
-        part = {}
-        _expand_partitions(morphism, word, 1, part, block_count=j)
-        for v, c in part.items():
-            for name, x in table.get(v, {}).items():
-                accumulate(rhs, name, c * x)
-    return rhs
 
 
 def check_linfty_morphism(morphism, weight):
@@ -548,8 +529,8 @@ def check_linfty_morphism(morphism, weight):
     |T| + k within the bound at w = B . T (_block_terms).  The right side
     q-hat_j(F_j(w)) is subtracted on the all-inside words up to k_t W.
     The failure is the first word in basis order with a nonzero defect,
-    whose value lhs - rhs is summed again by the unshuffle scan of that
-    word and _target_side, in the key order of a full scan.
+    and its value is that word's table-built lhs - rhs, with its names in
+    the basis order of target.space.
 
     Every component the defect needs is evaluated before the witness is
     picked, so a generator whose output has the wrong degree on any such
@@ -586,16 +567,16 @@ def check_linfty_morphism(morphism, weight):
     for word in inside_words:
         if len(word) > inside_top:
             break
-        rhs = _target_side(morphism, target_tables, word)
-        if rhs:
-            _add_defect(totals, word, rhs, -1)
+        for j, table in target_tables.items():  # - q-hat_j(weight-j part of F(w))
+            part = {}
+            _expand_partitions(morphism, word, 1, part, block_count=j)
+            for v, c in part.items():
+                if v in table:
+                    _add_defect(totals, word, table[v], -c)
     word = _first_nonzero(totals, source.space, sdeg)
     if word is None:
         return CheckReport.passed()
-    value = _scan_value(source_tables, sdeg, word, morphism._view)
-    for name, c in _target_side(morphism, target_tables, word).items():
-        accumulate(value, name, -c)
-    return CheckReport.failed("morphism", word, GradedVector(value))
+    return CheckReport.failed("morphism", word, _in_basis_order(totals[word], target.space))
 
 
 # ---------------------------------------------------------------------------

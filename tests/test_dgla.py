@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import defcalc.dgla as dgla_module
 from defcalc.artin import ArtinVector, make_artin
 from defcalc.cli import parse_document
 from defcalc.dgla import (
@@ -896,6 +897,30 @@ def test_gauge_equivalent_negative_certificate():
     assert result.order == 1
     assert result.monomial == (1,)
     assert result.residual.coeffs == {"e1": Fraction(-2)}
+
+
+def test_gauge_equivalent_skips_settled_orders_without_acting_again(monkeypatch):
+    # H^0 = 0: d a = 3 x1, d b = -2 x2, [a, y] = 5 x1, [b, y] = 7 x2, so a
+    # gauge element is fixed by its action; y - x starts at order 3, then
+    # order 4 is left: one action before each solved order, one to confirm
+    space = GradedSpace([("a", 0), ("b", 0), ("x1", 1), ("x2", 1), ("y", 1)])
+    d = GradedMap(space, space, 1, {"a": {"x1": 3}, "b": {"x2": -2}})
+    model = Dgla(space, d, {("a", "y"): {"x1": 5}, ("b", "y"): {"x2": 7}})
+    algebra = make_artin(("t",), 7)
+    x = ArtinVector.single((1,), "y")
+    a = ArtinVector({((3,), "a"): Fraction(1, 2), ((4,), "b"): 3})
+    y = gauge_act(a, x, model, algebra)
+    calls = []
+    act = dgla_module.gauge_act
+
+    def spy(*args):
+        calls.append(args[0])
+        return act(*args)
+
+    monkeypatch.setattr(dgla_module, "gauge_act", spy)
+    result = gauge_equivalent(x, y, model, algebra)
+    assert result.equivalent and result.witness == a
+    assert calls == [ArtinVector(), ArtinVector({((3,), "a"): Fraction(1, 2)}), a]
 
 
 def test_gauge_equivalent_rejects_non_mc():

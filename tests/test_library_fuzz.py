@@ -68,6 +68,9 @@ MC_TERMS = {((1,), "1*E12^l1"): 1}
 # an L-infinity structure with q_1(x) = y and q_2(x x) = y
 LINFTY_BASIS = [("x", 1), ("y", 2)]
 LINFTY_BRACKETS = {1: {("x",): {"y": 1}}, 2: {("x", "x"): {"y": 1}}}
+LINFTY_STRUCTURE = LInftyStructure(GradedSpace(LINFTY_BASIS), LINFTY_BRACKETS)
+LINFTY_IDENTITY = LInftyMorphism(
+    LINFTY_STRUCTURE, LINFTY_STRUCTURE, {1: {("x",): {"x": 1}, ("y",): {"y": 1}}})
 
 # a small dgla: d a = b, [a, c] = b, one degree-0 name for the gauge action
 BASIS = [("z", 0), ("a", 1), ("c", 1), ("b", 2)]
@@ -263,8 +266,10 @@ def two_names():
 
 # Calls that once raised KeyError, IndexError or AttributeError, or, for the
 # unknown form name, the string keys and word, the falsy non-mappings, the
-# bool weights and power, the support outside the source and the unknown
-# letter of a morphism_extend word, returned as if valid.
+# bool weights and power, the support outside the source, the unknown
+# letter of a morphism_extend word, the string coalgebra words and the bool
+# and negative max_weight, returned as if valid; a float or string max_weight
+# failed only once the morphism was used.
 FINDINGS = {
     "unknown name in a kernel-map cocycle": (
         lambda: obstruction_kernel_map(GradedVector({"nope": 1}), MORPHISM), ValueError),
@@ -326,6 +331,22 @@ FINDINGS = {
         lambda: coderivation_extend(MORPHISM.source, {("zz",): 1}), ValueError),
     "unknown name in a morphism_extend word": (
         lambda: morphism_extend(MORPHISM, {("zz",): 1}), ValueError),
+    "string as a coderivation_extend word": (
+        lambda: coderivation_extend(LINFTY_STRUCTURE, {"x": 1}), TypeError),
+    "string as a morphism_extend word": (
+        lambda: morphism_extend(LINFTY_IDENTITY, {"xy": 1}), TypeError),
+    "bool as a morphism max_weight": (
+        lambda: LInftyMorphism(LINFTY_STRUCTURE, LINFTY_STRUCTURE, {}, True),
+        TypeError),
+    "negative morphism max_weight": (
+        lambda: LInftyMorphism(LINFTY_STRUCTURE, LINFTY_STRUCTURE, {}, -1),
+        ValueError),
+    "float as a morphism max_weight": (
+        lambda: LInftyMorphism(LINFTY_STRUCTURE, LINFTY_STRUCTURE, {}, 1.5),
+        TypeError),
+    "string as a morphism max_weight": (
+        lambda: LInftyMorphism(LINFTY_STRUCTURE, LINFTY_STRUCTURE, {}, "2"),
+        TypeError),
     "plain dict lifted": (
         lambda: complex_cohomology(*space_map(BASIS, D_COLS)).lift(1, {"c": 1}), TypeError),
     "plain dict projected": (

@@ -390,20 +390,28 @@ def _full_report(report):
     return _full(report.ok, report.axiom, report.witness, report.value)
 
 
+def _basis_ordered(vector, space):
+    """vector with its names in the basis order of space, the key order the
+    checkers give their witness values."""
+    return GradedVector({name: vector[name] for name in space.names if name in vector.coeffs})
+
+
 def full_scan_check_codifferential(structure, weight):
-    """Q . Q on every basis word up to weight, every unshuffle evaluated."""
+    """Q . Q on every basis word up to weight, every unshuffle evaluated;
+    the value's names come in basis order."""
     for word in basis_words(structure.space, weight, structure.sdeg):
         total = GradedVector()
         for v, c in coderivation_extend(structure, {word: ONE}).items():
             total = total + structure.apply_bracket(v).scale(c)
         if not total.is_zero():
-            return _full(False, "codifferential", word, total)
+            return _full(False, "codifferential", word, _basis_ordered(total, structure.space))
     return _full(True)
 
 
 def full_scan_check_linfty_morphism(morphism, weight):
     """F . Q - Q-hat . F on every basis word up to weight, every unshuffle
-    and every set partition evaluated."""
+    and every set partition evaluated; the value's names come in the basis
+    order of the target."""
     source, target = morphism.source, morphism.target
     for word in basis_words(source.space, weight, source.sdeg):
         lhs = GradedVector()
@@ -416,7 +424,7 @@ def full_scan_check_linfty_morphism(morphism, weight):
                 if len(v) == j:
                     rhs = rhs + target.apply_bracket(v).scale(c)
         if lhs != rhs:
-            return _full(False, "morphism", word, lhs - rhs)
+            return _full(False, "morphism", word, _basis_ordered(lhs - rhs, target.space))
     return _full(True)
 
 
@@ -463,8 +471,9 @@ WIDE_SPACE = GradedSpace([
 ])
 RANDOM_COEFFS = [1, -1, 2, Fraction(1, 2)]
 # q1(y) = v is listed before q1(x) = u: the table-built defect on x . y
-# meets its two terms in table order, the unshuffle scan of x . y in
-# position order, so the two sums list the names p and q in opposite order
+# meets its two terms in table order (q, then p), the unshuffle scan of
+# x . y in position order (p, then q); the witness value lists them in
+# basis order, which here is the scan order
 SCAN_ORDER_SPACE = GradedSpace([("x", 1), ("y", 1), ("u", 2), ("v", 2), ("p", 3), ("q", 3)])
 SCAN_ORDER_Q1 = {("y",): {"v": 1}, ("x",): {"u": 1}}
 SCAN_ORDER_Q2 = {("u", "y"): {"p": 1}, ("x", "v"): {"q": 1}}
@@ -668,6 +677,23 @@ def test_check_codifferential_matches_full_scan_oracle():
     })
     assert full_scan_check_codifferential(structure, 3) == _full(True)
     assert check_codifferential(structure, 3).ok
+
+
+def test_witness_values_come_in_basis_order():
+    # the SCAN_ORDER tables with p and q declared as (q, p): the value on
+    # x . y follows the declaration, not the table order or the scan order
+    space = GradedSpace([("x", 1), ("y", 1), ("u", 2), ("v", 2), ("q", 3), ("p", 3)])
+    value = GradedVector({"q": 1, "p": 1})
+    structure = LInftyStructure(space, {1: SCAN_ORDER_Q1, 2: SCAN_ORDER_Q2})
+    expected = _full(False, "codifferential", ("x", "y"), value)
+    assert full_scan_check_codifferential(structure, 2) == expected
+    assert _full_report(check_codifferential(structure, 2)) == expected
+    source = LInftyStructure(space, {1: SCAN_ORDER_Q1})
+    target = LInftyStructure(GradedSpace([("q", 2), ("p", 2)]), {})
+    morphism = LInftyMorphism(source, target, {2: SCAN_ORDER_Q2})
+    expected = _full(False, "morphism", ("x", "y"), value)
+    assert full_scan_check_linfty_morphism(morphism, 2) == expected
+    assert _full_report(check_linfty_morphism(morphism, 2)) == expected
 
 
 # ---------------------------------------------------------------------------
