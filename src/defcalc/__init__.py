@@ -10,11 +10,10 @@ graded   signed multilinear algebra: graded spaces, the one sparse
          vector arithmetic (accumulate, and the base GradedVector and
          ArtinVector share), bilinear extension, the sign-tracking sort
          behind Koszul signs and exterior words, cochain cohomology with
-         class projection and lift, each degree built when first read,
-         and the single-degree preimage solver.
+         class projection and lift from one solve per degree, built when
+         first read, and the single-degree preimage solver.
 linalg   the one exact row reduction, rref, fraction-free on integer rows;
-         the kernel, independent-column and prepared-solve routines (solve
-         among them) read its output.
+         the kernel and prepared-solve routines read its output.
 artin    finite-dimensional local base rings (truncated polynomial style)
          and elements of m (x) V, keyed vectors on graded's arithmetic.
 dgla     differential graded Lie and commutative algebras, their axiom

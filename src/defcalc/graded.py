@@ -14,7 +14,6 @@ enforced at construction time.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 
@@ -369,21 +368,20 @@ def _block_rows(d, source_names, target_names):
 
 
 class DegreeBlock:
-    """Cohomology data in a single degree: representatives, and the matrix
-    with columns [representatives | d(preimage_names)], where preimage_names
-    are the basis vectors one degree down at d's pivot columns."""
+    """Cohomology data in a single degree: one PreparedSolve over the columns
+    [d(preimage_names) | kernel basis], preimage_names the basis vectors one
+    degree down at d's pivot columns.  The image columns are independent, so
+    the kernel columns at the pivots past them (rep_pivots) are the
+    representatives, the greedy ones in kernel-basis order."""
 
-    def __init__(self, names, representatives, proj_matrix, preimage_names):
+    def __init__(self, names, image_cols, kernel_cols, preimage_names):
+        cols = image_cols + kernel_cols
         self.names = names
-        self.representatives = representatives
-        self.dimension = len(representatives)
-        self.proj_matrix = proj_matrix
         self.preimage_names = preimage_names
-
-    @cached_property
-    def projector(self):
-        """Solver for the coordinates in representatives + coboundary basis."""
-        return linalg.PreparedSolve(self.proj_matrix, len(self.proj_matrix[0]))
+        self.solver = linalg.PreparedSolve(linalg.matrix_from_columns(cols, len(names)), len(cols))
+        self.rep_pivots = [p for p in self.solver.pivots if p >= len(image_cols)]
+        self.representatives = [GradedVector.from_dense(names, cols[p]) for p in self.rep_pivots]
+        self.dimension = len(self.rep_pivots)
 
 
 class CohomologySummary:
@@ -398,8 +396,8 @@ class CohomologySummary:
 
     A degree's block is built the first time that degree is read, from the
     reductions of d out of that degree and out of the one below.  Each
-    reduction is made once and shared by the two blocks that read it, so a
-    caller that reads only H^1 and H^2 never reduces the other degrees.
+    reduction of d is made once and shared by the two blocks that read it,
+    so a caller that reads only H^1 and H^2 never reduces the other degrees.
     """
 
     def __init__(self, space, differential):
@@ -427,18 +425,11 @@ class CohomologySummary:
         if block is not None or deg not in self._present:
             return block
         here, red, pivots = self._reduction(deg)
-        n = len(here)
         lower, _, lower_pivots = self._reduction(deg - 1)
         below = [lower[p] for p in lower_pivots]
         image_basis = [self.differential.column(src).to_dense(here) for src in below]
-        kernel_cols = linalg.kernel_basis(red, pivots, n)
-        rep_cols = [
-            kernel_cols[i] for i in linalg.extend_independent(image_basis, kernel_cols, n)
-        ]
-        representatives = [GradedVector.from_dense(here, col) for col in rep_cols]
-        span_cols = rep_cols + image_basis
-        proj_matrix = linalg.matrix_from_columns(span_cols, n) if span_cols else None
-        block = self._blocks[deg] = DegreeBlock(here, representatives, proj_matrix, below)
+        kernel_cols = linalg.kernel_basis(red, pivots, len(here))
+        block = self._blocks[deg] = DegreeBlock(here, image_basis, kernel_cols, below)
         return block
 
     def degrees(self):
@@ -465,6 +456,8 @@ class CohomologySummary:
         z = sum of coords times representatives + d(preimage), where the
         preimage combines only the basis vectors at d's pivot columns (free
         variables zero).  So d(preimage) == z exactly when the class is zero.
+        The block's solve gives the unique coordinates in image basis +
+        representatives: coords at rep_pivots, the preimage on the image.
         """
         if not isinstance(vector, GradedVector):
             raise TypeError(f"expected a GradedVector, got {type(vector).__name__}")
@@ -478,17 +471,11 @@ class CohomologySummary:
                 raise ValueError(
                     f"vector is not homogeneous of degree {degree}: contains {name!r}"
                 )
-        dense = vector.to_dense(block.names)
-        if block.proj_matrix is None:
-            if any(c != 0 for c in dense):
-                raise ValueError("vector outside the zero cocycle space")
-            return [], GradedVector()
-        coords = block.projector.solve(dense)
+        coords = block.solver.solve(vector.to_dense(block.names))
         if coords is None:
             raise ValueError("vector is not a cocycle in this degree")
-        dim = block.dimension
-        preimage = {n: c for n, c in zip(block.preimage_names, coords[dim:]) if c}
-        return coords[:dim], GradedVector.from_nonzero(preimage)
+        preimage = {n: c for n, c in zip(block.preimage_names, coords) if c}
+        return [coords[p] for p in block.rep_pivots], GradedVector.from_nonzero(preimage)
 
 
 def complex_cohomology(space, differential):

@@ -75,18 +75,6 @@ def _merge_words(word, tail, sdeg):
     return tuple(merged), -1 if parity % 2 else 1
 
 
-def _unshuffle_sign(subset, odd):
-    """Koszul sign that moves the letters at the sorted positions subset to
-    the front of a word, odd[p] the parity of the letter at p: each odd
-    letter moved passes the odd letters before it that stay behind."""
-    parity = moved = 0
-    for p in subset:
-        if odd[p]:
-            parity += sum(odd[:p]) - moved
-            moved += 1
-    return -1 if parity % 2 else 1
-
-
 def basis_words(space, max_weight, sdeg=None):
     """All nonzero canonical words of weight 1..max_weight, in scan order."""
     if sdeg is None:
@@ -247,20 +235,21 @@ def coderivation_extend(structure, element):
     element is a dict word -> coefficient; so is the result, with Fraction
     values.  A word that is not a tuple raises TypeError, a letter that is
     not a basis name ValueError.  Each word is made canonical first, so its
-    blocks are looked up directly and each output is merged into its tail.
+    blocks are looked up directly, the unshuffle sign is that of merging
+    block and tail, and each output is merged into its tail.
     """
     sdeg, tables = structure.sdeg, _int_tables(structure)
     out = {}
     for word, coeff in _canonical_terms(element, sdeg):
         n = len(word)
-        odd = [sdeg[name] % 2 for name in word]
         for k, table in tables.items():
             for subset in combinations(range(n), k):
-                vec = table.get(tuple([word[p] for p in subset]))
+                block = tuple([word[p] for p in subset])
+                vec = table.get(block)
                 if vec is None:
                     continue
-                eps = _unshuffle_sign(subset, odd)
                 tail = tuple([word[p] for p in range(n) if p not in subset])
+                eps = _merge_words(block, tail, sdeg)[1]
                 for name, c in vec.items():
                     merged = _merge_words((name,), tail, sdeg)
                     if merged is not None:
@@ -396,7 +385,8 @@ class LInftyMorphism:
     support is the set of source letters on which components may be
     nonzero, every source letter by default; a block containing another
     letter contributes nothing, which evaluation uses as an exact shortcut.
-    A support name that is not a source letter raises ValueError.
+    A support name that is not a source letter raises ValueError, a string
+    support TypeError: it is not read as the set of its characters.
     max_weight, the largest arity with a component, must be an int of at
     least 0 (0 is the zero morphism); a table's largest arity by default.
     """
@@ -404,6 +394,8 @@ class LInftyMorphism:
     def __init__(self, source, target, components, max_weight=None, support=None):
         self.source = source
         self.target = target
+        if isinstance(support, str):
+            raise TypeError(f"support must be a collection of basis names, got {support!r}")
         self.support = frozenset(support if support is not None else source.space.names)
         outside = self.support.difference(source.sdeg)
         _known_letters(sorted(outside, key=repr), source.sdeg, "the support")
@@ -453,10 +445,9 @@ def _sym_multiply(element, vector, sdeg):
     out = {}
     for word, coeff in element.items():
         for name, c in vector.items():
-            new_word, s = normalize_word(word + (name,), sdeg)
-            if s == 0:
-                continue
-            accumulate(out, new_word, coeff * c * s)
+            merged = _merge_words(word, (name,), sdeg)
+            if merged is not None:
+                accumulate(out, merged[0], coeff * c * merged[1])
     return out
 
 
@@ -591,9 +582,9 @@ def _power_step(power, x, sdeg, algebra):
             mono2 = algebra.multiply_monomials(mono, m2)
             if mono2 is None:
                 continue
-            new_word, s = normalize_word(word + (name,), sdeg)
-            if s:
-                accumulate(out, (new_word, mono2), c * c2 * s)
+            merged = _merge_words(word, (name,), sdeg)
+            if merged is not None:
+                accumulate(out, (merged[0], mono2), c * c2 * merged[1])
     return out
 
 

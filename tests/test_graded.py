@@ -11,7 +11,6 @@ from defcalc.cli import parse_document
 from defcalc.dgla import trivial_cdga
 from defcalc.graded import (
     CohomologySummary,
-    DegreeBlock,
     GradedMap,
     GradedSpace,
     GradedVector,
@@ -391,11 +390,15 @@ def test_lift_on_the_frozen_projection_complex():
 
 # ---------------------------------------------------------------------------
 # Oracle for the lazy summary: the former complex_cohomology, which built
-# the block of every degree up front, and the former lift on those blocks.
+# the block of every degree up front in two steps (extend_independent picks
+# the representatives, then a PreparedSolve on [representatives | image]
+# projects), and the former lift on those blocks.
 
 
 def eager_cohomology(space, d):
-    """degree -> DegreeBlock for every degree present, in degree order."""
+    """degree -> (names, representatives, [representatives | image] matrix
+    or None when both are empty, preimage names) for every degree present,
+    in degree order."""
     blocks = {}
     pivot_names = {}  # degree k + 1 -> names of degree k at the pivots of d
     for deg in space.degrees_present():
@@ -412,22 +415,22 @@ def eager_cohomology(space, d):
         representatives = [GradedVector.from_dense(here, col) for col in rep_cols]
         span_cols = rep_cols + image_basis
         proj_matrix = linalg.matrix_from_columns(span_cols, n) if span_cols else None
-        blocks[deg] = DegreeBlock(here, representatives, proj_matrix, below)
+        blocks[deg] = (here, representatives, proj_matrix, below)
     return blocks
 
 
 def eager_lift(blocks, degree, vector):
-    block = blocks.get(degree)
-    if block is None:
+    if degree not in blocks:
         assert vector.is_zero()
         return [], GradedVector()
-    dense = vector.to_dense(block.names)
-    if block.proj_matrix is None:
+    here, reps, proj_matrix, below = blocks[degree]
+    dense = vector.to_dense(here)
+    if proj_matrix is None:
         assert not any(dense)
         return [], GradedVector()
-    coords = linalg.PreparedSolve(block.proj_matrix, len(block.proj_matrix[0])).solve(dense)
-    dim = block.dimension
-    preimage = {n: c for n, c in zip(block.preimage_names, coords[dim:]) if c}
+    coords = linalg.PreparedSolve(proj_matrix, len(proj_matrix[0])).solve(dense)
+    dim = len(reps)
+    preimage = {n: c for n, c in zip(below, coords[dim:]) if c}
     return coords[:dim], GradedVector.from_nonzero(preimage)
 
 
@@ -463,8 +466,7 @@ def test_lazy_cohomology_matches_the_eager_oracle_on_the_shipped_samples():
             summary = complex_cohomology(space, d)
             order = list(reversed(asked)) if trial == 0 else rng.sample(asked, len(asked))
             for deg in order:
-                block = blocks.get(deg)
-                reps = block.representatives if block else []
+                reps = blocks[deg][1] if deg in blocks else []
                 below = space.names_of_degree(deg - 1)
                 z = random_combination(rng, reps) + d.apply(
                     random_combination(rng, [GradedVector.basis(n) for n in below])
@@ -482,39 +484,49 @@ def test_lazy_cohomology_matches_the_eager_oracle_on_the_shipped_samples():
                     else:
                         assert summary.dimension(deg) == len(reps)
             assert summary.degrees() == present
-            assert summary.dimensions() == {k: b.dimension for k, b in blocks.items()}
+            assert summary.dimensions() == {k: len(b[1]) for k, b in blocks.items()}
     assert len(labels) == 11 and sum("over interval" in x for x in labels) == 3, labels
 
 
 def test_cohomology_reduces_each_differential_once_when_first_read(monkeypatch):
-    # dims 1, 2, 3, 4 in degrees 0..3, so the width of a reduction of d out
-    # of degree k names k; extend_independent passes no width, and lift,
-    # which reduces the block's own matrix, is not called
+    # an elimination whose input is the matrix of d out of degree k is a
+    # reduction of d_k; any other is the solve of a block, whose rows carry
+    # an appended identity and so never match
     space, d = make_complex(
         [("a0", 0), ("b0", 1), ("b1", 1), ("c0", 2), ("c1", 2), ("c2", 2)]
         + [(f"e{i}", 3) for i in range(4)],
         {"a0": {"b0": 1}, "b1": {"c0": 2}, "c1": {"e0": -1}},
     )
-    widths = {0: -1, 1: 0, 2: 1, 3: 2, 4: 3}
-    reduced = []
+    matrices = {
+        k: d_rows(d, space.names_of_degree(k), space.names_of_degree(k + 1))
+        for k in range(-1, 4)
+    }
+    reduced, solves = [], []
     rref = linalg.rref
 
     def spy(rows, ncols=None):
-        if ncols is not None:
-            reduced.append(widths[ncols])
+        ks = [k for k, m in matrices.items() if rows == m and ncols == len(space.names_of_degree(k))]
+        if ks:
+            reduced.extend(ks)
+        else:
+            solves.append(ncols)
         return rref(rows, ncols)
 
     monkeypatch.setattr(linalg, "rref", spy)
     summary = complex_cohomology(space, d)
-    assert reduced == []
+    assert reduced == solves == []
     assert len(summary.representatives(2)) == 1
-    assert sorted(reduced) == [1, 2]
+    assert sorted(reduced) == [1, 2] and len(solves) == 1
     assert summary.dimension(1) == 0
-    assert sorted(reduced) == [0, 1, 2]
+    assert sorted(reduced) == [0, 1, 2] and len(solves) == 2
     assert summary.representatives(2) and summary.dimension(0) == 0
-    assert sorted(reduced) == [-1, 0, 1, 2]
+    assert sorted(reduced) == [-1, 0, 1, 2] and len(solves) == 3
+    assert summary.lift(2, GradedVector({"c0": 1, "c2": 3})) == (
+        [Fraction(3)], GradedVector({"b1": Fraction(1, 2)})
+    )
+    assert sorted(reduced) == [-1, 0, 1, 2] and len(solves) == 3
     assert summary.dimensions() == {0: 0, 1: 0, 2: 1, 3: 3}
-    assert sorted(reduced) == [-1, 0, 1, 2, 3]
+    assert sorted(reduced) == [-1, 0, 1, 2, 3] and len(solves) == 4
 
 
 @pytest.mark.parametrize("value", [1.5, True, "x", None])

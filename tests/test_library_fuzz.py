@@ -69,8 +69,8 @@ MC_TERMS = {((1,), "1*E12^l1"): 1}
 LINFTY_BASIS = [("x", 1), ("y", 2)]
 LINFTY_BRACKETS = {1: {("x",): {"y": 1}}, 2: {("x", "x"): {"y": 1}}}
 LINFTY_STRUCTURE = LInftyStructure(GradedSpace(LINFTY_BASIS), LINFTY_BRACKETS)
-LINFTY_IDENTITY = LInftyMorphism(
-    LINFTY_STRUCTURE, LINFTY_STRUCTURE, {1: {("x",): {"x": 1}, ("y",): {"y": 1}}})
+LINFTY_IDENTITY_COMPONENTS = {1: {("x",): {"x": 1}, ("y",): {"y": 1}}}
+LINFTY_IDENTITY = LInftyMorphism(LINFTY_STRUCTURE, LINFTY_STRUCTURE, LINFTY_IDENTITY_COMPONENTS)
 
 # a small dgla: d a = b, [a, c] = b, one degree-0 name for the gauge action
 BASIS = [("z", 0), ("a", 1), ("c", 1), ("b", 2)]
@@ -327,6 +327,16 @@ FINDINGS = {
         lambda: LInftyMorphism(
             MORPHISM.source, MORPHISM.target, {}, 1, support=[*MORPHISM.support, "zz"]),
         ValueError),
+    "string of source letters as a support": (
+        lambda: check_linfty_morphism(
+            LInftyMorphism(
+                LINFTY_STRUCTURE, LINFTY_STRUCTURE, LINFTY_IDENTITY_COMPONENTS, support="xy"),
+            2),
+        TypeError),
+    "string with a non-letter as a support": (
+        lambda: LInftyMorphism(
+            LINFTY_STRUCTURE, LINFTY_STRUCTURE, LINFTY_IDENTITY_COMPONENTS, support="xz"),
+        TypeError),
     "unknown name in a coderivation_extend word": (
         lambda: coderivation_extend(MORPHISM.source, {("zz",): 1}), ValueError),
     "unknown name in a morphism_extend word": (

@@ -25,7 +25,6 @@ from defcalc.linfty import (
     LInftyStructure,
     PolyPath,
     _merge_words,
-    _unshuffle_sign,
     basis_words,
     check_codifferential,
     check_linfty_morphism,
@@ -106,17 +105,25 @@ def test_merge_words_matches_normalize_word():
 
 
 def test_unshuffle_sign_matches_koszul_sign():
+    # the sign coderivation_extend gives the unshuffle of a canonical word
+    # into the letters at a subset of positions and the rest
     rng = random.Random(2122)
-    signs = set()
+    space = GradedSpace([(f"v{i}", i % 4) for i in range(7)])
+    sdeg = shifted_degrees(space)
+    seen = set()
     for _ in range(2000):
-        n = rng.randint(1, 7)
-        degrees = [rng.randint(-1, 2) for _ in range(n)]
-        subset = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        word = random_canonical_word(rng, space.names, sdeg, rng.randint(1, 7))
+        n = len(word)
+        subset = sorted(rng.sample(range(n), rng.randint(0, n)))
         rest = [p for p in range(n) if p not in subset]
-        want = koszul_sign([p + 1 for p in subset] + [p + 1 for p in rest], degrees)
-        assert _unshuffle_sign(subset, [d % 2 for d in degrees]) == want
-        signs.add(want)
-    assert signs == {1, -1}
+        block = tuple([word[p] for p in subset])
+        tail = tuple([word[p] for p in rest])
+        want = koszul_sign([p + 1 for p in subset + rest], [sdeg[name] for name in word])
+        assert _merge_words(block, tail, sdeg) == (word, want), (word, subset)
+        seen.add(want)
+        if set(block) & set(tail):
+            seen.add("even repeat")
+    assert seen == {"even repeat", 1, -1}
 
 
 def test_basis_words_frozen_count():
@@ -928,6 +935,36 @@ def test_endpoint_mismatch_reported():
     )
     assert not report.ok
     assert report.axiom == "endpoint-1"
+    # the value is the endpoint minus the expected one, exactly
+    y = ArtinVector.single((1,), "y")
+    step = ArtinVector.single((2,), "y")
+    start = PolyPath({0: x.scale(3), 1: step}, {})
+    report = verify_homotopy_witness(start, x, y, structure, algebra)
+    assert (report.ok, report.axiom, report.witness) == (False, "endpoint-0", ())
+    assert report.value == start.endpoint(False) - x == x.scale(2)
+    end = PolyPath({0: x, 1: step}, {})
+    report = verify_homotopy_witness(end, x, y, structure, algebra)
+    assert (report.ok, report.axiom, report.witness) == (False, "endpoint-1", ())
+    assert report.value == end.endpoint(True) - y == x + step - y
+
+
+def test_homotopy_from_gauge_over_two_variables():
+    """Over Q[s, t]/(s, t)^3 the path's t-degree is the last exponent of
+    the extended base, not the exponent of t."""
+    model = matrix_wedge_dgla(2, GradedSpace([("l", 1)]), [[{"l": 1}, {}], [{}, {}]])
+    structure = linfty_from_dgla(model)
+    algebra = make_artin(("s", "t"), 3)
+    rng = random.Random(2626)
+    moving = 0
+    for _ in range(6):
+        x, a = (random_element(rng, model.space.names_of_degree(d), algebra) for d in (1, 0))
+        path = homotopy_from_gauge(GaugeResult(True, witness=a), x, model, algebra)
+        y = gauge_act(a, x, model, algebra)
+        assert path.endpoint(True) == y
+        report = verify_homotopy_witness(path, x, y, structure, algebra)
+        assert report.ok, (report.axiom, report.witness)
+        moving += set(path.even) > {0}
+    assert moving >= 4, moving
 
 
 def test_gauge_flow_homotopy_witness():
