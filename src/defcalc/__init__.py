@@ -24,10 +24,12 @@ linfty   the same homotopical data as coderivations of the reduced
          symmetric coalgebra: codifferential and morphism checks through a
          chosen weight, which build the defect from the bracket tables and
          report the failing word's table-built value, its names in basis
-         order, and one nilpotent power series behind the Maurer-Cartan
-         residual, the pushforward of Maurer-Cartan elements and homotopies
-         over a polynomial-in-t extension of the base, where a gauge
-         witness a gives the homotopy exp(t a) . x.
+         order; one word merge behind every sign of a product of words,
+         the morphism's weight-j parts included, which recurse on the
+         block of the first letter; and one nilpotent power series behind
+         the Maurer-Cartan residual, the pushforward of Maurer-Cartan
+         elements and homotopies over a polynomial-in-t extension of the
+         base, where a gauge witness a gives the homotopy exp(t a) . x.
 hitchin  the matrix-valued models: a square matrix of anticommuting
          one-letter forms with theta ^ theta = 0, the associated dgla, the
          family of trace maps into an abelian target (one sparse matrix

@@ -82,6 +82,9 @@ def _entry_vector(value, l_space):
 class HitchinPair:
     """Rank, coefficient space L, and the matrix theta with theta^theta = 0.
 
+    Every letter of L has degree 1, since the constructions put Lambda^q L
+    in degree q; a letter of another degree raises ValueError.
+
     theta is given as an r x r nested sequence whose entries are vectors
     over the basis of l_space (dicts or GradedVector; None means zero).
     The wedge square is formed at construction by the module's one matrix
@@ -95,8 +98,10 @@ class HitchinPair:
             raise ValueError("rank must be a positive integer")
         if rank > 9:
             raise ValueError("rank above 9 is not supported by the naming scheme")
-        if len(l_space.degrees_present()) > 1:
-            raise ValueError("L must be concentrated in a single degree")
+        for name in l_space.names:
+            if l_space.degree(name) != 1:
+                raise ValueError(f"L must sit in degree 1, but {name!r} has degree "
+                                 f"{l_space.degree(name)}")
         self.rank = rank
         self.l_space = l_space
         self._theta_matrix = _sym_matrix(theta, rank, l_space)

@@ -15,7 +15,6 @@ nilpotency reason as in the dgla calculus.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -23,7 +22,7 @@ from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
 from .dgla import CheckReport, GaugeResult, gauge_act
 from .graded import GradedSpace, GradedVector, accumulate
 from .graded import as_fraction, as_int, int_view, mapping_items
-from .graded import koszul_sign, signed_sort_keyed
+from .graded import signed_sort_keyed
 
 ONE = Fraction(1)
 
@@ -216,12 +215,14 @@ def _int_tables(structure):
 
 def _canonical_terms(element, sdeg):
     """(canonical word, coefficient . Koszul sign) for each term of a
-    coalgebra element whose word does not vanish.  A word that is not a
-    tuple raises TypeError, a letter that is not a basis name ValueError."""
+    coalgebra element whose word does not vanish, the coefficient read by
+    graded.as_fraction.  A word that is not a tuple raises TypeError, a
+    letter that is not a basis name ValueError."""
     for word, coeff in mapping_items(element):
         if type(word) is not tuple:
             raise TypeError(f"a coalgebra word must be a tuple of names, got {word!r}")
         _known_letters(word, sdeg, "coalgebra word")
+        coeff = as_fraction(coeff)
         cword, sign = normalize_word(word, sdeg)
         if sign:
             yield cword, coeff * sign
@@ -232,11 +233,12 @@ def coderivation_extend(structure, element):
 
     On a word v1 . ... . vn the value is the sum over k and (k, n-k)
     unshuffles of  sign . q_k(chosen k letters) . (remaining letters).
-    element is a dict word -> coefficient; so is the result, with Fraction
-    values.  A word that is not a tuple raises TypeError, a letter that is
-    not a basis name ValueError.  Each word is made canonical first, so its
-    blocks are looked up directly, the unshuffle sign is that of merging
-    block and tail, and each output is merged into its tail.
+    element is a dict word -> exact rational (read by graded.as_fraction);
+    so is the result, with Fraction values.  A word that is not a tuple
+    raises TypeError, a letter that is not a basis name ValueError.  Each
+    word is made canonical first, so its blocks are looked up directly,
+    the unshuffle sign is that of merging block and tail, and each output
+    is merged into its tail.
     """
     sdeg, tables = structure.sdeg, _int_tables(structure)
     out = {}
@@ -254,7 +256,7 @@ def coderivation_extend(structure, element):
                     merged = _merge_words((name,), tail, sdeg)
                     if merged is not None:
                         accumulate(out, merged[0], coeff * c * eps * merged[1])
-    return {word: as_fraction(c) for word, c in out.items()}
+    return out
 
 
 def _multiplicity(word, block):
@@ -351,31 +353,6 @@ def check_codifferential(structure, weight):
     return CheckReport.failed("codifferential", word, value)
 
 
-@lru_cache(maxsize=None)
-def _set_partitions(n, max_block):
-    """Partitions of range(n) into blocks of at most max_block elements;
-    blocks and block lists sorted."""
-    if n and max_block < 1:
-        return ()
-    out = []
-
-    def grow(pos, blocks):
-        if pos == n:
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            if len(b) < max_block:
-                b.append(pos)
-                grow(pos + 1, blocks)
-                b.pop()
-        blocks.append([pos])
-        grow(pos + 1, blocks)
-        blocks.pop()
-
-    grow(0, [])
-    return tuple(out)
-
-
 class LInftyMorphism:
     """Weighted components f_k of a morphism between two structures.
 
@@ -388,7 +365,8 @@ class LInftyMorphism:
     A support name that is not a source letter raises ValueError, a string
     support TypeError: it is not read as the set of its characters.
     max_weight, the largest arity with a component, must be an int of at
-    least 0 (0 is the zero morphism); a table's largest arity by default.
+    least 0 (0 is the zero morphism); a table's largest arity by default,
+    and a nonzero table entry above it raises ValueError.
     """
 
     def __init__(self, source, target, components, max_weight=None, support=None):
@@ -401,6 +379,7 @@ class LInftyMorphism:
         _known_letters(sorted(outside, key=repr), source.sdeg, "the support")
         self._cache = {}
         self._views = {}
+        top = 0  # the largest arity with a nonzero table entry
         if callable(components):
             if max_weight is None:
                 raise ValueError("generator components need an explicit max_weight")
@@ -411,10 +390,13 @@ class LInftyMorphism:
                 for k, entries in mapping_items(components)
             }
             self._generator = lambda k, word: tables.get(k, {}).get(word)
+            top = max([k for k, table in tables.items() if table], default=0)
             if max_weight is None:
                 max_weight = max(tables, default=0)
         if as_int(max_weight, "max_weight") < 0:
             raise ValueError(f"max_weight must be at least 0, got {max_weight}")
+        if top > max_weight:
+            raise ValueError(f"a component of arity {top} is above max_weight {max_weight}")
         self.max_weight = max_weight
 
     def component(self, word):
@@ -439,47 +421,42 @@ class LInftyMorphism:
         return view
 
 
-def _sym_multiply(element, vector, sdeg):
-    """Append one target-space vector, a coefficient dict, to each word of a
-    coalgebra element."""
+def _weight_part(morphism, word, j, memo):
+    """F_j(word), the weight-j part of F on a canonical source word with
+    every letter in the support: {canonical target word: coefficient}.
+
+    F_j(w) is the sum over the blocks B holding the first letter of w of
+    eps . f(B) . F_{j-1}(T), T the rest of w and eps the Koszul sign of
+    B . T = w; every sign is a word merge.  B has at most max_weight
+    letters and leaves T between j - 1 and (j - 1) max_weight letters, so
+    f is evaluated only on the blocks of partitions into j blocks, and
+    only where the blocks before it have nonzero values (not where those
+    values multiply to zero).  memo holds F_i(T) by (T, i) for one call.
+    """
+    key = (word, j)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    if j == 0:
+        return {} if word else {(): 1}
+    sdeg, tdeg, top_weight = morphism.source.sdeg, morphism.target.sdeg, morphism.max_weight
+    n = len(word)
     out = {}
-    for word, coeff in element.items():
-        for name, c in vector.items():
-            merged = _merge_words(word, (name,), sdeg)
-            if merged is not None:
-                accumulate(out, merged[0], coeff * c * merged[1])
-    return out
-
-
-def _expand_partitions(morphism, word, coeff, out, block_count=None):
-    """Accumulate the set-partition expansion of F on one word into out,
-    optionally keeping only partitions with a fixed number of blocks.
-    Partitions with a block longer than max_weight are skipped: f vanishes
-    on it."""
-    if any(n not in morphism.support for n in word):
-        return
-    src_deg = morphism.source.sdeg
-    tgt_deg = morphism.target.sdeg
-    degrees = [src_deg[name] for name in word]
-    for blocks in _set_partitions(len(word), morphism.max_weight):
-        if block_count is not None and len(blocks) != block_count:
-            continue
-        perm = [p + 1 for block in blocks for p in block]
-        eps = koszul_sign(perm, degrees)
-        partial = {(): 1}
-        for block in blocks:
-            vec = morphism._view(tuple(word[p] for p in block))
+    for size in range(max(1, n - (j - 1) * top_weight), min(top_weight, n - j + 1) + 1):
+        for rest in combinations(range(1, n), size - 1):
+            block = (word[0],) + tuple([word[p] for p in rest])
+            vec = morphism._view(block)
             if not vec:
-                partial = None
-                break
-            partial = _sym_multiply(partial, vec, tgt_deg)
-            if not partial:
-                partial = None
-                break
-        if partial is None:
-            continue
-        for new_word, c in partial.items():
-            accumulate(out, new_word, coeff * eps * c)
+                continue
+            tail = tuple([word[p] for p in range(1, n) if p not in rest])
+            eps = _merge_words(block, tail, sdeg)[1]
+            for v, c in _weight_part(morphism, tail, j - 1, memo).items():
+                for e, x in vec.items():
+                    merged = _merge_words((e,), v, tdeg)
+                    if merged is not None:
+                        accumulate(out, merged[0], eps * c * x * merged[1])
+    memo[key] = out
+    return out
 
 
 def morphism_extend(morphism, element):
@@ -488,15 +465,21 @@ def morphism_extend(morphism, element):
     On a word the value is the sum over unordered set partitions of the
     letters of  sign . f(block 1) . ... . f(block s), the sign being the
     Koszul reordering of the letters into the concatenated blocks; the
-    weight 2 case reads f2(v1 . v2) + f1(v1) . f1(v2).  Values are
-    Fractions, as in the element.  Each word is made canonical first, with
-    its Koszul sign; a word that is not a tuple raises TypeError, a letter
-    that is not a source basis name ValueError.
+    weight 2 case reads f2(v1 . v2) + f1(v1) . f1(v2).  It is the sum of
+    the weight-j parts (_weight_part), which share one memo of tails; a
+    word with a letter outside the support maps to zero unread.
+    Coefficients are read by graded.as_fraction, values are Fractions.
+    Each word is made canonical first, with its Koszul sign; a word that
+    is not a tuple raises TypeError, a letter that is not a source basis
+    name ValueError.
     """
-    out = {}
+    out, memo = {}, {}
     for word, coeff in _canonical_terms(element, morphism.source.sdeg):
-        _expand_partitions(morphism, word, coeff, out)
-    return {word: as_fraction(c) for word, c in out.items()}
+        if morphism.support.issuperset(word):
+            for j in range(len(word) + 1):
+                for v, c in _weight_part(morphism, word, j, memo).items():
+                    accumulate(out, v, coeff * c)
+    return out
 
 
 def check_linfty_morphism(morphism, weight):
@@ -518,7 +501,9 @@ def check_linfty_morphism(morphism, weight):
     evaluated once for every such e and T and kept where nonzero, with s
     the sign of e . T; each entry c e of q_k(B) then meets those T with
     |T| + k within the bound at w = B . T (_block_terms).  The right side
-    q-hat_j(F_j(w)) is subtracted on the all-inside words up to k_t W.
+    q-hat_j(F_j(w)) is subtracted on the all-inside words up to k_t W,
+    F_j(w) read for each target arity j alone (_weight_part), with one
+    memo of tails for the call.
     The failure is the first word in basis order with a nonzero defect,
     and its value is that word's table-built lhs - rhs, with its names in
     the basis order of target.space.
@@ -555,13 +540,12 @@ def check_linfty_morphism(morphism, weight):
                             if value:
                                 groups[len(tail)].append((tail, merged[1], value))
     totals = _block_terms(source_tables, images, top, sdeg)
+    memo = {}
     for word in inside_words:
         if len(word) > inside_top:
             break
         for j, table in target_tables.items():  # - q-hat_j(weight-j part of F(w))
-            part = {}
-            _expand_partitions(morphism, word, 1, part, block_count=j)
-            for v, c in part.items():
+            for v, c in _weight_part(morphism, word, j, memo).items():
                 if v in table:
                     _add_defect(totals, word, table[v], -c)
     word = _first_nonzero(totals, source.space, sdeg)

@@ -521,6 +521,9 @@ REJECTED = {
     "float in l_basis": [
         "hitchin-build", mutated("hitchin_r2_zero.json", ("l_basis", 0), 0.5)
     ],
+    "letter of L in degree 2": [
+        "hitchin-verify", mutated("hitchin_r2_zero.json", ("l_basis", 0, "degree"), 2)
+    ],
     "cohomology of d o d != 0": ["cohomology", NOT_A_COMPLEX],
     "mc-solve with d o d != 0": ["mc-solve", NOT_A_COMPLEX],
     "mc-solve with a wrong-degree bracket": ["mc-solve", WRONG_DEGREE_BRACKET],

@@ -74,9 +74,11 @@ def test_pair_validation():
         HitchinPair(0, l_space, [])
     with pytest.raises(ValueError):
         HitchinPair(10, l_space, [[{} for _ in range(10)] for _ in range(10)])
-    with pytest.raises(ValueError):
-        # letters must sit in a single degree
+    # every letter sits in degree 1, as Lambda^q L sits in degree q
+    with pytest.raises(ValueError, match="L must sit in degree 1, but 'l2' has degree 2"):
         HitchinPair(1, GradedSpace([("l1", 1), ("l2", 2)]), [[{}]])
+    with pytest.raises(ValueError, match="'l' has degree 0"):
+        HitchinPair(1, GradedSpace([("l", 0)]), [[{}]])
     with pytest.raises(ValueError):
         # wrong shape
         HitchinPair(2, l_space, [[{}]])

@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 private module-level helper is used somewhere in the library, every
 public module-level function or class is used in the library, exported
-from defcalc, or named by the benchmark under bench/, and the sparse vector
-arithmetic is defined by one class only."""
+from defcalc, or named by the benchmark under bench/, the sparse vector
+arithmetic is defined by one class only, and no functools cache outlives
+a call."""
 
 import ast
 import pathlib
@@ -132,3 +133,59 @@ def test_the_scan_finds_a_repeated_method():
 def test_vector_arithmetic_is_defined_once():
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SOURCE.glob("*.py"))]
     assert repeated_methods(trees, VECTOR_ARITHMETIC) == {}
+
+
+PROCESS_CACHES = {"lru_cache", "cache"}
+
+
+def process_caches(tree):
+    """Lines that apply a functools cache outside every function body: a
+    decorator or a call at module or class level, whose cache lives as long
+    as the process."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in PROCESS_CACHES}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+    in_bodies = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for stmt in node.body:
+                in_bodies.update(map(id, ast.walk(stmt)))
+        elif isinstance(node, ast.Lambda):
+            in_bodies.update(map(id, ast.walk(node.body)))
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in in_bodies and (
+            isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in PROCESS_CACHES
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        )
+    )
+
+
+def test_the_scan_finds_a_process_wide_cache():
+    tree = ast.parse(
+        "import functools as ft\n"
+        "from functools import lru_cache, cache as memo\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(n):\n"
+        "    return n\n"
+        "class B:\n"
+        "    @ft.cache\n"
+        "    def b(self):\n"
+        "        return 1\n"
+        "c = memo(len)\n"
+        "def per_call(xs):\n"
+        "    return ft.lru_cache(None)(len)(xs) + memo(len)(xs)\n"
+    )
+    assert process_caches(tree) == [3, 7, 10]
+
+
+def test_no_process_wide_caches():
+    found = {
+        p.name: process_caches(ast.parse(p.read_text(encoding="utf-8")))
+        for p in sorted(SOURCE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

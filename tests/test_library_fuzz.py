@@ -267,9 +267,10 @@ def two_names():
 # Calls that once raised KeyError, IndexError or AttributeError, or, for the
 # unknown form name, the string keys and word, the falsy non-mappings, the
 # bool weights and power, the support outside the source, the unknown
-# letter of a morphism_extend word, the string coalgebra words and the bool
-# and negative max_weight, returned as if valid; a float or string max_weight
-# failed only once the morphism was used.
+# letter of a morphism_extend word, the string coalgebra words, the bool
+# coalgebra coefficient, the bool and negative max_weight, the table entry
+# above max_weight and the letter of L outside degree 1, returned as if
+# valid; a float or string max_weight failed only once the morphism was used.
 FINDINGS = {
     "unknown name in a kernel-map cocycle": (
         lambda: obstruction_kernel_map(GradedVector({"nope": 1}), MORPHISM), ValueError),
@@ -345,6 +346,15 @@ FINDINGS = {
         lambda: coderivation_extend(LINFTY_STRUCTURE, {"x": 1}), TypeError),
     "string as a morphism_extend word": (
         lambda: morphism_extend(LINFTY_IDENTITY, {"xy": 1}), TypeError),
+    "bool as a coalgebra coefficient": (
+        lambda: coderivation_extend(LINFTY_STRUCTURE, {("x",): True}), TypeError),
+    "table entry above max_weight": (
+        lambda: LInftyMorphism(
+            LINFTY_STRUCTURE, LINFTY_STRUCTURE,
+            {**LINFTY_IDENTITY_COMPONENTS, 2: {("x", "x"): {"x": 1}}}, 1),
+        ValueError),
+    "letter of L outside degree 1": (
+        lambda: HitchinPair(2, GradedSpace([("l", 2)]), [[{}, {}], [{}, {}]]), ValueError),
     "bool as a morphism max_weight": (
         lambda: LInftyMorphism(LINFTY_STRUCTURE, LINFTY_STRUCTURE, {}, True),
         TypeError),

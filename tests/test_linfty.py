@@ -268,6 +268,25 @@ def test_morphism_extension_respects_permutation_signs():
     assert morphism_extend(morphism, {("p", "p"): ONE}) == {}
 
 
+def test_coalgebra_coefficients_are_read_as_rationals():
+    # a string coefficient is an exact rational, not a sequence to repeat
+    space = GradedSpace([("x", 1), ("y", 2), ("u", 1)])
+    structure = LInftyStructure(space, {1: {("x",): {"y": -1}}})
+    assert coderivation_extend(structure, {("x",): "1/2"}) == {("y",): Fraction(-1, 2)}
+    morphism = LInftyMorphism(structure, structure, {1: {("x",): {"u": -1}}})
+    assert morphism_extend(morphism, {("x",): "3"}) == {("u",): Fraction(-3)}
+
+
+def test_a_table_entry_above_max_weight_is_rejected():
+    structure = LInftyStructure(GradedSpace([("x", 1), ("v", 1)]), {})
+    components = {1: {("x",): {"x": 1}}, 2: {("x", "v"): {"v": 1}}}
+    with pytest.raises(ValueError) as info:
+        LInftyMorphism(structure, structure, components, max_weight=1)
+    assert str(info.value) == "a component of arity 2 is above max_weight 1"
+    # a zero entry above max_weight is no component
+    LInftyMorphism(structure, structure, {1: components[1], 2: {("x", "v"): {}}}, 1)
+
+
 def test_coderivation_extension_is_linear():
     structure = linfty_from_dgla(semidirect())
     words = basis_words(structure.space, 3)
@@ -415,6 +434,76 @@ def full_scan_check_codifferential(structure, weight):
     return _full(True)
 
 
+def set_partitions(n, max_block):
+    """Partitions of range(n) into blocks of at most max_block elements;
+    blocks and block lists sorted."""
+    if n and max_block < 1:
+        return []
+    out = []
+
+    def grow(pos, blocks):
+        if pos == n:
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            if len(b) < max_block:
+                b.append(pos)
+                grow(pos + 1, blocks)
+                b.pop()
+        blocks.append([pos])
+        grow(pos + 1, blocks)
+        blocks.pop()
+
+    grow(0, [])
+    return out
+
+
+def partition_expansion(morphism, word, block_count=None):
+    """F on one canonical word, or its part with block_count blocks: the sum
+    over the set partitions of its positions into blocks of at most
+    max_weight letters of  sign . f(block 1) . ... . f(block s), the sign
+    the koszul_sign of the letters reordered into the concatenated blocks.
+    The blocks are multiplied left to right, each product made canonical
+    by normalize_word, stopping at the first zero factor or product; a word
+    with a letter outside the support maps to zero unread."""
+    out = {}
+    if any(name not in morphism.support for name in word):
+        return out
+    degrees = [morphism.source.sdeg[name] for name in word]
+    tdeg = morphism.target.sdeg
+    for blocks in set_partitions(len(word), morphism.max_weight):
+        if block_count is not None and len(blocks) != block_count:
+            continue
+        eps = koszul_sign([p + 1 for block in blocks for p in block], degrees)
+        partial = {(): ONE}
+        for block in blocks:
+            vec = morphism.component(tuple(word[p] for p in block))
+            product = {}
+            for v, c in partial.items():
+                for name, x in vec.coeffs.items():
+                    merged, sign = normalize_word(v + (name,), tdeg)
+                    if sign:
+                        product[merged] = product.get(merged, 0) + c * x * sign
+            partial = {v: c for v, c in product.items() if c}
+            if not partial:
+                break
+        for v, c in partial.items():
+            out[v] = out.get(v, 0) + eps * c
+    return {v: c for v, c in out.items() if c}
+
+
+def partition_morphism_extend(morphism, element):
+    """The oracle of morphism_extend: each word made canonical by
+    normalize_word, then partition_expansion."""
+    out = {}
+    for word, coeff in element.items():
+        canonical, sign = normalize_word(word, morphism.source.sdeg)
+        if sign:
+            for v, c in partition_expansion(morphism, canonical).items():
+                out[v] = out.get(v, 0) + Fraction(coeff) * sign * c
+    return {v: c for v, c in out.items() if c}
+
+
 def full_scan_check_linfty_morphism(morphism, weight):
     """F . Q - Q-hat . F on every basis word up to weight, every unshuffle
     and every set partition evaluated; the value's names come in the basis
@@ -424,7 +513,7 @@ def full_scan_check_linfty_morphism(morphism, weight):
         lhs = GradedVector()
         for v, c in coderivation_extend(source, {word: ONE}).items():
             lhs = lhs + morphism.component(v).scale(c)
-        image = morphism_extend(morphism, {word: ONE})
+        image = partition_morphism_extend(morphism, {word: ONE})
         rhs = GradedVector()
         for j in target.brackets:
             for v, c in image.items():
@@ -511,20 +600,21 @@ def random_structure(rng, space, width=1):
     })
 
 
-def random_morphism(rng, space, width=1):
+def random_morphism(rng, space, width=1, top_weight=None):
     """A morphism between random structures on space: random components up
-    to weight 1-3, sometimes the identity in arity 1, and sometimes a
-    partial support."""
+    to top_weight, 1-3 by default, sometimes the identity in arity 1, and
+    sometimes a partial support."""
     names = space.names
     sdeg = shifted_degrees(space)
     source = random_structure(rng, space, width)
     target = source if rng.random() < 0.5 else random_structure(rng, space, width)
-    top_weight = rng.randint(1, 3)
+    if top_weight is None:
+        top_weight = rng.randint(1, 3)
     components = {
         k: random_table(rng, names, sdeg, sdeg, k, 0, rng.randint(0, 4), width)
         for k in range(1, top_weight + 1)
     }
-    if target is source and rng.random() < 0.5:
+    if target is source and top_weight and rng.random() < 0.5:
         components[1] = {(n,): {n: 1} for n in names}
     support = rng.sample(names, rng.randint(2, 5)) if rng.random() < 0.6 else None
     return LInftyMorphism(source, target, components, top_weight, support)
@@ -623,6 +713,77 @@ def test_check_linfty_morphism_matches_full_scan_oracle():
     expected = full_scan_check_linfty_morphism(morphism, 2)
     assert expected == _full(False, "morphism", ("x", "y"), GradedVector({"p": 1, "q": 1}))
     assert _full_report(check_linfty_morphism(morphism, 2)) == expected
+
+
+def test_morphism_extend_matches_the_partition_oracle():
+    # table and generator morphisms of max_weight 0-3 on elements whose
+    # words come in any order, may repeat an even letter and may hold a
+    # letter outside the support
+    rng = random.Random(2201)
+    seen = set()
+    for space in (RANDOM_SPACE, WIDE_SPACE):
+        sdeg = shifted_degrees(space)
+        for width in (1, 3):
+            for top_weight in range(4):
+                for _ in range(8):
+                    table = random_morphism(rng, space, width, top_weight)
+                    generated = _regenerated(table, lambda k, w, m=table: m.component(w))
+                    element = {
+                        tuple(rng.choice(space.names) for _ in range(rng.randint(1, 5))):
+                            rng.choice(RANDOM_COEFFS)
+                        for _ in range(rng.randint(1, 3))
+                    }
+                    want = partition_morphism_extend(table, element)
+                    assert morphism_extend(table, element) == want
+                    assert morphism_extend(generated, element) == want
+                    for word in element:
+                        canonical, sign = normalize_word(word, sdeg)
+                        if not sign:
+                            continue
+                        if not table.support.issuperset(word):
+                            seen.add("outside the support")
+                        elif partition_expansion(table, canonical):
+                            seen.add(("width", width, "max_weight", top_weight))
+                            if len(set(word)) < len(word):
+                                seen.add("repeated even letter")
+    assert {"outside the support", "repeated even letter"} <= seen
+    assert {("width", w, "max_weight", m) for w in (1, 3) for m in (1, 2, 3)} <= seen
+
+
+def test_check_linfty_morphism_asks_the_generator_what_the_partition_expansion_asks(
+    monkeypatch,
+):
+    # the right side read from the block-filtered partition expansion
+    # instead of _weight_part gives the same report, and the generator is
+    # asked for the same set of words; the two could part only where
+    # nonzero block values multiply to zero (two multiples of one odd
+    # letter), where the recursion goes on into the tail and the scan stops
+    def run(morphism):
+        asked = set()
+
+        def generator(k, word):
+            asked.add(word)
+            return morphism.component(word)
+
+        report = check_linfty_morphism(_regenerated(morphism, generator), 4)
+        return _full_report(report), asked
+
+    rng = random.Random(2202)
+    outcomes = set()
+    for space in (RANDOM_SPACE, WIDE_SPACE):
+        for width in (1, 3):
+            for _ in range(12):
+                morphism = random_morphism(rng, space, width)
+                got = run(morphism)
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        linfty, "_weight_part",
+                        lambda m, word, j, memo: partition_expansion(m, word, j),
+                    )
+                    want = run(morphism)
+                assert got == want
+                outcomes.add(got[0][0])
+    assert outcomes == {True, False}
 
 
 def test_check_codifferential_matches_full_scan_oracle():
