@@ -191,6 +191,16 @@ def test_check_dgla_catches_wrong_degree():
     assert report.value == GradedVector({"c": 1})
 
 
+def test_wrong_degree_bracket_keeps_the_unsorted_jacobi_witness():
+    # [u, v] = u + v leaves degree 1, so the Jacobiator is not graded
+    # antisymmetric: J(v, v, u) fails while every sorted triple passes, and a
+    # scan of sorted triples alone would report degree at (u, v)
+    space = GradedSpace([("u", 0), ("v", 1)])
+    report = check_dgla(Dgla(space, None, {("u", "v"): {"u": 1, "v": 1}}))
+    expected = (False, "jacobi", ("v", "v", "u"), GradedVector({"u": 2, "v": 2}))
+    assert _report(report) == expected
+
+
 def test_check_cdga_catches_wrong_degree():
     space = GradedSpace([("1", 0), ("x", 0), ("y", 1)])
     report = check_cdga(Cdga(space, None, {("x", "x"): {"y": 1}}, "1"))
@@ -280,7 +290,7 @@ def full_scan_check_dgla(dgla):
         ).scale(_sign(deg(a)))
         if lhs != rhs:
             return (False, "leibniz", (a, b), lhs - rhs)
-    return (True, None, None, None)
+    return full_scan_degree(dgla.space, dgla.brackets)
 
 
 def full_scan_check_cdga(cdga):
@@ -322,6 +332,15 @@ def full_scan_check_cdga(cdga):
         ).scale(_sign(deg(a)))
         if lhs != rhs:
             return (False, "leibniz", (a, b), lhs - rhs)
+    return full_scan_degree(cdga.space, cdga.products)
+
+
+def full_scan_degree(space, table):
+    deg = space.degree
+    for a, b in sorted(table):
+        wrong = {n: c for n, c in table[(a, b)].coeffs.items() if deg(n) != deg(a) + deg(b)}
+        if wrong:
+            return (False, "degree", (a, b), GradedVector(wrong))
     return (True, None, None, None)
 
 
@@ -340,6 +359,49 @@ def mutate_one_entry(space, table, rng, keep=None):
         vec = vec + GradedVector({rng.choice(same_degree): rng.choice([1, -1, 2])})
     if vec:
         table[(a, b)] = vec
+    return table
+
+
+# Seeded random models of the kinds mutate_one_entry never makes: entries
+# outside degree |a| + |b|, self-products, explicit mirrors that disagree with
+# their entry, and nonzero differentials (d d may be nonzero too).  Names are
+# drawn in a shuffled order, so basis order and name order differ.
+
+
+def random_space(rng, unit=None):
+    basis = [(n, rng.choice((0, 1, 1, 2))) for n in rng.sample("pqrstu", rng.randint(3, 5))]
+    if unit is not None:
+        basis.insert(rng.randrange(len(basis) + 1), (unit, 0))
+    return GradedSpace(basis)
+
+
+def random_differential(rng, space):
+    columns = {}
+    for a in space.names:
+        up = space.names_of_degree(space.degree(a) + 1)
+        if up and rng.random() < 0.4:
+            columns[a] = {rng.choice(up): rng.choice((1, -1, 2))}
+    return GradedMap(space, space, 1, columns)
+
+
+def random_table(rng, space, mirror_sign, keep=None):
+    """About one ordered pair in five gets an entry of one or two terms, a
+    quarter of them in any degree; a self-product only where mirror_sign
+    allows one (odd names in a dgla, even ones in a cdga)."""
+    deg = space.degree
+    names = [n for n in space.names if n != keep]
+    table = {}
+    for a in names:
+        for b in names:
+            if (b, a) in table or rng.random() < 0.8:
+                continue
+            if a == b and mirror_sign(deg(a), deg(a)) < 0:
+                continue
+            right = space.names_of_degree(deg(a) + deg(b))
+            pool = right if right and rng.random() < 0.75 else space.names
+            table[(a, b)] = {rng.choice(pool): rng.choice((1, -1, 2)) for _ in range(rng.randint(1, 2))}
+            if a != b and rng.random() < 0.05:
+                table[(b, a)] = {n: 3 * c for n, c in table[(a, b)].items()}
     return table
 
 
@@ -383,6 +445,22 @@ def test_check_dgla_matches_full_scan_oracle():
             assert _report(check_dgla(mutant)) == expected
             axioms.add(expected[1])
     assert {"jacobi", "leibniz"} <= axioms
+    # with an entry in a wrong degree the Jacobiator is no longer graded
+    # antisymmetric, and the first failing triple need not be sorted
+    rng = random.Random(2026)
+    axioms, unsorted = set(), 0
+    for _ in range(300):
+        space = random_space(rng)
+        table = random_table(rng, space, lambda da, db: -_sign(da * db))
+        model = Dgla(space, random_differential(rng, space), table)
+        expected = full_scan_check_dgla(model)
+        assert _report(check_dgla(model)) == expected
+        axioms.add(expected[1])
+        if expected[1] == "jacobi":
+            order = [space.names.index(n) for n in expected[2]]
+            unsorted += order != sorted(order)
+    assert {"jacobi", "leibniz", "degree"} <= axioms
+    assert unsorted
 
 
 def truncated_plane_cdga():
@@ -418,6 +496,16 @@ def test_check_cdga_matches_full_scan_oracle():
             assert _report(check_cdga(mutant)) == expected
             axioms.add(expected[1])
     assert {"associativity", "leibniz"} <= axioms
+    rng = random.Random(2027)
+    axioms = set()
+    for _ in range(300):
+        space = random_space(rng, "1")
+        table = random_table(rng, space, lambda da, db: _sign(da * db), "1")
+        model = Cdga(space, random_differential(rng, space), table, "1")
+        expected = full_scan_check_cdga(model)
+        assert _report(check_cdga(model)) == expected
+        axioms.add(expected[1])
+    assert {"associativity", "leibniz", "degree"} <= axioms
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,7 @@ CASES = [
      S + "cdga_interval.json"],
     ["hitchin-verify", G + "hitchin_r4_nilpotent.json", S + "cdga_interval.json",
      "--weight", "3"],
+    ["check-dgla", G + "dgla_wrong_degree_jacobi.json"],
 ]
 
 
