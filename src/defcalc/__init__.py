@@ -11,15 +11,17 @@ graded   signed multilinear algebra: graded spaces, the one sparse
          ArtinVector share), bilinear extension, the sign-tracking sort
          behind Koszul signs and exterior words, cochain cohomology with
          class projection and lift from one solve per degree, built when
-         first read, and the single-degree preimage solver.
+         first read (its transform on the first lift), and the
+         single-degree preimage solver.
 linalg   the one exact row reduction, rref, fraction-free on integer rows;
          the kernel and prepared-solve routines read its output.
 artin    finite-dimensional local base rings (truncated polynomial style)
          and elements of m (x) V, keyed vectors on graded's arithmetic.
 dgla     differential graded Lie and commutative algebras, their axiom
-         checkers (degrees included), tensor and Hom constructions,
-         Maurer-Cartan residuals, gauge action, order-by-order solving
-         with obstruction classes from order-k residuals.
+         checkers (degrees included), tensor and Hom constructions, the
+         bracket on L (x) m_A grouped by name, Maurer-Cartan residuals,
+         gauge action, BCH, order-by-order solving with obstruction
+         classes from order-k residuals.
 linfty   the same homotopical data as coderivations of the reduced
          symmetric coalgebra: codifferential and morphism checks through a
          chosen weight, which build the defect from the bracket tables and

@@ -210,18 +210,21 @@ def _complex_violations(space, d):
                 yield CheckReport.failed("complex", (a,), dd)
 
 
-def _mirror_violations(space, table, axiom, sign):
-    """Pairs with m(a, b) != sign (-1)^(|a||b|) m(b, a)."""
+def _mirror_violations(space, table, left, axiom, sign):
+    """Pairs with m(a, b) != sign (-1)^(|a||b|) m(b, a), compared on the int
+    views of _index.  Each unordered pair is visited once, at its first key
+    in name order: a pair fails from both sides, so no first failure is
+    missed."""
     deg = space.degree
-    empty = GradedVector()
-    for a, b in sorted(table):
-        lhs, mirror = table[(a, b)], table.get((b, a), empty)
+    empty = {}
+    for a, b in sorted(k for k in table if k[0] <= k[1] or k[::-1] not in table):
+        lhs, mirror = left[a][b], left.get(b, empty).get(a, empty)
         s = sign * _sign(deg(a) * deg(b))
-        m = mirror.coeffs
-        if lhs.coeffs.keys() != m.keys() or any(
-            c != (m[n] if s > 0 else -m[n]) for n, c in lhs.coeffs.items()
+        if (lhs != mirror) if s > 0 else (
+            lhs.keys() != mirror.keys() or any(c + mirror[n] for n, c in lhs.items())
         ):
-            yield CheckReport.failed(axiom, (a, b), lhs - mirror.scale(s))
+            value = table[(a, b)] - table.get((b, a), GradedVector()).scale(s)
+            yield CheckReport.failed(axiom, (a, b), value)
 
 
 def _degree_violations(space, table):
@@ -270,9 +273,9 @@ def check_dgla(dgla):
 def _dgla_violations(dgla):
     space, table = dgla.space, dgla.brackets
     names, deg = space.names, space.degrees
-    yield from _complex_violations(space, dgla.d)
-    yield from _mirror_violations(space, table, "antisymmetry", -1)
     left, right = _index(table)
+    yield from _complex_violations(space, dgla.d)
+    yield from _mirror_violations(space, table, left, "antisymmetry", -1)
     index = {n: i for i, n in enumerate(names)}
     degree = list(_degree_violations(space, table))  # reported last, read first
     candidates = set()
@@ -318,8 +321,8 @@ def _cdga_violations(cdga):
     for name in space.names:
         if cdga.product_basis(cdga.unit, name) != GradedVector.basis(name):
             yield CheckReport.failed("unit", (cdga.unit, name))
-    yield from _mirror_violations(space, table, "commutativity", 1)
     left, right = _index(table)
+    yield from _mirror_violations(space, table, left, "commutativity", 1)
     index = {n: i for i, n in enumerate(space.names)}
     candidates = set()
     for (x, y), vec in table.items():
@@ -475,19 +478,32 @@ def hom_dgla(space, differential):
 
 
 def bracket_artin(dgla, algebra, x, y):
-    """Coefficient-bilinear extension of the bracket to L (x) m_A."""
+    """Coefficient-bilinear extension of the bracket to L (x) m_A.
+
+    y's terms are grouped by name, so each term of x makes one table lookup
+    per name of y, and monomials are multiplied only under a name with a
+    bracket entry.  x and y must be ArtinVectors (TypeError otherwise);
+    their monomials and names are validated by the callers, not here.
+    """
+    for v in (x, y):
+        if not isinstance(v, ArtinVector):
+            raise TypeError(f"expected an ArtinVector, got {type(v).__name__}")
+    by_name = {}
+    for (my, ay), cy in y.coeffs.items():
+        by_name.setdefault(ay, []).append((my, cy))
+    table, monomials = dgla.brackets, algebra.monomials
     terms = {}
     for (mx, ax), cx in x.coeffs.items():
-        for (my, ay), cy in y.coeffs.items():
-            mono = algebra.multiply_monomials(mx, my)
-            if mono is None:
-                continue
-            vec = dgla.brackets.get((ax, ay))
+        for ay, ys in by_name.items():
+            vec = table.get((ax, ay))
             if vec is None:
                 continue
-            factor = cx * cy
-            for name, c in vec.coeffs.items():
-                accumulate(terms, (mono, name), factor * c)
+            for my, cy in ys:
+                mono = tuple([a + b for a, b in zip(mx, my)])
+                if mono in monomials:
+                    factor = cx * cy
+                    for name, c in vec.coeffs.items():
+                        accumulate(terms, (mono, name), factor * c)
     return ArtinVector.from_nonzero(terms)
 
 

@@ -14,6 +14,7 @@ enforced at construction time.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 
@@ -368,20 +369,29 @@ def _block_rows(d, source_names, target_names):
 
 
 class DegreeBlock:
-    """Cohomology data in a single degree: one PreparedSolve over the columns
+    """Cohomology data in a single degree, from the columns
     [d(preimage_names) | kernel basis], preimage_names the basis vectors one
     degree down at d's pivot columns.  The image columns are independent, so
     the kernel columns at the pivots past them (rep_pivots) are the
-    representatives, the greedy ones in kernel-basis order."""
+    representatives, the greedy ones in kernel-basis order.
 
-    def __init__(self, names, image_cols, kernel_cols, preimage_names):
+    The pivots come from one elimination.  With prepare it is the solver's,
+    a PreparedSolve over the columns; without, it reads only the pivots, and
+    the solver is built when a lift first asks for it."""
+
+    def __init__(self, names, image_cols, kernel_cols, preimage_names, prepare):
         cols = image_cols + kernel_cols
         self.names = names
         self.preimage_names = preimage_names
-        self.solver = linalg.PreparedSolve(linalg.matrix_from_columns(cols, len(names)), len(cols))
-        self.rep_pivots = [p for p in self.solver.pivots if p >= len(image_cols)]
+        self.matrix, self.ncols = linalg.matrix_from_columns(cols, len(names)), len(cols)
+        pivots = self.solver.pivots if prepare else linalg.rref(self.matrix, self.ncols)[1]
+        self.rep_pivots = [p for p in pivots if p >= len(image_cols)]
         self.representatives = [GradedVector.from_dense(names, cols[p]) for p in self.rep_pivots]
         self.dimension = len(self.rep_pivots)
+
+    @cached_property
+    def solver(self):
+        return linalg.PreparedSolve(self.matrix, self.ncols)
 
 
 class CohomologySummary:
@@ -398,6 +408,8 @@ class CohomologySummary:
     reductions of d out of that degree and out of the one below.  Each
     reduction of d is made once and shared by the two blocks that read it,
     so a caller that reads only H^1 and H^2 never reduces the other degrees.
+    A dimension or representatives read eliminates the block for its pivots
+    only; the transform a lift needs is built on that degree's first lift.
     """
 
     def __init__(self, space, differential):
@@ -416,8 +428,9 @@ class CohomologySummary:
             found = self._reductions[deg] = (here, *linalg.rref(rows, len(here)))
         return found
 
-    def _block(self, deg):
-        """The DegreeBlock of a degree with basis vectors, else None.
+    def _block(self, deg, prepare=False):
+        """The DegreeBlock of a degree with basis vectors, else None;
+        prepare builds a new block's solver with its pivots.
 
         The kernel of d out of deg spans the cocycles; the pivot columns of
         d into deg, the greedy independent ones, span the coboundaries."""
@@ -429,7 +442,7 @@ class CohomologySummary:
         below = [lower[p] for p in lower_pivots]
         image_basis = [self.differential.column(src).to_dense(here) for src in below]
         kernel_cols = linalg.kernel_basis(red, pivots, len(here))
-        block = self._blocks[deg] = DegreeBlock(here, image_basis, kernel_cols, below)
+        block = self._blocks[deg] = DegreeBlock(here, image_basis, kernel_cols, below, prepare)
         return block
 
     def degrees(self):
@@ -461,7 +474,7 @@ class CohomologySummary:
         """
         if not isinstance(vector, GradedVector):
             raise TypeError(f"expected a GradedVector, got {type(vector).__name__}")
-        block = self._block(degree)
+        block = self._block(degree, prepare=True)
         if block is None:
             if vector.is_zero():
                 return [], GradedVector()

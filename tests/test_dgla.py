@@ -96,6 +96,14 @@ def gl2():
     return Dgla(space, d, gl2_brackets())
 
 
+def h0_zero_model():
+    """d a = 3 x1, d b = -2 x2, [a, y] = 5 x1, [b, y] = 7 x2: d is injective
+    in degree 0, so H^0 = 0."""
+    space = GradedSpace([("a", 0), ("b", 0), ("x1", 1), ("x2", 1), ("y", 1)])
+    d = GradedMap(space, space, 1, {"a": {"x1": 3}, "b": {"x2": -2}})
+    return Dgla(space, d, {("a", "y"): {"x1": 5}, ("b", "y"): {"x2": 7}})
+
+
 def interval_cdga():
     space = GradedSpace([("1", 0), ("w", 1)])
     d = GradedMap(space, space, 1, {})
@@ -463,6 +471,23 @@ def test_check_dgla_matches_full_scan_oracle():
     assert unsorted
 
 
+def test_mirror_scan_matches_full_scan_on_one_sided_entries():
+    # a table edited after construction may hold (b, a) with b > a by name
+    # and no (a, b); the scan of each unordered pair once must still see it
+    rng = random.Random(23)
+    one_sided = 0
+    for _ in range(200):
+        space = random_space(rng)
+        model = Dgla(space, None, random_table(rng, space, lambda da, db: -_sign(da * db)))
+        for key in list(model.brackets):
+            if key[0] < key[1] and rng.random() < 0.3:
+                del model.brackets[key]
+        expected = full_scan_check_dgla(model)
+        assert _report(check_dgla(model)) == expected
+        one_sided += expected[1] == "antisymmetry" and expected[2][0] > expected[2][1]
+    assert one_sided >= 10
+
+
 def truncated_plane_cdga():
     """Q[x, y] / (x, y)^3 in degree 0, with no differential."""
     monos = ["1", "x", "y", "xx", "xy", "yy"]
@@ -684,6 +709,14 @@ def test_bracket_artin_bilinear_random():
         assert bracket_artin(model, algebra, x, y) == bracket_artin(
             model, algebra, y, x
         ).scale(-1)
+
+
+def test_bracket_artin_rejects_a_plain_dict():
+    model, algebra = two_line(), make_artin(("t",), 3)
+    x = ArtinVector.single((1,), "e1")
+    for args in (({((1,), "e1"): 1}, x), (x, {((1,), "e1"): 1})):
+        with pytest.raises(TypeError, match="^expected an ArtinVector, got dict$"):
+            bracket_artin(model, algebra, *args)
 
 
 def test_bch_frozen():
@@ -988,12 +1021,10 @@ def test_gauge_equivalent_negative_certificate():
 
 
 def test_gauge_equivalent_skips_settled_orders_without_acting_again(monkeypatch):
-    # H^0 = 0: d a = 3 x1, d b = -2 x2, [a, y] = 5 x1, [b, y] = 7 x2, so a
-    # gauge element is fixed by its action; y - x starts at order 3, then
-    # order 4 is left: one action before each solved order, one to confirm
-    space = GradedSpace([("a", 0), ("b", 0), ("x1", 1), ("x2", 1), ("y", 1)])
-    d = GradedMap(space, space, 1, {"a": {"x1": 3}, "b": {"x2": -2}})
-    model = Dgla(space, d, {("a", "y"): {"x1": 5}, ("b", "y"): {"x2": 7}})
+    # H^0 = 0, so a gauge element is fixed by its action; y - x starts at
+    # order 3, then order 4 is left: one action before each solved order,
+    # one to confirm
+    model = h0_zero_model()
     algebra = make_artin(("t",), 7)
     x = ArtinVector.single((1,), "y")
     a = ArtinVector({((3,), "a"): Fraction(1, 2), ((4,), "b"): 3})
@@ -1017,3 +1048,118 @@ def test_gauge_equivalent_rejects_non_mc():
     x = ArtinVector.single((1,), "e1")
     with pytest.raises(ValueError):
         gauge_equivalent(x, ArtinVector(), model, algebra)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for bracket_artin: the former kernel, which multiplied the monomials
+# of every pair of terms before it looked the pair of names up.
+
+
+def term_by_term_bracket_artin(dgla, algebra, x, y):
+    terms = {}
+    for (mx, ax), cx in x.coeffs.items():
+        for (my, ay), cy in y.coeffs.items():
+            mono = algebra.multiply_monomials(mx, my)
+            if mono is None:
+                continue
+            vec = dgla.brackets.get((ax, ay))
+            if vec is None:
+                continue
+            factor = cx * cy
+            for name, c in vec.coeffs.items():
+                accumulate(terms, (mono, name), factor * c)
+    return ArtinVector.from_nonzero(terms)
+
+
+def random_fraction(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+
+
+def random_bracket_dgla(rng):
+    """A seeded table on random_space with fractional entries in any degree;
+    about one entry in three has an explicit mirror that disagrees with it."""
+    space = random_space(rng)
+    names = space.names
+    table = {}
+    for a in names:
+        for b in names:
+            if (b, a) in table or rng.random() < 0.5:
+                continue
+            table[(a, b)] = {rng.choice(names): random_fraction(rng) for _ in range(rng.randint(1, 3))}
+            if a != b and rng.random() < 0.35:
+                table[(b, a)] = {n: c * random_fraction(rng) for n, c in table[(a, b)].items()}
+    return Dgla(space, None, table)
+
+
+def random_artin_vector(rng, space, algebra, terms):
+    return ArtinVector({
+        (rng.choice(algebra.maximal_ideal), rng.choice(space.names)): random_fraction(rng)
+        for _ in range(terms)
+    })
+
+
+def test_bracket_artin_matches_the_term_by_term_oracle():
+    rng = random.Random(24)
+    rings = [make_artin(("t",), 5), make_artin(("s", "t"), 5), make_artin(("s", "t", "u"), 4)]
+    seen = {"x is y": 0, "x != y": 0, "zero": 0, "nonzero": 0, "inconsistent mirror": 0}
+    for _ in range(40):
+        model = random_bracket_dgla(rng)
+        table = model.brackets
+        seen["inconsistent mirror"] += any(
+            table[(b, a)] != vec.scale(-_sign(model.space.degree(a) * model.space.degree(b)))
+            for (a, b), vec in table.items()
+        )
+        for algebra in rings:
+            x = random_artin_vector(rng, model.space, algebra, rng.randint(1, 8))
+            y = random_artin_vector(rng, model.space, algebra, rng.randint(1, 8))
+            zero = ArtinVector()
+            for label, u, v in (("x is y", x, x), ("x != y", x, y), ("x != y", y, x),
+                                ("zero", zero, y), ("zero", x, zero), ("zero", zero, zero)):
+                got = bracket_artin(model, algebra, u, v)
+                assert got == term_by_term_bracket_artin(model, algebra, u, v)
+                assert all(c != 0 and type(c) is Fraction for c in got.coeffs.values())
+                seen[label] += 1
+                seen["nonzero"] += bool(got)
+    assert seen["nonzero"] >= 150 and seen["inconsistent mirror"] >= 20, seen
+
+
+def test_mc_routines_match_with_the_term_by_term_bracket(monkeypatch):
+    rng = random.Random(2024)
+    rings = [make_artin(("t",), 6), make_artin(("s", "t"), 4), make_artin(("s", "t", "u"), 3)]
+    outputs = []
+    for model in (correction_model(), correction_model(-1, 7, Fraction(2, 3)), h0_zero_model()):
+        reps = complex_cohomology(model.space, model.d).representatives(1)
+        for algebra in rings:
+            directions = [random_direction(rng, model, algebra, reps) for _ in range(3)]
+            outputs.append((mc_solve, (model, algebra, None)))
+            outputs.append((mc_solve, (model, algebra, directions)))
+    for model in (h0_zero_model(), semidirect(), gl2()):
+        for algebra in rings:
+            a, b = (_random_degree0(rng, model, algebra) for _ in range(2))
+            outputs.append((bch_product, (a, b, model, algebra)))
+            if model.space.names_of_degree(1):
+                for x in mc_solve(model, algebra).solutions:
+                    outputs.append((gauge_act, (a, x, model, algebra)))
+
+    def key(result):
+        if isinstance(result, ArtinVector):
+            return result
+        events = [(e.direction, e.order, e.monomial, e.coords, e.cocycle) for e in result.events]
+        return events, result.solutions
+
+    grouped = [key(function(*args)) for function, args in outputs]
+    calls = []
+
+    def oracle(*args):
+        calls.append(args)
+        return term_by_term_bracket_artin(*args)
+
+    monkeypatch.setattr(dgla_module, "bracket_artin", oracle)
+    assert [key(function(*args)) for function, args in outputs] == grouped
+    assert len(calls) >= 100
+    events = [e for g in grouped if not isinstance(g, ArtinVector) for e in g[0]]
+    lifts = [x for g in grouped if not isinstance(g, ArtinVector) for x in g[1] if x is not None]
+    vectors = [g for g in grouped if isinstance(g, ArtinVector) and g]
+    blocked = sum(any(coords) for _, _, _, coords, _ in events)
+    assert blocked >= 5 and len(events) - blocked >= 5  # and corrected
+    assert len(lifts) >= 10 and len(vectors) >= 10

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from defcalc import linalg
+from defcalc import graded, linalg
 from defcalc.cli import parse_document
 from defcalc.dgla import trivial_cdga
 from defcalc.graded import (
@@ -489,9 +489,11 @@ def test_lazy_cohomology_matches_the_eager_oracle_on_the_shipped_samples():
 
 
 def test_cohomology_reduces_each_differential_once_when_first_read(monkeypatch):
-    # an elimination whose input is the matrix of d out of degree k is a
-    # reduction of d_k; any other is the solve of a block, whose rows carry
-    # an appended identity and so never match
+    # every elimination is told apart by the constructor it runs in: a
+    # PreparedSolve's is a block's solve, one in a DegreeBlock alone reads
+    # the block's pivots, and one outside both is a reduction of d_k, whose
+    # matrix names k.  Contents cannot tell them apart: the pivot-only block
+    # of degree 0 is the 1 x 0 matrix of d_-1.
     space, d = make_complex(
         [("a0", 0), ("b0", 1), ("b1", 1), ("c0", 2), ("c1", 2), ("c2", 2)]
         + [(f"e{i}", 3) for i in range(4)],
@@ -501,32 +503,54 @@ def test_cohomology_reduces_each_differential_once_when_first_read(monkeypatch):
         k: d_rows(d, space.names_of_degree(k), space.names_of_degree(k + 1))
         for k in range(-1, 4)
     }
-    reduced, solves = [], []
+    reduced, counts, where = [], {"pivots": 0, "prepare": 0}, []
     rref = linalg.rref
 
     def spy(rows, ncols=None):
-        ks = [k for k, m in matrices.items() if rows == m and ncols == len(space.names_of_degree(k))]
-        if ks:
-            reduced.extend(ks)
+        if where:
+            counts[where[-1]] += 1
         else:
-            solves.append(ncols)
+            ks = [k for k, m in matrices.items() if rows == m and ncols == len(space.names_of_degree(k))]
+            assert len(ks) == 1
+            reduced.extend(ks)
         return rref(rows, ncols)
 
+    def inside(label, init):
+        def spy_init(self, *args):
+            where.append(label)
+            try:
+                init(self, *args)
+            finally:
+                where.pop()
+        return spy_init
+
     monkeypatch.setattr(linalg, "rref", spy)
+    monkeypatch.setattr(graded.DegreeBlock, "__init__", inside("pivots", graded.DegreeBlock.__init__))
+    monkeypatch.setattr(linalg.PreparedSolve, "__init__", inside("prepare", linalg.PreparedSolve.__init__))
     summary = complex_cohomology(space, d)
-    assert reduced == solves == []
+    assert reduced == [] and counts == {"pivots": 0, "prepare": 0}
     assert len(summary.representatives(2)) == 1
-    assert sorted(reduced) == [1, 2] and len(solves) == 1
+    assert sorted(reduced) == [1, 2] and counts == {"pivots": 1, "prepare": 0}
     assert summary.dimension(1) == 0
-    assert sorted(reduced) == [0, 1, 2] and len(solves) == 2
+    assert sorted(reduced) == [0, 1, 2] and counts == {"pivots": 2, "prepare": 0}
     assert summary.representatives(2) and summary.dimension(0) == 0
-    assert sorted(reduced) == [-1, 0, 1, 2] and len(solves) == 3
-    assert summary.lift(2, GradedVector({"c0": 1, "c2": 3})) == (
-        [Fraction(3)], GradedVector({"b1": Fraction(1, 2)})
-    )
-    assert sorted(reduced) == [-1, 0, 1, 2] and len(solves) == 3
+    assert sorted(reduced) == [-1, 0, 1, 2] and counts == {"pivots": 3, "prepare": 0}
+    # the first lift of a degree read for its pivots builds its transform
+    for _ in range(2):
+        assert summary.lift(2, GradedVector({"c0": 1, "c2": 3})) == (
+            [Fraction(3)], GradedVector({"b1": Fraction(1, 2)})
+        )
+        assert sorted(reduced) == [-1, 0, 1, 2] and counts == {"pivots": 3, "prepare": 1}
     assert summary.dimensions() == {0: 0, 1: 0, 2: 1, 3: 3}
-    assert sorted(reduced) == [-1, 0, 1, 2, 3] and len(solves) == 4
+    assert sorted(reduced) == [-1, 0, 1, 2, 3] and counts == {"pivots": 4, "prepare": 1}
+    # a degree first read by a lift gets one augmented elimination only
+    reduced.clear()
+    counts.update(pivots=0, prepare=0)
+    summary = complex_cohomology(space, d)
+    assert summary.project(2, GradedVector({"c2": 1})) == [Fraction(1)]
+    assert sorted(reduced) == [1, 2] and counts == {"pivots": 0, "prepare": 1}
+    assert summary.representatives(2) and summary.dimension(2) == 1
+    assert sorted(reduced) == [1, 2] and counts == {"pivots": 0, "prepare": 1}
 
 
 @pytest.mark.parametrize("value", [1.5, True, "x", None])

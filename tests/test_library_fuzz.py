@@ -28,6 +28,7 @@ from defcalc import (
     LInftyStructure,
     PolyPath,
     bch_product,
+    bracket_artin,
     build_hitchin_morphism,
     check_cdga,
     check_codifferential,
@@ -317,6 +318,12 @@ FINDINGS = {
     "plain dict into bch_product": (
         lambda: bch_product(
             {((1,), "z"): 1}, ArtinVector(), make_dgla(BASIS, D_COLS, BRACKETS), T3),
+        TypeError),
+    "plain dict as the first bracket_artin argument": (
+        lambda: bracket_artin(make_dgla(BASIS, D_COLS, BRACKETS), T3, {((1,), "c"): 1}, ArtinVector()),
+        TypeError),
+    "plain dict as the second bracket_artin argument": (
+        lambda: bracket_artin(make_dgla(BASIS, D_COLS, BRACKETS), T3, ArtinVector(), {((1,), "c"): 1}),
         TypeError),
     "plain dict into gauge_equivalent": (
         lambda: gauge_equivalent(
