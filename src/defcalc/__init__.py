@@ -11,8 +11,7 @@ graded   signed multilinear algebra: graded spaces, the one sparse
          ArtinVector share), bilinear extension, the sign-tracking sort
          behind Koszul signs and exterior words, cochain cohomology with
          class projection and lift from one solve per degree, built when
-         first read (its transform on the first lift), and the
-         single-degree preimage solver.
+         first read (its transform on the first lift).
 linalg   the one exact row reduction, rref, fraction-free on integer rows;
          the kernel and prepared-solve routines read its output.
 artin    finite-dimensional local base rings (truncated polynomial style)
@@ -20,8 +19,9 @@ artin    finite-dimensional local base rings (truncated polynomial style)
 dgla     differential graded Lie and commutative algebras, their axiom
          checkers (degrees included), tensor and Hom constructions, the
          bracket on L (x) m_A grouped by name, Maurer-Cartan residuals,
-         gauge action, BCH, order-by-order solving with obstruction
-         classes from order-k residuals.
+         gauge action, BCH, and one per-monomial cohomology lift behind
+         order-by-order solving (obstruction classes in H^2 from order-k
+         residuals) and gauge equivalence (order-k differences in H^1).
 linfty   the same homotopical data as coderivations of the reduced
          symmetric coalgebra: codifferential and morphism checks through a
          chosen weight, which build the defect from the bracket tables and

@@ -79,7 +79,7 @@ class ArtinAlgebra:
 
     def multiply_monomials(self, a, b):
         """Product monomial, or None when it falls in the ideal."""
-        prod = tuple(x + y for x, y in zip(a, b))
+        prod = tuple(x + y for x, y in zip(a, b, strict=True))
         return prod if prod in self.monomials else None
 
     def monomial_name(self, mono):

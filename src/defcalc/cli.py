@@ -332,14 +332,7 @@ def _parse_mc_element(data, where):
 
     terms = _read_sparse(data, "terms", where, ("monomial", "name"), outside)
     kernel = ArtinVector({k: v for k, v in terms.items() if v != 0})
-    normalized = {
-        "kind": "mc-element",
-        "algebra": algebra_norm,
-        "terms": [
-            {"monomial": list(mono), "name": name, "coeff": _frac_str(c)}
-            for (mono, name), c in sorted(kernel.coeffs.items())
-        ],
-    }
+    normalized = {"kind": "mc-element", "algebra": algebra_norm, "terms": _jsonable(kernel)}
     return Document("mc-element", normalized, (algebra, kernel))
 
 

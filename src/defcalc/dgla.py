@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .artin import ArtinVector, validate_artin_vector
+from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
-from .graded import PreimageSolver, complex_cohomology, int_view, mapping_items
+from .graded import complex_cohomology, int_view, mapping_items
 
 ONE = Fraction(1)
 
@@ -499,7 +499,7 @@ def bracket_artin(dgla, algebra, x, y):
             if vec is None:
                 continue
             for my, cy in ys:
-                mono = tuple([a + b for a, b in zip(mx, my)])
+                mono = tuple([a + b for a, b in zip(mx, my, strict=True)])
                 if mono in monomials:
                     factor = cx * cy
                     for name, c in vec.coeffs.items():
@@ -625,6 +625,22 @@ class McSolveResult:
         return [first[k] for k in sorted(first)]
 
 
+def _lift_by_monomial(summary, degree, part):
+    """(monomial, v, class coordinates, -u (x) monomial) for each monomial of
+    part in monomial_key order, where v is its coefficient vector, a cocycle
+    of the given degree, and v = sum of coords times representatives + d u
+    from one summary.lift.  When the coordinates vanish, adding the
+    correction to an element whose residual has this part cancels v."""
+    by_monomial = {}
+    for (mono, name), c in part.coeffs.items():
+        by_monomial.setdefault(mono, {})[name] = c
+    for mono in sorted(by_monomial, key=monomial_key):
+        vec = GradedVector.from_nonzero(by_monomial[mono])
+        coords, pre = summary.lift(degree, vec)
+        correction = {(mono, name): -c for name, c in pre.coeffs.items()}
+        yield mono, vec, coords, ArtinVector.from_nonzero(correction)
+
+
 def mc_solve(dgla, algebra, directions=None):
     """Lift tangent directions to Maurer-Cartan solutions order by order.
 
@@ -634,11 +650,11 @@ def mc_solve(dgla, algebra, directions=None):
     the direction (recorded, lift abandoned) or the same solve's preimage
     under d, free variables zero, corrects it and the induction continues.
 
-    x is kept split by monomial order, x = x_1 + x_2 + ..., and the order-k
+    x is split by monomial order once, x = x_1 + x_2 + ..., and the order-k
     residual is d(x_k) + 1/2 sum over i + j = k of [x_i, x_j]: a correction
     at order k changes no lower order of the residual, so only the parts
-    below k, all settled, and x_k enter it.  A completed lift is checked
-    against the whole residual.
+    below k, all settled, and x_k enter it.  A completed lift, the seed plus
+    its corrections, is checked against the whole residual.
     """
     summary = complex_cohomology(dgla.space, dgla.d)
     if directions is None:
@@ -663,8 +679,11 @@ def mc_solve(dgla, algebra, directions=None):
     solutions = []
     max_order = algebra.nilpotency_order - 1
     for idx, seed in enumerate(directions):
-        x = seed
-        parts = [None] + [seed.order_part(k) for k in range(1, max_order + 1)]
+        split = [{} for _ in range(max_order + 1)]
+        for key, c in seed.coeffs.items():
+            split[monomial_degree(key[0])][key] = c
+        parts = [ArtinVector.from_nonzero(p) for p in split]
+        corrections = {}  # no two corrections share a key, so update sums them
         blocked = False
         for order in range(2, max_order + 1):
             quadratic = ArtinVector()
@@ -674,29 +693,21 @@ def mc_solve(dgla, algebra, directions=None):
                         dgla, algebra, parts[i], parts[order - i]
                     )
             part = parts[order].apply_map(dgla.d) + quadratic.scale(Fraction(1, 2))
-            if part.is_zero():
-                continue
-            correction = ArtinVector()
-            for mono in part.monomials_present():
-                vec = part.coefficient_vector(mono)
-                coords, pre = summary.lift(2, vec)
+            for mono, vec, coords, correction in _lift_by_monomial(summary, 2, part):
                 event = ObstructionEvent(idx, order, mono, coords, vec)
                 events.append(event)
                 if not event.vanishes():
                     blocked = True
                     break
-                correction = correction + ArtinVector(
-                    {(mono, name): -c for name, c in pre.coeffs.items()}
-                )
+                parts[order] = parts[order] + correction
+                corrections.update(correction.coeffs)
             if blocked:
                 break
-            x = x + correction
-            parts[order] = parts[order] + correction
         if blocked:
             solutions.append(None)
             continue
-        final = mc_residual(x, dgla, algebra)
-        if not final.is_zero():
+        x = seed + ArtinVector.from_nonzero(corrections)
+        if not mc_residual(x, dgla, algebra).is_zero():
             raise AssertionError("lift terminated with a nonzero residual")
         solutions.append(x)
     return McSolveResult(summary, directions, events, solutions)
@@ -727,16 +738,20 @@ class GaugeResult:
 def gauge_equivalent(x, y, dgla, algebra):
     """Search order by order for a with exp(a) . x = y.
 
-    Both inputs must satisfy Maurer-Cartan.  At order k the only effect a
-    fresh degree k correction a_k has is -d a_k, so each step is a linear
-    solve per monomial; an unsolvable monomial stops the search and is
-    reported as the failure certificate.  Each step goes straight to the
-    lowest order at which y - exp(a) . x is nonzero, which strictly rises.
+    Both inputs must satisfy Maurer-Cartan, and d must square to zero
+    (NotAComplexError otherwise).  At order k the only effect a fresh
+    degree k correction a_k has is -d a_k, so each step lifts the lowest
+    part of y - exp(a) . x, a degree 1 cocycle per monomial, in H^1: a
+    nonzero class stops the search and is reported as the failure
+    certificate, a zero one gives a_k.  (On a table that breaks Leibniz
+    or Jacobi the part need not be closed, and the lift raises ValueError.)
+    Each step goes straight to the lowest order at which y - exp(a) . x is
+    nonzero, which strictly rises.
     """
     for label, v in (("x", x), ("y", y)):
         if not is_mc(v, dgla, algebra):
             raise ValueError(f"{label} does not satisfy the Maurer-Cartan equation")
-    solver = PreimageSolver(dgla.space, dgla.d, 0)
+    summary = complex_cohomology(dgla.space, dgla.d)
     a = ArtinVector()
     settled = 0
     while True:
@@ -748,14 +763,9 @@ def gauge_equivalent(x, y, dgla, algebra):
         if order <= settled:
             raise AssertionError("gauge induction lost a settled order")
         settled = order
-        part = diff.order_part(order)
-        for mono in part.monomials_present():
-            vec = part.coefficient_vector(mono)
-            pre = solver.preimage(-vec)
-            if pre is None:
-                return GaugeResult(
-                    False, order=order, monomial=mono, residual=vec
-                )
-            a = a + ArtinVector(
-                {(mono, name): c for name, c in pre.coeffs.items()}
-            )
+        for mono, vec, coords, correction in _lift_by_monomial(
+            summary, 1, diff.order_part(order)
+        ):
+            if any(coords):
+                return GaugeResult(False, order=order, monomial=mono, residual=vec)
+            a = a + correction

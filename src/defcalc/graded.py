@@ -510,20 +510,3 @@ def complex_cohomology(space, differential):
             raise NotAComplexError(name, dd)
     return CohomologySummary(space, differential)
 
-
-class PreimageSolver:
-    """d u = v for u in one degree: d is reduced once, then each v costs a
-    matrix-vector product.  The preimage has its free variables set to
-    zero, the one combination of the basis vectors at d's pivot columns;
-    None when v is not in the image."""
-
-    def __init__(self, space, d, degree):
-        self.source_names = names = space.names_of_degree(degree)
-        self.target_names = space.names_of_degree(degree + 1)
-        self.prepared = linalg.PreparedSolve(_block_rows(d, names, self.target_names), len(names))
-
-    def preimage(self, vector):
-        sol = self.prepared.solve(vector.to_dense(self.target_names))
-        if sol is None:
-            return None
-        return GradedVector.from_dense(self.source_names, sol)

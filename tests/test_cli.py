@@ -164,6 +164,16 @@ def test_gauge_equiv_failure(capsys, tmp_path):
     assert report["failure"]["order"] == 1
 
 
+def test_gauge_equiv_with_d_squared_nonzero_exits_two_with_one_line(capsys, tmp_path):
+    # the zero elements are Maurer-Cartan; this exited 0 as "equivalent"
+    # before gauge_equivalent checked d o d
+    zero = sample("mc_flow_y.json")
+    assert main(["gauge-equiv", write(tmp_path, "dd.json", NOT_A_COMPLEX), zero, zero]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d*d is nonzero on basis vector 'a': GradedVector(1*c)\n"
+
+
 def test_hitchin_verify_command(capsys):
     code, report = run(
         capsys,

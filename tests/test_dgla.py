@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 import defcalc.dgla as dgla_module
+from defcalc import linalg
 from defcalc.artin import ArtinVector, make_artin
 from defcalc.cli import parse_document
 from defcalc.dgla import (
     Cdga,
     Dgla,
+    GaugeResult,
     ObstructionEvent,
     bch_product,
     bracket_artin,
@@ -28,9 +30,16 @@ from defcalc.dgla import (
     tensor_cdga_dgla,
     trivial_cdga,
 )
-from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate, complex_cohomology
+from defcalc.graded import (
+    GradedMap,
+    GradedSpace,
+    GradedVector,
+    NotAComplexError,
+    accumulate,
+    complex_cohomology,
+)
 from defcalc.hitchin import HitchinPair, build_hitchin_dgla, matrix_wedge_dgla
-from test_graded import random_complex
+from test_graded import d_rows, random_complex
 
 
 # ---------------------------------------------------------------------------
@@ -1048,6 +1057,107 @@ def test_gauge_equivalent_rejects_non_mc():
     x = ArtinVector.single((1,), "e1")
     with pytest.raises(ValueError):
         gauge_equivalent(x, ArtinVector(), model, algebra)
+
+
+def test_gauge_equivalent_rejects_a_differential_that_does_not_square_to_zero():
+    # d a = b, d b = c; the zero elements are Maurer-Cartan, and the search
+    # used to call them equivalent without looking at d
+    space = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
+    model = Dgla(space, GradedMap(space, space, 1, {"a": {"b": 1}, "b": {"c": 1}}), {})
+    with pytest.raises(NotAComplexError, match="d\\*d is nonzero on basis vector 'a'"):
+        gauge_equivalent(ArtinVector(), ArtinVector(), model, make_artin(("t",), 3))
+
+
+def test_gauge_equivalent_rejects_a_difference_that_is_not_closed():
+    # d a = m, d w = z and [a, p] = w break Leibniz; the order-1 step gives
+    # a = t a, then (t p - t m) - exp(t a) . t p is -w t^2, and d w != 0, so
+    # it has no class in H^1
+    space = GradedSpace([("a", 0), ("p", 1), ("m", 1), ("w", 1), ("z", 2)])
+    d = GradedMap(space, space, 1, {"a": {"m": 1}, "w": {"z": 1}})
+    model = Dgla(space, d, {("a", "p"): {"w": 1}})
+    assert check_dgla(model).axiom == "leibniz"
+    algebra = make_artin(("t",), 3)
+    x = ArtinVector.single((1,), "p")
+    y = ArtinVector({((1,), "p"): 1, ((1,), "m"): -1})
+    with pytest.raises(ValueError, match="not a cocycle"):
+        gauge_equivalent(x, y, model, algebra)
+    old = preimage_gauge_equivalent(x, y, model, algebra)
+    assert (old.equivalent, old.order, old.residual) == (False, 2, GradedVector({"w": -1}))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for gauge_equivalent: the former loop, which reduced d: L^0 -> L^1
+# with its own PreparedSolve and took each a_k as the preimage of the order-k
+# difference with free variables zero.
+
+
+def preimage_gauge_equivalent(x, y, dgla, algebra):
+    source, target = dgla.space.names_of_degree(0), dgla.space.names_of_degree(1)
+    prepared = linalg.PreparedSolve(d_rows(dgla.d, source, target), len(source))
+    a = ArtinVector()
+    while True:
+        diff = y - gauge_act(a, x, dgla, algebra)
+        if diff.is_zero():
+            return GaugeResult(True, witness=a)
+        order = diff.min_order()
+        part = diff.order_part(order)
+        for mono in part.monomials_present():
+            vec = part.coefficient_vector(mono)
+            sol = prepared.solve((-vec).to_dense(target))
+            if sol is None:
+                return GaugeResult(False, order=order, monomial=mono, residual=vec)
+            a = a + ArtinVector({(mono, name): c for name, c in zip(source, sol)})
+
+
+def seeded_h0_zero_model(rng):
+    """d a = p x1, d b = q x2, [a, y] = c x1, [b, y] = c' x2 with seeded
+    nonzero p, q, c, c': d is injective in degree 0, so H^0 = 0, and with
+    nothing in degree 2 every degree 1 element is Maurer-Cartan."""
+    p, q, c, c2 = (random_fraction(rng) for _ in range(4))
+    space = GradedSpace([("a", 0), ("b", 0), ("x1", 1), ("x2", 1), ("y", 1)])
+    d = GradedMap(space, space, 1, {"a": {"x1": p}, "b": {"x2": q}})
+    return Dgla(space, d, {("a", "y"): {"x1": c}, ("b", "y"): {"x2": c2}})
+
+
+def gauge_oracle_cases():
+    """(model, algebra, x, y): seeded pairs on H^0 = 0 models, equivalent by
+    construction or moved off that by one term, the three pairs on
+    gl2 (x) Lambda(l) with theta = 0 that the search wrongly calls
+    inequivalent, and the shipped mc_flow pair."""
+    rng = random.Random(25)
+    rings = [make_artin(("t",), 4), make_artin(("t",), 6), make_artin(("s", "t"), 4)]
+    for _ in range(30):
+        model = seeded_h0_zero_model(rng)
+        algebra = rng.choice(rings)
+        x = random_artin_vector(rng, GradedSpace([("x1", 1), ("x2", 1), ("y", 1)]), algebra, 3)
+        a = random_artin_vector(rng, GradedSpace([("a", 0), ("b", 0)]), algebra, 3)
+        y = gauge_act(a, x, model, algebra)
+        yield model, algebra, x, y
+        shift = ArtinVector.single(rng.choice(algebra.maximal_ideal), rng.choice(("x1", "y")))
+        yield model, algebra, x, y + shift
+    faults = matrix_wedge_dgla(2, GradedSpace([("l", 1)]), [[{}, {}], [{}, {}]])
+    for a_name, x_name, n in (("E12", "E21^l", 3), ("E21", "E12^l", 3), ("E11", "E12^l", 4)):
+        algebra = make_artin(("t",), n)
+        x = ArtinVector.single((1,), x_name)
+        yield faults, algebra, x, gauge_act(ArtinVector.single((1,), a_name), x, faults, algebra)
+    (algebra, x), (_, y) = sample_kernel("mc_flow_x.json"), sample_kernel("mc_flow_y.json")
+    yield sample_kernel("dgla_contractible.json"), algebra, x, y
+
+
+def test_gauge_equivalent_matches_the_preimage_oracle():
+    seen = {"equivalent": 0, "not equivalent": 0}
+    for model, algebra, x, y in gauge_oracle_cases():
+        got = gauge_equivalent(x, y, model, algebra)
+        want = preimage_gauge_equivalent(x, y, model, algebra)
+        fields = ("equivalent", "witness", "order", "monomial", "residual")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        for f in ("witness", "residual"):
+            if getattr(want, f) is not None:
+                assert list(getattr(got, f).coeffs.items()) == list(getattr(want, f).coeffs.items())
+        if got.equivalent:
+            assert gauge_act(got.witness, x, model, algebra) == y
+        seen["equivalent" if got.equivalent else "not equivalent"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from defcalc.graded import (
     GradedSpace,
     GradedVector,
     NotAComplexError,
-    PreimageSolver,
     as_int,
     complex_cohomology,
     koszul_sign,
@@ -352,30 +351,6 @@ def test_one_reduction_cohomology_matches_two_pass_oracle():
                 else:
                     seen["nonzero class"] += 1
     assert min(seen.values()) > 0, seen
-
-
-def test_preimage_solver_matches_per_degree_oracle():
-    rng = random.Random(3434)
-    outcomes = set()
-    for _ in range(200):
-        space, d = random_complex(rng)
-        for deg in range(-3, 6):
-            solver = PreimageSolver(space, d, deg)
-            source, target = space.names_of_degree(deg), space.names_of_degree(deg + 1)
-            for _ in range(2):
-                v = random_combination(rng, [GradedVector.basis(n) for n in target])
-                if rng.random() < 0.5:
-                    v = d.apply(random_combination(rng, [GradedVector.basis(n) for n in source]))
-                pre = solver.preimage(v)
-                assert pre == per_degree_preimage(space, d, deg, v)
-                solved = augmented_solve(d_rows(d, source, target), v.to_dense(target), len(source))
-                if pre is None:
-                    assert solved is None
-                else:
-                    assert pre == GradedVector.from_dense(source, solved)
-                    assert d.apply(pre) == v
-                outcomes.add(pre is None)
-    assert outcomes == {True, False}
 
 
 def test_lift_on_the_frozen_projection_complex():

@@ -27,6 +27,7 @@ from defcalc import (
     LInftyMorphism,
     LInftyStructure,
     PolyPath,
+    artin_multiply,
     bch_product,
     bracket_artin,
     build_hitchin_morphism,
@@ -54,6 +55,7 @@ from defcalc import (
     trivial_cdga,
     validate_artin_vector,
 )
+from defcalc.linfty import pushforward_series
 
 SEED = 20261019
 RUNS = 3000
@@ -270,8 +272,9 @@ def two_names():
 # bool weights and power, the support outside the source, the unknown
 # letter of a morphism_extend word, the string coalgebra words, the bool
 # coalgebra coefficient, the bool and negative max_weight, the table entry
-# above max_weight and the letter of L outside degree 1, returned as if
-# valid; a float or string max_weight failed only once the morphism was used.
+# above max_weight, the letter of L outside degree 1 and the monomials of the
+# wrong arity, which zip truncated, returned as if valid; a float or string
+# max_weight failed only once the morphism was used.
 FINDINGS = {
     "unknown name in a kernel-map cocycle": (
         lambda: obstruction_kernel_map(GradedVector({"nope": 1}), MORPHISM), ValueError),
@@ -380,6 +383,18 @@ FINDINGS = {
         lambda: complex_cohomology(*space_map(BASIS, D_COLS)).project(1, {"c": 1}), TypeError),
     "plain dict into obstruction_kernel_map": (
         lambda: obstruction_kernel_map({"1*E11^l1": 1}, MORPHISM), TypeError),
+    "monomial of the wrong arity in bracket_artin": (
+        lambda: bracket_artin(
+            make_dgla(BASIS, D_COLS, BRACKETS), T3,
+            ArtinVector.single((1,), "a"), ArtinVector.single((1, 5), "c")),
+        ValueError),
+    "monomial of the wrong arity multiplied": (
+        lambda: T3.multiply_monomials((1,), (1, 5)), ValueError),
+    "monomial of the wrong arity in artin_multiply": (
+        lambda: artin_multiply(T3, {(1,): 1}, {(1, 5): 1}), ValueError),
+    "monomial of the wrong arity pushed forward": (
+        lambda: pushforward_series(LINFTY_IDENTITY, ArtinVector({((1, 5), "x"): 1}), T3),
+        ValueError),
     "plain dict as the start of a homotopy": (
         lambda: homotopy_from_gauge(
             GaugeResult(True, witness=ArtinVector()), {((1,), "p"): 1},
