@@ -80,6 +80,9 @@ CASES = [
     ["hitchin-verify", G + "hitchin_r4_nilpotent.json", S + "cdga_interval.json",
      "--weight", "3"],
     ["check-dgla", G + "dgla_wrong_degree_jacobi.json"],
+    # every order past 1 is empty: the nilpotent pair's bracket vanishes
+    ["mc-solve", S + "hitchin_r2_nilpotent.json", S + "cdga_interval.json",
+     "--order", "8"],
 ]
 
 
