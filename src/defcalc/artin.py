@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .graded import GradedVector, _SparseVector, accumulate, as_fraction, as_int, mapping_items
+from .graded import _SparseVector, accumulate, as_fraction, as_int, mapping_items
 
 # Most monomials an integer truncation may keep.  Enumerating more would
 # exhaust memory long before any computation over the algebra finished.
@@ -180,16 +180,6 @@ class ArtinVector(_SparseVector):
         if not self.coeffs:
             return None
         return min(monomial_degree(k[0]) for k in self.coeffs)
-
-    def coefficient_vector(self, mono):
-        """The graded vector multiplying a given monomial."""
-        mono = tuple(mono)
-        return GradedVector(
-            {name: c for (m, name), c in self.coeffs.items() if m == mono}
-        )
-
-    def monomials_present(self):
-        return sorted({k[0] for k in self.coeffs}, key=monomial_key)
 
     def apply_map(self, gmap):
         """Apply a graded map to the space factor, monomial by monomial."""

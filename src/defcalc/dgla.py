@@ -653,8 +653,10 @@ def mc_solve(dgla, algebra, directions=None):
     x is split by monomial order once, x = x_1 + x_2 + ..., and the order-k
     residual is d(x_k) + 1/2 sum over i + j = k of [x_i, x_j]: a correction
     at order k changes no lower order of the residual, so only the parts
-    below k, all settled, and x_k enter it.  A completed lift, the seed plus
-    its corrections, is checked against the whole residual.
+    below k, all settled, and x_k enter it.  An order with no such term is
+    skipped.  Each order is certified as it is corrected: the residual plus
+    d of the order's corrections must vanish (AssertionError naming the
+    order otherwise), which over all orders is d x + [x, x] / 2 = 0.
     """
     summary = complex_cohomology(dgla.space, dgla.d)
     if directions is None:
@@ -686,30 +688,29 @@ def mc_solve(dgla, algebra, directions=None):
         corrections = {}  # no two corrections share a key, so update sums them
         blocked = False
         for order in range(2, max_order + 1):
+            pairs = [i for i in range(1, order) if parts[i] and parts[order - i]]
+            if not pairs and not parts[order]:
+                continue  # the order-k residual is zero
             quadratic = ArtinVector()
-            for i in range(1, order):
-                if parts[i] and parts[order - i]:
-                    quadratic = quadratic + bracket_artin(
-                        dgla, algebra, parts[i], parts[order - i]
-                    )
+            for i in pairs:
+                quadratic = quadratic + bracket_artin(dgla, algebra, parts[i], parts[order - i])
             part = parts[order].apply_map(dgla.d) + quadratic.scale(Fraction(1, 2))
+            fix = {}
             for mono, vec, coords, correction in _lift_by_monomial(summary, 2, part):
                 event = ObstructionEvent(idx, order, mono, coords, vec)
                 events.append(event)
                 if not event.vanishes():
                     blocked = True
                     break
-                parts[order] = parts[order] + correction
-                corrections.update(correction.coeffs)
+                fix.update(correction.coeffs)
             if blocked:
                 break
-        if blocked:
-            solutions.append(None)
-            continue
-        x = seed + ArtinVector.from_nonzero(corrections)
-        if not mc_residual(x, dgla, algebra).is_zero():
-            raise AssertionError("lift terminated with a nonzero residual")
-        solutions.append(x)
+            fix = ArtinVector.from_nonzero(fix)
+            if not (part + fix.apply_map(dgla.d)).is_zero():
+                raise AssertionError(f"order {order} residual is nonzero after its corrections")
+            parts[order] = parts[order] + fix
+            corrections.update(fix.coeffs)
+        solutions.append(None if blocked else seed + ArtinVector.from_nonzero(corrections))
     return McSolveResult(summary, directions, events, solutions)
 
 

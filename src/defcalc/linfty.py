@@ -169,11 +169,6 @@ class LInftyStructure:
             return None
         return table.get(word)
 
-    def apply_bracket(self, word):
-        """q_n on a single canonical word of weight n (zero vector if absent)."""
-        vec = self.bracket_value(len(word), word)
-        return vec if vec is not None else GradedVector()
-
 
 def linfty_from_dgla(dgla):
     """The structure with q_1 = -d, q_2(x . y) = (-1)^|x| [x, y], q_k = 0.

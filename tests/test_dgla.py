@@ -39,6 +39,7 @@ from defcalc.graded import (
     complex_cohomology,
 )
 from defcalc.hitchin import HitchinPair, build_hitchin_dgla, matrix_wedge_dgla
+from test_artin import coefficient_vector, monomials_present
 from test_graded import d_rows, random_complex
 
 
@@ -913,8 +914,8 @@ def full_residual_mc_solve(dgla, algebra, directions):
             if part.is_zero():
                 continue
             correction = ArtinVector()
-            for mono in part.monomials_present():
-                vec = part.coefficient_vector(mono)
+            for mono in monomials_present(part):
+                vec = coefficient_vector(part, mono)
                 coords, pre = summary.lift(2, vec)
                 event = ObstructionEvent(idx, order, mono, coords, vec)
                 events.append(event)
@@ -929,6 +930,27 @@ def full_residual_mc_solve(dgla, algebra, directions):
             x = x + correction
         solutions.append(None if blocked else x)
     return events, solutions
+
+
+def test_mc_solve_certifies_each_order(monkeypatch):
+    # x t + y t^3 is corrected at order 2 ([x, x] = 3 z) and at order 3
+    # (d y = 5 z); a lift that drops the order-3 correction but reports a
+    # vanishing class must fail that order's certificate
+    model, algebra = correction_model(), make_artin(("t",), 4)
+    direction = ArtinVector({((1,), "x"): 1, ((3,), "y"): 1})
+    lift = dgla_module._lift_by_monomial
+
+    def wrong(summary, degree, part):
+        for mono, vec, coords, correction in lift(summary, degree, part):
+            assert not any(coords)
+            yield mono, vec, coords, correction if sum(mono) < 3 else ArtinVector()
+
+    result = mc_solve(model, algebra, [direction])
+    assert [e.order for e in result.events] == [2, 3]
+    assert is_mc(result.solutions[0], model, algebra)
+    monkeypatch.setattr(dgla_module, "_lift_by_monomial", wrong)
+    with pytest.raises(AssertionError, match="^order 3 residual is nonzero"):
+        mc_solve(model, algebra, [direction])
 
 
 def correction_model(c=3, c_blocked=-2, c_d=5):
@@ -969,6 +991,7 @@ def test_mc_solve_matches_the_full_residual_oracle():
     )
     rings = [
         make_artin(("t",), 6),
+        make_artin(("t",), 9),
         make_artin(("s", "t"), 4),
         make_artin(("s", "t", "u"), 3),
         make_artin(("s", "t"), [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (0, 3), (1, 2)]),
@@ -997,6 +1020,7 @@ def test_mc_solve_matches_the_full_residual_oracle():
         for got, want in zip(result.solutions, solutions):
             if want is not None:
                 assert list(got.coeffs.items()) == list(want.coeffs.items())
+                assert is_mc(got, model, algebra)
                 seen["lifted"] += 1
         seen["blocked"] += solutions.count(None)
         seen["corrected"] += sum(1 for e in events if e.vanishes())
@@ -1101,8 +1125,8 @@ def preimage_gauge_equivalent(x, y, dgla, algebra):
             return GaugeResult(True, witness=a)
         order = diff.min_order()
         part = diff.order_part(order)
-        for mono in part.monomials_present():
-            vec = part.coefficient_vector(mono)
+        for mono in monomials_present(part):
+            vec = coefficient_vector(part, mono)
             sol = prepared.solve((-vec).to_dense(target))
             if sol is None:
                 return GaugeResult(False, order=order, monomial=mono, residual=vec)

@@ -422,13 +422,19 @@ def _basis_ordered(vector, space):
     return GradedVector({name: vector[name] for name in space.names if name in vector.coeffs})
 
 
+def apply_bracket(structure, word):
+    """q_n on a single canonical word of weight n (zero vector if absent)."""
+    vec = structure.bracket_value(len(word), word)
+    return vec if vec is not None else GradedVector()
+
+
 def full_scan_check_codifferential(structure, weight):
     """Q . Q on every basis word up to weight, every unshuffle evaluated;
     the value's names come in basis order."""
     for word in basis_words(structure.space, weight, structure.sdeg):
         total = GradedVector()
         for v, c in coderivation_extend(structure, {word: ONE}).items():
-            total = total + structure.apply_bracket(v).scale(c)
+            total = total + apply_bracket(structure, v).scale(c)
         if not total.is_zero():
             return _full(False, "codifferential", word, _basis_ordered(total, structure.space))
     return _full(True)
@@ -518,7 +524,7 @@ def full_scan_check_linfty_morphism(morphism, weight):
         for j in target.brackets:
             for v, c in image.items():
                 if len(v) == j:
-                    rhs = rhs + target.apply_bracket(v).scale(c)
+                    rhs = rhs + apply_bracket(target, v).scale(c)
         if lhs != rhs:
             return _full(False, "morphism", word, _basis_ordered(lhs - rhs, target.space))
     return _full(True)
