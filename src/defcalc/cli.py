@@ -429,6 +429,8 @@ def _cmd_check_morphism(args, pair, cdga):
 def _cmd_cohomology(args, source, cdga):
     if isinstance(source, HitchinPair):
         summary = complex_C_cohomology(source, cdga)
+    elif isinstance(source, Dgla):
+        summary = source.cohomology()
     else:
         summary = complex_cohomology(source.space, source.d)
     degrees = summary.degrees()
@@ -515,12 +517,10 @@ def _cmd_hitchin_map(args, pair, element, cdga):
 
 def _cmd_obstruction(args, pair, cdga):
     morphism = build_hitchin_morphism(pair, cdga)
-    target = morphism.target_dgla
-    target_cohomology = complex_cohomology(target.space, target.d)
     result = mc_solve(morphism.source_dgla, make_artin(("t",), args.order))
     entries = []
     for event in result.primary_obstructions():
-        coords = obstruction_kernel_map(event.cocycle, morphism, target_cohomology)
+        coords = obstruction_kernel_map(event.cocycle, morphism)
         entries.append(_event(event, "kernel_image", [_frac_str(c) for c in coords]))
     return {
         "solver": _solver_payload(result),

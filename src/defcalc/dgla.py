@@ -109,9 +109,14 @@ class Dgla:
         self.brackets = _complete_skew(
             space, brackets, lambda da, db: -_sign(da * db), "bracket"
         )
+        self._cohomology = None
 
-    def bracket_basis(self, a, b):
-        return self.brackets.get((a, b), GradedVector())
+    def cohomology(self):
+        """The CohomologySummary of (space, d), kept here from the first call;
+        complex_cohomology raises NotAComplexError if d*d != 0, on every call."""
+        if self._cohomology is None:
+            self._cohomology = complex_cohomology(self.space, self.d)
+        return self._cohomology
 
     def bracket(self, x, y):
         return bilinear(self.brackets, x, y)
@@ -658,7 +663,7 @@ def mc_solve(dgla, algebra, directions=None):
     d of the order's corrections must vanish (AssertionError naming the
     order otherwise), which over all orders is d x + [x, x] / 2 = 0.
     """
-    summary = complex_cohomology(dgla.space, dgla.d)
+    summary = dgla.cohomology()
     if directions is None:
         if not algebra.variables:
             raise ValueError("algebra has no variables to seed directions with")
@@ -752,7 +757,7 @@ def gauge_equivalent(x, y, dgla, algebra):
     for label, v in (("x", x), ("y", y)):
         if not is_mc(v, dgla, algebra):
             raise ValueError(f"{label} does not satisfy the Maurer-Cartan equation")
-    summary = complex_cohomology(dgla.space, dgla.d)
+    summary = dgla.cohomology()
     a = ArtinVector()
     settled = 0
     while True:

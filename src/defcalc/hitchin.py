@@ -25,8 +25,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from .artin import ArtinVector
 from .dgla import Dgla, mc_residual, tensor_cdga_dgla, tensor_name
-from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_int, int_view
-from .graded import complex_cohomology, wedge_word
+from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_int, int_view, wedge_word
 from .linfty import LInftyMorphism, linfty_from_dgla, pushforward_series
 
 ONE = Fraction(1)
@@ -238,8 +237,7 @@ def hitchin_target(pair, cdga):
 def complex_C_cohomology(pair, cdga):
     """Cohomology of the deformation complex; degree 1 carries first-order
     deformations and degree 2 their obstructions."""
-    dgla = build_hitchin_dgla(pair, cdga)
-    return complex_cohomology(dgla.space, dgla.d)
+    return build_hitchin_dgla(pair, cdga).cohomology()
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +462,12 @@ def hitchin_map(x, morphism, algebra):
     return tuple(ArtinVector.from_nonzero(part) for part in split)
 
 
-def obstruction_kernel_map(cocycle, morphism, target_cohomology=None):
+def obstruction_kernel_map(cocycle, morphism):
     """Class of the weight-one image of a degree-2 cocycle in the target.
 
     On a letter w (x) f with f in wedge degree one the weight-one component
     is (k w (x) tr(f theta^(k-1)))_k; other letters map to zero.  The image
-    is projected to degree-2 cohomology of the target complex and the
+    is projected to the target dgla's degree-2 cohomology and the
     coordinate tuple in that model is returned.
     """
     if not isinstance(cocycle, GradedVector):
@@ -483,7 +481,4 @@ def obstruction_kernel_map(cocycle, morphism, target_cohomology=None):
     image = GradedVector()
     for name, c in cocycle.coeffs.items():
         image = image + morphism.component((name,)).scale(c)
-    if target_cohomology is None:
-        target = morphism.target_dgla
-        target_cohomology = complex_cohomology(target.space, target.d)
-    return target_cohomology.project(2, image)
+    return morphism.target_dgla.cohomology().project(2, image)

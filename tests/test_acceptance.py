@@ -47,6 +47,7 @@ from defcalc.linfty import (
     check_linfty_morphism,
     linfty_from_dgla,
 )
+from test_dgla import bracket_basis
 from test_hitchin import trace_commutator_oracle, trace_power_oracle
 
 ZERO = Fraction(0)
@@ -309,7 +310,7 @@ def test_criterion_1_tensor_and_hom_constructions():
         assert rebuilt.d.column(name) == library.d.column(name)
     for a in library.space.names:
         for b in library.space.names:
-            assert rebuilt.bracket_basis(a, b) == library.bracket_basis(a, b)
+            assert bracket_basis(rebuilt, a, b) == bracket_basis(library, a, b)
 
     # each single sign mutation breaks an axiom on this instance
     mutations = [("d", m) for m in D_MODES[1:]] + [
@@ -675,17 +676,13 @@ def test_criterion_7_obstruction_kernel():
             continue
         instances += 1
         morphism = build_hitchin_morphism(pair, cdga)
-        target = morphism.target_dgla
-        target_cohomology = complex_cohomology(target.space, target.d)
-        if target_cohomology.dimension(2) > 0:
+        if morphism.target_dgla.cohomology().dimension(2) > 0:
             nonzero_targets += 1
         result = mc_solve(dgla, algebra, directions)
         for event in result.primary_obstructions():
             assert not event.vanishes()
             nonzero_events += 1
-            coords = obstruction_kernel_map(
-                event.cocycle, morphism, target_cohomology
-            )
+            coords = obstruction_kernel_map(event.cocycle, morphism)
             assert all(c == 0 for c in coords), (instances, event.direction)
     # the run must actually exercise the statement
     assert nonzero_events > 0

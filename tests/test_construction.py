@@ -30,7 +30,14 @@ from defcalc.linfty import (
     word_key,
 )
 
-from test_dgla import contractible, derham_fat_point, heisenberg, interval_cdga, semidirect
+from test_dgla import (
+    bracket_basis,
+    contractible,
+    derham_fat_point,
+    heisenberg,
+    interval_cdga,
+    semidirect,
+)
 
 
 def _sign(exponent):
@@ -95,7 +102,7 @@ def oracle_linfty_from_dgla(dgla):
         word, sign = normalize_word((a, b), sdeg)
         if sign == 0:
             continue
-        val = dgla.bracket_basis(a, b).scale(sign * _sign(space.degree(a)))
+        val = bracket_basis(dgla, a, b).scale(sign * _sign(space.degree(a)))
         if not val.is_zero():
             q2[word] = val
     brackets = {}

@@ -267,6 +267,11 @@ def _report(report):
     return (report.ok, report.axiom, report.witness, report.value)
 
 
+def bracket_basis(dgla, a, b):
+    """[a, b] of two basis names, read off the completed table."""
+    return dgla.brackets.get((a, b), GradedVector())
+
+
 def full_scan_check_dgla(dgla):
     names, deg, d = dgla.space.names, dgla.space.degree, dgla.d
     basis = GradedVector.basis
@@ -276,8 +281,8 @@ def full_scan_check_dgla(dgla):
             return (False, "complex", (a,), dd)
     nonzero = sorted(dgla.brackets)
     for a, b in nonzero:
-        lhs = dgla.bracket_basis(a, b)
-        rhs = dgla.bracket_basis(b, a).scale(-_sign(deg(a) * deg(b)))
+        lhs = bracket_basis(dgla, a, b)
+        rhs = bracket_basis(dgla, b, a).scale(-_sign(deg(a) * deg(b)))
         if lhs != rhs:
             return (False, "antisymmetry", (a, b), lhs - rhs)
     index = {n: i for i, n in enumerate(names)}
@@ -288,9 +293,9 @@ def full_scan_check_dgla(dgla):
                 triples.add(tuple(index[n] for n in t))
     for ia, ib, ic in sorted(triples):
         a, b, c = names[ia], names[ib], names[ic]
-        lhs = dgla.bracket(basis(a), dgla.bracket_basis(b, c))
-        t1 = dgla.bracket(dgla.bracket_basis(a, b), basis(c))
-        t2 = dgla.bracket(basis(b), dgla.bracket_basis(a, c)).scale(
+        lhs = dgla.bracket(basis(a), bracket_basis(dgla, b, c))
+        t1 = dgla.bracket(bracket_basis(dgla, a, b), basis(c))
+        t2 = dgla.bracket(basis(b), bracket_basis(dgla, a, c)).scale(
             _sign(deg(a) * deg(b))
         )
         defect = lhs - (t1 + t2)
@@ -302,7 +307,7 @@ def full_scan_check_dgla(dgla):
             pairs.update((a, b) for b in names)
             pairs.update((b, a) for b in names)
     for a, b in sorted(pairs):
-        lhs = d.apply(dgla.bracket_basis(a, b))
+        lhs = d.apply(bracket_basis(dgla, a, b))
         rhs = dgla.bracket(d.column(a), basis(b)) + dgla.bracket(
             basis(a), d.column(b)
         ).scale(_sign(deg(a)))
@@ -553,10 +558,10 @@ def test_tensor_frozen_values():
     assert t.space.degree("w*e1") == 2
     assert t.space.degree("w*e2") == 3
     # [a @ x, b @ y] = (-1)^(|b||x|) ab @ [x, y]
-    assert t.bracket_basis("1*e1", "1*e1").coeffs == {"1*e2": Fraction(1)}
-    assert t.bracket_basis("w*e1", "1*e1").coeffs == {"w*e2": Fraction(1)}
-    assert t.bracket_basis("1*e1", "w*e1").coeffs == {"w*e2": Fraction(-1)}
-    assert t.bracket_basis("w*e1", "w*e1").is_zero()
+    assert bracket_basis(t, "1*e1", "1*e1").coeffs == {"1*e2": Fraction(1)}
+    assert bracket_basis(t, "w*e1", "1*e1").coeffs == {"w*e2": Fraction(1)}
+    assert bracket_basis(t, "1*e1", "w*e1").coeffs == {"w*e2": Fraction(-1)}
+    assert bracket_basis(t, "w*e1", "w*e1").is_zero()
     assert check_dgla(t).ok
 
 
@@ -593,7 +598,7 @@ def test_hom_dgla_frozen():
     assert h.d.column("E[u,u]").coeffs == {"E[v,u]": Fraction(1)}
     assert h.d.column("E[v,v]").coeffs == {"E[v,u]": Fraction(-1)}
     assert h.d.column("E[v,u]").is_zero()
-    assert h.bracket_basis("E[u,v]", "E[v,u]").coeffs == {
+    assert bracket_basis(h, "E[u,v]", "E[v,u]").coeffs == {
         "E[u,u]": Fraction(1),
         "E[v,v]": Fraction(1),
     }
@@ -1181,6 +1186,164 @@ def test_gauge_equivalent_matches_the_preimage_oracle():
         if got.equivalent:
             assert gauge_act(got.witness, x, model, algebra) == y
         seen["equivalent" if got.equivalent else "not equivalent"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+# ---------------------------------------------------------------------------
+# The per-dgla cohomology summary: built once, shared by every call, and the
+# same answers whichever call reads a degree first.
+
+
+def test_one_summary_is_shared_by_every_call_on_a_dgla(monkeypatch):
+    built, prepared = [], []
+    build, prepare = dgla_module.complex_cohomology, linalg.PreparedSolve
+
+    def spy_build(space, d):
+        built.append(build(space, d))
+        return built[-1]
+
+    class SpyPrepare(prepare):
+        def __init__(self, *args):
+            prepared.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dgla_module, "complex_cohomology", spy_build)
+    monkeypatch.setattr(linalg, "PreparedSolve", SpyPrepare)
+    model, algebra = correction_model(), make_artin(("t",), 4)
+    first = mc_solve(model, algebra)  # x t lifts, u t is blocked
+    second = mc_solve(model, algebra, [ArtinVector.single((1,), "x", 2)])
+    assert not gauge_equivalent(first.solutions[0], second.solutions[0], model, algebra)
+    assert len(built) == 1
+    assert first.cohomology is second.cohomology is built[0] is model.cohomology()
+    # one transform per degree lifted, 2 by mc_solve and 1 by gauge_equivalent,
+    # across the three calls; degree 1 was first read for its representatives
+    assert len(prepared) == 2
+
+
+def test_a_differential_that_does_not_square_to_zero_raises_on_every_call(monkeypatch):
+    calls = []
+    build = dgla_module.complex_cohomology
+
+    def spy(space, d):
+        calls.append(space)
+        return build(space, d)
+
+    monkeypatch.setattr(dgla_module, "complex_cohomology", spy)
+    space = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
+    model = Dgla(space, GradedMap(space, space, 1, {"a": {"b": 1}, "b": {"c": 1}}), {})
+    algebra, zero = make_artin(("t",), 3), ArtinVector()
+    for call in (
+        model.cohomology,
+        model.cohomology,
+        lambda: mc_solve(model, algebra),
+        lambda: mc_solve(model, algebra),
+        lambda: gauge_equivalent(zero, zero, model, algebra),
+        lambda: gauge_equivalent(zero, zero, model, algebra),
+    ):
+        with pytest.raises(NotAComplexError, match="d\\*d is nonzero on basis vector 'a'"):
+            call()
+    assert len(calls) == 6
+
+
+def fresh(model):
+    """A new Dgla on model's data, its cohomology not read yet."""
+    return Dgla(model.space, model.d, model.brackets)
+
+
+def items(vector):
+    return None if vector is None else list(vector.coeffs.items())
+
+
+def mc_key(result):
+    """Everything mc_solve returns, key order included."""
+    return (
+        [items(x) for x in result.directions],
+        [(e.direction, e.order, e.monomial, e.coords, items(e.cocycle)) for e in result.events],
+        [items(x) for x in result.solutions],
+    )
+
+
+def gauge_key(result):
+    return (result.equivalent, result.order, result.monomial, items(result.witness), items(result.residual))
+
+
+def summary_key(summary):
+    return [
+        (k, summary.dimension(k), [items(r) for r in summary.representatives(k)])
+        for k in summary.degrees()
+    ]
+
+
+def read_order_cases():
+    """(model, mc_solve calls, gauge_equivalent calls), each call a function
+    of the dgla, on the shipped sample dglas, the Hitchin dglas of the two
+    shipped pairs over the interval CDGA, seeded H^0 = 0 models and two
+    models whose lifts need corrections or are blocked.  The
+    gauge pairs are lifts of mc_solve, each against itself moved by a seeded
+    degree 0 element and against the next lift."""
+    rng = random.Random(27)
+    interval = sample_kernel("cdga_interval.json")
+    models = [sample_kernel("dgla_obstructed.json"), sample_kernel("dgla_contractible.json")]
+    models += [
+        build_hitchin_dgla(sample_kernel(name), interval)
+        for name in ("hitchin_r2_zero.json", "hitchin_r2_nilpotent.json")
+    ]
+    models += [seeded_h0_zero_model(rng) for _ in range(4)]
+    models += [correction_model(), correction_model(-1, 7, Fraction(2, 3))]
+    rings = [make_artin(("t",), 5), make_artin(("s", "t"), 3)]
+    for model in models:
+        reps = fresh(model).cohomology().representatives(1)
+        solves = [(algebra, None) for algebra in rings]
+        solves += [
+            (algebra, [random_direction(rng, model, algebra, reps) for _ in range(2)])
+            for algebra in rings if reps
+        ]
+        zeros = GradedSpace([(n, 0) for n in model.space.names_of_degree(0)])
+        gauges = []
+        for algebra, directions in solves:
+            lifts = [x for x in mc_solve(fresh(model), algebra, directions).solutions if x]
+            for x, nxt in zip(lifts, lifts[1:] + lifts[:1]):
+                a = random_artin_vector(rng, zeros, algebra, 2) if len(zeros) else ArtinVector()
+                gauges += [(algebra, x, gauge_act(a, x, model, algebra)), (algebra, x, nxt)]
+        if model.space.names == ("u", "v"):
+            (algebra, x), (_, y) = sample_kernel("mc_flow_x.json"), sample_kernel("mc_flow_y.json")
+            gauges.append((algebra, x, y))
+        yield (
+            model,
+            [lambda g, a=a, ds=ds: mc_key(mc_solve(g, a, ds)) for a, ds in solves],
+            [lambda g, a=a, x=x, y=y: gauge_key(gauge_equivalent(x, y, g, a)) for a, x, y in gauges],
+        )
+
+
+def test_the_shared_summary_answers_alike_in_every_read_order():
+    seen = {"events": 0, "obstructed": 0, "equivalent": 0, "not equivalent": 0}
+    for model, solves, gauges in read_order_cases():
+        want_solves = [call(fresh(model)) for call in solves]
+        want_gauges = [call(fresh(model)) for call in gauges]
+        want_summary = summary_key(fresh(model).cohomology())
+        for first in ("dimensions", "representatives", "gauge_equivalent", "mc_solve"):
+            warm = fresh(model)
+            summary = warm.cohomology()
+            if first == "dimensions":
+                summary.dimensions()
+            elif first == "representatives":
+                for k in summary.degrees():
+                    summary.representatives(k)
+            for _ in range(2):  # twice, the second time on a summary every call read
+                if first == "mc_solve":
+                    got_solves = [call(warm) for call in solves]
+                got_gauges = [call(warm) for call in gauges]
+                if first != "mc_solve":
+                    got_solves = [call(warm) for call in solves]
+                assert got_solves == want_solves, (first, model.space.names)
+                assert got_gauges == want_gauges, (first, model.space.names)
+            assert warm.cohomology() is summary
+            assert summary_key(summary) == want_summary
+        for _, events, _ in want_solves:
+            seen["events"] += len(events)
+            seen["obstructed"] += sum(1 for e in events if any(e[3]))
+        for equivalent, *_ in want_gauges:
+            seen["equivalent" if equivalent else "not equivalent"] += 1
     assert min(seen.values()) >= 10, seen
 
 

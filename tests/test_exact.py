@@ -108,13 +108,13 @@ def sample_outputs():
             morphism = build_hitchin_morphism(pair, cdga_model)
             source, target = morphism.source_dgla, morphism.target_dgla
             solved = mc_solve(source, make_artin(("t",), 3))
-            target_cohomology = complex_cohomology(target.space, target.d)
             yield (
                 source,
                 complex_C_cohomology(pair, cdga_model),
                 solved,
+                target.cohomology(),
                 [
-                    obstruction_kernel_map(e.cocycle, morphism, target_cohomology)
+                    obstruction_kernel_map(e.cocycle, morphism)
                     for e in solved.primary_obstructions()
                 ],
                 [morphism.component(w) for w in basis_words(morphism.source.space, 2)],
