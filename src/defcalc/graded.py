@@ -377,7 +377,8 @@ class DegreeBlock:
 
     The pivots come from one elimination.  With prepare it is the solver's,
     a PreparedSolve over the columns; without, it reads only the pivots, and
-    the solver is built when a lift first asks for it."""
+    the solver is built when a lift first asks for it.  The dense matrix is
+    dropped once the solver holds the elimination."""
 
     def __init__(self, names, image_cols, kernel_cols, preimage_names, prepare):
         cols = image_cols + kernel_cols
@@ -391,7 +392,9 @@ class DegreeBlock:
 
     @cached_property
     def solver(self):
-        return linalg.PreparedSolve(self.matrix, self.ncols)
+        solver = linalg.PreparedSolve(self.matrix, self.ncols)
+        self.matrix = None
+        return solver
 
 
 class CohomologySummary:
@@ -407,7 +410,8 @@ class CohomologySummary:
     A degree's block is built the first time that degree is read, from the
     reductions of d out of that degree and out of the one below.  Each
     reduction of d is made once and shared by the two blocks that read it,
-    so a caller that reads only H^1 and H^2 never reduces the other degrees.
+    so a caller that reads only H^1 and H^2 never reduces the other degrees;
+    it is dropped once both of those blocks exist (or have no basis).
     A dimension or representatives read eliminates the block for its pivots
     only; the transform a lift needs is built on that degree's first lift.
     """
@@ -443,6 +447,9 @@ class CohomologySummary:
         image_basis = [self.differential.column(src).to_dense(here) for src in below]
         kernel_cols = linalg.kernel_basis(red, pivots, len(here))
         block = self._blocks[deg] = DegreeBlock(here, image_basis, kernel_cols, below, prepare)
+        for k in (deg - 1, deg):
+            if all(j in self._blocks or j not in self._present for j in (k, k + 1)):
+                del self._reductions[k]
         return block
 
     def degrees(self):

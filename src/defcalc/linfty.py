@@ -163,6 +163,20 @@ class LInftyStructure:
                   for k, entries in mapping_items(brackets)}
         self.brackets = {k: table for k, table in tables.items() if table}
 
+    @classmethod
+    def _from_canonical(cls, space, sdeg, brackets):
+        """A structure on tables already in the form _word_table returns:
+        nonempty, on canonical nonvanishing words of k known letters, one
+        nonzero GradedVector per word.  Only the outputs are checked
+        (_check_outputs), table by table, so a wrong output raises the
+        ValueError the public constructor would."""
+        for k, table in brackets.items():
+            for word, vec in table.items():
+                _check_outputs(k, word, vec, sdeg, sdeg, 1)
+        structure = cls.__new__(cls)
+        structure.space, structure.sdeg, structure.brackets = space, sdeg, brackets
+        return structure
+
     def bracket_value(self, k, word):
         table = self.brackets.get(k)
         if table is None:
@@ -174,8 +188,11 @@ def linfty_from_dgla(dgla):
     """The structure with q_1 = -d, q_2(x . y) = (-1)^|x| [x, y], q_k = 0.
 
     Degrees in the sign are unshifted; the two fixed conventions make the
-    codifferential condition equivalent to the dgla axioms.  q_2 is read off
-    the nonzero bracket entries on canonical words, in basis_words order.
+    codifferential condition equivalent to the dgla axioms.  q_1 is read
+    off the nonzero columns of d in basis order, q_2 off the nonzero
+    bracket entries on canonical words, in basis_words order, one key per
+    pair.  Canonical as built, the tables skip the public constructor's
+    re-sort; only their outputs are checked (_from_canonical), q_1 first.
     """
     space = dgla.space
     sdeg = shifted_degrees(space)
@@ -197,7 +214,7 @@ def linfty_from_dgla(dgla):
         brackets[1] = q1
     if q2:
         brackets[2] = q2
-    return LInftyStructure(space, brackets)
+    return LInftyStructure._from_canonical(space, sdeg, brackets)
 
 
 def _int_tables(structure):
@@ -594,9 +611,17 @@ def _power_series(x, algebra, sdeg, value, head=None, limit=None):
 
 
 def _bracket_series(x, structure, algebra, head=None):
+    """sum_n q_n(head . x^n) / n!, with _power_series' head convention.
+
+    No bracket has an arity above the structure's largest, k, so the
+    series stops at x^k, or at x^(k-1) after a head of weight one: the
+    powers past it could only meet missing brackets.
+    """
+    top = max(structure.brackets, default=0)
     return _power_series(
         x, algebra, structure.sdeg,
         lambda word: structure.bracket_value(len(word), word), head,
+        limit=max(0, top - 1 if head is not None else top),
     )
 
 

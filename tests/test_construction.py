@@ -323,3 +323,17 @@ def test_wrong_degree_dgla_raises_the_same_error():
         oracle_linfty_from_dgla(wrong)
     assert str(new.value) == str(old.value)
     assert "('a', 'a')" in str(new.value)
+    # q_1 = -d is checked before q_2: a differential into a larger space
+    # hits a name outside the dgla's, or a name of another degree there
+    for target, message in (
+        (GradedSpace([("a", 1), ("b", 1), ("c", 2)]), "unknown name 'c'"),
+        (GradedSpace([("a", 1), ("b", 2)]), "q_1 is not homogeneous"),
+    ):
+        d = GradedMap(space, target, 1, {"a": {target.names[-1]: 1}})
+        wrong = Dgla(space, d, {("a", "a"): {"a": 1}})
+        with pytest.raises(ValueError) as new:
+            linfty_from_dgla(wrong)
+        with pytest.raises(ValueError) as old:
+            oracle_linfty_from_dgla(wrong)
+        assert str(new.value) == str(old.value)
+        assert message in str(new.value)

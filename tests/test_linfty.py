@@ -965,6 +965,127 @@ def test_linfty_residual_is_minus_dgla_residual():
             assert lhs == rhs
 
 
+def unlimited_bracket_series(x, structure, algebra, head=None):
+    """The oracle: the bracket series run until the powers of x vanish in
+    the base ring, whatever the structure's largest arity."""
+    return linfty._power_series(
+        x, algebra, structure.sdeg,
+        lambda word: structure.bracket_value(len(word), word), head,
+    )
+
+
+def series_structures():
+    """(label, structure, top arity): the abelian Hitchin target with and
+    without d, dglas, and a seeded structure with a q_3 table."""
+    letter = GradedSpace([("l", 1)])
+    pair = HitchinPair(2, letter, [[{}, {"l": 1}], [{}, {}]])
+    fat = build_hitchin_morphism(pair, derham_fat_point())
+    out = [
+        ("target-trivial", build_hitchin_morphism(pair, trivial_cdga()).target, 0),
+        ("target-fatpoint", fat.target, 1),
+        ("hitchin-source", fat.source, 2),
+        ("gl2-wedge", linfty_from_dgla(matrix_wedge_dgla(2, letter, [[{"l": 1}, {}], [{}, {}]])), 2),
+        ("semidirect", linfty_from_dgla(semidirect()), 2),
+    ]
+    rng = random.Random(2828)
+    while len(out) < 8:
+        structure = random_structure(rng, RANDOM_SPACE, width=2)
+        if 3 in structure.brackets:
+            out.append((f"q3-{len(out) - 5}", structure, 3))
+    return out
+
+
+SERIES_ALGEBRAS = [make_artin(("t",), 7), make_artin(("s", "t"), 5)]
+
+
+def coefficient_items(vector):
+    return list(vector.coeffs.items())
+
+
+@pytest.mark.parametrize("algebra", SERIES_ALGEBRAS, ids=["t^7", "s,t-deg4"])
+def test_bracket_series_stops_at_the_top_arity(algebra, monkeypatch):
+    """linfty_mc_residual and the headed series stop after top arity (top
+    arity - 1 with a head) power steps, and give the unlimited series' value,
+    key order included, which goes on to higher powers."""
+    steps = []
+    step = linfty._power_step
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(linfty, "_power_step", counted_step)
+    rng = random.Random(2829)
+    longer = 0
+    for label, structure, top in series_structures():
+        assert max(structure.brackets, default=0) == top, label
+        ones = structure.space.names_of_degree(1)
+        # the series reads any head; a path's z1 has degree 0
+        heads = structure.space.names_of_degree(0) or ones
+        for _ in range(4):
+            x = random_element(rng, ones, algebra, count=5)
+            head = {((name,), mono): c
+                    for (mono, name), c in random_element(rng, heads, algebra).coeffs.items()}
+            for kwargs, bound in (({}, top), ({"head": head}, max(0, top - 1))):
+                steps.clear()
+                if kwargs:
+                    got = linfty._bracket_series(x, structure, algebra, **kwargs)
+                else:
+                    got = linfty_mc_residual(x, structure, algebra)
+                assert len(steps) <= bound, (label, kwargs, len(steps))
+                steps.clear()
+                want = unlimited_bracket_series(x, structure, algebra, **kwargs)
+                longer += len(steps) > bound
+                assert coefficient_items(got) == coefficient_items(want), label
+    # the unlimited series does go past the cut
+    assert longer >= 20, longer
+
+
+def report_items(report):
+    value = report.value
+    items = coefficient_items(value) if value is not None else None
+    return report.ok, report.axiom, report.witness, items
+
+
+@pytest.mark.parametrize("algebra", SERIES_ALGEBRAS, ids=["t^7", "s,t-deg4"])
+def test_homotopy_reports_match_the_unlimited_series(algebra, monkeypatch):
+    """verify_homotopy_witness gives the same report, value key order
+    included, as with the unlimited series: on gauge paths of dglas, which
+    pass, on the same paths with the dt part flipped, and on random paths."""
+    rng = random.Random(2830)
+    cases = []
+    for _, structure, _ in series_structures():
+        ones = structure.space.names_of_degree(1)
+        zeros = structure.space.names_of_degree(0)
+        for _ in range(3):
+            x = random_element(rng, ones, algebra, count=3)
+            step = random_element(rng, ones, algebra, count=2)
+            odd = {0: random_element(rng, zeros, algebra, 2)} if zeros else {}
+            cases.append((structure, PolyPath({0: x, 1: step}, odd), x, x + step, algebra))
+            # a constant path: path-dt, when reached, is the series headed by z1
+            cases.append((structure, PolyPath({0: x}, odd), x, x, algebra))
+    # gauge paths over the same variables truncated at 3, which keeps their
+    # t-extended base small
+    small = make_artin(algebra.variables, 3)
+    for model in (semidirect(), matrix_wedge_dgla(2, GradedSpace([("l", 1)]), [[{"l": 1}, {}], [{}, {}]])):
+        structure = linfty_from_dgla(model)
+        for _ in range(3):
+            x, a = (random_element(rng, model.space.names_of_degree(d), small) for d in (1, 0))
+            if not mc_residual(x, model, small).is_zero():
+                continue
+            path = homotopy_from_gauge(GaugeResult(True, witness=a), x, model, small)
+            y = gauge_act(a, x, model, small)
+            cases.append((structure, path, x, y, small))
+            cases.append((structure, PolyPath(path.even, {0: a}), x, y, small))
+    reports = [report_items(verify_homotopy_witness(path, x, y, structure, base))
+               for structure, path, x, y, base in cases]
+    monkeypatch.setattr(linfty, "_bracket_series", unlimited_bracket_series)
+    for (structure, path, x, y, base), got in zip(cases, reports):
+        assert got == report_items(verify_homotopy_witness(path, x, y, structure, base))
+    axioms = [r[1] for r in reports]
+    assert axioms.count(None) >= 4 and "path-mc" in axioms and "path-dt" in axioms, axioms
+
+
 def test_pushforward_identity():
     model = semidirect()
     structure = linfty_from_dgla(model)
