@@ -202,12 +202,14 @@ def _emit_pair_table(table):
 
 
 class Document:
-    """A parsed input file: its kind, normalized payload, kernel object."""
+    """A parsed input file: its kind, its kernel object and normal_form, a
+    function of no arguments that builds the normalized payload from the
+    kernel.  Only emit_document calls it, so a command never pays for it."""
 
-    def __init__(self, kind, data, kernel):
+    def __init__(self, kind, kernel, normal_form):
         self.kind = kind
-        self.data = data
         self.kernel = kernel
+        self.normal_form = normal_form
 
 
 def _parse_dgla_or_cdga(data, where):
@@ -228,16 +230,22 @@ def _parse_dgla_or_cdga(data, where):
         table.setdefault((a, b), {})[out] = c
     if kind == "dgla":
         kernel = Dgla(space, differential, table)
-        normalized = {"bracket": _emit_pair_table(kernel.brackets)}
     else:
         kernel = Cdga(space, differential, table, data["unit"])
-        normalized = {"product": _emit_pair_table(kernel.products), "unit": kernel.unit}
-    normalized.update(
-        kind=kind,
-        basis=_basis_list(space),
-        differential=_emit_differential(differential, space),
-    )
-    return Document(kind, normalized, kernel)
+
+    def normal_form():
+        normalized = {
+            "kind": kind,
+            "basis": _basis_list(space),
+            "differential": _emit_differential(differential, space),
+        }
+        if kind == "dgla":
+            normalized["bracket"] = _emit_pair_table(kernel.brackets)
+        else:
+            normalized.update(product=_emit_pair_table(kernel.products), unit=kernel.unit)
+        return normalized
+
+    return Document(kind, kernel, normal_form)
 
 
 def _parse_linfty(data, where):
@@ -250,17 +258,20 @@ def _parse_linfty(data, where):
     for (arity, word, out), c in entries.items():
         brackets.setdefault(arity, {}).setdefault(word, {})[out] = c
     kernel = LInftyStructure(space, brackets)
-    bracket_list = sorted(
-        (
-            {"arity": arity, "word": list(word), "out": out, "coeff": _frac_str(coeff)}
-            for arity, values in kernel.brackets.items()
-            for word, vec in values.items()
-            for out, coeff in vec.coeffs.items()
-        ),
-        key=lambda e: (e["arity"], e["word"], e["out"]),
-    )
-    normalized = {"kind": "linfty", "basis": _basis_list(space), "brackets": bracket_list}
-    return Document("linfty", normalized, kernel)
+
+    def normal_form():
+        bracket_list = sorted(
+            (
+                {"arity": arity, "word": list(word), "out": out, "coeff": _frac_str(coeff)}
+                for arity, values in kernel.brackets.items()
+                for word, vec in values.items()
+                for out, coeff in vec.coeffs.items()
+            ),
+            key=lambda e: (e["arity"], e["word"], e["out"]),
+        )
+        return {"kind": "linfty", "basis": _basis_list(space), "brackets": bracket_list}
+
+    return Document("linfty", kernel, normal_form)
 
 
 def _parse_hitchin_pair(data, where):
@@ -286,43 +297,47 @@ def _parse_hitchin_pair(data, where):
         kernel = HitchinPair(rank, l_space, theta)
     except HiggsFieldError as exc:
         raise CliError(f"{where}: invalid Higgs field: {exc}") from exc
-    normalized = {
-        "kind": "hitchin-pair",
-        "rank": rank,
-        "l_basis": _basis_list(l_space),
-        "theta": [
-            [
-                [_frac_str(kernel.theta[i][j][name]) for name in l_space.names]
-                for j in range(rank)
-            ]
-            for i in range(rank)
-        ],
-    }
-    return Document("hitchin-pair", normalized, kernel)
+
+    def normal_form():
+        return {
+            "kind": "hitchin-pair",
+            "rank": rank,
+            "l_basis": _basis_list(l_space),
+            "theta": [
+                [
+                    [_frac_str(kernel.theta[i][j][name]) for name in l_space.names]
+                    for j in range(rank)
+                ]
+                for i in range(rank)
+            ],
+        }
+
+    return Document("hitchin-pair", kernel, normal_form)
 
 
 def _parse_artin_payload(data, where):
+    """The algebra and a function building its normalized payload."""
     variables = data["variables"]
     if "truncation" in data:
-        kernel = make_artin(variables, data["truncation"])
-        return {"variables": variables, "truncation": data["truncation"]}, kernel
+        truncation = data["truncation"]
+        kernel = make_artin(variables, truncation)
+        return kernel, lambda: {"variables": variables, "truncation": truncation}
     if "monomials" not in data:
         raise CliError(f"{where}: missing field 'truncation' or 'monomials'")
     kernel = ArtinAlgebra(variables, map(tuple, data["monomials"]))
-    normalized = {
+    return kernel, lambda: {
         "variables": variables,
         "monomials": [list(m) for m in sorted(kernel.monomials, key=monomial_key)],
     }
-    return normalized, kernel
 
 
 def _parse_artin(data, where):
-    normalized, kernel = _parse_artin_payload(data, where)
-    return Document("artin", {"kind": "artin", **normalized}, kernel)
+    kernel, payload = _parse_artin_payload(data, where)
+    return Document("artin", kernel, lambda: {"kind": "artin", **payload()})
 
 
 def _parse_mc_element(data, where):
-    algebra_norm, algebra = _parse_artin_payload(data["algebra"], f"{where}.algebra")
+    algebra, algebra_payload = _parse_artin_payload(data["algebra"], f"{where}.algebra")
 
     def outside(values):
         mono = values[0]
@@ -332,8 +347,11 @@ def _parse_mc_element(data, where):
 
     terms = _read_sparse(data, "terms", where, ("monomial", "name"), outside)
     kernel = ArtinVector({k: v for k, v in terms.items() if v != 0})
-    normalized = {"kind": "mc-element", "algebra": algebra_norm, "terms": _jsonable(kernel)}
-    return Document("mc-element", normalized, (algebra, kernel))
+
+    def normal_form():
+        return {"kind": "mc-element", "algebra": algebra_payload(), "terms": _jsonable(kernel)}
+
+    return Document("mc-element", (algebra, kernel), normal_form)
 
 
 _PARSERS = {
@@ -350,7 +368,8 @@ def parse_document(path):
     """Load and validate one document; construction invariants run here.
 
     The document's shape (see _SHAPES) is checked once, before its kind's
-    parser runs, so the parsers read only well-typed fields.
+    parser runs, so the parsers read only well-typed fields.  The normal
+    form is not built here but when emit_document asks for it.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -376,8 +395,9 @@ def parse_document(path):
 
 
 def emit_document(document):
-    """Canonical text form; parsing it again gives an equal kernel."""
-    return json.dumps(document.data, indent=2, sort_keys=True) + "\n"
+    """Canonical text form, built from the kernel now; parsing it again
+    gives an equal kernel and the same text."""
+    return json.dumps(document.normal_form(), indent=2, sort_keys=True) + "\n"
 
 
 def _jsonable(value):
@@ -565,31 +585,33 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _build_parser():
-    """One parser for every command: a command name, its files and the
-    options all commands share; run_command checks the file count."""
-    parser = _Parser(
-        prog="defcalc",
-        description="Exact deformation calculus on finite graded models.",
-    )
-    parser.add_argument("command", choices=list(_COMMANDS))
-    parser.add_argument("files", nargs="+")
-    parser.add_argument(
-        "--weight", type=int, default=4,
-        help="weight bound for coalgebra checks (default 4)",
-    )
-    parser.add_argument(
-        "--order", type=int, default=3,
-        help="truncation order of the solver base (default 3)",
-    )
-    parser.add_argument(
-        "--report", default=None, help="write the JSON report to this path"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="echoed in the report; commands are deterministic",
-    )
-    return parser
+# One parser for every command, built once at import: a command name, its
+# files and the options all commands share; run_command checks the file
+# count.  It keeps nothing between calls: parse_args returns a fresh
+# Namespace, _Parser.error raises CliError, prog is fixed, and argparse
+# makes the help formatter, with the terminal width of the moment, each
+# time it formats.
+_PARSER = _Parser(
+    prog="defcalc",
+    description="Exact deformation calculus on finite graded models.",
+)
+_PARSER.add_argument("command", choices=list(_COMMANDS))
+_PARSER.add_argument("files", nargs="+")
+_PARSER.add_argument(
+    "--weight", type=int, default=4,
+    help="weight bound for coalgebra checks (default 4)",
+)
+_PARSER.add_argument(
+    "--order", type=int, default=3,
+    help="truncation order of the solver base (default 3)",
+)
+_PARSER.add_argument(
+    "--report", default=None, help="write the JSON report to this path"
+)
+_PARSER.add_argument(
+    "--seed", type=int, default=0,
+    help="echoed in the report; commands are deterministic",
+)
 
 
 def run_command(command, args):
@@ -626,9 +648,10 @@ def run_command(command, args):
 
 def main(argv=None):
     """Run one command; returns the exit code.  --help exits 0 through
-    SystemExit, as argparse does."""
+    SystemExit, as argparse does.  The argument parser is the one built at
+    import (_PARSER), so a call pays only for its own parse."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         report, code = run_command(args.command, args)
     except ValueError as exc:  # rejected input: CliError or a library check
         print(f"error: {exc}", file=sys.stderr)
@@ -639,7 +662,7 @@ def main(argv=None):
     report["status"] = "pass" if code == 0 else "fail"
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
-    if args.report:
+    if args.report is not None:
         try:
             with open(args.report, "w", encoding="utf-8") as handle:
                 handle.write(text)

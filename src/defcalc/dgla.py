@@ -111,6 +111,17 @@ class Dgla:
         )
         self._cohomology = None
 
+    @classmethod
+    def _from_canonical(cls, space, differential, brackets):
+        """A dgla on tables already in the form the constructor leaves them:
+        a degree +1 differential and a bracket table of pairs of known
+        names, nonzero GradedVectors on known names, every mirror present.
+        The constructions build theirs so, and skip _complete_skew."""
+        dgla = cls.__new__(cls)
+        dgla.space, dgla.d, dgla.brackets = space, differential, brackets
+        dgla._cohomology = None
+        return dgla
+
     def cohomology(self):
         """The CohomologySummary of (space, d), kept here from the first call;
         complex_cohomology raises NotAComplexError if d*d != 0, on every call."""
@@ -424,7 +435,7 @@ def tensor_cdga_dgla(cdga, dgla):
             if out:
                 brackets[(names[a][x], names[b][y])] = GradedVector.from_nonzero(out)
 
-    return Dgla(space, differential, brackets)
+    return Dgla._from_canonical(space, differential, brackets)
 
 
 def hom_name(target, source):
@@ -475,7 +486,9 @@ def hom_dgla(space, differential):
                 col[hom_name(w, src)] = c if odd else -c
             if col:
                 columns[hom_name(w, v)] = GradedVector.from_nonzero(col)
-    return Dgla(hom_space, GradedMap(hom_space, hom_space, 1, columns), brackets)
+    return Dgla._from_canonical(
+        hom_space, GradedMap(hom_space, hom_space, 1, columns), brackets
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def matrix_wedge_dgla(rank, l_space, theta):
                     entry[key] = minus
             if entry:
                 brackets[(na, nb)] = GradedVector.from_nonzero(entry)
-    return Dgla(space, differential, brackets)
+    return Dgla._from_canonical(space, differential, brackets)
 
 
 def build_hitchin_dgla(pair, cdga):
@@ -230,7 +230,7 @@ def sym_space(pair):
 def hitchin_target(pair, cdga):
     """The abelian dgla A (x) Sym L with differential d_A (x) id."""
     space = sym_space(pair)
-    inner = Dgla(space, GradedMap(space, space, 1, {}), {})
+    inner = Dgla._from_canonical(space, GradedMap(space, space, 1, {}), {})
     return tensor_cdga_dgla(cdga, inner)
 
 

@@ -459,11 +459,12 @@ def test_artin_document_by_monomials_or_neither(tmp_path):
 
 
 def test_unwritable_report_exits_two_after_stdout(capsys, tmp_path):
-    report = str(tmp_path / "missing" / "report.json")
-    assert main(["check-dgla", sample("dgla_obstructed.json"), "--report", report]) == 2
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["status"] == "pass"
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # a folder that does not exist, and the empty path, which names no file
+    for report in (str(tmp_path / "missing" / "report.json"), ""):
+        assert main(["check-dgla", sample("dgla_obstructed.json"), "--report", report]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["status"] == "pass"
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exponent", [1.7, True])
@@ -600,6 +601,46 @@ def test_help_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: defcalc")
 
 
+def test_no_argument_parser_is_built_per_call(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (
+        ["check-dgla", sample("dgla_obstructed.json")],
+        ["mc-solve", sample("dgla_obstructed.json"), "--order", "4"],
+        ["bogus", "x"],
+        ["check-dgla"],
+    ):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
+
+
+def test_the_shared_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    monkeypatch.chdir(root)
+    argv = ["mc-solve", "sample_inputs/dgla_obstructed.json"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert main(["bogus", "x"]) == 2
+    assert main(argv + ["--weight", "x"]) == 2
+    assert main(argv + ["--order", "6"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    with open(os.path.join("tests", "golden", "17-mc-solve.json"), encoding="utf-8") as handle:
+        assert out == handle.read()
+    assert json.loads(out)["options"] == {"order": 3, "seed": 0, "weight": 4}
+
+
 def test_coefficient_text_accepts_only_rationals():
     from fractions import Fraction
 
@@ -628,3 +669,47 @@ def test_float_in_a_report_is_an_internal_fault(capsys, monkeypatch, tmp_path, l
     assert code == 3
     assert captured.out == "" and not report.exists()
     assert captured.err.startswith("internal error: TypeError: coefficient 4.0 is a float")
+
+
+def test_commands_never_build_a_normal_form(capsys, monkeypatch, tmp_path):
+    """One document of each kind through a command, with every normal-form
+    builder raising: the exit code and every byte stay as they were."""
+    from defcalc import cli
+
+    monomials = write(tmp_path, "artin.json", {
+        "kind": "artin", "variables": ["s", "t"], "monomials": [[0, 0], [1, 0], [0, 1]],
+    })
+    calls = [
+        ["check-dgla", sample("dgla_contractible.json")],
+        ["cohomology", sample("cdga_interval.json")],
+        ["check-linfty", sample("linfty_obstructed.json")],
+        ["hitchin-build", sample("hitchin_r2_zero.json")],
+        ["gauge-equiv", sample("dgla_contractible.json"), sample("mc_flow_x.json"),
+         sample("mc_flow_y.json")],
+        ["check-dgla", sample("artin_t3.json")],
+        ["check-dgla", monomials],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    before = outcomes()
+    assert [code for code, _, _ in before] == [0, 0, 0, 0, 0, 2, 2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a normal form was built")
+
+    for builder in ("_basis_list", "_emit_differential", "_emit_pair_table", "monomial_key"):
+        monkeypatch.setattr(cli, builder, refuse)
+
+    class Unbuilt(cli.Document):
+        def __init__(self, kind, kernel, normal_form):
+            super().__init__(kind, kernel, refuse)
+
+    monkeypatch.setattr(cli, "Document", Unbuilt)
+    assert outcomes() == before

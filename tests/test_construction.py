@@ -6,13 +6,24 @@ names instead, and every table must come out the same: the same keys in
 the same order, with the same values.
 """
 
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from defcalc.dgla import Cdga, Dgla, hom_dgla, tensor_cdga_dgla, tensor_name, trivial_cdga
+from defcalc.cli import parse_document
+from defcalc.dgla import (
+    Cdga,
+    Dgla,
+    _complete_skew,
+    hom_dgla,
+    tensor_cdga_dgla,
+    tensor_name,
+    trivial_cdga,
+)
 from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate, wedge_word
 from defcalc.hitchin import (
     HitchinPair,
@@ -337,3 +348,56 @@ def test_wrong_degree_dgla_raises_the_same_error():
             oracle_linfty_from_dgla(wrong)
         assert str(new.value) == str(old.value)
         assert message in str(new.value)
+
+
+# ---------------------------------------------------------------------------
+# Dgla._from_canonical: the constructions' tables need no completion.
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def shipped_documents(kind):
+    found = []
+    for folder in ("sample_inputs", os.path.join("tests", "golden", "inputs")):
+        for name in sorted(os.listdir(os.path.join(ROOT, folder))):
+            doc = parse_document(os.path.join(ROOT, folder, name))
+            if doc.kind == kind:
+                found.append(doc.kernel)
+    return found
+
+
+def test_constructed_tables_are_complete_as_built(monkeypatch):
+    """Every dgla the constructions hand to _from_canonical, over the shipped
+    and seeded inputs, has a table _complete_skew leaves as it is: the same
+    keys in the same order, with the same values."""
+    built = []
+    make = Dgla._from_canonical.__func__
+
+    def recording(cls, space, differential, brackets):
+        dgla = make(cls, space, differential, brackets)
+        built.append((sys._getframe(1).f_code.co_name, dgla))
+        return dgla
+
+    monkeypatch.setattr(Dgla, "_from_canonical", classmethod(recording))
+    cdgas = shipped_documents("cdga") + [
+        trivial_cdga(), interval_cdga(), exterior_cdga(Fraction(-2)), derham_fat_point()
+    ]
+    for pair in shipped_documents("hitchin-pair"):
+        for cdga in cdgas:
+            build_hitchin_morphism(pair, cdga)
+    for param in seeded_pairs():
+        build_hitchin_morphism(*param.values)
+    for inner in shipped_documents("dgla") + [make() for make in INNER_DGLAS.values()]:
+        for cdga in cdgas:
+            tensor_cdga_dgla(cdga, inner)
+        hom_dgla(inner.space, inner.d)
+
+    assert {site for site, _ in built} == {
+        "tensor_cdga_dgla", "matrix_wedge_dgla", "hom_dgla", "hitchin_target"
+    }
+    for _, dgla in built:
+        assert dgla.d.degree == 1
+        completed = _complete_skew(
+            dgla.space, dgla.brackets, lambda da, db: -_sign(da * db), "bracket"
+        )
+        assert table_items(completed) == table_items(dgla.brackets)
