@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
-from .graded import complex_cohomology, int_view, mapping_items
+from .graded import _square_violations, complex_cohomology, int_view, mapping_items
 
 ONE = Fraction(1)
 
@@ -219,11 +219,8 @@ def _add_image(out, vec, columns, sign):
 
 
 def _complex_violations(space, d):
-    for a in space.names:
-        if a in d.columns:
-            dd = d.apply(d.columns[a])
-            if not dd.is_zero():
-                yield CheckReport.failed("complex", (a,), dd)
+    for a, dd in _square_violations(space, d):
+        yield CheckReport.failed("complex", (a,), dd)
 
 
 def _mirror_violations(space, table, left, axiom, sign):

@@ -363,17 +363,23 @@ class NotAComplexError(ValueError):
         super().__init__(f"d*d is nonzero on basis vector {witness!r}: {value!r}")
 
 
-def _block_rows(d, source_names, target_names):
-    """The matrix of d from source_names to target_names, one row per target."""
-    return [[d.column(src)[tgt] for src in source_names] for tgt in target_names]
+def _square_violations(space, d):
+    """(name, d(d(name))) for each basis name, in basis order, where that
+    is nonzero."""
+    for name in space.names:
+        col = d.columns.get(name)
+        if col is not None:
+            dd = d.apply(col)
+            if dd:
+                yield name, dd
 
 
 class DegreeBlock:
     """Cohomology data in a single degree, from the columns
-    [d(preimage_names) | kernel basis], preimage_names the basis vectors one
-    degree down at d's pivot columns.  The image columns are independent, so
-    the kernel columns at the pivots past them (rep_pivots) are the
-    representatives, the greedy ones in kernel-basis order.
+    [d(preimage_names) | kernel basis], preimage_names basis vectors one
+    degree down.  The image columns span the coboundaries, so the kernel
+    columns at the pivots past them (rep_pivots) are the representatives,
+    the greedy ones in kernel-basis order.
 
     The pivots come from one elimination.  With prepare it is the solver's,
     a PreparedSolve over the columns; without, it reads only the pivots, and
@@ -407,11 +413,9 @@ class CohomologySummary:
     lift(degree, z) returns them together with a preimage of the coboundary
     part.
 
-    A degree's block is built the first time that degree is read, from the
-    reductions of d out of that degree and out of the one below.  Each
-    reduction of d is made once and shared by the two blocks that read it,
-    so a caller that reads only H^1 and H^2 never reduces the other degrees;
-    it is dropped once both of those blocks exist (or have no basis).
+    A degree's block is built the first time that degree is read, from
+    that degree's own inputs: reading degree k reduces d_k once and no
+    other d, and the summary keeps nothing between reads but the blocks.
     A dimension or representatives read eliminates the block for its pivots
     only; the transform a lift needs is built on that degree's first lift.
     """
@@ -421,35 +425,24 @@ class CohomologySummary:
         self.differential = differential
         self._present = space.degrees_present()
         self._blocks = {}
-        self._reductions = {}
-
-    def _reduction(self, deg):
-        """(names of degree deg, rref of d from deg to deg + 1, pivots)."""
-        found = self._reductions.get(deg)
-        if found is None:
-            here = self.space.names_of_degree(deg)
-            rows = _block_rows(self.differential, here, self.space.names_of_degree(deg + 1))
-            found = self._reductions[deg] = (here, *linalg.rref(rows, len(here)))
-        return found
 
     def _block(self, deg, prepare=False):
         """The DegreeBlock of a degree with basis vectors, else None;
         prepare builds a new block's solver with its pivots.
 
-        The kernel of d out of deg spans the cocycles; the pivot columns of
-        d into deg, the greedy independent ones, span the coboundaries."""
+        The kernel of d out of deg spans the cocycles, and the nonzero
+        columns of d on degree deg - 1, in basis order, span the
+        coboundaries; the block's pivots among them are d_(deg-1)'s pivot
+        columns, so no reduction of d_(deg-1) is needed."""
         block = self._blocks.get(deg)
         if block is not None or deg not in self._present:
             return block
-        here, red, pivots = self._reduction(deg)
-        lower, _, lower_pivots = self._reduction(deg - 1)
-        below = [lower[p] for p in lower_pivots]
-        image_basis = [self.differential.column(src).to_dense(here) for src in below]
-        kernel_cols = linalg.kernel_basis(red, pivots, len(here))
-        block = self._blocks[deg] = DegreeBlock(here, image_basis, kernel_cols, below, prepare)
-        for k in (deg - 1, deg):
-            if all(j in self._blocks or j not in self._present for j in (k, k + 1)):
-                del self._reductions[k]
+        d, here = self.differential, self.space.names_of_degree(deg)
+        rows = [[d.column(n)[m] for n in here] for m in self.space.names_of_degree(deg + 1)]
+        below = [n for n in self.space.names_of_degree(deg - 1) if n in d.columns]
+        image_cols = [d.columns[n].to_dense(here) for n in below]
+        kernel_cols = linalg.nullspace(rows, len(here))
+        block = self._blocks[deg] = DegreeBlock(here, image_cols, kernel_cols, below, prepare)
         return block
 
     def degrees(self):
@@ -502,18 +495,17 @@ def complex_cohomology(space, differential):
     """Cohomology of (space, differential) with representatives and projection.
 
     The differential must have degree +1 and square to zero; otherwise
-    NotAComplexError reports a witness basis vector.  That check is made
-    here, on every basis vector; the blocks of the summary are built as
-    they are read.  All elimination is rational with pivots in declared
-    basis order.  Each d: degree k -> k + 1 is reduced at most once: its
-    kernel basis spans the cocycles of degree k, and its pivot columns, the
-    greedy independent ones, the coboundaries of degree k + 1.
+    NotAComplexError reports the first witness basis vector.  That check is
+    made here, on every basis vector; the blocks of the summary are built
+    as they are read.  All elimination is rational with pivots in declared
+    basis order.  The block of degree k reduces d_k once, for the kernel
+    basis that spans its cocycles, and eliminates the nonzero columns of
+    d_(k-1) with that basis, so its greedy pivots among them pick the
+    coboundary basis and the representatives after it.
     """
     if differential.degree != 1:
         raise ValueError(f"differential must have degree +1, got {differential.degree}")
-    for name in space.names:
-        dd = differential.apply(differential.column(name))
-        if not dd.is_zero():
-            raise NotAComplexError(name, dd)
+    for name, dd in _square_violations(space, differential):
+        raise NotAComplexError(name, dd)
     return CohomologySummary(space, differential)
 

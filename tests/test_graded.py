@@ -173,6 +173,30 @@ def test_cohomology_projection():
     assert summary.project(1, GradedVector({"z": 2, "v": 5})) == [Fraction(2)]
 
 
+@pytest.mark.parametrize("lift_first", [True, False])
+def test_lift_skips_zero_and_dependent_columns_below(lift_first):
+    # a0 has no column and c0's column is twice b0's: the preimage uses b0
+    # alone, and both are read whichever of lift and representatives is first
+    space, d = make_complex(
+        [("a0", 0), ("b0", 0), ("c0", 0), ("v1", 1), ("w1", 1)],
+        {"b0": {"v1": 1}, "c0": {"v1": 2}},
+    )
+    summary = complex_cohomology(space, d)
+
+    def check_lift():
+        assert summary.lift(1, GradedVector({"w1": 3, "v1": 4})) == (
+            [Fraction(3)], GradedVector({"b0": 4})
+        )
+
+    if lift_first:
+        check_lift()
+    assert summary.representatives(0) == [
+        GradedVector({"a0": 1}), GradedVector({"b0": -2, "c0": 1})
+    ]
+    assert summary.representatives(1) == [GradedVector({"w1": 1})]
+    check_lift()
+
+
 def test_cohomology_rejects_non_complex():
     # d d is checked on every basis vector when the summary is made, not
     # when a degree is first read
@@ -467,8 +491,7 @@ def test_cohomology_reduces_each_differential_once_when_first_read(monkeypatch):
     # every elimination is told apart by the constructor it runs in: a
     # PreparedSolve's is a block's solve, one in a DegreeBlock alone reads
     # the block's pivots, and one outside both is a reduction of d_k, whose
-    # matrix names k.  Contents cannot tell them apart: the pivot-only block
-    # of degree 0 is the 1 x 0 matrix of d_-1.
+    # matrix names k.  Reading degree k reduces d_k and no other d.
     space, d = make_complex(
         [("a0", 0), ("b0", 1), ("b1", 1), ("c0", 2), ("c1", 2), ("c2", 2)]
         + [(f"e{i}", 3) for i in range(4)],
@@ -505,27 +528,27 @@ def test_cohomology_reduces_each_differential_once_when_first_read(monkeypatch):
     summary = complex_cohomology(space, d)
     assert reduced == [] and counts == {"pivots": 0, "prepare": 0}
     assert len(summary.representatives(2)) == 1
-    assert sorted(reduced) == [1, 2] and counts == {"pivots": 1, "prepare": 0}
+    assert reduced == [2] and counts == {"pivots": 1, "prepare": 0}
     assert summary.dimension(1) == 0
-    assert sorted(reduced) == [0, 1, 2] and counts == {"pivots": 2, "prepare": 0}
+    assert sorted(reduced) == [1, 2] and counts == {"pivots": 2, "prepare": 0}
     assert summary.representatives(2) and summary.dimension(0) == 0
-    assert sorted(reduced) == [-1, 0, 1, 2] and counts == {"pivots": 3, "prepare": 0}
+    assert sorted(reduced) == [0, 1, 2] and counts == {"pivots": 3, "prepare": 0}
     # the first lift of a degree read for its pivots builds its transform
     for _ in range(2):
         assert summary.lift(2, GradedVector({"c0": 1, "c2": 3})) == (
             [Fraction(3)], GradedVector({"b1": Fraction(1, 2)})
         )
-        assert sorted(reduced) == [-1, 0, 1, 2] and counts == {"pivots": 3, "prepare": 1}
+        assert sorted(reduced) == [0, 1, 2] and counts == {"pivots": 3, "prepare": 1}
     assert summary.dimensions() == {0: 0, 1: 0, 2: 1, 3: 3}
-    assert sorted(reduced) == [-1, 0, 1, 2, 3] and counts == {"pivots": 4, "prepare": 1}
+    assert sorted(reduced) == [0, 1, 2, 3] and counts == {"pivots": 4, "prepare": 1}
     # a degree first read by a lift gets one augmented elimination only
     reduced.clear()
     counts.update(pivots=0, prepare=0)
     summary = complex_cohomology(space, d)
     assert summary.project(2, GradedVector({"c2": 1})) == [Fraction(1)]
-    assert sorted(reduced) == [1, 2] and counts == {"pivots": 0, "prepare": 1}
+    assert reduced == [2] and counts == {"pivots": 0, "prepare": 1}
     assert summary.representatives(2) and summary.dimension(2) == 1
-    assert sorted(reduced) == [1, 2] and counts == {"pivots": 0, "prepare": 1}
+    assert reduced == [2] and counts == {"pivots": 0, "prepare": 1}
 
 
 @pytest.mark.parametrize("value", [1.5, True, "x", None])
