@@ -127,13 +127,14 @@ def _check_shape(value, shape, where):
         raise CliError(f"{where}{error[0]}: {error[1]}")
 
 
-def _fraction(value, where):
-    """A rational leaf read by graded.as_fraction, with its JSON path in the
-    error."""
+def _fraction(value, where, key, *positions):
+    """A rational leaf read by graded.as_fraction.  A bad one raises with its
+    JSON path, where.key[position]..., which is formatted only then."""
     try:
         return as_fraction(value)
     except ValueError as exc:
-        raise CliError(f"{where}: bad rational {value!r} ({exc})") from exc
+        label = f"{where}.{key}" + "".join(f"[{p}]" for p in positions)
+        raise CliError(f"{label}: bad rational {value!r} ({exc})") from exc
 
 
 def _frac_str(value):
@@ -153,18 +154,18 @@ def _read_sparse(data, key, where, fields, unknown):
     Returns {tuple of the fields' values: coefficient} in first-seen order,
     zero sums kept; a list value (a word, a monomial) becomes a tuple.
     unknown(values) is a message for an entry naming something that does
-    not exist, or None.
+    not exist, or None.  A key's first coefficient is stored as read.
     """
     table = {}
     for pos, entry in enumerate(data.get(key, ())):
-        label = f"{where}.{key}[{pos}]"
         values = tuple(
             tuple(entry[f]) if type(entry[f]) is list else entry[f] for f in fields
         )
         message = unknown(values)
         if message:
-            raise CliError(f"{label}: {message}")
-        table[values] = table.get(values, 0) + _fraction(entry["coeff"], label)
+            raise CliError(f"{where}.{key}[{pos}]: {message}")
+        c = _fraction(entry["coeff"], where, key, pos)
+        table[values] = table[values] + c if values in table else c
     return table
 
 
@@ -286,11 +287,12 @@ def _parse_hitchin_pair(data, where):
             raise CliError(f"{where}: theta row {i} must have {rank} entries")
         new_row = []
         for j, entry in enumerate(row):
-            label = f"{where}.theta[{i}][{j}]"
             if len(entry) != len(l_space.names):
-                raise CliError(f"{label}: expected {len(l_space.names)} coefficients")
+                raise CliError(
+                    f"{where}.theta[{i}][{j}]: expected {len(l_space.names)} coefficients"
+                )
             new_row.append(
-                {name: _fraction(c, label) for name, c in zip(l_space.names, entry)}
+                {n: _fraction(c, where, "theta", i, j) for n, c in zip(l_space.names, entry)}
             )
         theta.append(new_row)
     try:
@@ -397,7 +399,35 @@ def parse_document(path):
 def emit_document(document):
     """Canonical text form, built from the kernel now; parsing it again
     gives an equal kernel and the same text."""
-    return json.dumps(document.normal_form(), indent=2, sort_keys=True) + "\n"
+    return _dumps(document.normal_form()) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, newline="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), which with an indent runs
+    json's pure-Python encoder, in one direct pass over strings, bools, None,
+    ints and lists, tuples and str-keyed dicts of them.  Anything else, a
+    Fraction or a float above all, raises json's TypeError."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{_encode_str(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_dumps(v, inner) for v in value]
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 def _jsonable(value):
@@ -660,7 +690,7 @@ def main(argv=None):
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report["status"] = "pass" if code == 0 else "fail"
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _dumps(report) + "\n"
     sys.stdout.write(text)
     if args.report is not None:
         try:

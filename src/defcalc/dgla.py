@@ -61,9 +61,10 @@ def _complete_skew(space, table, sign_rule, label):
     mirror is formed, so a bad key is a ValueError.  Degrees are not checked
     here, so that broken presentations can be constructed and then reported
     on: check_dgla and check_cdga report an entry outside degree |a| + |b|
-    as the degree axiom.  sign_rule(da, db) gives the factor relating the (b, a) entry to the
-    (a, b) entry.  Explicitly given mirrors are kept as is; consistency is
-    the checker's job, not the constructor's.
+    as the degree axiom.  sign_rule(da, db) gives the sign, +1 or -1,
+    relating the (b, a) entry to the (a, b) entry; a mirror with sign +1 is
+    the (a, b) vector itself.  Explicitly given mirrors are kept as is;
+    consistency is the checker's job, not the constructor's.
     """
     out = {}
     for key, vec in mapping_items(table):
@@ -81,11 +82,9 @@ def _complete_skew(space, table, sign_rule, label):
         for name in vec.coeffs:
             if name not in degrees:
                 raise ValueError(f"{label} [{a!r},{b!r}] hits unknown name {name!r}")
-    for (a, b) in list(out):
+    for (a, b), vec in list(out.items()):
         if (b, a) not in out:
-            mirror = out[(a, b)].scale(sign_rule(degrees[a], degrees[b]))
-            if not mirror.is_zero():
-                out[(b, a)] = mirror
+            out[(b, a)] = vec if sign_rule(degrees[a], degrees[b]) > 0 else -vec
     return out
 
 

@@ -75,15 +75,27 @@ def as_fraction(value):
 
     A bool or a float raises TypeError.  A string in exponent notation
     raises ValueError before Fraction sees it, because "1e1000000" would
-    build a million-digit integer; so does a zero denominator.
+    build a million-digit integer; so does a zero denominator.  ASCII "p"
+    and "p/q" are read by int(), numerator first.  Strings that only some
+    Python versions read ("1_000", "3/ 4", "1.d") raise 3.10's ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if num.removeprefix("-").isdigit() and (not slash or den.isdigit()) and value.isascii():
+            n, d = int(num), int(den or 1)
+            if not d:
+                raise ValueError("zero denominator")
+            return Fraction(n, d) if slash else Fraction(n)
         if "e" in value or "E" in value:
             raise ValueError("exponent notation")
+        if any(c in value for c in "_dD") or (
+            slash and (num[-1:].isspace() or den[:1].isspace())
+        ):
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -713,3 +713,72 @@ def test_commands_never_build_a_normal_form(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "Document", Unbuilt)
     assert outcomes() == before
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def writer_inputs():
+    """Every golden report, the normal form of every shipped sample and
+    golden input document, and edge values."""
+    values = []
+    for name in sorted(os.listdir(GOLDEN)):
+        if name[0].isdigit():
+            with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+                values.append(json.load(handle))
+    inputs = os.path.join(GOLDEN, "inputs")
+    paths = [sample(n) for n in sorted(os.listdir(SAMPLES))]
+    paths += [os.path.join(inputs, n) for n in sorted(os.listdir(inputs))]
+    values += [parse_document(path).normal_form() for path in paths]
+    values += [
+        {}, [], {"a": {}, "b": [], "c": [[], {}, [{}]]}, [[[]]],
+        "", "café ☃ \U0001f600", "tab\tnew\nline\x00\x1f\"quote\\",
+        {"é": 1, "e": "\x7f", "a\nb": None},
+        [True, 1, False, 0, None], {"t": True, "one": 1},
+        10**200, -(10**200), ("tuple", 2),
+    ]
+    return values
+
+
+def test_report_writer_matches_json_dumps():
+    from defcalc.cli import _dumps
+
+    values = writer_inputs()
+    assert len(values) > 60
+    for value in values:
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("leak", ["fraction", "float"])
+def test_report_writer_refuses_fractions_and_floats(leak):
+    from fractions import Fraction
+
+    from defcalc.cli import _dumps
+
+    value = Fraction(1, 2) if leak == "fraction" else 0.5
+    name = type(value).__name__
+    for report in (value, {"a": [1, value]}, [{"b": value}]):
+        with pytest.raises(TypeError) as info:
+            _dumps(report)
+        assert str(info.value) == f"Object of type {name} is not JSON serializable"
+
+
+@pytest.mark.parametrize("coeff", ["1_000", "3/ 4", "3 /4"])
+def test_version_dependent_rationals_exit_two_with_their_path(capsys, tmp_path, coeff):
+    dgla = write(
+        tmp_path, "d.json",
+        mutated("dgla_obstructed.json", ("bracket", 0, "coeff"), coeff),
+    )
+    pair = write(
+        tmp_path, "p.json",
+        mutated("hitchin_r2_zero.json", ("theta", 1, 0, 0), coeff),
+    )
+    literal = f"bad rational {coeff!r} (Invalid literal for Fraction: {coeff!r})"
+    for argv, where in (
+        (["check-dgla", dgla], f"{dgla}.bracket[0]"),
+        (["hitchin-build", pair], f"{pair}.theta[1][0]"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: {literal}\n"

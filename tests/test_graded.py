@@ -2,6 +2,8 @@
 
 import os
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from defcalc.graded import (
     GradedSpace,
     GradedVector,
     NotAComplexError,
+    as_fraction,
     as_int,
     complex_cohomology,
     koszul_sign,
@@ -93,6 +96,70 @@ def test_graded_vector_reads_only_exact_rationals():
         GradedVector({"a": "1e5"})
     with pytest.raises(ValueError, match="zero denominator"):
         GradedVector({"a": "1/0"})
+
+
+def oracle_as_fraction(value):
+    """as_fraction without its integer-string fast path: every string goes
+    to Fraction, after the exponent check and after the rule, written here
+    as a regex, that rejects the strings whose reading depends on the
+    Python version (underscores, 3.11's "1.d" and whitespace next to "/")."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError("exponent notation")
+        if re.search(r"[_dD]|\s/|/\s", value):
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator") from None
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def outcome(fn, value):
+    """(type of the result, the result) or (type of the exception, its message)."""
+    try:
+        result = fn(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's 4300-digit limit on int(str), set where the interpreter has it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_as_fraction_matches_the_oracle(int_digit_limit):
+    long = "7" * 5000
+    sweep = [
+        "0", "-0", "007", "3/4", "-3/4", "3/0", "-3/0", "-12/8", "-0/0",
+        "", "-", "/3", "3/", "3/-4", "+3", " 3/4 ", "--3", "3/4/5",
+        "١٢", "0.25", ".5", "1.", "1e3", "1_0", "1_000", "3/ 4", "3 /4", "1.d",
+        long, "-" + long, long + "/3", "3/" + long, f"{long}/{long}",
+        0, -5, Fraction(-2, 6), True, 0.5, None,
+    ]
+    for value in sweep:
+        assert outcome(as_fraction, value) == outcome(oracle_as_fraction, value), value
+
+
+@pytest.mark.parametrize("text", ["1_000", "1/2_0", "3/ 4", "3 /4", "3\t/4", "1.d"])
+def test_version_dependent_rational_strings_are_rejected(text):
+    with pytest.raises(ValueError) as info:
+        as_fraction(text)
+    assert str(info.value) == f"Invalid literal for Fraction: {text!r}"
 
 
 def test_graded_map_degree_discipline():

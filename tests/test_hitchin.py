@@ -36,8 +36,9 @@ from defcalc.hitchin import (
 )
 from defcalc.linfty import check_linfty_morphism, pushforward_mc
 from test_artin import coefficient_vector, monomials_present
-from test_construction import exterior_cdga
+from test_construction import exterior_cdga, seeded_theta
 from test_dgla import bracket_basis, derham_fat_point
+from test_linalg import fraction_rref
 
 
 def one_letter_space():
@@ -690,3 +691,71 @@ def test_trace_commutator_oracle_random():
 def test_rank_is_an_int(rank):
     with pytest.raises(TypeError, match="rank must be an int"):
         HitchinPair(rank, one_letter_space(), [[{}, {}], [{}, {}]])
+
+
+def kunneth_pairs():
+    """The shipped pairs and seeded ones of rank 2 to 4 over one or two
+    letters, whose letter components commute."""
+    golden = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    pairs = [
+        pytest.param(sample("hitchin_r2_zero.json"), id="r2-zero"),
+        pytest.param(sample("hitchin_r2_nilpotent.json"), id="r2-nilpotent"),
+        pytest.param(
+            parse_document(os.path.join(golden, "hitchin_r4_nilpotent.json")).kernel,
+            id="r4-nilpotent",
+        ),
+    ]
+    rng = random.Random(1313)
+    for rank in (2, 3, 4):
+        for n_letters in (1, 2):
+            letters = [f"l{i + 1}" for i in range(n_letters)]
+            l_space = GradedSpace([(name, 1) for name in letters])
+            pair = HitchinPair(rank, l_space, seeded_theta(rng, rank, letters))
+            pairs.append(pytest.param(pair, id=f"seeded-r{rank}-l{n_letters}"))
+    return pairs
+
+
+@pytest.mark.parametrize("pair", kunneth_pairs())
+def test_hitchin_cohomology_is_the_kunneth_product(pair):
+    """C = A (x) M_theta with M_theta = gl_r (x) Lambda L and d = [theta, -],
+    so over Q, dim H^n(C) = sum over p + q = n of dim H^p(A) dim H^q(M_theta),
+    both factors read from their own complexes."""
+    inner = matrix_wedge_dgla(pair.rank, pair.l_space, pair.theta)
+    m_theta = complex_cohomology(inner.space, inner.d)
+    for cdga in (trivial_cdga(), interval_cdga(), exterior_cdga(Fraction(5, 3))):
+        a = complex_cohomology(cdga.space, cdga.d)
+        c = complex_C_cohomology(pair, cdga)
+        top = max(a.degrees()) + max(m_theta.degrees())
+        for n in range(-1, top + 2):
+            expected = sum(a.dimension(p) * m_theta.dimension(n - p) for p in a.degrees())
+            assert c.dimension(n) == expected, (cdga.space, n)
+
+
+def ad_rank(theta_l, rank):
+    """The rank of X -> theta_l X - X theta_l on r x r matrices, by the
+    tests' own Fraction elimination."""
+    columns = [
+        [
+            (theta_l[i][a] if j == b else 0) - (theta_l[b][j] if i == a else 0)
+            for i in range(rank)
+            for j in range(rank)
+        ]
+        for a in range(rank)
+        for b in range(rank)
+    ]
+    return len(fraction_rref(columns, rank * rank)[1])
+
+
+@pytest.mark.parametrize(
+    "pair", [p for p in kunneth_pairs() if len(p.values[0].l_space.names) == 1]
+)
+def test_first_order_deformations_match_biswas_ramanan(pair):
+    """With dim L = 1 and the trivial CDGA, M_theta is the two-term complex
+    ad(theta_l): gl_r -> gl_r (x) l, so dim H^0 = dim H^1 = r^2 - rank ad
+    (4, 2 and 4 on the shipped zero, nilpotent and rank-4 pairs)."""
+    (letter,) = pair.l_space.names
+    theta_l = [[pair.theta[i][j][letter] for j in range(pair.rank)] for i in range(pair.rank)]
+    expected = pair.rank ** 2 - ad_rank(theta_l, pair.rank)
+    summary = complex_C_cohomology(pair, trivial_cdga())
+    assert summary.dimension(0) == summary.dimension(1) == expected
+
