@@ -83,6 +83,11 @@ CASES = [
     # every order past 1 is empty: the nilpotent pair's bracket vanishes
     ["mc-solve", S + "hitchin_r2_nilpotent.json", S + "cdga_interval.json",
      "--order", "8"],
+    # two letters in L, so the wedge products of the construction are met
+    ["cohomology", G + "hitchin_r2_two_letters.json", G + "cdga_exterior_two.json"],
+    ["hitchin-build", G + "hitchin_r2_two_letters.json"],
+    ["hitchin-verify", G + "hitchin_r2_two_letters.json", G + "cdga_exterior_two.json",
+     "--weight", "2"],
 ]
 
 
