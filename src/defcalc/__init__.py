@@ -17,11 +17,14 @@ linalg   the one exact row reduction, rref, fraction-free on integer rows;
 artin    finite-dimensional local base rings (truncated polynomial style)
          and elements of m (x) V, keyed vectors on graded's arithmetic.
 dgla     differential graded Lie and commutative algebras, their axiom
-         checkers (degrees included), tensor and Hom constructions, the
-         bracket on L (x) m_A grouped by name, Maurer-Cartan residuals,
-         gauge action, BCH, and one per-monomial cohomology lift behind
-         order-by-order solving (obstruction classes in H^2 from order-k
-         residuals) and gauge equivalence (order-k differences in H^1).
+         checkers (degrees included), the tensor construction and one
+         construction of matrices over an exterior algebra twisted by a
+         degree-1 element (End(V, d) over Q, gl_r (x) Lambda L with
+         [theta, -]), the bracket on L (x) m_A grouped by name,
+         Maurer-Cartan residuals, gauge action, BCH, and one per-monomial
+         cohomology lift behind order-by-order solving (obstruction
+         classes in H^2 from order-k residuals) and gauge equivalence
+         (order-k differences in H^1).
 linfty   the same homotopical data as coderivations of the reduced
          symmetric coalgebra: codifferential and morphism checks through a
          chosen weight, which build the defect from the bracket tables and
@@ -33,12 +36,12 @@ linfty   the same homotopical data as coderivations of the reduced
          elements and homotopies over a polynomial-in-t extension of the
          base, where a gauge witness a gives the homotopy exp(t a) . x.
 hitchin  the matrix-valued models: a square matrix of anticommuting
-         one-letter forms with theta ^ theta = 0, the associated dgla, the
-         family of trace maps into an abelian target (one sparse matrix
-         product, behind the theta ^ theta check and the powers of theta;
-         one closed-form trace of matrix-unit words), the Hitchin map as
-         the pushforward along that morphism split by Sym power, and the
-         obstruction-kernel consequence.
+         one-letter forms with theta ^ theta = 0, its dgla from dgla's
+         matrix construction, the family of trace maps into an abelian
+         target (one sparse matrix product, behind the theta ^ theta check
+         and the powers of theta; one closed-form trace of matrix-unit
+         words), the Hitchin map as the pushforward along that morphism
+         split by Sym power, and the obstruction-kernel consequence.
 cli      batch front end over JSON documents with deterministic reports.
 """
 

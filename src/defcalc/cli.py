@@ -683,14 +683,14 @@ def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
         report, code = run_command(args.command, args)
+        report["status"] = "pass" if code == 0 else "fail"
+        text = _dumps(report) + "\n"
     except ValueError as exc:  # rejected input: CliError or a library check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault in defcalc itself, not a failed check
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    report["status"] = "pass" if code == 0 else "fail"
-    text = _dumps(report) + "\n"
     sys.stdout.write(text)
     if args.report is not None:
         try:

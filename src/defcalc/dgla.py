@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
-from .graded import _square_violations, complex_cohomology, int_view, mapping_items
+from .graded import _square_violations, complex_cohomology, int_view, mapping_items, wedge_word
 
 ONE = Fraction(1)
 
@@ -434,56 +435,113 @@ def tensor_cdga_dgla(cdga, dgla):
     return Dgla._from_canonical(space, differential, brackets)
 
 
+def _matrix_tables(index, letters, x, name):
+    """(space, d, brackets) of the matrices over the exterior algebra on
+    letters (Q without letters), twisted by x; the bracket table is complete.
+
+    index lists the (label, degree) of rows and columns.  a (x) E_ij, for a
+    word a and labels i, j, is named name(a, i, j) and has degree |a| + |i|
+    - |j|, letters in degree 1; the basis runs over words by length, then
+    rows, then columns.  (a (x) M)(b (x) N) = (-1)^(|M||b|) ab (x) MN, the
+    bracket is the graded commutator and d f = x f - (-1)^|f| f x for the
+    degree-1 x = sum_a a (x) X_a, given as x[a][j] = {i: (X_a)_ij}.  Only
+    nonzero entries are formed, in a fixed order: f = a (x) E_ij meets the
+    g = b (x) E_kl with k = j or l = i in basis order, fg term first; a
+    column of d takes x's components in order, each with its left products
+    in the order of its column, then its right products in index order.
+    """
+    order = {letter: p for p, letter in enumerate(letters)}
+    words = [w for q in range(len(letters) + 1) for w in combinations(letters, q)]
+    products = {}  # products[(a, b)] = (word, c, -c) when ab = c word != 0
+    for a in words:
+        for b in words:
+            word, sign = wedge_word(a + b, order)
+            if sign:
+                products[(a, b)] = (word, ONE, -ONE) if sign > 0 else (word, -ONE, ONE)
+    labels = [i for i, _ in index]
+    odd = {i: deg % 2 for i, deg in index}
+    names, basis = {}, []  # names[a][i][j] = name(a, i, j)
+    for a in words:
+        names[a] = {i: {j: name(a, i, j) for j in labels} for i in labels}
+        basis += [(names[a][i][j], len(a) + di - dj) for i, di in index for j, dj in index]
+    space = GradedSpace(basis)
+
+    parts = [  # (a, columns of X_a, rows of X_a in index order, |X_a| odd)
+        (a, cols, {i: [(j, cols[j][i]) for j in labels if i in cols.get(j, ())] for i in labels},
+         1 - len(a) % 2)
+        for a, cols in x.items()
+    ]
+    columns = {}
+    for b in words:
+        b_odd = len(b) % 2
+        for i in labels:
+            for j in labels:
+                e_odd = odd[i] ^ odd[j]
+                col = {}
+                for a, cols, rows, m_odd in parts:
+                    hit = products.get((a, b))
+                    if hit is None:  # then ba = 0 too
+                        continue
+                    word, c, minus = hit
+                    at = names[word]
+                    s = minus if m_odd and b_odd else c  # x f
+                    for p, cx in cols.get(i, {}).items():
+                        accumulate(col, at[p][j], s * cx)
+                    _, c, minus = products[(b, a)]  # - (-1)^|f| f x
+                    s = c if b_odd ^ e_odd ^ (e_odd and len(a) % 2) else minus
+                    row = at[i]
+                    for q, cx in rows.get(j, ()):
+                        accumulate(col, row[q], s * cx)
+                if col:
+                    columns[names[b][i][j]] = GradedVector.from_nonzero(col)
+    differential = GradedMap(space, space, 1)  # homogeneous as x has degree 1
+    differential.columns = columns
+
+    brackets = {}
+    for a in words:
+        for i in labels:
+            for j in labels:
+                f, e_odd = names[a][i][j], odd[i] ^ odd[j]
+                for b in words:
+                    hit = products.get((a, b))
+                    if hit is None:
+                        continue
+                    # [f, g] = fg - (-1)^(|f||g|) gf, where gf = +-ab (x) E_kj
+                    word, c, minus = hit
+                    if e_odd and len(b) % 2:
+                        c, minus = minus, c
+                    at, g_names = names[word], names[b]
+                    for k in labels:
+                        for l in labels if k == j else (i,):
+                            out = {at[i][l]: c} if k == j else {}
+                            if l == i:
+                                gf = c if e_odd and odd[k] ^ odd[l] else minus
+                                accumulate(out, at[k][j], gf)
+                            if out:
+                                brackets[(f, g_names[k][l])] = GradedVector.from_nonzero(out)
+    return space, differential, brackets
+
+
 def hom_name(target, source):
     return f"E[{target},{source}]"
 
 
 def hom_dgla(space, differential):
-    """Endomorphism dgla of a complex (V, d).
-
-    Basis maps E[w, v] send v to w and have degree |w| - |v|; the bracket is
-    the graded commutator and the differential is [d, -].  Both come from
-    E[w, v] E[y, x] = [v = y] E[w, x]: the nonzero brackets of f = E[w, v]
-    are those with g = E[v, x] or g = E[y, w], met in basis order, and
-    [d, f] = d f - (-1)^|f| f d reads the column d(w) and the row of d at v.
+    """Endomorphism dgla of a complex (V, d): the matrices over Q on V,
+    twisted by d (see _matrix_tables).  E[w, v] sends v to w and has degree
+    |w| - |v|; the bracket is the graded commutator, the differential [d, -].
     """
     d = differential
     if d.degree != 1:
         raise ValueError("differential must have degree +1")
-    names, deg = space.names, space.degrees
-    hom_space = GradedSpace([(hom_name(w, v), deg[w] - deg[v]) for w in names for v in names])
-
-    brackets = {}
-    for w in names:
-        for v in names:
-            f, f_odd = hom_name(w, v), (deg[w] - deg[v]) % 2
-            for y in names:
-                for x in names if y == v else (w,):
-                    # [f, g] = [v = y] E[w, x] - (-1)^(|f||g|) [x = w] E[y, v]
-                    out = {hom_name(w, x): ONE} if y == v else {}
-                    if x == w:
-                        sign = ONE if f_odd and (deg[y] - deg[x]) % 2 else -ONE
-                        accumulate(out, hom_name(y, v), sign)
-                    if out:
-                        brackets[(f, hom_name(y, x))] = GradedVector.from_nonzero(out)
-
-    rows = {}  # rows[v] = [(src, d(src)[v])] in basis order
-    for src in names:
-        for v, c in d.column(src).coeffs.items():
-            rows.setdefault(v, []).append((src, c))
-    columns = {}
-    for w in names:
-        dw = d.column(w).coeffs
-        for v in names:
-            # [d, f] = d f - (-1)^|f| f d
-            col = {hom_name(w2, v): c for w2, c in dw.items()}
-            odd = (deg[w] - deg[v]) % 2
-            for src, c in rows.get(v, ()):
-                col[hom_name(w, src)] = c if odd else -c
-            if col:
-                columns[hom_name(w, v)] = GradedVector.from_nonzero(col)
+    deg = space.degrees
+    columns = {v: d.column(v).coeffs for v in space.names}
+    for v, col in columns.items():
+        if any(deg.get(w) != deg[v] + 1 for w in col):
+            raise ValueError(f"d({v}) is not in degree {deg[v] + 1} of the space")
+    index = [(v, deg[v]) for v in space.names]
     return Dgla._from_canonical(
-        hom_space, GradedMap(hom_space, hom_space, 1, columns), brackets
+        *_matrix_tables(index, (), {(): columns}, lambda _, w, v: hom_name(w, v))
     )
 
 

@@ -21,14 +21,12 @@ matrix noncommutativity is kept; all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 
 from .artin import ArtinVector
-from .dgla import Dgla, mc_residual, tensor_cdga_dgla, tensor_name
+from .dgla import Dgla, _matrix_tables, mc_residual, tensor_cdga_dgla, tensor_name
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_int, int_view, wedge_word
 from .linfty import LInftyMorphism, linfty_from_dgla, pushforward_series
-
-ONE = Fraction(1)
 
 
 class HiggsFieldError(ValueError):
@@ -124,92 +122,21 @@ class HitchinPair:
 
 
 def matrix_wedge_dgla(rank, l_space, theta):
-    """The dgla gl_r (x) Lambda L with differential [theta, -].
-
-    Lambda^q sits in degree q; the bracket is
-        [phi (x) h, psi (x) w] = phi psi (x) h^w - (-1)^{|h||w|} psi phi (x) w^h
-    and the differential sends psi (x) w to sum_a [theta_a, psi] (x) l_a^w.
-    Both tables hold nonzero entries only: E_ij (x) h meets only the
-    E_kl (x) w with k = j or l = i, and each wedge h^w is formed once.
-    No theta^theta check happens here: a bad theta shows up as d^2 != 0
-    under check_dgla, which callers may rely on.
+    """The dgla gl_r (x) Lambda L with differential [theta, -]: the matrices
+    over Lambda L (Lambda^q in degree q) twisted by theta = sum_a theta_a (x)
+    l_a, named Eij^l1^l2 (see dgla._matrix_tables).  theta must be r x r,
+    or ValueError.  No theta^theta check happens here: a bad theta shows up
+    as d^2 != 0 under check_dgla, which callers may rely on.
     """
-    l_names = l_space.names
-    order = {name: p for p, name in enumerate(l_names)}
-    combos = [c for q in range(len(l_names) + 1) for c in combinations(l_names, q)]
-    basis = []
-    parts = []  # (name, (i, j, combo)) in basis order
-    names = {}
-    for combo in combos:
-        for i in range(1, rank + 1):
-            for j in range(1, rank + 1):
-                name = names[(i, j, combo)] = matrix_name(i, j) + wedge_suffix(combo)
-                basis.append((name, len(combo)))
-                parts.append((name, (i, j, combo)))
-    space = GradedSpace(basis)
-    # wedge[(h, w)] = (canonical word of h^w, its sign, minus its sign)
-    # when h^w != 0; w^h has the same word and sign (-1)^{|h||w|} times it
-    wedge = {}
-    for h in combos:
-        for w in combos:
-            word, sign = wedge_word(h + w, order)
-            if sign:
-                wedge[(h, w)] = (word, ONE, -ONE) if sign > 0 else (word, -ONE, ONE)
-
-    entries = tuple(
-        tuple(_entry_vector(theta[p][q], l_space) for q in range(rank))
-        for p in range(rank)
-    )
-    theta_mats = {
-        l: [[entries[p][q][l] for q in range(rank)] for p in range(rank)]
-        for l in l_names
-    }
-
-    columns = {}
-    for name, (i, j, combo) in parts:
-        col = {}
-        for l in l_names:
-            hit = wedge.get(((l,), combo))
-            if hit is None:
-                continue
-            word, sign, _ = hit
-            tmat = theta_mats[l]
-            # [theta_l, E_ij] = sum_p tmat[p][i] E_pj - sum_q tmat[j][q] E_iq
-            for p in range(1, rank + 1):
-                c = tmat[p - 1][i - 1]
-                if c:
-                    accumulate(col, names[(p, j, word)], c * sign)
-            for q in range(1, rank + 1):
-                c = tmat[j - 1][q - 1]
-                if c:
-                    accumulate(col, names[(i, q, word)], -c * sign)
-        if col:
-            columns[name] = GradedVector.from_nonzero(col)
-    differential = GradedMap(space, space, 1, columns)
-
-    by_row, by_col = {}, {}
-    for pos, (_, (i, j, _)) in enumerate(parts):
-        by_row.setdefault(i, []).append(pos)
-        by_col.setdefault(j, []).append(pos)
-    brackets = {}
-    for na, (i, j, h) in parts:
-        for pos in sorted({*by_row.get(j, ()), *by_col.get(i, ())}):
-            nb, (k, l, w) = parts[pos]
-            hit = wedge.get((h, w))
-            if hit is None:
-                continue
-            # E_ij E_kl (x) h^w - (-1)^{|h||w|} E_kl E_ij (x) w^h
-            word, sign, minus = hit
-            entry = {}
-            if j == k:
-                entry[names[(i, l, word)]] = sign
-            if l == i:
-                key = names[(k, j, word)]
-                if entry.pop(key, None) is None:  # i = j = k = l cancels
-                    entry[key] = minus
-            if entry:
-                brackets[(na, nb)] = GradedVector.from_nonzero(entry)
-    return Dgla._from_canonical(space, differential, brackets)
+    x = {(l,): {} for l in l_space.names}  # x[(l,)][j][i] = (theta_l)_ij
+    for (i, j), entry in _sym_matrix(theta, rank, l_space).items():
+        for word, c in entry.items():
+            x[word].setdefault(j + 1, {})[i + 1] = c
+    index = [(i, 0) for i in range(1, rank + 1)]
+    return Dgla._from_canonical(*_matrix_tables(
+        index, l_space.names, {a: cols for a, cols in x.items() if cols},
+        lambda a, i, j: matrix_name(i, j) + wedge_suffix(a),
+    ))
 
 
 def build_hitchin_dgla(pair, cdga):

@@ -68,6 +68,25 @@ def test_internal_fault_has_its_own_exit_code(capsys, monkeypatch, tmp_path):
     assert "Traceback" not in captured.err
 
 
+def test_report_the_writer_refuses_is_an_internal_fault(capsys, monkeypatch, tmp_path):
+    from fractions import Fraction
+
+    from defcalc import cli
+
+    _, slots = cli._COMMANDS["check-dgla"]
+    monkeypatch.setitem(
+        cli._COMMANDS, "check-dgla", (lambda args, *kernels: ({"x": Fraction(1, 2)}, True), slots)
+    )
+    report = tmp_path / "report.json"
+    code = main(["check-dgla", sample("dgla_obstructed.json"), "--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not report.exists()
+    assert captured.err == (
+        "internal error: TypeError: Object of type Fraction is not JSON serializable\n"
+    )
+
+
 def test_check_dgla_failure_exit_code(capsys, tmp_path):
     path = write(
         tmp_path,

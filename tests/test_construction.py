@@ -19,7 +19,10 @@ from defcalc.dgla import (
     Cdga,
     Dgla,
     _complete_skew,
+    _matrix_tables,
+    check_dgla,
     hom_dgla,
+    hom_name,
     tensor_cdga_dgla,
     tensor_name,
     trivial_cdga,
@@ -348,6 +351,35 @@ def test_wrong_degree_dgla_raises_the_same_error():
             oracle_linfty_from_dgla(wrong)
         assert str(new.value) == str(old.value)
         assert message in str(new.value)
+
+
+def entries(table):
+    return {key: dict(vec.coeffs) for key, vec in table.items()}
+
+
+def test_matrices_over_an_exterior_algebra_on_a_graded_index():
+    """Where odd letters meet odd matrix units, the signs of _matrix_tables
+    are those of Lambda(w1, w2) (x) End(V) built by tensor_cdga_dgla; the
+    central w1 (x) 1 adds nothing to d, and w1 (x) N twists to a dgla."""
+    space = GradedSpace([("u0", 0), ("v", 1), ("u1", 0), ("z", 2)])
+    d = {"u0": {"v": Fraction(1)}, "u1": {"v": Fraction(2)}}
+    index = [(name, space.degree(name)) for name in space.names]
+    words = {(): "1", ("w1",): "w1", ("w2",): "w2", ("w1", "w2"): "w12"}
+
+    def name(a, w, v):
+        return tensor_name(words[a], hom_name(w, v))
+
+    end = hom_dgla(space, GradedMap(space, space, 1, d))
+    tensor = tensor_cdga_dgla(exterior_cdga(Fraction(1)), end)
+    identity = {v: {v: Fraction(1)} for v in space.names}
+    for x in ({(): d}, {(): d, ("w1",): identity}):
+        built, differential, brackets = _matrix_tables(index, ("w1", "w2"), x, name)
+        assert built == tensor.space
+        assert entries(differential.columns) == entries(tensor.d.columns)
+        assert entries(brackets) == entries(tensor.brackets)
+    n = {"u1": {"u0": Fraction(3)}, "v": {"v": Fraction(-1)}}
+    twisted = Dgla._from_canonical(*_matrix_tables(index, ("w1", "w2"), {("w1",): n}, name))
+    assert twisted.d.columns and check_dgla(twisted).ok
 
 
 # ---------------------------------------------------------------------------

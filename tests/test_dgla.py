@@ -671,17 +671,67 @@ def table_items(table):
     return [(key, list(vec.coeffs.items())) for key, vec in table.items()]
 
 
+def shuffled_columns(rng, space, d):
+    """d with the entries of each column of two or more listed in a random
+    order other than their own."""
+    columns = {}
+    for name, column in d.columns.items():
+        items = list(column.coeffs.items())
+        rng.shuffle(items)
+        if items == list(column.coeffs.items()):
+            items.reverse()
+        columns[name] = dict(items)
+    return GradedMap(space, space, 1, columns)
+
+
+def dense_two_term_complex(rng):
+    """V^0 -> V^1 with every entry of d nonzero, the basis shuffled."""
+    sources = [f"a{i}" for i in range(rng.randint(2, 3))]
+    targets = [f"b{i}" for i in range(rng.randint(2, 3))]
+    basis = [(name, 0) for name in sources] + [(name, 1) for name in targets]
+    rng.shuffle(basis)
+    space = GradedSpace(basis)
+    columns = {a: {b: rng.choice([-2, -1, 1, 3]) for b in targets} for a in sources}
+    return space, GradedMap(space, space, 1, columns)
+
+
 def test_hom_dgla_matches_dense_oracle():
-    rng = random.Random(4040)
-    sizes = set()
-    for _ in range(300):
-        space, d = random_complex(rng, max_dim=2)
-        h, oracle = hom_dgla(space, d), dense_hom_dgla(space, d)
-        assert h.space == oracle.space
-        assert table_items(h.brackets) == table_items(oracle.brackets)
-        assert table_items(h.d.columns) == table_items(oracle.d.columns)
+    # random_complex lists every column of d in basis order, and [d, f] lists
+    # d f in the order of d's column; so each complex is also given with its
+    # columns shuffled, and dense two-term complexes are added
+    rng, shuffle = random.Random(4040), random.Random(4041)
+    complexes = [random_complex(rng, max_dim=2) for _ in range(300)]
+    complexes += [dense_two_term_complex(shuffle) for _ in range(30)]
+    sizes, out_of_order = set(), 0
+    for space, d in complexes:
+        shuffled = shuffled_columns(shuffle, space, d)
+        out_of_order += sum(
+            list(column.coeffs) != list(d.columns[name].coeffs)
+            for name, column in shuffled.columns.items()
+        )
+        for d in (d, shuffled):
+            h, oracle = hom_dgla(space, d), dense_hom_dgla(space, d)
+            assert h.space == oracle.space
+            assert table_items(h.brackets) == table_items(oracle.brackets)
+            assert table_items(h.d.columns) == table_items(oracle.d.columns)
         sizes.add(len(space))
     assert {0, 1, 6} <= sizes
+    assert out_of_order >= 100
+
+
+def test_hom_dgla_rejects_a_differential_that_leaves_the_space():
+    space = GradedSpace([("u", 0), ("v", 1)])
+    larger = GradedSpace([("u", 0), ("v", 1), ("w", 1)])
+    with pytest.raises(ValueError):  # d u = w, outside V
+        hom_dgla(space, GradedMap(space, larger, 1, {"u": {"w": 1}}))
+    shifted = GradedSpace([("u", 0), ("v", 2)])
+    with pytest.raises(ValueError):  # d u = v, but v has degree 2 in V
+        hom_dgla(shifted, GradedMap(shifted, space, 1, {"u": {"v": 1}}))
+    # into the larger space with its image inside V, d gives End(V, d)
+    h = hom_dgla(space, GradedMap(space, larger, 1, {"u": {"v": 1}}))
+    assert table_items(h.d.columns) == table_items(
+        hom_dgla(space, GradedMap(space, space, 1, {"u": {"v": 1}})).d.columns
+    )
 
 
 # ---------------------------------------------------------------------------

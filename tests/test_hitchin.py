@@ -704,6 +704,10 @@ def kunneth_pairs():
             parse_document(os.path.join(golden, "hitchin_r4_nilpotent.json")).kernel,
             id="r4-nilpotent",
         ),
+        pytest.param(
+            parse_document(os.path.join(golden, "hitchin_r2_two_letters.json")).kernel,
+            id="r2-two-letters",
+        ),
     ]
     rng = random.Random(1313)
     for rank in (2, 3, 4):
@@ -731,19 +735,28 @@ def test_hitchin_cohomology_is_the_kunneth_product(pair):
             assert c.dimension(n) == expected, (cdga.space, n)
 
 
-def ad_rank(theta_l, rank):
-    """The rank of X -> theta_l X - X theta_l on r x r matrices, by the
-    tests' own Fraction elimination."""
+def letter_matrices(pair):
+    """theta_l for each letter l, theta = sum over l of theta_l (x) l."""
+    r = pair.rank
+    return [
+        [[pair.theta[i][j][l] for j in range(r)] for i in range(r)] for l in pair.l_space.names
+    ]
+
+
+def ad_rank(thetas, rank):
+    """The rank of X -> (theta_l X - X theta_l) over the stacked theta_l on
+    r x r matrices, by the tests' own Fraction elimination."""
     columns = [
         [
             (theta_l[i][a] if j == b else 0) - (theta_l[b][j] if i == a else 0)
+            for theta_l in thetas
             for i in range(rank)
             for j in range(rank)
         ]
         for a in range(rank)
         for b in range(rank)
     ]
-    return len(fraction_rref(columns, rank * rank)[1])
+    return len(fraction_rref(columns, len(thetas) * rank * rank)[1])
 
 
 @pytest.mark.parametrize(
@@ -753,9 +766,24 @@ def test_first_order_deformations_match_biswas_ramanan(pair):
     """With dim L = 1 and the trivial CDGA, M_theta is the two-term complex
     ad(theta_l): gl_r -> gl_r (x) l, so dim H^0 = dim H^1 = r^2 - rank ad
     (4, 2 and 4 on the shipped zero, nilpotent and rank-4 pairs)."""
-    (letter,) = pair.l_space.names
-    theta_l = [[pair.theta[i][j][letter] for j in range(pair.rank)] for i in range(pair.rank)]
-    expected = pair.rank ** 2 - ad_rank(theta_l, pair.rank)
+    expected = pair.rank ** 2 - ad_rank(letter_matrices(pair), pair.rank)
     summary = complex_C_cohomology(pair, trivial_cdga())
     assert summary.dimension(0) == summary.dimension(1) == expected
 
+
+@pytest.mark.parametrize(
+    "pair", [p for p in kunneth_pairs() if len(p.values[0].l_space.names) > 1]
+)
+def test_two_letter_cohomology_over_the_trivial_cdga(pair):
+    """With m = dim L > 1 and the trivial CDGA, M_theta = gl_r (x) Lambda L
+    with d = [theta, -].  H^0 is the common centralizer of the theta_l, so
+    dim H^0 = r^2 - rank of the stacked ad(theta_l); the Euler characteristic
+    is r^2 (1 - 1)^m = 0; and the pairing tr(XY) times the Lambda^m L part of
+    a ^ b is perfect, with d skew for it, so dim H^q = dim H^(m - q)."""
+    m = len(pair.l_space.names)
+    summary = complex_C_cohomology(pair, trivial_cdga())
+    dims = [summary.dimension(q) for q in range(m + 1)]
+    assert dims[0] == pair.rank ** 2 - ad_rank(letter_matrices(pair), pair.rank)
+    assert sum((-1) ** q * dim for q, dim in enumerate(dims)) == 0
+    assert dims == dims[::-1]
+    assert set(summary.degrees()) <= set(range(m + 1))

@@ -283,6 +283,8 @@ FINDINGS = {
         ValueError),
     "1 x 1 matrix for a rank-2 pair": (
         lambda: g_coefficient(1, [({"1": 1}, [[{}]])], PAIR, CDGA), ValueError),
+    "1 x 1 theta for a rank-2 matrix_wedge_dgla": (
+        lambda: matrix_wedge_dgla(2, GradedSpace(L_BASIS), [[{}]]), ValueError),
     "form over an unknown CDGA name": (
         lambda: g_coefficient(1, [({"zz": 1}, [[{"l1": 1}, {}], [{}, {}]])], PAIR, CDGA),
         ValueError),
