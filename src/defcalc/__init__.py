@@ -8,10 +8,10 @@ layers, bottom up:
 
 graded   signed multilinear algebra: graded spaces, the one sparse
          vector arithmetic (accumulate, and the base GradedVector and
-         ArtinVector share), bilinear extension, the sign-tracking sort
-         behind Koszul signs and exterior words, cochain cohomology with
-         class projection and lift from one solve per degree, built when
-         first read (its transform on the first lift).
+         ArtinVector share), bilinear extension, the one signed merge
+         behind Koszul signs, exterior and canonical words, cochain
+         cohomology with class projection and lift from one solve per
+         degree, built when first read (its transform on the first lift).
 linalg   the one exact row reduction, rref, fraction-free on integer rows;
          the kernel and prepared-solve routines read its output.
 artin    finite-dimensional local base rings (truncated polynomial style)
@@ -29,12 +29,14 @@ linfty   the same homotopical data as coderivations of the reduced
          symmetric coalgebra: codifferential and morphism checks through a
          chosen weight, which build the defect from the bracket tables and
          report the failing word's table-built value, its names in basis
-         order; one word merge behind every sign of a product of words,
-         the morphism's weight-j parts included, which recurse on the
-         block of the first letter; and one nilpotent power series behind
-         the Maurer-Cartan residual, the pushforward of Maurer-Cartan
-         elements and homotopies over a polynomial-in-t extension of the
-         base, where a gauge witness a gives the homotopy exp(t a) . x.
+         order; basis words read off the letter combinations in canonical
+         order, not re-sorted; graded's merge behind every sign of a
+         product of words, the morphism's weight-j parts included, which
+         recurse on the block of the first letter; and one nilpotent power
+         series behind the Maurer-Cartan residual, the pushforward of
+         Maurer-Cartan elements and homotopies over a polynomial-in-t
+         extension of the base, where a gauge witness a gives the homotopy
+         exp(t a) . x.
 hitchin  the matrix-valued models: a square matrix of anticommuting
          one-letter forms with theta ^ theta = 0, its dgla from dgla's
          matrix construction, the family of trace maps into an abelian

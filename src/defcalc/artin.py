@@ -28,6 +28,13 @@ def monomial_key(monomial):
     return (sum(monomial), monomial)
 
 
+def _variables(variables):
+    """The variable names as a tuple; a string raises TypeError."""
+    if isinstance(variables, str):
+        raise TypeError(f"variables must be a collection of names, got {variables!r}")
+    return tuple(variables)
+
+
 def _exponent(e, mono):
     """e itself when it is a non-bool, non-negative int; never rounded."""
     if as_int(e, "monomial exponent") < 0:
@@ -39,7 +46,7 @@ class ArtinAlgebra:
     """Local Artinian algebra presented by variables and surviving monomials."""
 
     def __init__(self, variables, monomials):
-        self.variables = tuple(variables)
+        self.variables = _variables(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         m = len(self.variables)
@@ -107,7 +114,7 @@ def make_artin(variables, truncation):
     closed set containing 1.  An integer truncation that would keep more
     than MAX_MONOMIALS monomials raises ValueError before any is built.
     """
-    variables = tuple(variables)
+    variables = _variables(variables)
     if isinstance(truncation, bool):
         raise TypeError("truncation must be an int or monomials, got bool")
     if isinstance(truncation, int):

@@ -757,10 +757,11 @@ def mc_solve(dgla, algebra, directions=None):
         for key, c in seed.coeffs.items():
             split[monomial_degree(key[0])][key] = c
         parts = [ArtinVector.from_nonzero(p) for p in split]
+        below = [1] if max_order and parts[1] else []  # orders below k with a term, ascending
         corrections = {}  # no two corrections share a key, so update sums them
         blocked = False
         for order in range(2, max_order + 1):
-            pairs = [i for i in range(1, order) if parts[i] and parts[order - i]]
+            pairs = [i for i in below if parts[order - i]]
             if not pairs and not parts[order]:
                 continue  # the order-k residual is zero
             quadratic = ArtinVector()
@@ -782,6 +783,8 @@ def mc_solve(dgla, algebra, directions=None):
                 raise AssertionError(f"order {order} residual is nonzero after its corrections")
             parts[order] = parts[order] + fix
             corrections.update(fix.coeffs)
+            if parts[order]:
+                below.append(order)
         solutions.append(None if blocked else seed + ArtinVector.from_nonzero(corrections))
     return McSolveResult(summary, directions, events, solutions)
 

@@ -49,26 +49,6 @@ def int_view(coeffs):
     return {k: c.numerator if c.denominator == 1 else c for k, c in coeffs.items()}
 
 
-def signed_sort_keyed(seq):
-    """Sort a list of (key, odd, item) triples in place by key with adjacent
-    swaps: (tuple of the sorted items, sign).
-
-    Each swap of two odd items flips the sign; equal keys are never swapped.
-    This is the Koszul sign of the sorting permutation.
-    """
-    sign = 1
-    for i in range(1, len(seq)):
-        cur = seq[i]
-        j = i
-        while j and seq[j - 1][0] > cur[0]:
-            if cur[1] and seq[j - 1][1]:
-                sign = -sign
-            seq[j] = seq[j - 1]
-            j -= 1
-        seq[j] = cur
-    return tuple([x for _, _, x in seq]), sign
-
-
 def as_fraction(value):
     """value as a Fraction: a Fraction, an int (not a bool), or a string
     "p", "p/q" or a plain decimal.
@@ -322,6 +302,48 @@ class GradedMap:
         )
 
 
+def _merge_words(word, tail, sdeg):
+    """word . tail for canonical words: (canonical word, Koszul sign), or
+    None when a letter of odd sdeg is in both.
+
+    The one signed reordering.  Canonical words are ordered by (sdeg,
+    name), and a swap of two letters of odd sdeg costs a sign.  A merge
+    that puts a tail letter first on a tie: each letter of word passes over
+    the tail letters placed before it, a sign for every odd pair.
+    """
+    merged = []
+    parity = placed = 0
+    n = len(tail)
+    for name in word:
+        key = (sdeg[name], name)
+        while placed < n and (sdeg[tail[placed]], tail[placed]) <= key:
+            merged.append(tail[placed])
+            placed += 1
+        if sdeg[name] % 2:
+            if placed and tail[placed - 1] == name:
+                return None
+            parity += sum([sdeg[t] % 2 for t in tail[:placed]])
+        merged.append(name)
+    merged.extend(tail[placed:])
+    return tuple(merged), -1 if parity % 2 else 1
+
+
+def normalize_word(names, sdeg):
+    """Canonical form of a symmetric word: (sorted tuple, Koszul sign), from
+    one _merge_words per letter.
+
+    Returns (None, 0) when the word vanishes because a letter of odd sdeg
+    repeats.
+    """
+    word, sign = (), 1
+    for name in names:
+        merged = _merge_words(word, (name,), sdeg)
+        if merged is None:
+            return None, 0
+        word, sign = merged[0], sign * merged[1]
+    return word, sign
+
+
 def koszul_sign(perm, degrees):
     """Sign relating a reordered product of graded factors to the original.
 
@@ -329,14 +351,15 @@ def koszul_sign(perm, degrees):
     positions; degrees[i] is the degree of the factor originally at position
     i + 1.  Sorting the permutation back by adjacent transpositions, each
     swap of factors of degrees p, q contributes (-1)^(p*q).  Composition of
-    permutations multiplies the signs.
+    permutations multiplies the signs.  It is normalize_word's sign on the
+    positions, p keyed 2p + its degree mod 2: position order, degree parity.
     """
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
     if len(degrees) != n:
         raise ValueError("degrees must match the permutation length")
-    return signed_sort_keyed([(p, degrees[p - 1] % 2, p) for p in perm])[1]
+    return normalize_word(perm, {p: 2 * p + degrees[p - 1] % 2 for p in perm})[1]
 
 
 def bilinear(table, x, y):
@@ -354,12 +377,11 @@ def bilinear(table, x, y):
 def wedge_word(names, order_index):
     """Canonical form of an exterior word: (sorted tuple, sign), or (None, 0).
 
-    Generators are ordered by order_index and all have exterior degree 1, so
-    reordering costs the permutation sign and a repeated generator kills it.
+    Generators are ordered by order_index and all have exterior degree 1:
+    the key 2i + 1 of generator i is odd and in that order, so reordering
+    costs the permutation sign and a repeated generator kills the word.
     """
-    if len(set(names)) != len(names):
-        return None, 0
-    return signed_sort_keyed([(order_index[name], True, name) for name in names])
+    return normalize_word(names, {name: 2 * order_index[name] + 1 for name in names})
 
 
 # ---------------------------------------------------------------------------

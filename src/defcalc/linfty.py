@@ -22,7 +22,7 @@ from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
 from .dgla import CheckReport, GaugeResult, gauge_act
 from .graded import GradedSpace, GradedVector, accumulate
 from .graded import as_fraction, as_int, int_view, mapping_items
-from .graded import signed_sort_keyed
+from .graded import _merge_words, normalize_word
 
 ONE = Fraction(1)
 
@@ -36,56 +36,21 @@ def word_key(sdeg):
     return lambda name: (sdeg[name], name)
 
 
-def normalize_word(names, sdeg):
-    """Canonical form of a symmetric word: (sorted tuple, Koszul sign).
-
-    Returns (None, 0) when the word vanishes because a letter of odd shifted
-    degree repeats.
-    """
-    seq, sign = signed_sort_keyed([((sdeg[n], n), sdeg[n] % 2, n) for n in names])
-    for a, b in zip(seq, seq[1:]):
-        if a == b and sdeg[a] % 2:
-            return None, 0
-    return seq, sign
-
-
-def _merge_words(word, tail, sdeg):
-    """word . tail for canonical words: (canonical word, Koszul sign), or
-    None when a letter of odd shifted degree is in both.
-
-    A merge by (shifted degree, name) that puts a tail letter first on a
-    tie: each letter of word passes over the tail letters placed before it,
-    a sign for every odd pair.
-    """
-    merged = []
-    parity = placed = 0
-    n = len(tail)
-    for name in word:
-        key = (sdeg[name], name)
-        while placed < n and (sdeg[tail[placed]], tail[placed]) <= key:
-            merged.append(tail[placed])
-            placed += 1
-        if sdeg[name] % 2:
-            if placed and tail[placed - 1] == name:
-                return None
-            parity += sum([sdeg[t] % 2 for t in tail[:placed]])
-        merged.append(name)
-    merged.extend(tail[placed:])
-    return tuple(merged), -1 if parity % 2 else 1
-
-
 def basis_words(space, max_weight, sdeg=None):
-    """All nonzero canonical words of weight 1..max_weight, in scan order."""
+    """All nonzero canonical words of weight 1..max_weight, in scan order.
+
+    Combinations of the letters in canonical order are canonical words
+    already; those that repeat a letter of odd shifted degree vanish.
+    """
     if sdeg is None:
         sdeg = shifted_degrees(space)
     letters = sorted(space.names, key=word_key(sdeg))
-    out = []
-    for n in range(1, max_weight + 1):
-        for combo in combinations_with_replacement(letters, n):
-            word, sign = normalize_word(combo, sdeg)
-            if sign:
-                out.append(word)
-    return out
+    return [
+        combo
+        for n in range(1, max_weight + 1)
+        for combo in combinations_with_replacement(letters, n)
+        if not any(a == b and sdeg[a] % 2 for a, b in zip(combo, combo[1:]))
+    ]
 
 
 def _known_letters(names, sdeg, where):

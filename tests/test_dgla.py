@@ -1008,6 +1008,30 @@ def test_mc_solve_certifies_each_order(monkeypatch):
         mc_solve(model, algebra, [direction])
 
 
+def test_mc_solve_checks_a_number_of_pairs_linear_in_the_order(monkeypatch):
+    """Each order pairs only the lower orders that hold a term, so the
+    nonzero tests of ArtinVector grow by the same count per added order:
+    the Hitchin dgla of the zero pair, whose every order past 2 is empty,
+    and x t, corrected at order 2, whose orders past 4 are empty."""
+    calls = [0]
+    nonzero = ArtinVector.__bool__
+
+    def counting(self):
+        calls[0] += 1
+        return nonzero(self)
+
+    monkeypatch.setattr(ArtinVector, "__bool__", counting)
+    zero = build_hitchin_dgla(sample_kernel("hitchin_r2_zero.json"), trivial_cdga())
+    cases = [(zero, None), (correction_model(), [ArtinVector({((1,), "x"): 1})])]
+    for model, directions in cases:
+        counts = []
+        for order in (200, 400, 600):
+            calls[0] = 0
+            mc_solve(model, make_artin(("t",), order), directions)
+            counts.append(calls[0])
+        assert counts[2] - counts[1] == counts[1] - counts[0]
+
+
 def correction_model(c=3, c_blocked=-2, c_d=5):
     """x, u, y in degree 1, z, h in degree 2, d y = c_d z: [x, x] = c z is
     exact, so x needs a correction at order 2; [u, u] = c_blocked h is a

@@ -21,7 +21,7 @@ from defcalc.graded import (
     as_int,
     complex_cohomology,
     koszul_sign,
-    signed_sort_keyed,
+    normalize_word,
     wedge_word,
 )
 from defcalc.hitchin import build_hitchin_dgla
@@ -188,20 +188,95 @@ def test_wedge_word_frozen():
     assert wedge_word(("a", "a"), order) == (None, 0)
 
 
-def test_signed_sort_counts_odd_inversions():
+def test_normalize_word_counts_odd_inversions():
     rng = random.Random(29)
     for _ in range(300):
-        items = [(rng.randint(0, 4), rng.randint(0, 3)) for _ in range(rng.randint(0, 7))]
-        odd = lambda item: item[1] % 2
-        seq, sign = signed_sort_keyed([(item[0], odd(item), item) for item in items])
-        assert list(seq) == sorted(items, key=lambda item: item[0])
+        sdeg = {name: rng.randint(-1, 3) for name in "abcde"}
+        names = [rng.choice("abcde") for _ in range(rng.randint(0, 7))]
+        word, sign = normalize_word(names, sdeg)
+        key = lambda name: (sdeg[name], name)
+        if any(sdeg[name] % 2 and names.count(name) > 1 for name in names):
+            assert (word, sign) == (None, 0)
+            continue
+        assert list(word) == sorted(names, key=key)
         inversions = sum(
             1
-            for i, a in enumerate(items)
-            for b in items[i + 1:]
-            if a[0] > b[0] and odd(a) and odd(b)
+            for i, a in enumerate(names)
+            for b in names[i + 1:]
+            if key(a) > key(b) and sdeg[a] % 2 and sdeg[b] % 2
         )
         assert sign == (-1) ** inversions
+
+
+# ---------------------------------------------------------------------------
+# The insertion sort that gave every sign before the word merge, as oracle.
+
+
+def signed_sort_keyed(seq):
+    """Sort a list of (key, odd, item) triples in place by key with adjacent
+    swaps: (tuple of the sorted items, sign).  Each swap of two odd items
+    flips the sign; equal keys are never swapped."""
+    sign = 1
+    for i in range(1, len(seq)):
+        cur = seq[i]
+        j = i
+        while j and seq[j - 1][0] > cur[0]:
+            if cur[1] and seq[j - 1][1]:
+                sign = -sign
+            seq[j] = seq[j - 1]
+            j -= 1
+        seq[j] = cur
+    return tuple([x for _, _, x in seq]), sign
+
+
+def sorted_word(names, sdeg):
+    """normalize_word by the insertion sort, then the odd-repeat scan."""
+    seq, sign = signed_sort_keyed([((sdeg[n], n), sdeg[n] % 2, n) for n in names])
+    if any(a == b and sdeg[a] % 2 for a, b in zip(seq, seq[1:])):
+        return None, 0
+    return seq, sign
+
+
+def test_normalize_word_matches_the_insertion_sort():
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(2000):
+        letters = [f"v{i}" for i in range(rng.randint(1, 6))]
+        sdeg = {name: rng.randint(-2, 3) for name in letters}
+        names = [rng.choice(letters) for _ in range(rng.randint(0, 8))]
+        want = sorted_word(names, sdeg)
+        assert normalize_word(names, sdeg) == want, (names, sdeg)
+        seen.add("empty" if not names else want[1])
+    assert seen == {"empty", 0, 1, -1}
+
+
+def test_wedge_word_matches_the_insertion_sort():
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(2000):
+        letters = [f"l{i}" for i in range(rng.randint(1, 6))]
+        order = dict(zip(letters, rng.sample(range(10), len(letters))))
+        names = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        if len(set(names)) != len(names):
+            want = (None, 0)
+        else:
+            want = signed_sort_keyed([(order[n], True, n) for n in names])
+        assert wedge_word(names, order) == want, (names, order)
+        seen.add("empty" if not names else want[1])
+    assert seen == {"empty", 0, 1, -1}
+
+
+def test_koszul_sign_matches_the_insertion_sort():
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(0, 7)
+        perm = rng.sample(range(1, n + 1), n)
+        degrees = [rng.randint(-3, 4) for _ in range(n)]
+        want = signed_sort_keyed([(p, degrees[p - 1] % 2, p) for p in perm])[1]
+        assert koszul_sign(perm, degrees) == want, (perm, degrees)
+        seen.add(want)
+    assert seen == {1, -1}
 
 
 def make_complex(basis, columns):

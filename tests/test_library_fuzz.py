@@ -298,6 +298,9 @@ FINDINGS = {
     "string as a bracket word": (
         lambda: LInftyStructure(GradedSpace(LINFTY_BASIS), {2: {"xx": {"y": 1}}}), TypeError),
     "string as a term key": (lambda: ArtinVector({"ab": 1}), TypeError),
+    "string as make_artin variables": (lambda: make_artin("ts", 3), TypeError),
+    "string as ArtinAlgebra variables": (
+        lambda: ArtinAlgebra("t", [(0,), (1,)]), TypeError),
     "zero as a vector": (lambda: GradedVector(0), TypeError),
     "empty string as a vector": (lambda: GradedVector(""), TypeError),
     "empty list as an Artin vector": (lambda: ArtinVector([]), TypeError),

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -18,7 +19,9 @@ from defcalc.dgla import (
     trivial_cdga,
 )
 from defcalc.graded import GradedMap, GradedSpace, GradedVector, koszul_sign
-from defcalc.hitchin import HitchinPair, build_hitchin_morphism, matrix_wedge_dgla
+from defcalc.hitchin import (
+    HitchinPair, build_hitchin_dgla, build_hitchin_morphism, matrix_wedge_dgla
+)
 from defcalc import linfty
 from defcalc.linfty import (
     LInftyMorphism,
@@ -39,7 +42,8 @@ from defcalc.linfty import (
     verify_homotopy_witness,
 )
 
-from test_construction import exterior_cdga
+from test_construction import exterior_cdga, shipped_documents
+from test_graded import sorted_word
 from test_hitchin import random_element
 from test_dgla import (
     MATRIX_UNITS,
@@ -91,7 +95,7 @@ def test_merge_words_matches_normalize_word():
     for _ in range(3000):
         word = random_canonical_word(rng, letters, sdeg, rng.randint(1, 3))
         tail = random_canonical_word(rng, letters, sdeg, rng.randint(0, 4))
-        want, sign = normalize_word(word + tail, sdeg)
+        want, sign = sorted_word(word + tail, sdeg)
         got = _merge_words(word, tail, sdeg)
         if sign == 0:
             assert got is None, (word, tail)
@@ -1317,3 +1321,25 @@ def test_path_t_degrees_are_ints(tdeg):
         PolyPath({tdeg: x}, {})
     with pytest.raises(TypeError, match="t-degree must be an int"):
         PolyPath({}, {tdeg: x})
+
+
+def test_basis_words_match_the_sorted_combinations_on_shipped_structures():
+    """basis_words against every combination normalized by the insertion
+    sort, zero words dropped, in the same order: the spaces of the shipped
+    cdgas, dglas and linfty structures, and the Hitchin dglas of the
+    shipped pairs over the trivial CDGA, up to weight 4."""
+    spaces = [
+        doc.space for kind in ("cdga", "dgla", "linfty") for doc in shipped_documents(kind)
+    ]
+    spaces += [build_hitchin_dgla(pair, trivial_cdga()).space
+               for pair in shipped_documents("hitchin-pair")]
+    for space in spaces:
+        sdeg = shifted_degrees(space)
+        letters = sorted(space.names, key=lambda name: (sdeg[name], name))
+        want = []
+        for n in range(1, 5):
+            for combo in combinations_with_replacement(letters, n):
+                word, sign = sorted_word(combo, sdeg)
+                if sign:
+                    want.append(word)
+        assert basis_words(space, 4) == want
