@@ -20,7 +20,8 @@ dgla     differential graded Lie and commutative algebras, their axiom
          checkers (degrees included), the tensor construction and one
          construction of matrices over an exterior algebra twisted by a
          degree-1 element (End(V, d) over Q, gl_r (x) Lambda L with
-         [theta, -]), the bracket on L (x) m_A grouped by name,
+         [theta, -]), whose bracket tables are built when first read,
+         the bracket on L (x) m_A grouped by name,
          Maurer-Cartan residuals, gauge action, BCH, and one per-monomial
          cohomology lift behind order-by-order solving (obstruction
          classes in H^2 from order-k residuals) and gauge equivalence
@@ -43,7 +44,8 @@ hitchin  the matrix-valued models: a square matrix of anticommuting
          target (one sparse matrix product, behind the theta ^ theta check
          and the powers of theta; one closed-form trace of matrix-unit
          words), the Hitchin map as the pushforward along that morphism
-         split by Sym power, and the obstruction-kernel consequence.
+         split by Sym power, and the obstruction-kernel consequence; the
+         morphism's L-infinity tables are built when first read.
 cli      batch front end over JSON documents with deterministic reports.
 """
 

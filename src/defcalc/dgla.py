@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
@@ -112,15 +113,27 @@ class Dgla:
         self._cohomology = None
 
     @classmethod
-    def _from_canonical(cls, space, differential, brackets):
+    def _from_canonical(cls, space, differential, build_brackets):
         """A dgla on tables already in the form the constructor leaves them:
-        a degree +1 differential and a bracket table of pairs of known
-        names, nonzero GradedVectors on known names, every mirror present.
-        The constructions build theirs so, and skip _complete_skew."""
+        a degree +1 differential, and a function of no arguments that
+        returns a bracket table of pairs of known names, nonzero
+        GradedVectors on known names, every mirror present.  The
+        constructions build theirs so, and skip _complete_skew.  space and
+        d are set here; the table is built the first time brackets is read,
+        so a reader of the complex alone never builds it."""
         dgla = cls.__new__(cls)
-        dgla.space, dgla.d, dgla.brackets = space, differential, brackets
+        dgla.space, dgla.d, dgla._build_brackets = space, differential, build_brackets
         dgla._cohomology = None
         return dgla
+
+    @cached_property
+    def brackets(self):
+        """The bracket table of _from_canonical's builder, built on the first
+        read and kept; the constructor sets its completed table instead.
+        The builder is dropped once it has run, and what it holds with it."""
+        table = self._build_brackets()
+        del self._build_brackets
+        return table
 
     def cohomology(self):
         """The CohomologySummary of (space, d), kept here from the first call;
@@ -374,7 +387,9 @@ def tensor_cdga_dgla(cdga, dgla):
     [a @ x, b @ y] = (-1)^(|b| |x|) ab @ [x, y].  Both tables are built from
     nonzero entries only: each differential column from the columns of d_A
     and d_L, each bracket from a nonzero product ab (taken in A's name
-    order) and a nonzero bracket [x, y]; signs are parity tests.
+    order) and a nonzero bracket [x, y]; signs are parity tests.  The
+    differential is built here, the bracket table (and so L's) the first
+    time it is read.
     """
     A, L = cdga, dgla
     a_deg, x_deg = A.space.degrees, L.space.degrees
@@ -411,33 +426,36 @@ def tensor_cdga_dgla(cdga, dgla):
     differential = GradedMap(space, space, 1)  # homogeneous as d_A and d_L are
     differential.columns = columns
 
-    # the nonzero products ab in A's name order, each term of ab given as
-    # (names[a2], c, c == 1) so that a unit coefficient costs no product
-    index = {n: i for i, n in enumerate(A.space.names)}
-    products = sorted(
-        (index[a], index[b], a, b, [(names[e], c, c == 1) for e, c in ab.coeffs.items()])
-        for (a, b), ab in A.products.items()
-        if ab
-    )
-    brackets = {}
-    for (x, y), vec in L.brackets.items():
-        x_odd = x_deg[x] % 2
-        for _, _, a, b, terms in products:
-            flip = x_odd and a_deg[b] % 2
-            out = {}
-            for row, ca, unit in terms:
-                for x2, cx in vec.coeffs.items():
-                    c = cx if unit else ca * cx
-                    out[row[x2]] = -c if flip else c
-            if out:
-                brackets[(names[a][x], names[b][y])] = GradedVector.from_nonzero(out)
+    def build_brackets():
+        # the nonzero products ab in A's name order, each term of ab given as
+        # (names[a2], c, c == 1) so that a unit coefficient costs no product
+        index = {n: i for i, n in enumerate(A.space.names)}
+        products = sorted(
+            (index[a], index[b], a, b, [(names[e], c, c == 1) for e, c in ab.coeffs.items()])
+            for (a, b), ab in A.products.items()
+            if ab
+        )
+        brackets = {}
+        for (x, y), vec in L.brackets.items():
+            x_odd = x_deg[x] % 2
+            for _, _, a, b, terms in products:
+                flip = x_odd and a_deg[b] % 2
+                out = {}
+                for row, ca, unit in terms:
+                    for x2, cx in vec.coeffs.items():
+                        c = cx if unit else ca * cx
+                        out[row[x2]] = -c if flip else c
+                if out:
+                    brackets[(names[a][x], names[b][y])] = GradedVector.from_nonzero(out)
+        return brackets
 
-    return Dgla._from_canonical(space, differential, brackets)
+    return Dgla._from_canonical(space, differential, build_brackets)
 
 
 def _matrix_tables(index, letters, x, name):
-    """(space, d, brackets) of the matrices over the exterior algebra on
-    letters (Q without letters), twisted by x; the bracket table is complete.
+    """(space, d, build_brackets) of the matrices over the exterior algebra
+    on letters (Q without letters), twisted by x; build_brackets() returns
+    the complete bracket table, for Dgla._from_canonical.
 
     index lists the (label, degree) of rows and columns.  a (x) E_ij, for a
     word a and labels i, j, is named name(a, i, j) and has degree |a| + |i|
@@ -497,29 +515,32 @@ def _matrix_tables(index, letters, x, name):
     differential = GradedMap(space, space, 1)  # homogeneous as x has degree 1
     differential.columns = columns
 
-    brackets = {}
-    for a in words:
-        for i in labels:
-            for j in labels:
-                f, e_odd = names[a][i][j], odd[i] ^ odd[j]
-                for b in words:
-                    hit = products.get((a, b))
-                    if hit is None:
-                        continue
-                    # [f, g] = fg - (-1)^(|f||g|) gf, where gf = +-ab (x) E_kj
-                    word, c, minus = hit
-                    if e_odd and len(b) % 2:
-                        c, minus = minus, c
-                    at, g_names = names[word], names[b]
-                    for k in labels:
-                        for l in labels if k == j else (i,):
-                            out = {at[i][l]: c} if k == j else {}
-                            if l == i:
-                                gf = c if e_odd and odd[k] ^ odd[l] else minus
-                                accumulate(out, at[k][j], gf)
-                            if out:
-                                brackets[(f, g_names[k][l])] = GradedVector.from_nonzero(out)
-    return space, differential, brackets
+    def build_brackets():
+        brackets = {}
+        for a in words:
+            for i in labels:
+                for j in labels:
+                    f, e_odd = names[a][i][j], odd[i] ^ odd[j]
+                    for b in words:
+                        hit = products.get((a, b))
+                        if hit is None:
+                            continue
+                        # [f, g] = fg - (-1)^(|f||g|) gf, where gf = +-ab (x) E_kj
+                        word, c, minus = hit
+                        if e_odd and len(b) % 2:
+                            c, minus = minus, c
+                        at, g_names = names[word], names[b]
+                        for k in labels:
+                            for l in labels if k == j else (i,):
+                                out = {at[i][l]: c} if k == j else {}
+                                if l == i:
+                                    gf = c if e_odd and odd[k] ^ odd[l] else minus
+                                    accumulate(out, at[k][j], gf)
+                                if out:
+                                    brackets[(f, g_names[k][l])] = GradedVector.from_nonzero(out)
+        return brackets
+
+    return space, differential, build_brackets
 
 
 def hom_name(target, source):

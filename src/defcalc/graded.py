@@ -353,13 +353,15 @@ def koszul_sign(perm, degrees):
     swap of factors of degrees p, q contributes (-1)^(p*q).  Composition of
     permutations multiplies the signs.  It is normalize_word's sign on the
     positions, p keyed 2p + its degree mod 2: position order, degree parity.
+    Each degree is read by as_int, so a float, bool or str raises TypeError.
     """
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
     if len(degrees) != n:
         raise ValueError("degrees must match the permutation length")
-    return normalize_word(perm, {p: 2 * p + degrees[p - 1] % 2 for p in perm})[1]
+    keys = {p: 2 * p + as_int(degrees[p - 1], "degree") % 2 for p in perm}
+    return normalize_word(perm, keys)[1]
 
 
 def bilinear(table, x, y):
@@ -472,7 +474,13 @@ class CohomologySummary:
         if block is not None or deg not in self._present:
             return block
         d, here = self.differential, self.space.names_of_degree(deg)
-        rows = [[d.column(n)[m] for n in here] for m in self.space.names_of_degree(deg + 1)]
+        rows = {m: [ZERO] * len(here) for m in self.space.names_of_degree(deg + 1)}
+        for j, n in enumerate(here):  # d's sparse columns into the rows of deg + 1
+            if n in d.columns:
+                for m, c in d.columns[n].coeffs.items():
+                    if m in rows:
+                        rows[m][j] = c
+        rows = list(rows.values())
         below = [n for n in self.space.names_of_degree(deg - 1) if n in d.columns]
         image_cols = [d.columns[n].to_dense(here) for n in below]
         kernel_cols = linalg.nullspace(rows, len(here))

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, permutations
 from .artin import ArtinVector
 from .dgla import Dgla, _matrix_tables, mc_residual, tensor_cdga_dgla, tensor_name
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_int, int_view, wedge_word
-from .linfty import LInftyMorphism, linfty_from_dgla, pushforward_series
+from .linfty import LInftyMorphism, LInftyStructure, pushforward_series
 
 
 class HiggsFieldError(ValueError):
@@ -157,13 +157,14 @@ def sym_space(pair):
 def hitchin_target(pair, cdga):
     """The abelian dgla A (x) Sym L with differential d_A (x) id."""
     space = sym_space(pair)
-    inner = Dgla._from_canonical(space, GradedMap(space, space, 1, {}), {})
+    inner = Dgla._from_canonical(space, GradedMap(space, space, 1, {}), dict)
     return tensor_cdga_dgla(cdga, inner)
 
 
 def complex_C_cohomology(pair, cdga):
     """Cohomology of the deformation complex; degree 1 carries first-order
-    deformations and degree 2 their obstructions."""
+    deformations and degree 2 their obstructions.  It reads the space and d
+    of the deformation dgla only, so no bracket table is built."""
     return build_hitchin_dgla(pair, cdga).cohomology()
 
 
@@ -308,11 +309,16 @@ def build_hitchin_morphism(pair, cdga):
     out in front in argument order.  The returned morphism carries the
     built source and target dglas and the Sym power of each target name
     (target_weights) as attributes.
+
+    Both dglas' bracket tables, and the tables linfty_from_dgla builds
+    for both structures, are built when first read.  Components and the
+    complexes read none, so hitchin_map builds only the source dgla's
+    brackets and obstruction_kernel_map builds no table.
     """
     source_dgla = build_hitchin_dgla(pair, cdga)
     target_dgla = hitchin_target(pair, cdga)
-    source = linfty_from_dgla(source_dgla)
-    target = linfty_from_dgla(target_dgla)
+    source = LInftyStructure._lazy_from_dgla(source_dgla)
+    target = LInftyStructure._lazy_from_dgla(target_dgla)
     order = pair._l_order
     powers = _theta_powers(pair._theta_matrix, pair.rank, order)
     products = {key: int_view(vec.coeffs) for key, vec in cdga.products.items()}

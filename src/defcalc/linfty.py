@@ -15,6 +15,7 @@ nilpotency reason as in the dgla calculus.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -141,6 +142,22 @@ class LInftyStructure:
         structure = cls.__new__(cls)
         structure.space, structure.sdeg, structure.brackets = space, sdeg, brackets
         return structure
+
+    @classmethod
+    def _lazy_from_dgla(cls, dgla):
+        """linfty_from_dgla(dgla) with space and sdeg set now and the
+        tables built by that call the first time brackets is read, so a
+        wrong output raises there."""
+        structure = cls.__new__(cls)
+        structure.space, structure.sdeg = dgla.space, shifted_degrees(dgla.space)
+        structure._dgla = dgla
+        return structure
+
+    @cached_property
+    def brackets(self):
+        """The tables of linfty_from_dgla on _lazy_from_dgla's dgla, built on
+        the first read and kept; the other constructors set them instead."""
+        return linfty_from_dgla(self._dgla).brackets
 
     def bracket_value(self, k, word):
         table = self.brackets.get(k)

@@ -8,6 +8,7 @@ import pytest
 from defcalc.cli import _COMMANDS, CliError, emit_document, main, parse_document
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
 
 
 def sample(name):
@@ -229,6 +230,30 @@ def test_obstruction_command(capsys):
     )
     assert code == 0
     assert report["all_in_kernel"] is True
+
+
+def test_a_cdga_product_of_the_wrong_degree_fails_where_a_table_is_read(capsys, tmp_path):
+    # w u = w leaves degree 2, so q_2 of the pair's dgla has an output of the
+    # wrong degree; the commands that read the L-infinity tables exit 2 with
+    # that error, and hitchin-map and obstruction, which read none, answer
+    cdga = write(tmp_path, "cdga.json", {
+        "kind": "cdga",
+        "basis": [{"name": "1", "degree": 0}, {"name": "w", "degree": 1},
+                  {"name": "u", "degree": 1}],
+        "differential": [],
+        "product": [{"a": "w", "b": "u", "out": "w", "coeff": "1"}],
+        "unit": "1",
+    })
+    pair, mc = sample("hitchin_r2_zero.json"), os.path.join(GOLDEN_INPUTS, "mc_r2_t4.json")
+    message = ("error: q_2 is not homogeneous of shifted degree +1 on "
+               "('u*E11', 'w*E12'): output 'w*E12'\n")
+    for argv in (["check-morphism", pair, cdga], ["hitchin-verify", pair, cdga],
+                 ["pushforward", pair, mc, cdga]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+    for argv in (["hitchin-map", pair, mc, cdga], ["obstruction", pair, cdga]):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_pushforward_and_hitchin_map_commands(capsys, tmp_path):

@@ -6,6 +6,8 @@ names instead, and every table must come out the same: the same keys in
 the same order, with the same values.
 """
 
+import contextlib
+import io
 import os
 import random
 import sys
@@ -14,7 +16,9 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from defcalc.cli import parse_document
+from defcalc import linfty
+from defcalc.artin import ArtinVector, make_artin
+from defcalc.cli import main, parse_document
 from defcalc.dgla import (
     Cdga,
     Dgla,
@@ -23,16 +27,28 @@ from defcalc.dgla import (
     check_dgla,
     hom_dgla,
     hom_name,
+    mc_solve,
     tensor_cdga_dgla,
     tensor_name,
     trivial_cdga,
 )
-from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate, wedge_word
+from defcalc.graded import (
+    GradedMap,
+    GradedSpace,
+    GradedVector,
+    accumulate,
+    complex_cohomology,
+    wedge_word,
+)
 from defcalc.hitchin import (
     HitchinPair,
+    build_hitchin_dgla,
     build_hitchin_morphism,
+    complex_C_cohomology,
+    hitchin_map,
     matrix_name,
     matrix_wedge_dgla,
+    obstruction_kernel_map,
     sym_space,
     wedge_suffix,
 )
@@ -373,10 +389,10 @@ def test_matrices_over_an_exterior_algebra_on_a_graded_index():
     tensor = tensor_cdga_dgla(exterior_cdga(Fraction(1)), end)
     identity = {v: {v: Fraction(1)} for v in space.names}
     for x in ({(): d}, {(): d, ("w1",): identity}):
-        built, differential, brackets = _matrix_tables(index, ("w1", "w2"), x, name)
+        built, differential, build_brackets = _matrix_tables(index, ("w1", "w2"), x, name)
         assert built == tensor.space
         assert entries(differential.columns) == entries(tensor.d.columns)
-        assert entries(brackets) == entries(tensor.brackets)
+        assert entries(build_brackets()) == entries(tensor.brackets)
     n = {"u1": {"u0": Fraction(3)}, "v": {"v": Fraction(-1)}}
     twisted = Dgla._from_canonical(*_matrix_tables(index, ("w1", "w2"), {("w1",): n}, name))
     assert twisted.d.columns and check_dgla(twisted).ok
@@ -433,3 +449,119 @@ def test_constructed_tables_are_complete_as_built(monkeypatch):
             dgla.space, dgla.brackets, lambda da, db: -_sign(da * db), "bracket"
         )
         assert table_items(completed) == table_items(dgla.brackets)
+
+
+# ---------------------------------------------------------------------------
+# Tables built the first time they are read.
+
+
+def spy_tables(monkeypatch):
+    """A list that records each bracket table a construction builds, by the
+    name of the construction that handed its builder to _from_canonical,
+    and each linfty_from_dgla call, as "linfty"."""
+    calls = []
+    make = Dgla._from_canonical.__func__
+    from_dgla = linfty.linfty_from_dgla
+
+    def recording(cls, space, differential, build_brackets):
+        site = sys._getframe(1).f_code.co_name
+
+        def build():
+            calls.append(site)
+            return build_brackets()
+
+        return make(cls, space, differential, build)
+
+    def counted(dgla):
+        calls.append("linfty")
+        return from_dgla(dgla)
+
+    monkeypatch.setattr(Dgla, "_from_canonical", classmethod(recording))
+    monkeypatch.setattr(linfty, "linfty_from_dgla", counted)
+    return calls
+
+
+def lazy_cases():
+    """The shipped pairs over the trivial and shipped CDGAs, and the seeded
+    rank-2 and rank-3 pairs over every seeded CDGA."""
+    cdgas = [trivial_cdga()] + shipped_documents("cdga")
+    cases = [(pair, cdga) for pair in shipped_documents("hitchin-pair") for cdga in cdgas]
+    return cases + [p.values for p in seeded_pairs() if p.values[0].rank < 4]
+
+
+def oracle_dglas(pair, cdga):
+    inner = oracle_matrix_wedge_dgla(pair.rank, pair.l_space, pair.theta)
+    target = oracle_tensor_cdga_dgla(cdga, Dgla(sym_space(pair), None, {}))
+    return oracle_tensor_cdga_dgla(cdga, inner), target
+
+
+def test_complex_C_cohomology_builds_no_bracket_table(monkeypatch):
+    calls = spy_tables(monkeypatch)
+    for pair, cdga in lazy_cases():
+        summary = complex_C_cohomology(pair, cdga)
+        source, _ = oracle_dglas(pair, cdga)
+        want = complex_cohomology(source.space, source.d)
+        assert summary.dimensions() == want.dimensions()
+        for deg in want.degrees():
+            assert summary.representatives(deg) == want.representatives(deg)
+    assert calls == []
+
+
+def test_hitchin_map_and_kernel_map_build_only_the_tables_they_read(monkeypatch):
+    calls = spy_tables(monkeypatch)
+    algebra = make_artin(("t",), 3)
+    for pair, cdga in lazy_cases():
+        solved = mc_solve(build_hitchin_dgla(pair, cdga), algebra)
+        calls.clear()
+        morphism = build_hitchin_morphism(pair, cdga)
+        source_dgla = morphism.source_dgla
+        # degree-2 cocycles: the representatives and every coboundary
+        cocycles = source_dgla.cohomology().representatives(2) + [
+            source_dgla.d(GradedVector.basis(name))
+            for name in source_dgla.space.names_of_degree(1)
+        ]
+        for z in cocycles:
+            obstruction_kernel_map(z, morphism)
+        assert calls == []
+        # the zero element reads the source brackets too: mc_residual does
+        for x in [ArtinVector()] + [x for x in solved.solutions if x is not None]:
+            hitchin_map(x, morphism, algebra)
+        assert calls == ["tensor_cdga_dgla", "matrix_wedge_dgla"]
+        # read afterwards, every table is the full scan's, and a second read
+        # builds nothing
+        source, target = oracle_dglas(pair, cdga)
+        for _ in range(2):
+            assert_same_dgla(morphism.source_dgla, source)
+            assert_same_dgla(morphism.target_dgla, target)
+            assert_same_linfty(morphism.source, oracle_linfty_from_dgla(source))
+            assert_same_linfty(morphism.target, oracle_linfty_from_dgla(target))
+        assert calls[2:] == ["tensor_cdga_dgla", "hitchin_target", "linfty", "linfty"]
+        assert morphism.source.brackets is morphism.source.brackets
+
+
+GOLDEN = os.path.join("tests", "golden")
+S = "sample_inputs/"
+
+
+@pytest.mark.parametrize("argv, report, built", [
+    (["cohomology", S + "hitchin_r2_nilpotent.json", S + "cdga_interval.json"],
+     "15-cohomology.json", []),
+    (["hitchin-map", S + "hitchin_r2_zero.json", "tests/golden/inputs/mc_r2_t4.json",
+      S + "cdga_interval.json"], "35-hitchin-map.json",
+     ["matrix_wedge_dgla", "tensor_cdga_dgla"]),
+    (["obstruction", S + "hitchin_r2_zero.json", S + "cdga_interval.json"],
+     "39-obstruction.json", ["matrix_wedge_dgla", "tensor_cdga_dgla"]),
+    (["pushforward", S + "hitchin_r2_zero.json", "tests/golden/inputs/mc_r2_t4.json",
+      S + "cdga_interval.json"], "31-pushforward.json",
+     ["hitchin_target", "linfty", "linfty", "matrix_wedge_dgla", "tensor_cdga_dgla",
+      "tensor_cdga_dgla"]),
+])
+def test_cli_builds_only_the_tables_a_command_reads(monkeypatch, argv, report, built):
+    calls = spy_tables(monkeypatch)
+    monkeypatch.chdir(ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    with open(os.path.join(GOLDEN, report), encoding="utf-8", newline="") as handle:
+        assert out.getvalue() == handle.read()
+    assert sorted(calls) == built

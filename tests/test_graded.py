@@ -56,6 +56,17 @@ def test_koszul_sign_rejects_non_permutations():
         koszul_sign((1, 2), (1, 1, 1))
 
 
+def test_koszul_sign_reads_each_degree_as_an_int():
+    # a float or a bool is not read by its parity, and a str is not
+    # formatted by %: each raises the TypeError of graded.as_int
+    for bad in (0.5, 1.0, True, False, "1", "a"):
+        for degrees in ((bad, bad), (1, bad), (bad, 2)):
+            with pytest.raises(TypeError) as err:
+                koszul_sign((2, 1), degrees)
+            assert str(err.value) == f"degree must be an int, got {type(bad).__name__}"
+    assert koszul_sign((2, 1), (-1, 3)) == -1
+
+
 def test_koszul_sign_multiplicative():
     rng = random.Random(11)
     for _ in range(200):
