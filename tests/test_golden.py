@@ -88,6 +88,9 @@ CASES = [
     ["hitchin-build", G + "hitchin_r2_two_letters.json"],
     ["hitchin-verify", G + "hitchin_r2_two_letters.json", G + "cdga_exterior_two.json",
      "--weight", "2"],
+    # rank 5: a superdiagonal theta with corner entries, so theta^4 != 0
+    ["hitchin-verify", G + "hitchin_r5_nilpotent.json", S + "cdga_interval.json",
+     "--weight", "3"],
 ]
 
 

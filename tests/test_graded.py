@@ -637,7 +637,7 @@ def test_lazy_cohomology_matches_the_eager_oracle_on_the_shipped_samples():
                         assert summary.dimension(deg) == len(reps)
             assert summary.degrees() == present
             assert summary.dimensions() == {k: len(b[1]) for k, b in blocks.items()}
-    assert len(labels) == 15 and sum("over interval" in x for x in labels) == 4, labels
+    assert len(labels) == 17 and sum("over interval" in x for x in labels) == 5, labels
 
 
 def test_cohomology_reduces_each_differential_once_when_first_read(monkeypatch):
