@@ -24,7 +24,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 from .artin import ArtinVector
-from .dgla import Dgla, _matrix_tables, mc_residual, tensor_cdga_dgla, tensor_name
+from .dgla import Dgla, _degree_violations, _matrix_tables, mc_residual, tensor_cdga_dgla
+from .dgla import tensor_name
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, as_int, int_view, wedge_word
 from .linfty import LInftyMorphism, LInftyStructure, pushforward_series
 
@@ -140,7 +141,13 @@ def matrix_wedge_dgla(rank, l_space, theta):
 
 
 def build_hitchin_dgla(pair, cdga):
-    """The deformation dgla A (x) (gl_r (x) Lambda L) of a validated pair."""
+    """The deformation dgla A (x) (gl_r (x) Lambda L) of a validated pair;
+    ValueError on a CDGA product outside degree |a| + |b|, the first in name
+    order as check_cdga's degree axiom reports it."""
+    wrong = next(_degree_violations(cdga.space, cdga.products), None)
+    if wrong is not None:
+        raise ValueError(f"CDGA product {wrong.witness} leaves degree |a| + |b|: "
+                         f"{', '.join(wrong.value.coeffs)}")
     inner = matrix_wedge_dgla(pair.rank, pair.l_space, pair.theta)
     return tensor_cdga_dgla(cdga, inner)
 
@@ -184,15 +191,6 @@ def _mat_mul(m1, m2, entry_mul):
     return {key: entry for key, entry in out.items() if entry}
 
 
-def _mat_trace(m):
-    out = {}
-    for (i, j), entry in m.items():
-        if i == j:
-            for key, c in entry.items():
-                accumulate(out, key, c)
-    return out
-
-
 def _sym_entry_mul(order):
     """Entries over Sym L: keys are Sym-monomials (L-names in basis order)."""
 
@@ -205,63 +203,70 @@ def _sym_entry_mul(order):
 
 
 def _theta_powers(theta, rank, order):
-    """theta^0 .. theta^rank over Sym L, theta a sparse matrix of _sym_matrix."""
+    """theta^0 .. theta^rank over Sym L, theta a sparse matrix of _sym_matrix,
+    by entry: {(b, c): [(g, theta^g[b, c]) for nonzero entries, g ascending]}."""
     entry_mul = _sym_entry_mul(order)
-    powers = [{(a, a): {(): 1} for a in range(rank)}]
-    for _ in range(rank):
-        powers.append(_mat_mul(powers[-1], theta, entry_mul))
-    return powers
+    power = {(a, a): {(): 1} for a in range(rank)}
+    links = {}
+    for g in range(rank + 1):
+        for key, entry in power.items():
+            links.setdefault(key, []).append((g, entry))
+        power = _mat_mul(power, theta, entry_mul)
+    return links
 
 
-def _word_trace_sum(k, mats, powers, order):
-    """Sum of traces of all length-k matrix words using each matrix once.
+def _word_trace_sum(rank, mats, powers, order):
+    """Sums of traces of all matrix words of each length k <= rank that use
+    each matrix once: {k: trace}, nonzero traces only, k ascending.
 
     mats are sparse matrices over Sym L, a matrix unit E_ij (x) l being the
     one-entry matrix {(i, j): {(l,): 1}}, and the other slots hold theta,
-    whose powers are powers[g] = theta^g; this is the coefficient of
-    t_1...t_n in tr((theta + sum t_m f_m)^k).  A word is fixed by the slot
-    of the first matrix (k choices, one trace by cyclicity), the cyclic
+    whose powers are the links of _theta_powers; trace k is the coefficient
+    of t_1...t_n in tr((theta + sum t_m f_m)^k).  A word is fixed by the
+    slot of the first matrix (k choices, one trace by cyclicity), the cyclic
     order sigma of the others and the composition g_1 + ... + g_n = k - n
     of theta powers between them, and
         tr(f_1 theta^{g_1} f_sigma(2) ... f_sigma(n) theta^{g_n})
-    is a sum over index paths through the entries; so no matrix is
-    multiplied.  With no matrices the value is tr(theta^k), and with more
-    matrices than slots it is zero.
+    is a sum over index paths through the entries, so no matrix is
+    multiplied.  One walk per cyclic order chains the links theta^g[b, c]
+    between matrices, ends at its first missing link and closes each path
+    in power k = n + (powers used).  With no matrices, paths start on the
+    diagonal and trace k is tr(theta^k), k = 0 included, without the slot
+    factor.
     """
     n = len(mats)
-    if n == 0:
-        return _mat_trace(powers[k])
-    free = k - n
+    free = rank - n
     if free < 0:
         return {}
     entry_mul = _sym_entry_mul(order)
     # (row the path started in, column it is in) -> {theta powers used: poly}
-    start = {key: {0: {mono: k * c for mono, c in entry.items()}}
-             for key, entry in mats[0].items()}
-    total = {}
+    first = mats[0] if mats else {(a, a): {(): 1} for a in range(rank)}
+    start = {key: {0: entry} for key, entry in first.items()}
+    totals = {}
     for rest in permutations(mats[1:]):
         partial = start
         for mat in rest:
             step = {}
             for (a, b), polys in partial.items():
-                for used, poly in polys.items():
-                    for g in range(free - used + 1):
-                        power = powers[g]
-                        for (c, d), entry in mat.items():
-                            theta_entry = power.get((b, c))
-                            if theta_entry:
+                for (c, d), entry in mat.items():
+                    for g, theta_entry in powers.get((b, c), ()):
+                        for used, poly in polys.items():
+                            if used + g <= free:
                                 head = {}
                                 entry_mul(poly, theta_entry, head)
                                 dest = step.setdefault((a, d), {}).setdefault(used + g, {})
                                 entry_mul(head, entry, dest)
+            if not step:
+                break
             partial = step
-        # the last gap takes the powers left and closes the cycle
-        for (a, b), polys in partial.items():
-            for used, poly in polys.items():
-                theta_entry = powers[free - used].get((b, a))
-                if theta_entry:
-                    entry_mul(poly, theta_entry, total)
-    return total
+        else:  # the last gap closes the cycle
+            for (a, b), polys in partial.items():
+                for g, theta_entry in powers.get((b, a), ()):
+                    for used, poly in polys.items():
+                        if used + g <= free:
+                            entry_mul(poly, theta_entry, totals.setdefault(n + used + g, {}))
+    return {k: {mono: (k if n else 1) * c for mono, c in totals[k].items()}
+            for k in sorted(totals) if totals[k]}
 
 
 def g_coefficient(k, args, pair, cdga):
@@ -289,7 +294,8 @@ def g_coefficient(k, args, pair, cdga):
     out = {}
     if not omega.is_zero():
         powers = _theta_powers(pair._theta_matrix, pair.rank, order)
-        _add_form_times_trace(out, omega.coeffs, _word_trace_sum(k, mats, powers, order))
+        trace = _word_trace_sum(pair.rank, mats, powers, order).get(k, {})
+        _add_form_times_trace(out, omega.coeffs, trace)
     return GradedVector(out)
 
 
@@ -298,6 +304,21 @@ def _add_form_times_trace(out, omega, trace):
     for mono, c in trace.items():
         for a_name, ca in omega.items():
             accumulate(out, tensor_name(a_name, sym_name(mono)), c * ca)
+
+
+def _form_product(forms, products, a_parts):
+    """The product of the CDGA names a_parts in order, from its longest prefix in forms."""
+    start = len(a_parts)
+    while a_parts[:start] not in forms:
+        start -= 1
+    omega = forms[a_parts[:start]]
+    for end in range(start + 1, len(a_parts) + 1):
+        prefix, omega = omega, {}
+        for name, c in prefix.items():
+            for out_name, p in products.get((name, a_parts[end - 1]), {}).items():
+                accumulate(omega, out_name, c * p)
+        forms[a_parts[:end]] = omega
+    return omega
 
 
 def build_hitchin_morphism(pair, cdga):
@@ -329,36 +350,29 @@ def build_hitchin_morphism(pair, cdga):
             for i in range(1, pair.rank + 1):
                 for j in range(1, pair.rank + 1):
                     key = tensor_name(a_name, matrix_name(i, j) + "^" + l)
-                    letter_parts[key] = (a_name, i, j, l)
+                    letter_parts[key] = (a_name, (i - 1, j - 1, l))
 
-    # per-morphism caches: the trace depends on the multiset of units only,
-    # the form product on the CDGA parts in argument order (odd forms
-    # anticommute); a form is built on from its longest cached prefix
+    # per-morphism caches: the traces of every power depend on the multiset
+    # of units only, the form product on the CDGA parts in argument order
+    # (odd forms anticommute); the trace is read first, so a word whose
+    # trace vanishes multiplies no form
     traces = {}
     forms = {(): {cdga.unit: 1}}
 
     def component(arity, word):
         parts = [letter_parts[name] for name in word]
-        a_parts = tuple([a_name for a_name, _, _, _ in parts])
-        start = len(a_parts)
-        while a_parts[:start] not in forms:
-            start -= 1
-        omega = forms[a_parts[:start]]
-        for end in range(start + 1, len(a_parts) + 1):
-            prefix, omega = omega, {}
-            for name, c in prefix.items():
-                for out_name, p in products.get((name, a_parts[end - 1]), {}).items():
-                    accumulate(omega, out_name, c * p)
-            forms[a_parts[:end]] = omega
+        units = tuple(sorted([unit for _, unit in parts]))
+        by_power = traces.get(units)
+        if by_power is None:
+            mats = [{(i, j): {(l,): 1}} for i, j, l in units]
+            by_power = traces[units] = _word_trace_sum(pair.rank, mats, powers, order)
+        if not by_power:
+            return None
+        omega = _form_product(forms, products, tuple([a_name for a_name, _ in parts]))
         if not omega:
             return None
-        units = tuple(sorted([(i - 1, j - 1, l) for _, i, j, l in parts]))
         out = {}
-        for k in range(arity, pair.rank + 1):
-            trace = traces.get((k, units))
-            if trace is None:
-                mats = [{(i, j): {(l,): 1}} for i, j, l in units]
-                trace = traces[(k, units)] = _word_trace_sum(k, mats, powers, order)
+        for trace in by_power.values():
             _add_form_times_trace(out, omega, trace)
         return GradedVector(out)
 

@@ -160,10 +160,7 @@ class LInftyStructure:
         return linfty_from_dgla(self._dgla).brackets
 
     def bracket_value(self, k, word):
-        table = self.brackets.get(k)
-        if table is None:
-            return None
-        return table.get(word)
+        return self.brackets.get(k, {}).get(word)
 
 
 def linfty_from_dgla(dgla):
@@ -399,12 +396,12 @@ class LInftyMorphism:
         if cached is not None:
             return cached
         k = len(word)
-        if k > self.max_weight or any(n not in self.support for n in word):
+        if k > self.max_weight or not self.support.issuperset(word):
             return GradedVector()
         vec = self._generator(k, word)
-        cached = vec if vec is not None else GradedVector()
-        _check_outputs(k, word, cached, self.source.sdeg, self.target.sdeg, 0)
-        self._cache[word] = cached
+        if vec is not None:
+            _check_outputs(k, word, vec, self.source.sdeg, self.target.sdeg, 0)
+        cached = self._cache[word] = vec if vec is not None else GradedVector()
         return cached
 
     def _view(self, word):
@@ -599,10 +596,11 @@ def _bracket_series(x, structure, algebra, head=None):
     series stops at x^k, or at x^(k-1) after a head of weight one: the
     powers past it could only meet missing brackets.
     """
-    top = max(structure.brackets, default=0)
+    brackets = structure.brackets
+    top = max(brackets, default=0)
     return _power_series(
         x, algebra, structure.sdeg,
-        lambda word: structure.bracket_value(len(word), word), head,
+        lambda word: brackets.get(len(word), {}).get(word), head,
         limit=max(0, top - 1 if head is not None else top),
     )
 

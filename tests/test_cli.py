@@ -6,6 +6,7 @@ import os
 import pytest
 
 from defcalc.cli import _COMMANDS, CliError, emit_document, main, parse_document
+from defcalc.dgla import _cdga_violations, check_cdga
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "sample_inputs")
 GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
@@ -232,28 +233,39 @@ def test_obstruction_command(capsys):
     assert report["all_in_kernel"] is True
 
 
-def test_a_cdga_product_of_the_wrong_degree_fails_where_a_table_is_read(capsys, tmp_path):
-    # w u = w leaves degree 2, so q_2 of the pair's dgla has an output of the
-    # wrong degree; the commands that read the L-infinity tables exit 2 with
-    # that error, and hitchin-map and obstruction, which read none, answer
-    cdga = write(tmp_path, "cdga.json", {
+def test_a_cdga_product_of_the_wrong_degree_exits_two_in_every_hitchin_command(capsys, tmp_path):
+    # w u = w leaves degree 2; the Hitchin dgla is never built on it, so
+    # every command on a pair exits 2 with the first such product in name
+    # order, (u, w) before (w, u), as check_cdga's degree axiom reports it
+    # after the associativity failure u (u w) = w it meets first; the
+    # cohomology of the CDGA alone is still answered
+    payload = {
         "kind": "cdga",
         "basis": [{"name": "1", "degree": 0}, {"name": "w", "degree": 1},
                   {"name": "u", "degree": 1}],
         "differential": [],
         "product": [{"a": "w", "b": "u", "out": "w", "coeff": "1"}],
         "unit": "1",
-    })
+    }
+    cdga = write(tmp_path, "cdga.json", payload)
     pair, mc = sample("hitchin_r2_zero.json"), os.path.join(GOLDEN_INPUTS, "mc_r2_t4.json")
-    message = ("error: q_2 is not homogeneous of shifted degree +1 on "
-               "('u*E11', 'w*E12'): output 'w*E12'\n")
-    for argv in (["check-morphism", pair, cdga], ["hitchin-verify", pair, cdga],
-                 ["pushforward", pair, mc, cdga]):
-        assert main(argv) == 2
+    message = "error: CDGA product ('u', 'w') leaves degree |a| + |b|: w\n"
+    commands = {
+        "check-morphism": [pair, cdga], "cohomology": [pair, cdga],
+        "mc-solve": [pair, cdga], "hitchin-build": [pair, cdga],
+        "hitchin-verify": [pair, cdga], "pushforward": [pair, mc, cdga],
+        "hitchin-map": [pair, mc, cdga], "obstruction": [pair, cdga],
+    }
+    assert {c for c, (_, slots) in _COMMANDS.items() if "hitchin-pair" in slots[0]} == set(commands)
+    for command, files in commands.items():
+        assert main([command, *files]) == 2
         assert capsys.readouterr() == ("", message)
-    for argv in (["hitchin-map", pair, mc, cdga], ["obstruction", pair, cdga]):
-        assert main(argv) == 0
-        assert capsys.readouterr().err == ""
+    kernel = parse_document(cdga).kernel
+    assert check_cdga(kernel).axiom == "associativity"
+    degree = next(r for r in _cdga_violations(kernel) if r.axiom == "degree")
+    assert degree.witness == ("u", "w")
+    assert main(["cohomology", cdga]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_pushforward_and_hitchin_map_commands(capsys, tmp_path):

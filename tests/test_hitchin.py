@@ -18,7 +18,6 @@ from defcalc.hitchin import (
     HiggsFieldError,
     HitchinPair,
     _mat_mul,
-    _mat_trace,
     _sym_entry_mul,
     _theta_powers,
     _word_trace_sum,
@@ -237,6 +236,45 @@ def test_a_dropped_morphism_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def spy(monkeypatch, name):
+    """Replace hitchin.<name> by a wrapper that records each call's
+    arguments in the returned list."""
+    from defcalc import hitchin
+
+    calls, real = [], getattr(hitchin, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hitchin, name, wrapper)
+    return calls
+
+
+def test_a_word_whose_trace_vanishes_multiplies_no_form(monkeypatch):
+    forms = spy(monkeypatch, "_form_product")
+    morphism = build_hitchin_morphism(zero_pair(), interval_cdga())
+    # tr(E12 E12 theta^g) = 0 for every g, while 1 w = w is not zero
+    assert morphism.component(("1*E12^l", "w*E12^l")).is_zero()
+    assert forms == []
+    assert morphism.component(("1*E12^l", "w*E21^l")) == GradedVector({"w*l.l": 2})
+    assert [a_parts for _, _, a_parts in forms] == [("1", "w")]
+
+
+def test_words_with_the_same_units_run_one_walk(monkeypatch):
+    walks = spy(monkeypatch, "_word_trace_sum")
+    morphism = build_hitchin_morphism(diag_pair(), interval_cdga())
+    # both words hold the units E11 l and E12 l once, over different forms
+    assert morphism.component(("1*E11^l", "w*E12^l")).is_zero()
+    assert morphism.component(("1*E12^l", "w*E11^l")).is_zero()
+    assert morphism.component(("1*E11^l", "w*E11^l")) == GradedVector({"w*l.l": 2})
+    assert morphism.component(("1*E11^l", "1*E11^l")) == GradedVector({"1*l.l": 2})
+    assert [mats for _, mats, _, _ in walks] == [
+        [{(0, 0): {("l",): 1}}, {(0, 1): {("l",): 1}}],
+        [{(0, 0): {("l",): 1}}, {(0, 0): {("l",): 1}}],
+    ]
 
 
 def test_pushforward_and_hitchin_map_agree_frozen():
@@ -477,6 +515,15 @@ def test_obstruction_kernel_map_validation():
 # replaced.
 
 
+def _mat_trace(m):
+    out = {}
+    for (i, j), entry in m.items():
+        if i == j:
+            for key, c in entry.items():
+                accumulate(out, key, c)
+    return out
+
+
 def placement_trace_oracle(k, fmats, theta_mat, order):
     """Sum of traces of all length-k matrix words using each f once.
 
@@ -524,8 +571,8 @@ def random_theta_matrix(rng, rank, letters, kind):
 def test_word_trace_sum_matches_the_placement_loop():
     rng = random.Random(1515)
     seen = set()
-    for rank in range(1, 5):
-        for letters in (["l"], ["l1", "l2"]):
+    for rank in range(1, 6):
+        for letters in (["l"], ["l1", "l2"], ["l1", "l2", "l3"]):
             order = {l: p for p, l in enumerate(letters)}
             pool = [(i, j, l) for i in range(rank) for j in range(rank) for l in letters]
             for kind in THETA_KINDS:
@@ -538,9 +585,16 @@ def test_word_trace_sum_matches_the_placement_loop():
                             units[-1] = units[0]
                         fmats = [{(i, j): {(l,): 1}} for i, j, l in units]
                         want = placement_trace_oracle(k, fmats, theta, order)
-                        assert _word_trace_sum(k, fmats, powers, order) == want
+                        # one walk gives every power; each is the oracle's
+                        traces = _word_trace_sum(rank, fmats, powers, order)
+                        assert traces.get(k, {}) == want
+                        for other in range(1, rank + 1):
+                            if other != k:
+                                oracle = placement_trace_oracle(other, fmats, theta, order)
+                                assert traces.get(other, {}) == oracle
+                        assert all(traces.values())
                         ordered = [{(i, j): {(l,): 1}} for i, j, l in sorted(units)]
-                        assert _word_trace_sum(k, ordered, powers, order) == want
+                        assert _word_trace_sum(rank, ordered, powers, order) == traces
                         seen.add((n == 0, n > k, len(set(units)) < n, bool(want)))
     assert (True, False, False, True) in seen  # tr(theta^k) != 0
     assert (False, True, False, False) in seen  # more units than slots
