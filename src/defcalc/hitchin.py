@@ -207,11 +207,11 @@ def _theta_powers(theta, rank, order):
     by entry: {(b, c): [(g, theta^g[b, c]) for nonzero entries, g ascending]}."""
     entry_mul = _sym_entry_mul(order)
     power = {(a, a): {(): 1} for a in range(rank)}
-    links = {}
-    for g in range(rank + 1):
+    links = {key: [(0, entry)] for key, entry in power.items()}
+    for g in range(1, rank + 1):
+        power = _mat_mul(power, theta, entry_mul)
         for key, entry in power.items():
             links.setdefault(key, []).append((g, entry))
-        power = _mat_mul(power, theta, entry_mul)
     return links
 
 
