@@ -52,7 +52,6 @@ cli      batch front end over JSON documents with deterministic reports.
 from .artin import (
     ArtinAlgebra,
     ArtinVector,
-    artin_multiply,
     make_artin,
     validate_artin_vector,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "NotAComplexError",
     "ObstructionEvent",
     "PolyPath",
-    "artin_multiply",
     "bch_product",
     "bracket_artin",
     "build_hitchin_dgla",

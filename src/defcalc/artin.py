@@ -4,6 +4,8 @@ An algebra is described by the set of surviving monomials (exponent tuples);
 the set must contain 1 and be closed under divisors, which makes the
 complement a monomial ideal and the maximal ideal nilpotent.  Ring elements
 and coefficient vectors are sparse dictionaries with exact rational values.
+Inside a Maurer-Cartan series each coefficient is an int pair (see the pair
+kernels below), and every value that leaves the series is a Fraction.
 
 Monomials are ordered graded lexicographically (total degree, then exponent
 tuple); every routine that iterates over monomials uses that order.
@@ -12,8 +14,9 @@ tuple); every routine that iterates over monomials uses that order.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from .graded import _SparseVector, accumulate, as_fraction, as_int, mapping_items
+from .graded import _SparseVector, as_int, mapping_items
 
 # Most monomials an integer truncation may keep.  Enumerating more would
 # exhaust memory long before any computation over the algebra finished.
@@ -132,19 +135,6 @@ def make_artin(variables, truncation):
     return ArtinAlgebra(variables, truncation)
 
 
-def artin_multiply(a, x, y):
-    """Product of two ring elements; elements are dicts monomial -> rational."""
-    out = {}
-    for mx, cx in x.items():
-        if mx not in a.monomials:
-            raise ValueError(f"monomial {mx!r} is not in the algebra")
-        for my, cy in y.items():
-            prod = a.multiply_monomials(mx, my)
-            if prod is not None:
-                accumulate(out, prod, as_fraction(cx) * as_fraction(cy))
-    return out
-
-
 class ArtinVector(_SparseVector):
     """Element of (graded space) tensor (maximal ideal): coeffs keyed by
     (monomial, basis name) with nonzero rational coefficients.
@@ -190,14 +180,7 @@ class ArtinVector(_SparseVector):
 
     def apply_map(self, gmap):
         """Apply a graded map to the space factor, monomial by monomial."""
-        out = {}
-        for (mono, name), c in self.coeffs.items():
-            col = gmap.columns.get(name)
-            if col is None:
-                continue
-            for out_name, oc in col.coeffs.items():
-                accumulate(out, (mono, out_name), c * oc)
-        return ArtinVector.from_nonzero(out)
+        return _vector(_pair_map(gmap.columns, _pairs(self.coeffs)))
 
     def __repr__(self):
         if not self.coeffs:
@@ -224,3 +207,94 @@ def validate_artin_vector(x, algebra, space, degree):
                 f"expected a vector concentrated in degree {degree}, found {name!r} "
                 f"of degree {space.degree(name)}"
             )
+
+
+# ---------------------------------------------------------------------------
+# The pair kernels of the Maurer-Cartan routines.
+#
+# A series (the residual, the gauge exponential, BCH, one order of the
+# solver) runs on pair dicts {(monomial, name): (n, d)}: n != 0, d > 0, and
+# n / d not necessarily in lowest terms.  Ints cost a fraction of Fraction
+# arithmetic, and one reduced Fraction per key is built where a value leaves
+# the series (_vector).  Each kernel does the dict steps of the
+# ArtinVector operation it stands for, in the same order, so keys come out in
+# the order the Fraction arithmetic gives them, a cancelled key that returns
+# moved to the end as there.
+
+
+def _pairs(coeffs):
+    """The pair dict of a coefficient dict of Fractions."""
+    return {k: (c.numerator, c.denominator) for k, c in coeffs.items()}
+
+
+def _vector(pairs):
+    """The ArtinVector of a pair dict: one reduced Fraction per key."""
+    return ArtinVector.from_nonzero({k: Fraction(n, d) for k, (n, d) in pairs.items()})
+
+
+def _pair_add(out, key, n, d):
+    """out[key] += n / d on a pair dict, n != 0, dropping the key when it
+    cancels.  Equal denominators add numerators; others meet at their lcm,
+    found with math.gcd."""
+    old = out.get(key)
+    if old is None:
+        out[key] = (n, d)
+        return
+    m, e = old
+    if e == d:
+        n += m
+    else:
+        g = math.gcd(e, d)
+        n = m * (d // g) + n * (e // g)
+        d = e // g * d
+    if n:
+        out[key] = (n, d)
+    else:
+        del out[key]
+
+
+def _pair_sum(x, y, n=1, d=1):
+    """x + (n / d) y on pair dicts, as a new dict: scale with x = {}."""
+    out = dict(x)
+    if n:
+        for key, (m, e) in y.items():
+            _pair_add(out, key, n * m, d * e)
+    return out
+
+
+def _pair_map(columns, x):
+    """f(x) on a pair dict, monomial by monomial, for the graded map f with
+    the given columns (name -> GradedVector)."""
+    out = {}
+    for (mono, name), (n, d) in x.items():
+        col = columns.get(name)
+        if col is not None:
+            for out_name, c in col.coeffs.items():
+                _pair_add(out, (mono, out_name), n * c.numerator, d * c.denominator)
+    return out
+
+
+def _pair_bracket(table, monomials, x, y):
+    """[x, y] on pair dicts, for a bracket table (a, b) -> GradedVector and
+    the surviving monomials of the ring.
+
+    y's terms are grouped by name, so each term of x makes one table lookup
+    per name of y, and monomials are multiplied only under a name with a
+    bracket entry; a monomial of the wrong arity raises ValueError.
+    """
+    by_name = {}
+    for (my, ay), c in y.items():
+        by_name.setdefault(ay, []).append((my, c))
+    out = {}
+    for (mx, ax), (nx, dx) in x.items():
+        for ay, ys in by_name.items():
+            vec = table.get((ax, ay))
+            if vec is None:
+                continue
+            for my, (ny, dy) in ys:
+                mono = tuple([a + b for a, b in zip(mx, my, strict=True)])
+                if mono in monomials:
+                    n, d = nx * ny, dx * dy
+                    for name, c in vec.coeffs.items():
+                        _pair_add(out, (mono, name), n * c.numerator, d * c.denominator)
+    return out

@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
+from .artin import _pair_bracket, _pair_map, _pair_sum, _pairs, _vector
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
 from .graded import _square_violations, complex_cohomology, int_view, mapping_items, wedge_word
 
@@ -573,39 +574,23 @@ def hom_dgla(space, differential):
 def bracket_artin(dgla, algebra, x, y):
     """Coefficient-bilinear extension of the bracket to L (x) m_A.
 
-    y's terms are grouped by name, so each term of x makes one table lookup
-    per name of y, and monomials are multiplied only under a name with a
-    bracket entry.  x and y must be ArtinVectors (TypeError otherwise);
-    their monomials and names are validated by the callers, not here.
+    artin._pair_bracket on the pairs of x and y: y's terms are grouped by
+    name, and monomials are multiplied only under a name with a bracket
+    entry.  x and y must be ArtinVectors (TypeError otherwise); their
+    monomials and names are validated by the callers, not here.
     """
     for v in (x, y):
         if not isinstance(v, ArtinVector):
             raise TypeError(f"expected an ArtinVector, got {type(v).__name__}")
-    by_name = {}
-    for (my, ay), cy in y.coeffs.items():
-        by_name.setdefault(ay, []).append((my, cy))
-    table, monomials = dgla.brackets, algebra.monomials
-    terms = {}
-    for (mx, ax), cx in x.coeffs.items():
-        for ay, ys in by_name.items():
-            vec = table.get((ax, ay))
-            if vec is None:
-                continue
-            for my, cy in ys:
-                mono = tuple([a + b for a, b in zip(mx, my, strict=True)])
-                if mono in monomials:
-                    factor = cx * cy
-                    for name, c in vec.coeffs.items():
-                        accumulate(terms, (mono, name), factor * c)
-    return ArtinVector.from_nonzero(terms)
+    return _vector(_pair_bracket(dgla.brackets, algebra.monomials, _pairs(x.coeffs), _pairs(y.coeffs)))
 
 
 def mc_residual(x, dgla, algebra):
-    """dx + [x, x] / 2 for a degree 1 element of L (x) m_A."""
+    """dx + [x, x] / 2 for a degree 1 element of L (x) m_A, in pairs."""
     validate_artin_vector(x, algebra, dgla.space, degree=1)
-    return x.apply_map(dgla.d) + bracket_artin(dgla, algebra, x, x).scale(
-        Fraction(1, 2)
-    )
+    x = _pairs(x.coeffs)
+    bracket = _pair_bracket(dgla.brackets, algebra.monomials, x, x)
+    return _vector(_pair_sum(_pair_map(dgla.d.columns, x), bracket, 1, 2))
 
 
 def is_mc(x, dgla, algebra):
@@ -616,17 +601,23 @@ def gauge_act(a, x, dgla, algebra):
     """Action of exp(a) on x:  x + sum_n ad_a^n ([a, x] - da) / (n + 1)!.
 
     a has degree 0 and x degree 1, both with nilpotent coefficients, so the
-    series stops on its own; the loop bound is only a safety net.
+    series stops on its own; it runs on pairs (_gauge_pairs).
     """
     validate_artin_vector(a, algebra, dgla.space, degree=0)
     validate_artin_vector(x, algebra, dgla.space, degree=1)
-    term = bracket_artin(dgla, algebra, a, x) - a.apply_map(dgla.d)
-    result = x
-    n = 0
-    while not term.is_zero():
-        result = result + term.scale(Fraction(1, math.factorial(n + 1)))
-        term = bracket_artin(dgla, algebra, a, term)
+    return _vector(_gauge_pairs(_pairs(a.coeffs), _pairs(x.coeffs), dgla, algebra))
+
+
+def _gauge_pairs(a, x, dgla, algebra):
+    """exp(a) . x on pair dicts, one new term per bracket with a; the loop
+    bound is only a safety net."""
+    table, monomials = dgla.brackets, algebra.monomials
+    term = _pair_sum(_pair_bracket(table, monomials, a, x), _pair_map(dgla.d.columns, a), -1)
+    result, n = x, 0
+    while term:
         n += 1
+        result = _pair_sum(result, term, 1, math.factorial(n))
+        term = _pair_bracket(table, monomials, a, term)
         if n > algebra.nilpotency_order:
             raise AssertionError("gauge series failed to terminate")
     return result
@@ -639,34 +630,41 @@ def bch_product(a, b, dgla, algebra):
     Z_1 = a + b and (n + 1) Z_{n+1} = [a - b, Z_n] / 2 + sum_{p >= 1, 2p <= n}
     B_2p / (2p)! W_{2p,n}, where W_{j,m} = sum_k [Z_k, W_{j-1,m-k}] is the sum
     of [Z_k1, [... [Z_kj, a + b]...]] over k_1 + ... + k_j = m: O(N^3)
-    brackets.  Every letter lies in the maximal ideal, so words of length
-    N = nilpotency order vanish and Z_1 + ... + Z_{N-1} is the whole series.
+    brackets, all on pairs.  Every letter lies in the maximal ideal, so words
+    of length N = nilpotency order vanish and Z_1 + ... + Z_{N-1} is the
+    whole series.
     """
     validate_artin_vector(a, algebra, dgla.space, degree=0)
     validate_artin_vector(b, algebra, dgla.space, degree=0)
+    table, monomials = dgla.brackets, algebra.monomials
     top = algebra.nilpotency_order - 1
     # c[j] = B_j / j!, the coefficients of x / (e^x - 1).
     c = [ONE]
     for m in range(1, top):
         c.append(-sum(c[k] / math.factorial(m + 1 - k) for k in range(m)))
-    diff = a - b
-    z = [None, a + b]
+    a, b = _pairs(a.coeffs), _pairs(b.coeffs)
+    diff = _pair_sum(a, b, -1)
+    z = [None, _pair_sum(a, b)]
     w = [[z[1]]]  # w[m][j] = W_{j,m}; W_{0,m} = 0 for m > 0
     for n in range(1, top):
-        row = [ArtinVector()]
+        row = [{}]
         for j in range(1, n + 1):
-            acc = ArtinVector()
+            acc = {}
             for k in range(1, n - j + 2):
                 inner = w[n - k][j - 1]
                 if z[k] and inner:
-                    acc = acc + bracket_artin(dgla, algebra, z[k], inner)
+                    acc = _pair_sum(acc, _pair_bracket(table, monomials, z[k], inner))
             row.append(acc)
         w.append(row)
-        nxt = bracket_artin(dgla, algebra, diff, z[n]).scale(Fraction(1, 2))
+        # Z_{n+1}, the 1 / (n + 1) taken into each term's factor
+        nxt = _pair_sum({}, _pair_bracket(table, monomials, diff, z[n]), 1, 2 * (n + 1))
         for p in range(1, n // 2 + 1):
-            nxt = nxt + row[2 * p].scale(c[2 * p])
-        z.append(nxt.scale(Fraction(1, n + 1)))
-    return sum(z[2:], z[1])
+            nxt = _pair_sum(nxt, row[2 * p], c[2 * p].numerator, c[2 * p].denominator * (n + 1))
+        z.append(nxt)
+    total = z[1]
+    for part in z[2:]:
+        total = _pair_sum(total, part)
+    return _vector(total)
 
 
 # ---------------------------------------------------------------------------
@@ -773,24 +771,25 @@ def mc_solve(dgla, algebra, directions=None):
     events = []
     solutions = []
     max_order = algebra.nilpotency_order - 1
+    table, monomials, columns = dgla.brackets, algebra.monomials, dgla.d.columns
     for idx, seed in enumerate(directions):
-        split = [{} for _ in range(max_order + 1)]
+        parts = [{} for _ in range(max_order + 1)]  # pair dicts
         for key, c in seed.coeffs.items():
-            split[monomial_degree(key[0])][key] = c
-        parts = [ArtinVector.from_nonzero(p) for p in split]
+            parts[monomial_degree(key[0])][key] = (c.numerator, c.denominator)
         below = [1] if max_order and parts[1] else []  # orders below k with a term, ascending
         corrections = {}  # no two corrections share a key, so update sums them
         blocked = False
         for order in range(2, max_order + 1):
-            pairs = [i for i in below if parts[order - i]]
-            if not pairs and not parts[order]:
+            paired = [i for i in below if parts[order - i]]
+            if not paired and not parts[order]:
                 continue  # the order-k residual is zero
-            quadratic = ArtinVector()
-            for i in pairs:
-                quadratic = quadratic + bracket_artin(dgla, algebra, parts[i], parts[order - i])
-            part = parts[order].apply_map(dgla.d) + quadratic.scale(Fraction(1, 2))
+            quadratic = {}
+            for i in paired:
+                bracket = _pair_bracket(table, monomials, parts[i], parts[order - i])
+                quadratic = _pair_sum(quadratic, bracket)
+            part = _pair_sum(_pair_map(columns, parts[order]), quadratic, 1, 2)
             fix = {}
-            for mono, vec, coords, correction in _lift_by_monomial(summary, 2, part):
+            for mono, vec, coords, correction in _lift_by_monomial(summary, 2, _vector(part)):
                 event = ObstructionEvent(idx, order, mono, coords, vec)
                 events.append(event)
                 if not event.vanishes():
@@ -799,11 +798,11 @@ def mc_solve(dgla, algebra, directions=None):
                 fix.update(correction.coeffs)
             if blocked:
                 break
-            fix = ArtinVector.from_nonzero(fix)
-            if not (part + fix.apply_map(dgla.d)).is_zero():
+            fixed = _pairs(fix)
+            if _pair_sum(part, _pair_map(columns, fixed)):
                 raise AssertionError(f"order {order} residual is nonzero after its corrections")
-            parts[order] = parts[order] + fix
-            corrections.update(fix.coeffs)
+            parts[order] = _pair_sum(parts[order], fixed)
+            corrections.update(fix)
             if parts[order]:
                 below.append(order)
         solutions.append(None if blocked else seed + ArtinVector.from_nonzero(corrections))
@@ -849,20 +848,20 @@ def gauge_equivalent(x, y, dgla, algebra):
         if not is_mc(v, dgla, algebra):
             raise ValueError(f"{label} does not satisfy the Maurer-Cartan equation")
     summary = dgla.cohomology()
-    a = ArtinVector()
+    x, y = _pairs(x.coeffs), _pairs(y.coeffs)
+    a = {}  # pairs
     settled = 0
     while True:
-        diff = y - gauge_act(a, x, dgla, algebra)
-        if diff.is_zero():
-            return GaugeResult(True, witness=a)
+        diff = _pair_sum(y, _gauge_pairs(a, x, dgla, algebra), -1)
+        if not diff:
+            return GaugeResult(True, witness=_vector(a))
         # below the nilpotency order and rising at every step, so the loop ends
-        order = diff.min_order()
+        order = min(monomial_degree(k[0]) for k in diff)
         if order <= settled:
             raise AssertionError("gauge induction lost a settled order")
         settled = order
-        for mono, vec, coords, correction in _lift_by_monomial(
-            summary, 1, diff.order_part(order)
-        ):
+        part = _vector({k: c for k, c in diff.items() if monomial_degree(k[0]) == order})
+        for mono, vec, coords, correction in _lift_by_monomial(summary, 1, part):
             if any(coords):
                 return GaugeResult(False, order=order, monomial=mono, residual=vec)
-            a = a + correction
+            a = _pair_sum(a, _pairs(correction.coeffs))

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -1008,28 +1009,37 @@ def test_mc_solve_certifies_each_order(monkeypatch):
         mc_solve(model, algebra, [direction])
 
 
-def test_mc_solve_checks_a_number_of_pairs_linear_in_the_order(monkeypatch):
-    """Each order pairs only the lower orders that hold a term, so the
-    nonzero tests of ArtinVector grow by the same count per added order:
-    the Hitchin dgla of the zero pair, whose every order past 2 is empty,
-    and x t, corrected at order 2, whose orders past 4 are empty."""
+def test_mc_solve_checks_a_number_of_pairs_linear_in_the_order():
+    """Each order pairs only the lower orders that hold a term, so the lines
+    run in dgla.py grow by the same count per added order: the Hitchin dgla
+    of the zero pair, whose every order past 2 is empty, and x t, corrected
+    at order 2, whose orders past 4 are empty."""
     calls = [0]
-    nonzero = ArtinVector.__bool__
 
-    def counting(self):
-        calls[0] += 1
-        return nonzero(self)
+    def local(frame, event, arg):
+        if event == "line":
+            calls[0] += 1
+        return local
 
-    monkeypatch.setattr(ArtinVector, "__bool__", counting)
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == dgla_module.__file__ else None
+
     zero = build_hitchin_dgla(sample_kernel("hitchin_r2_zero.json"), trivial_cdga())
     cases = [(zero, None), (correction_model(), [ArtinVector({((1,), "x"): 1})])]
     for model, directions in cases:
+        mc_solve(model, make_artin(("t",), 3), directions)  # builds the tables and the summary
         counts = []
         for order in (200, 400, 600):
+            algebra = make_artin(("t",), order)
             calls[0] = 0
-            mc_solve(model, make_artin(("t",), order), directions)
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                mc_solve(model, algebra, directions)
+            finally:
+                sys.settrace(previous)
             counts.append(calls[0])
-        assert counts[2] - counts[1] == counts[1] - counts[0]
+        assert counts[2] - counts[1] == counts[1] - counts[0] > 0
 
 
 def correction_model(c=3, c_blocked=-2, c_d=5):
@@ -1142,13 +1152,13 @@ def test_gauge_equivalent_skips_settled_orders_without_acting_again(monkeypatch)
     a = ArtinVector({((3,), "a"): Fraction(1, 2), ((4,), "b"): 3})
     y = gauge_act(a, x, model, algebra)
     calls = []
-    act = dgla_module.gauge_act
+    act = dgla_module._gauge_pairs
 
     def spy(*args):
-        calls.append(args[0])
+        calls.append(fraction_vector(args[0]))
         return act(*args)
 
-    monkeypatch.setattr(dgla_module, "gauge_act", spy)
+    monkeypatch.setattr(dgla_module, "_gauge_pairs", spy)
     result = gauge_equivalent(x, y, model, algebra)
     assert result.equivalent and result.witness == a
     assert calls == [ArtinVector(), ArtinVector({((3,), "a"): Fraction(1, 2)}), a]
@@ -1426,20 +1436,31 @@ def test_the_shared_summary_answers_alike_in_every_read_order():
 # of every pair of terms before it looked the pair of names up.
 
 
-def term_by_term_bracket_artin(dgla, algebra, x, y):
+def term_by_term_bracket(table, monomials, x, y):
+    """The coefficient dict of [x, y] for a bracket table and the surviving
+    monomials of a ring."""
     terms = {}
     for (mx, ax), cx in x.coeffs.items():
         for (my, ay), cy in y.coeffs.items():
-            mono = algebra.multiply_monomials(mx, my)
-            if mono is None:
+            mono = tuple(a + b for a, b in zip(mx, my, strict=True))
+            if mono not in monomials:
                 continue
-            vec = dgla.brackets.get((ax, ay))
+            vec = table.get((ax, ay))
             if vec is None:
                 continue
             factor = cx * cy
             for name, c in vec.coeffs.items():
                 accumulate(terms, (mono, name), factor * c)
-    return ArtinVector.from_nonzero(terms)
+    return terms
+
+
+def term_by_term_bracket_artin(dgla, algebra, x, y):
+    return ArtinVector.from_nonzero(term_by_term_bracket(dgla.brackets, algebra.monomials, x, y))
+
+
+def fraction_vector(pairs):
+    """The ArtinVector of a pair dict {(monomial, name): (n, d)}."""
+    return ArtinVector({k: Fraction(n, d) for k, (n, d) in pairs.items()})
 
 
 def random_fraction(rng):
@@ -1521,11 +1542,12 @@ def test_mc_routines_match_with_the_term_by_term_bracket(monkeypatch):
     grouped = [key(function(*args)) for function, args in outputs]
     calls = []
 
-    def oracle(*args):
-        calls.append(args)
-        return term_by_term_bracket_artin(*args)
+    def oracle(table, monomials, x, y):
+        calls.append((x, y))
+        terms = term_by_term_bracket(table, monomials, fraction_vector(x), fraction_vector(y))
+        return {k: (c.numerator, c.denominator) for k, c in terms.items()}
 
-    monkeypatch.setattr(dgla_module, "bracket_artin", oracle)
+    monkeypatch.setattr(dgla_module, "_pair_bracket", oracle)
     assert [key(function(*args)) for function, args in outputs] == grouped
     assert len(calls) >= 100
     events = [e for g in grouped if not isinstance(g, ArtinVector) for e in g[0]]
@@ -1534,3 +1556,320 @@ def test_mc_routines_match_with_the_term_by_term_bracket(monkeypatch):
     blocked = sum(any(coords) for _, _, _, coords, _ in events)
     assert blocked >= 5 and len(events) - blocked >= 5  # and corrected
     assert len(lifts) >= 10 and len(vectors) >= 10
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the pair kernels: the Fraction loops that bracket_artin,
+# gauge_act, bch_product and mc_solve's order loop ran on ArtinVector
+# arithmetic before each series was kept in int pairs.  The library's results
+# must match them in value and key order, every coefficient a reduced
+# Fraction.
+
+
+def fraction_bracket_artin(dgla, algebra, x, y):
+    by_name = {}
+    for (my, ay), cy in y.coeffs.items():
+        by_name.setdefault(ay, []).append((my, cy))
+    table, monomials = dgla.brackets, algebra.monomials
+    terms = {}
+    for (mx, ax), cx in x.coeffs.items():
+        for ay, ys in by_name.items():
+            vec = table.get((ax, ay))
+            if vec is None:
+                continue
+            for my, cy in ys:
+                mono = tuple([a + b for a, b in zip(mx, my, strict=True)])
+                if mono in monomials:
+                    factor = cx * cy
+                    for name, c in vec.coeffs.items():
+                        accumulate(terms, (mono, name), factor * c)
+    return ArtinVector.from_nonzero(terms)
+
+
+def fraction_apply_map(x, gmap):
+    out = {}
+    for (mono, name), c in x.coeffs.items():
+        col = gmap.columns.get(name)
+        if col is None:
+            continue
+        for out_name, oc in col.coeffs.items():
+            accumulate(out, (mono, out_name), c * oc)
+    return ArtinVector.from_nonzero(out)
+
+
+def fraction_mc_residual(x, dgla, algebra):
+    return fraction_apply_map(x, dgla.d) + fraction_bracket_artin(dgla, algebra, x, x).scale(
+        Fraction(1, 2)
+    )
+
+
+def fraction_gauge_act(a, x, dgla, algebra):
+    term = fraction_bracket_artin(dgla, algebra, a, x) - fraction_apply_map(a, dgla.d)
+    result = x
+    n = 0
+    while not term.is_zero():
+        result = result + term.scale(Fraction(1, math.factorial(n + 1)))
+        term = fraction_bracket_artin(dgla, algebra, a, term)
+        n += 1
+    return result
+
+
+def fraction_bch_product(a, b, dgla, algebra):
+    top = algebra.nilpotency_order - 1
+    c = [Fraction(1)]
+    for m in range(1, top):
+        c.append(-sum(c[k] / math.factorial(m + 1 - k) for k in range(m)))
+    diff = a - b
+    z = [None, a + b]
+    w = [[z[1]]]
+    for n in range(1, top):
+        row = [ArtinVector()]
+        for j in range(1, n + 1):
+            acc = ArtinVector()
+            for k in range(1, n - j + 2):
+                inner = w[n - k][j - 1]
+                if z[k] and inner:
+                    acc = acc + fraction_bracket_artin(dgla, algebra, z[k], inner)
+            row.append(acc)
+        w.append(row)
+        nxt = fraction_bracket_artin(dgla, algebra, diff, z[n]).scale(Fraction(1, 2))
+        for p in range(1, n // 2 + 1):
+            nxt = nxt + row[2 * p].scale(c[2 * p])
+        z.append(nxt.scale(Fraction(1, n + 1)))
+    return sum(z[2:], z[1])
+
+
+def fraction_mc_solve(dgla, algebra, directions):
+    """(events, solutions) of the Fraction order loop on the given directions."""
+    summary = dgla.cohomology()
+    events, solutions = [], []
+    max_order = algebra.nilpotency_order - 1
+    for idx, seed in enumerate(directions):
+        split = [{} for _ in range(max_order + 1)]
+        for key, c in seed.coeffs.items():
+            split[sum(key[0])][key] = c
+        parts = [ArtinVector.from_nonzero(p) for p in split]
+        below = [1] if max_order and parts[1] else []
+        corrections = {}
+        blocked = False
+        for order in range(2, max_order + 1):
+            pairs = [i for i in below if parts[order - i]]
+            if not pairs and not parts[order]:
+                continue
+            quadratic = ArtinVector()
+            for i in pairs:
+                quadratic = quadratic + fraction_bracket_artin(
+                    dgla, algebra, parts[i], parts[order - i]
+                )
+            part = fraction_apply_map(parts[order], dgla.d) + quadratic.scale(Fraction(1, 2))
+            fix = {}
+            for mono, vec, coords, correction in dgla_module._lift_by_monomial(summary, 2, part):
+                event = ObstructionEvent(idx, order, mono, coords, vec)
+                events.append(event)
+                if not event.vanishes():
+                    blocked = True
+                    break
+                fix.update(correction.coeffs)
+            if blocked:
+                break
+            fix = ArtinVector.from_nonzero(fix)
+            assert (part + fraction_apply_map(fix, dgla.d)).is_zero()
+            parts[order] = parts[order] + fix
+            corrections.update(fix.coeffs)
+            if parts[order]:
+                below.append(order)
+        solutions.append(None if blocked else seed + ArtinVector.from_nonzero(corrections))
+    return events, solutions
+
+
+def assert_same_vector(got, want):
+    """Equal values in the same key order, each a Fraction in lowest terms."""
+    assert isinstance(got, ArtinVector)
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    for c in got.coeffs.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+SCALES = [Fraction(p, q) for p in (1, 3, 7) for q in (1, 3, 7) if p == 1 or q == 1 or p != q]
+
+
+def rescaled(model, rng):
+    """model on the basis lam_n n, lam_n in SCALES: the same dgla, with
+    structure constants of denominators 3 and 7."""
+    lam = {n: rng.choice(SCALES) for n in model.space.names}
+    columns = {
+        a: {b: c * lam[a] / lam[b] for b, c in col.coeffs.items()}
+        for a, col in model.d.columns.items()
+    }
+    table = {
+        (a, b): {n: c * lam[a] * lam[b] / lam[n] for n, c in vec.coeffs.items()}
+        for (a, b), vec in model.brackets.items()
+    }
+    return Dgla(model.space, GradedMap(model.space, model.space, 1, columns), table)
+
+
+def fraction_37(rng):
+    return Fraction(rng.choice((-5, -3, -1, 1, 2, 4)), rng.choice((1, 3, 7, 21)))
+
+
+def random_37_vector(rng, names, algebra, terms, low=4):
+    """A seeded vector on names over algebra, its monomials among the low
+    orders so that long series survive the truncation."""
+    monomials = [m for m in algebra.maximal_ideal if sum(m) <= low]
+    return ArtinVector({
+        (rng.choice(monomials), rng.choice(names)): fraction_37(rng) for _ in range(terms)
+    })
+
+
+# Q[t]/(t^30) and Q[s, t] truncated at total degree 6, and two small rings
+PAIR_RINGS = [
+    make_artin(("t",), 30),
+    make_artin(("s", "t"), 7),
+    make_artin(("t",), 5),
+    make_artin(("s", "t", "u"), 3),
+]
+
+
+def chain_model(n):
+    """y_1 .. y_n in degree 1, z_2 .. z_(n+1) in degree 2, d y_k = z_k and
+    [y_j, y_k] = z_(j+k): the lift of y_1 t is corrected at every order up to
+    n, and blocked at order n + 1 by the class of z_(n+1)."""
+    space = GradedSpace(
+        [(f"y{k}", 1) for k in range(1, n + 1)] + [(f"z{k}", 2) for k in range(2, n + 2)]
+    )
+    d = GradedMap(space, space, 1, {f"y{k}": {f"z{k}": 1} for k in range(2, n + 1)})
+    table = {
+        (f"y{j}", f"y{k}"): {f"z{j + k}": 1}
+        for j in range(1, n + 1) for k in range(j, n + 2 - j)
+    }
+    return Dgla(space, d, table)
+
+
+# how many of pair_kernel_models' first models are dglas
+VALID_PAIR_MODELS = 8
+
+
+def pair_kernel_models(rng):
+    """Valid dglas with tables of denominators 3 and 7 (rescaled), then
+    seeded tables with such entries in any degree, some with mirrors that
+    disagree."""
+    interval = sample_kernel("cdga_interval.json")
+    valid = [
+        correction_model(Fraction(2, 3), Fraction(-5, 7), Fraction(3, 7)),
+        chain_model(8),
+        chain_model(32),
+        h0_zero_model(),
+        semidirect(),
+        gl2(),
+        build_hitchin_dgla(sample_kernel("hitchin_r2_zero.json"), interval),
+        build_hitchin_dgla(sample_kernel("hitchin_r2_nilpotent.json"), interval),
+    ]
+    models = [rescaled(model, rng) for model in valid]
+    for _ in range(4):
+        space = GradedSpace([("a", 0), ("b", 0), ("x", 1), ("y", 1), ("z", 2)])
+        table = {}
+        for p in space.names:
+            for q in space.names:
+                if rng.random() < 0.4:
+                    table[(p, q)] = {rng.choice(space.names): fraction_37(rng) for _ in range(2)}
+        models.append(Dgla(space, None, table))
+    return models
+
+
+def test_pair_kernels_match_the_fraction_oracles():
+    rng = random.Random(3637)
+    seen = {"bracket": 0, "gauge": 0, "bch": 0, "residual": 0, "apply_map": 0, "unreduced sum": 0}
+    for index, model in enumerate(pair_kernel_models(rng)):
+        zeros = model.space.names_of_degree(0)
+        ones = model.space.names_of_degree(1)
+        for algebra in PAIR_RINGS:
+            names = model.space.names
+            x = random_37_vector(rng, names, algebra, rng.randint(1, 6))
+            y = random_37_vector(rng, names, algebra, rng.randint(1, 6))
+            got = bracket_artin(model, algebra, x, y)
+            assert_same_vector(got, fraction_bracket_artin(model, algebra, x, y))
+            assert_same_vector(x.apply_map(model.d), fraction_apply_map(x, model.d))
+            seen["bracket"] += bool(got)
+            seen["apply_map"] += bool(model.d.columns)
+            # the same key from two terms of different denominators
+            seen["unreduced sum"] += any(c.denominator % 21 == 0 for c in got.coeffs.values())
+            if ones:
+                x1 = random_37_vector(rng, ones, algebra, rng.randint(1, 4), low=2)
+                residual = mc_residual(x1, model, algebra)
+                assert_same_vector(residual, fraction_mc_residual(x1, model, algebra))
+                assert is_mc(x1, model, algebra) == (not residual)
+                seen["residual"] += bool(residual)
+            # BCH's O(N^3) brackets over t^30 take seconds on a dense seeded table
+            if zeros and (index < VALID_PAIR_MODELS or algebra.nilpotency_order < 30):
+                a = random_37_vector(rng, zeros, algebra, rng.randint(1, 3), low=2)
+                b = random_37_vector(rng, zeros, algebra, rng.randint(1, 3), low=2)
+                got = bch_product(a, b, model, algebra)
+                assert_same_vector(got, fraction_bch_product(a, b, model, algebra))
+                seen["bch"] += got != a + b
+                if ones:
+                    got = gauge_act(a, x1, model, algebra)
+                    assert_same_vector(got, fraction_gauge_act(a, x1, model, algebra))
+                    seen["gauge"] += got != x1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_mc_solve_matches_the_fraction_order_loop():
+    rng = random.Random(3736)
+    seen = {"events": 0, "obstructed": 0, "lifted": 0, "t^30": 0, "s, t": 0}
+    for model in pair_kernel_models(rng)[:VALID_PAIR_MODELS]:
+        reps = model.cohomology().representatives(1)
+        for algebra in PAIR_RINGS:
+            cases = [None]
+            if reps:
+                cases.append([random_direction(rng, model, algebra, reps) for _ in range(2)])
+            for directions in cases:
+                result = mc_solve(model, algebra, directions)
+                events, solutions = fraction_mc_solve(model, algebra, result.directions)
+                assert [(e.direction, e.order, e.monomial, e.coords) for e in result.events] == [
+                    (e.direction, e.order, e.monomial, e.coords) for e in events
+                ]
+                for got, want in zip(result.events, events):
+                    assert list(got.cocycle.coeffs.items()) == list(want.cocycle.coeffs.items())
+                assert len(result.solutions) == len(solutions)
+                for got, want in zip(result.solutions, solutions):
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert_same_vector(got, want)
+                        seen["lifted"] += 1
+                        seen["t^30"] += algebra.nilpotency_order == 30
+                        seen["s, t"] += algebra.variables == ("s", "t") and any(
+                            sum(m) > 1 for m, _ in want.coeffs
+                        )
+                seen["events"] += len(events)
+                seen["obstructed"] += sum(1 for e in events if not e.vanishes())
+    assert min(seen.values()) >= 3, seen
+
+
+def cancel_and_return_model():
+    """a, b in degree 0 and x, y, z, p, q in degree 1 with [a, x] = y,
+    [a, y] = z, [b, x] = z, d a = p and d b = q: d is injective in degree
+    0, so H^0 = 0, and with nothing in degree 2 every degree 1 element is
+    Maurer-Cartan."""
+    space = GradedSpace([("a", 0), ("b", 0)] + [(n, 1) for n in ("x", "y", "z", "p", "q")])
+    d = GradedMap(space, space, 1, {"a": {"p": 1}, "b": {"q": 1}})
+    return Dgla(space, d, {("a", "x"): {"y": 1}, ("a", "y"): {"z": 1}, ("b", "x"): {"z": 1}})
+
+
+def test_a_key_that_cancels_and_comes_back_moves_to_the_end():
+    # exp(t a - 3/7 t^2 b) . (t x + 3/7 t^3 z): the first term, [a, x] - da,
+    # adds t^2 y and -3/7 t^3 z, which cancels the t^3 z of x, then -t p and
+    # 3/7 t^2 q; the second, [a, [a, x] - da] / 2, brings t^3 z back, last
+    model, algebra = cancel_and_return_model(), make_artin(("t",), 30)
+    a = ArtinVector({((1,), "a"): 1, ((2,), "b"): Fraction(-3, 7)})
+    x = ArtinVector({((1,), "x"): 1, ((3,), "z"): Fraction(3, 7)})
+    got = gauge_act(a, x, model, algebra)
+    assert_same_vector(got, fraction_gauge_act(a, x, model, algebra))
+    assert list(got.coeffs.items()) == [
+        (((1,), "x"), 1), (((2,), "y"), 1), (((1,), "p"), -1), (((2,), "q"), Fraction(3, 7)),
+        (((3,), "z"), Fraction(1, 2)),
+    ]
+    # gauge_equivalent's loop keeps its series in pairs too, and finds a
+    result = gauge_equivalent(x, got, model, algebra)
+    assert result.equivalent
+    assert_same_vector(result.witness, a)

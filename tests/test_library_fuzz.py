@@ -27,7 +27,6 @@ from defcalc import (
     LInftyMorphism,
     LInftyStructure,
     PolyPath,
-    artin_multiply,
     bch_product,
     bracket_artin,
     build_hitchin_morphism,
@@ -395,8 +394,6 @@ FINDINGS = {
         ValueError),
     "monomial of the wrong arity multiplied": (
         lambda: T3.multiply_monomials((1,), (1, 5)), ValueError),
-    "monomial of the wrong arity in artin_multiply": (
-        lambda: artin_multiply(T3, {(1,): 1}, {(1, 5): 1}), ValueError),
     "monomial of the wrong arity pushed forward": (
         lambda: pushforward_series(LINFTY_IDENTITY, ArtinVector({((1, 5), "x"): 1}), T3),
         ValueError),
