@@ -461,8 +461,10 @@ def _checks(*named):
     return {"checks": entries}, all(entry["ok"] for entry in entries)
 
 
-def _cmd_check_dgla(args, dgla):
-    return _checks(("dgla-axioms", check_dgla(dgla)))
+def _cmd_check_dgla(args, kernel):
+    if isinstance(kernel, Cdga):
+        return _checks(("cdga-axioms", check_cdga(kernel)))
+    return _checks(("dgla-axioms", check_dgla(kernel)))
 
 
 def _cmd_check_linfty(args, structure):
@@ -585,7 +587,7 @@ def _cmd_obstruction(args, pair, cdga):
 # fields and whether every check passed.  The README's command table mirrors
 # this one.
 _COMMANDS = {
-    "check-dgla": (_cmd_check_dgla, ("dgla",)),
+    "check-dgla": (_cmd_check_dgla, ("dgla|cdga",)),
     "check-linfty": (_cmd_check_linfty, ("linfty|dgla",)),
     "check-morphism": (_cmd_check_morphism, ("hitchin-pair", "cdga?")),
     "cohomology": (_cmd_cohomology, ("dgla|cdga|hitchin-pair", "cdga?")),
