@@ -233,6 +233,17 @@ def test_degree_is_the_last_axiom_checked():
     space = GradedSpace([("1", 0), ("w", 1)])
     report = check_cdga(Cdga(space, None, {("w", "w"): {"1": 1}}, "1"))
     assert (report.axiom, report.witness) == ("commutativity", ("w", "w"))
+    # w u = w with u in degree 2, the CDGA of the golden check-dgla case:
+    # u (u w) = w but (u u) w = 0 comes before w u leaving degree |w| + |u|
+    space = GradedSpace([("1", 0), ("w", 1), ("u", 2)])
+    cdga = Cdga(space, None, {("w", "u"): {"w": 1}}, "1")
+    report = check_cdga(cdga)
+    assert (report.axiom, report.witness, report.value) == (
+        "associativity", ("u", "u", "w"), GradedVector({"w": -1})
+    )
+    assert [(r.axiom, r.witness) for r in dgla_module._cdga_violations(cdga)][-2:] == [
+        ("degree", ("u", "w")), ("degree", ("w", "u"))
+    ]
 
 
 def test_unknown_name_in_a_one_sided_entry_is_a_value_error():

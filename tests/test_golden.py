@@ -91,6 +91,9 @@ CASES = [
     # rank 5: a superdiagonal theta with corner entries, so theta^4 != 0
     ["hitchin-verify", G + "hitchin_r5_nilpotent.json", S + "cdga_interval.json",
      "--weight", "3"],
+    # w u = w with u in degree 2: u (u w) = w but (u u) w = 0, and the
+    # product leaves degree |w| + |u|, which is reported after associativity
+    ["check-dgla", G + "cdga_not_associative.json"],
 ]
 
 
