@@ -2,8 +2,10 @@
 
 Everything is computed exactly over the rationals; there are no floats and
 no tolerances anywhere.  Whole values may be Python ints inside a kernel
-loop, every public vector, witness and report value is a
-fractions.Fraction, and every division has a Fraction operand.  The
+loop and a Maurer-Cartan series runs on int (numerator, denominator)
+pairs, but every public vector, witness and report value is a
+fractions.Fraction, and every division has a Fraction operand or is an
+exact // of ints.  The
 layers, bottom up:
 
 graded   signed multilinear algebra: graded spaces, the one sparse
@@ -15,15 +17,17 @@ graded   signed multilinear algebra: graded spaces, the one sparse
 linalg   the one exact row reduction, rref, fraction-free on integer rows;
          the kernel and prepared-solve routines read its output.
 artin    finite-dimensional local base rings (truncated polynomial style)
-         and elements of m (x) V, keyed vectors on graded's arithmetic.
+         and elements of m (x) V, keyed vectors on graded's arithmetic,
+         and the int-pair kernels (add and drop zeros, sum, map, bracket)
+         every Maurer-Cartan series runs on.
 dgla     differential graded Lie and commutative algebras, their axiom
          checkers (degrees included), the tensor construction and one
          construction of matrices over an exterior algebra twisted by a
          degree-1 element (End(V, d) over Q, gl_r (x) Lambda L with
          [theta, -]), whose bracket tables are built when first read,
-         the bracket on L (x) m_A grouped by name,
-         Maurer-Cartan residuals, gauge action, BCH, and one per-monomial
-         cohomology lift behind order-by-order solving (obstruction
+         the bracket on L (x) m_A grouped by name, and on artin's pair
+         kernels Maurer-Cartan residuals, gauge action, BCH, and one
+         per-monomial cohomology lift behind order-by-order solving (obstruction
          classes in H^2 from order-k residuals) and gauge equivalence
          (order-k differences in H^1).
 linfty   the same homotopical data as coderivations of the reduced

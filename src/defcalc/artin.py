@@ -210,16 +210,12 @@ def validate_artin_vector(x, algebra, space, degree):
 
 
 # ---------------------------------------------------------------------------
-# The pair kernels of the Maurer-Cartan routines.
-#
-# A series (the residual, the gauge exponential, BCH, one order of the
-# solver) runs on pair dicts {(monomial, name): (n, d)}: n != 0, d > 0, and
-# n / d not necessarily in lowest terms.  Ints cost a fraction of Fraction
-# arithmetic, and one reduced Fraction per key is built where a value leaves
-# the series (_vector).  Each kernel does the dict steps of the
-# ArtinVector operation it stands for, in the same order, so keys come out in
-# the order the Fraction arithmetic gives them, a cancelled key that returns
-# moved to the end as there.
+# The pair kernels of the Maurer-Cartan routines.  A series runs on pair dicts
+# {(monomial, name): (n, d)}, n != 0 < d, n / d not always in lowest terms,
+# and _vector builds one reduced Fraction per key where a value leaves it.
+# Each kernel makes the dict steps of the ArtinVector operation it stands
+# for, in the same order, so keys come out in that order: a cancelled key
+# that returns moves to the end.
 
 
 def _pairs(coeffs):
@@ -237,28 +233,24 @@ def _pair_add(out, key, n, d):
     cancels.  Equal denominators add numerators; others meet at their lcm,
     found with math.gcd."""
     old = out.get(key)
-    if old is None:
-        out[key] = (n, d)
-        return
-    m, e = old
-    if e == d:
-        n += m
-    else:
-        g = math.gcd(e, d)
-        n = m * (d // g) + n * (e // g)
-        d = e // g * d
-    if n:
-        out[key] = (n, d)
-    else:
-        del out[key]
+    if old is not None:
+        m, e = old
+        if e == d:
+            n += m
+        else:
+            g = math.gcd(e, d)
+            n, d = m * (d // g) + n * (e // g), e // g * d
+        if not n:
+            del out[key]
+            return
+    out[key] = (n, d)
 
 
 def _pair_sum(x, y, n=1, d=1):
-    """x + (n / d) y on pair dicts, as a new dict: scale with x = {}."""
+    """x + (n / d) y on pair dicts, n != 0, as a new dict: scale with x = {}."""
     out = dict(x)
-    if n:
-        for key, (m, e) in y.items():
-            _pair_add(out, key, n * m, d * e)
+    for key, (m, e) in y.items():
+        _pair_add(out, key, n * m, d * e)
     return out
 
 
@@ -275,13 +267,10 @@ def _pair_map(columns, x):
 
 
 def _pair_bracket(table, monomials, x, y):
-    """[x, y] on pair dicts, for a bracket table (a, b) -> GradedVector and
-    the surviving monomials of the ring.
-
-    y's terms are grouped by name, so each term of x makes one table lookup
-    per name of y, and monomials are multiplied only under a name with a
-    bracket entry; a monomial of the wrong arity raises ValueError.
-    """
+    """[x, y] on pair dicts, for a bracket table (a, b) -> GradedVector and a
+    ring's surviving monomials.  y's terms are grouped by name, so each term
+    of x makes one table lookup per name of y, and monomials are multiplied
+    only under a name with an entry (ValueError if their arities differ)."""
     by_name = {}
     for (my, ay), c in y.items():
         by_name.setdefault(ay, []).append((my, c))

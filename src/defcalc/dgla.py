@@ -8,14 +8,17 @@ failing input always produces the same witness.
 
 Over an Artinian coefficient algebra the gauge exponential and the
 Campbell-Hausdorff product are finite sums; both are computed exactly with
-no truncation beyond the one built into the coefficient ring.
+no truncation beyond the one built into the coefficient ring.  The
+Maurer-Cartan routines keep each series in int pairs on artin's pair
+kernels and return one reduced Fraction per key, with the key order the
+same steps on ArtinVectors give.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 
 from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
@@ -582,7 +585,8 @@ def bracket_artin(dgla, algebra, x, y):
     for v in (x, y):
         if not isinstance(v, ArtinVector):
             raise TypeError(f"expected an ArtinVector, got {type(v).__name__}")
-    return _vector(_pair_bracket(dgla.brackets, algebra.monomials, _pairs(x.coeffs), _pairs(y.coeffs)))
+    x, y = _pairs(x.coeffs), _pairs(y.coeffs)
+    return _vector(_pair_bracket(dgla.brackets, algebra.monomials, x, y))
 
 
 def mc_residual(x, dgla, algebra):
@@ -661,10 +665,7 @@ def bch_product(a, b, dgla, algebra):
         for p in range(1, n // 2 + 1):
             nxt = _pair_sum(nxt, row[2 * p], c[2 * p].numerator, c[2 * p].denominator * (n + 1))
         z.append(nxt)
-    total = z[1]
-    for part in z[2:]:
-        total = _pair_sum(total, part)
-    return _vector(total)
+    return _vector(reduce(_pair_sum, z[2:], z[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +742,9 @@ def mc_solve(dgla, algebra, directions=None):
     the direction (recorded, lift abandoned) or the same solve's preimage
     under d, free variables zero, corrects it and the induction continues.
 
-    x is split by monomial order once, x = x_1 + x_2 + ..., and the order-k
-    residual is d(x_k) + 1/2 sum over i + j = k of [x_i, x_j]: a correction
+    x is split by monomial order once, into pair dicts, x = x_1 + x_2 + ...,
+    and the order-k residual is d(x_k) + 1/2 sum over i + j = k of
+    [x_i, x_j], in pairs until it is lifted by monomial: a correction
     at order k changes no lower order of the residual, so only the parts
     below k, all settled, and x_k enter it.  An order with no such term is
     skipped.  Each order is certified as it is corrected: the residual plus
@@ -842,7 +844,8 @@ def gauge_equivalent(x, y, dgla, algebra):
     certificate, a zero one gives a_k.  (On a table that breaks Leibniz
     or Jacobi the part need not be closed, and the lift raises ValueError.)
     Each step goes straight to the lowest order at which y - exp(a) . x is
-    nonzero, which strictly rises.
+    nonzero, which strictly rises.  a, x, y and the action stay in pairs;
+    only the lowest part of the difference becomes Fractions, to be lifted.
     """
     for label, v in (("x", x), ("y", y)):
         if not is_mc(v, dgla, algebra):

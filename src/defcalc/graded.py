@@ -3,8 +3,10 @@
 Everything is exact: all elimination is rational with a fixed pivot order,
 so repeated runs give identical output.  Coefficients follow one rule:
 whole values may be Python ints inside a kernel loop (int_view), every
-public vector, witness and report value is a fractions.Fraction, and every
-division has a Fraction operand, so no float can arise.
+value of a Maurer-Cartan series is an int pair (numerator, denominator)
+inside artin's pair kernels, every public vector, witness and report value
+is a fractions.Fraction, and every division has a Fraction operand or is an
+exact // of ints, so no float can arise.
 
 Vectors are sparse dictionaries basis name -> coefficient.  Maps store one
 column per basis name and carry a single integer degree; homogeneity is
