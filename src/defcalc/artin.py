@@ -4,8 +4,6 @@ An algebra is described by the set of surviving monomials (exponent tuples);
 the set must contain 1 and be closed under divisors, which makes the
 complement a monomial ideal and the maximal ideal nilpotent.  Ring elements
 and coefficient vectors are sparse dictionaries with exact rational values.
-Inside a Maurer-Cartan series each coefficient is an int pair (see the pair
-kernels below), and every value that leaves the series is a Fraction.
 
 Monomials are ordered graded lexicographically (total degree, then exponent
 tuple); every routine that iterates over monomials uses that order.

@@ -8,10 +8,8 @@ failing input always produces the same witness.
 
 Over an Artinian coefficient algebra the gauge exponential and the
 Campbell-Hausdorff product are finite sums; both are computed exactly with
-no truncation beyond the one built into the coefficient ring.  The
-Maurer-Cartan routines keep each series in int pairs on artin's pair
-kernels and return one reduced Fraction per key, with the key order the
-same steps on ArtinVectors give.
+no truncation beyond the one built into the coefficient ring, and on
+artin's int-pair kernels, which return reduced Fractions in ArtinVector order.
 """
 
 from __future__ import annotations
@@ -634,9 +632,8 @@ def bch_product(a, b, dgla, algebra):
     Z_1 = a + b and (n + 1) Z_{n+1} = [a - b, Z_n] / 2 + sum_{p >= 1, 2p <= n}
     B_2p / (2p)! W_{2p,n}, where W_{j,m} = sum_k [Z_k, W_{j-1,m-k}] is the sum
     of [Z_k1, [... [Z_kj, a + b]...]] over k_1 + ... + k_j = m: O(N^3)
-    brackets, all on pairs.  Every letter lies in the maximal ideal, so words
-    of length N = nilpotency order vanish and Z_1 + ... + Z_{N-1} is the
-    whole series.
+    brackets on pairs.  Every letter lies in the maximal ideal, so words of
+    length N = nilpotency order vanish and Z_1 + ... + Z_{N-1} is all of it.
     """
     validate_artin_vector(a, algebra, dgla.space, degree=0)
     validate_artin_vector(b, algebra, dgla.space, degree=0)
@@ -742,9 +739,9 @@ def mc_solve(dgla, algebra, directions=None):
     the direction (recorded, lift abandoned) or the same solve's preimage
     under d, free variables zero, corrects it and the induction continues.
 
-    x is split by monomial order once, into pair dicts, x = x_1 + x_2 + ...,
-    and the order-k residual is d(x_k) + 1/2 sum over i + j = k of
-    [x_i, x_j], in pairs until it is lifted by monomial: a correction
+    x is split by monomial order once into pairs, x = x_1 + x_2 + ..., and
+    the order-k residual is d(x_k) + 1/2 sum over i + j = k of [x_i, x_j],
+    in pairs until it is lifted by monomial: a correction
     at order k changes no lower order of the residual, so only the parts
     below k, all settled, and x_k enter it.  An order with no such term is
     skipped.  Each order is certified as it is corrected: the residual plus
@@ -844,8 +841,7 @@ def gauge_equivalent(x, y, dgla, algebra):
     certificate, a zero one gives a_k.  (On a table that breaks Leibniz
     or Jacobi the part need not be closed, and the lift raises ValueError.)
     Each step goes straight to the lowest order at which y - exp(a) . x is
-    nonzero, which strictly rises.  a, x, y and the action stay in pairs;
-    only the lowest part of the difference becomes Fractions, to be lifted.
+    nonzero, which strictly rises.  Only that lowest part leaves pairs.
     """
     for label, v in (("x", x), ("y", y)):
         if not is_mc(v, dgla, algebra):
