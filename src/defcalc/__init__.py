@@ -5,8 +5,7 @@ no tolerances anywhere.  Whole values may be Python ints inside a kernel
 loop and a Maurer-Cartan series runs on int (numerator, denominator)
 pairs, but every public vector, witness and report value is a
 fractions.Fraction, and every division has a Fraction operand or is an
-exact // of ints.  The
-layers, bottom up:
+exact // of ints.  The layers, bottom up:
 
 graded   signed multilinear algebra: graded spaces, the one sparse
          vector arithmetic (accumulate, and the base GradedVector and
