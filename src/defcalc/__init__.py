@@ -2,10 +2,10 @@
 
 Everything is computed exactly over the rationals; there are no floats and
 no tolerances anywhere.  Whole values may be Python ints inside a kernel
-loop and a Maurer-Cartan series runs on int (numerator, denominator)
-pairs, but every public vector, witness and report value is a
-fractions.Fraction, and every division has a Fraction operand or is an
-exact // of ints.  The layers, bottom up:
+loop and every series over m_A, linfty's included, runs on int
+(numerator, denominator) pairs, but every public vector, witness and
+report value is a fractions.Fraction, and every division has a Fraction
+operand or is an exact // of ints.  The layers, bottom up:
 
 graded   signed multilinear algebra: graded spaces, the one sparse
          vector arithmetic (accumulate, and the base GradedVector and
@@ -17,8 +17,8 @@ linalg   the one exact row reduction, rref, fraction-free on integer rows;
          the kernel and prepared-solve routines read its output.
 artin    finite-dimensional local base rings (truncated polynomial style)
          and elements of m (x) V, keyed vectors on graded's arithmetic,
-         and the int-pair kernels (add and drop zeros, sum, map, bracket)
-         every Maurer-Cartan series runs on.
+         and the int-pair kernels (add and drop zeros, sum, map by a column
+         function, bracket) every series over m_A runs on.
 dgla     differential graded Lie and commutative algebras, their axiom
          checkers (degrees included), the tensor construction and one
          construction of matrices over an exterior algebra twisted by a
@@ -37,10 +37,10 @@ linfty   the same homotopical data as coderivations of the reduced
          order, not re-sorted; graded's merge behind every sign of a
          product of words, the morphism's weight-j parts included, which
          recurse on the block of the first letter; and one nilpotent power
-         series behind the Maurer-Cartan residual, the pushforward of
-         Maurer-Cartan elements and homotopies over a polynomial-in-t
-         extension of the base, where a gauge witness a gives the homotopy
-         exp(t a) . x.
+         series on artin's pair kernels behind the Maurer-Cartan residual,
+         the pushforward of Maurer-Cartan elements and homotopies over a
+         polynomial-in-t extension of the base, where a gauge witness a
+         gives the homotopy exp(t a) . x.
 hitchin  the matrix-valued models: a square matrix of anticommuting
          one-letter forms with theta ^ theta = 0, its dgla from dgla's
          matrix construction, the family of trace maps into an abelian

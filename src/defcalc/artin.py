@@ -164,22 +164,6 @@ class ArtinVector(_SparseVector):
     def single(cls, mono, name, coeff=1):
         return cls({(tuple(mono), name): coeff})
 
-    def order_part(self, order):
-        """Terms whose monomial has the given total degree."""
-        return ArtinVector.from_nonzero(
-            {k: c for k, c in self.coeffs.items() if monomial_degree(k[0]) == order}
-        )
-
-    def min_order(self):
-        """Smallest monomial degree present, or None for the zero vector."""
-        if not self.coeffs:
-            return None
-        return min(monomial_degree(k[0]) for k in self.coeffs)
-
-    def apply_map(self, gmap):
-        """Apply a graded map to the space factor, monomial by monomial."""
-        return _vector(_pair_map(gmap.columns, _pairs(self.coeffs)))
-
     def __repr__(self):
         if not self.coeffs:
             return "ArtinVector(0)"
@@ -252,12 +236,14 @@ def _pair_sum(x, y, n=1, d=1):
     return out
 
 
-def _pair_map(columns, x):
-    """f(x) on a pair dict, monomial by monomial, for the graded map f with
-    the given columns (name -> GradedVector)."""
-    out = {}
+def _pair_map(column, x, out=None):
+    """f(x) on a pair dict, monomial by monomial, added into out (a new dict
+    by default) and returned.  f is given by its column function, name ->
+    GradedVector or None: a map's columns.get, a bracket lookup on words or
+    a morphism's component."""
+    out = {} if out is None else out
     for (mono, name), (n, d) in x.items():
-        col = columns.get(name)
+        col = column(name)
         if col is not None:
             for out_name, c in col.coeffs.items():
                 _pair_add(out, (mono, out_name), n * c.numerator, d * c.denominator)

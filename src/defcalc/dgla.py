@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 
 from .artin import ArtinVector, monomial_degree, monomial_key, validate_artin_vector
-from .artin import _pair_bracket, _pair_map, _pair_sum, _pairs, _vector
+from .artin import _pair_add, _pair_bracket, _pair_map, _pair_sum, _pairs, _vector
 from .graded import GradedMap, GradedSpace, GradedVector, accumulate, bilinear
 from .graded import _square_violations, complex_cohomology, int_view, mapping_items, wedge_word
 
@@ -592,7 +592,7 @@ def mc_residual(x, dgla, algebra):
     validate_artin_vector(x, algebra, dgla.space, degree=1)
     x = _pairs(x.coeffs)
     bracket = _pair_bracket(dgla.brackets, algebra.monomials, x, x)
-    return _vector(_pair_sum(_pair_map(dgla.d.columns, x), bracket, 1, 2))
+    return _vector(_pair_sum(_pair_map(dgla.d.columns.get, x), bracket, 1, 2))
 
 
 def is_mc(x, dgla, algebra):
@@ -614,7 +614,7 @@ def _gauge_pairs(a, x, dgla, algebra):
     """exp(a) . x on pair dicts, one new term per bracket with a; the loop
     bound is only a safety net."""
     table, monomials = dgla.brackets, algebra.monomials
-    term = _pair_sum(_pair_bracket(table, monomials, a, x), _pair_map(dgla.d.columns, a), -1)
+    term = _pair_sum(_pair_bracket(table, monomials, a, x), _pair_map(dgla.d.columns.get, a), -1)
     result, n = x, 0
     while term:
         n += 1
@@ -639,10 +639,11 @@ def bch_product(a, b, dgla, algebra):
     validate_artin_vector(b, algebra, dgla.space, degree=0)
     table, monomials = dgla.brackets, algebra.monomials
     top = algebra.nilpotency_order - 1
-    # c[j] = B_j / j!, the coefficients of x / (e^x - 1).
-    c = [ONE]
+    # c[j] = B_j / j!, the coefficients of x / (e^x - 1), in pairs, zeros dropped
+    c = {0: (1, 1)}
     for m in range(1, top):
-        c.append(-sum(c[k] / math.factorial(m + 1 - k) for k in range(m)))
+        for k, (n, d) in list(c.items()):
+            _pair_add(c, m, -n, d * math.factorial(m + 1 - k))
     a, b = _pairs(a.coeffs), _pairs(b.coeffs)
     diff = _pair_sum(a, b, -1)
     z = [None, _pair_sum(a, b)]
@@ -660,7 +661,7 @@ def bch_product(a, b, dgla, algebra):
         # Z_{n+1}, the 1 / (n + 1) taken into each term's factor
         nxt = _pair_sum({}, _pair_bracket(table, monomials, diff, z[n]), 1, 2 * (n + 1))
         for p in range(1, n // 2 + 1):
-            nxt = _pair_sum(nxt, row[2 * p], c[2 * p].numerator, c[2 * p].denominator * (n + 1))
+            nxt = _pair_sum(nxt, row[2 * p], c[2 * p][0], c[2 * p][1] * (n + 1))
         z.append(nxt)
     return _vector(reduce(_pair_sum, z[2:], z[1]))
 
@@ -716,18 +717,18 @@ class McSolveResult:
 
 def _lift_by_monomial(summary, degree, part):
     """(monomial, v, class coordinates, -u (x) monomial) for each monomial of
-    part in monomial_key order, where v is its coefficient vector, a cocycle
-    of the given degree, and v = sum of coords times representatives + d u
-    from one summary.lift.  When the coordinates vanish, adding the
-    correction to an element whose residual has this part cancels v."""
+    the pair dict part in monomial_key order, where v is its coefficient
+    vector, a cocycle of the given degree, and v = sum of coords times
+    representatives + d u from one summary.lift; the correction is pairs.
+    When the coordinates vanish, adding it to x cancels v in x's residual."""
     by_monomial = {}
-    for (mono, name), c in part.coeffs.items():
+    for (mono, name), c in _vector(part).coeffs.items():
         by_monomial.setdefault(mono, {})[name] = c
     for mono in sorted(by_monomial, key=monomial_key):
         vec = GradedVector.from_nonzero(by_monomial[mono])
         coords, pre = summary.lift(degree, vec)
-        correction = {(mono, name): -c for name, c in pre.coeffs.items()}
-        yield mono, vec, coords, ArtinVector.from_nonzero(correction)
+        correction = {(mono, n): (-c.numerator, c.denominator) for n, c in pre.coeffs.items()}
+        yield mono, vec, coords, correction
 
 
 def mc_solve(dgla, algebra, directions=None):
@@ -739,9 +740,9 @@ def mc_solve(dgla, algebra, directions=None):
     the direction (recorded, lift abandoned) or the same solve's preimage
     under d, free variables zero, corrects it and the induction continues.
 
-    x is split by monomial order once into pairs, x = x_1 + x_2 + ..., and
-    the order-k residual is d(x_k) + 1/2 sum over i + j = k of [x_i, x_j],
-    in pairs until it is lifted by monomial: a correction
+    Each seed x is split by monomial order once into pairs, x = x_1 + x_2 +
+    ..., and d x_1 must vanish.  The order-k residual d(x_k) + 1/2 sum over
+    i + j = k of [x_i, x_j] and its corrections are pairs too: a correction
     at order k changes no lower order of the residual, so only the parts
     below k, all settled, and x_k enter it.  An order with no such term is
     skipped.  Each order is certified as it is corrected: the residual plus
@@ -761,21 +762,24 @@ def mc_solve(dgla, algebra, directions=None):
         ]
     else:
         directions = list(directions)  # read once: it may be an iterator
+    max_order = algebra.nilpotency_order - 1
+    column = dgla.d.columns.get
+    split = []  # each seed's pair dicts by order, 0 .. max_order + 1
     for x in directions:
         validate_artin_vector(x, algebra, dgla.space, degree=1)
+        parts = [{} for _ in range(max_order + 2)]
+        for key, c in x.coeffs.items():
+            parts[monomial_degree(key[0])][key] = (c.numerator, c.denominator)
         # a seed whose linear part is not closed is no tangent vector at all
-        if not x.order_part(1).apply_map(dgla.d).is_zero():
+        if _pair_map(column, parts[1]):
             raise ValueError("direction is not a cocycle at first order")
+        split.append(parts)
 
     events = []
     solutions = []
-    max_order = algebra.nilpotency_order - 1
-    table, monomials, columns = dgla.brackets, algebra.monomials, dgla.d.columns
-    for idx, seed in enumerate(directions):
-        parts = [{} for _ in range(max_order + 1)]  # pair dicts
-        for key, c in seed.coeffs.items():
-            parts[monomial_degree(key[0])][key] = (c.numerator, c.denominator)
-        below = [1] if max_order and parts[1] else []  # orders below k with a term, ascending
+    table, monomials = dgla.brackets, algebra.monomials
+    for idx, (seed, parts) in enumerate(zip(directions, split)):
+        below = [1] if parts[1] else []  # orders below k with a term, ascending
         corrections = {}  # no two corrections share a key, so update sums them
         blocked = False
         for order in range(2, max_order + 1):
@@ -786,25 +790,24 @@ def mc_solve(dgla, algebra, directions=None):
             for i in paired:
                 bracket = _pair_bracket(table, monomials, parts[i], parts[order - i])
                 quadratic = _pair_sum(quadratic, bracket)
-            part = _pair_sum(_pair_map(columns, parts[order]), quadratic, 1, 2)
+            part = _pair_sum(_pair_map(column, parts[order]), quadratic, 1, 2)
             fix = {}
-            for mono, vec, coords, correction in _lift_by_monomial(summary, 2, _vector(part)):
+            for mono, vec, coords, correction in _lift_by_monomial(summary, 2, part):
                 event = ObstructionEvent(idx, order, mono, coords, vec)
                 events.append(event)
                 if not event.vanishes():
                     blocked = True
                     break
-                fix.update(correction.coeffs)
+                fix.update(correction)
             if blocked:
                 break
-            fixed = _pairs(fix)
-            if _pair_sum(part, _pair_map(columns, fixed)):
+            if _pair_sum(part, _pair_map(column, fix)):
                 raise AssertionError(f"order {order} residual is nonzero after its corrections")
-            parts[order] = _pair_sum(parts[order], fixed)
+            parts[order] = _pair_sum(parts[order], fix)
             corrections.update(fix)
             if parts[order]:
                 below.append(order)
-        solutions.append(None if blocked else seed + ArtinVector.from_nonzero(corrections))
+        solutions.append(None if blocked else seed + _vector(corrections))
     return McSolveResult(summary, directions, events, solutions)
 
 
@@ -841,7 +844,8 @@ def gauge_equivalent(x, y, dgla, algebra):
     certificate, a zero one gives a_k.  (On a table that breaks Leibniz
     or Jacobi the part need not be closed, and the lift raises ValueError.)
     Each step goes straight to the lowest order at which y - exp(a) . x is
-    nonzero, which strictly rises.  Only that lowest part leaves pairs.
+    nonzero, which strictly rises.  a stays in pairs; only the lift's
+    cocycles and the witness become Fractions.
     """
     for label, v in (("x", x), ("y", y)):
         if not is_mc(v, dgla, algebra):
@@ -859,8 +863,8 @@ def gauge_equivalent(x, y, dgla, algebra):
         if order <= settled:
             raise AssertionError("gauge induction lost a settled order")
         settled = order
-        part = _vector({k: c for k, c in diff.items() if monomial_degree(k[0]) == order})
+        part = {k: c for k, c in diff.items() if monomial_degree(k[0]) == order}
         for mono, vec, coords, correction in _lift_by_monomial(summary, 1, part):
             if any(coords):
                 return GaugeResult(False, order=order, monomial=mono, residual=vec)
-            a = _pair_sum(a, _pairs(correction.coeffs))
+            a = _pair_sum(a, correction)

@@ -3,10 +3,11 @@
 Everything is exact: all elimination is rational with a fixed pivot order,
 so repeated runs give identical output.  Coefficients follow one rule:
 whole values may be Python ints inside a kernel loop (int_view), every
-value of a Maurer-Cartan series is an int pair (numerator, denominator)
-inside artin's pair kernels, every public vector, witness and report value
-is a fractions.Fraction, and every division has a Fraction operand or is an
-exact // of ints, so no float can arise.
+value of a series over m_A is an int pair (numerator, denominator) on
+artin's pair kernels, dgla's and linfty's Maurer-Cartan series alike,
+every public vector, witness and report value is a fractions.Fraction, and
+every division has a Fraction operand or is an exact // of ints, so no
+float can arise.
 
 Vectors are sparse dictionaries basis name -> coefficient.  Maps store one
 column per basis name and carry a single integer degree; homogeneity is

@@ -9,23 +9,22 @@ shifted degree is zero.
 Brackets q_k are stored on canonical words only; the coderivation and
 coalgebra-morphism extensions below spell out the unshuffle formulas, and
 the Maurer-Cartan series over an Artinian base are finite sums for the same
-nilpotency reason as in the dgla calculus.
+nilpotency reason as in the dgla calculus, on the same int-pair kernels of
+artin.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, factorial
 
 from .artin import ArtinAlgebra, ArtinVector, validate_artin_vector
+from .artin import _pair_add, _pair_map, _pair_sum, _pairs, _vector
 from .dgla import CheckReport, GaugeResult, gauge_act
 from .graded import GradedSpace, GradedVector, accumulate
 from .graded import as_fraction, as_int, int_view, mapping_items
 from .graded import _merge_words, normalize_word
-
-ONE = Fraction(1)
 
 
 def shifted_degrees(space):
@@ -550,47 +549,45 @@ def check_linfty_morphism(morphism, weight):
 
 
 def _power_step(power, x, sdeg, algebra):
-    """One more symmetric factor of x, with coefficient multiplication."""
+    """power . x on pair dicts: one more symmetric factor of x, power keyed
+    by (monomial, canonical word) and x by (monomial, name)."""
     out = {}
-    for (word, mono), c in power.items():
-        for (m2, name), c2 in x.coeffs.items():
+    for (mono, word), (n, d) in power.items():
+        for (m2, name), (n2, d2) in x.items():
             mono2 = algebra.multiply_monomials(mono, m2)
             if mono2 is None:
                 continue
             merged = _merge_words(word, (name,), sdeg)
             if merged is not None:
-                accumulate(out, (merged[0], mono2), c * c2 * merged[1])
+                _pair_add(out, (mono2, merged[0]), merged[1] * n * n2, d * d2)
     return out
 
 
 def _power_series(x, algebra, sdeg, value, head=None, limit=None):
-    """sum over n >= 0 of value(head . x^n) / n!, as an ArtinVector.
+    """sum over n >= 0 of value(head . x^n) / n! on pair dicts, x and the
+    result keyed by (monomial, name).
 
-    head is a coalgebra element {(canonical word, monomial): coefficient},
-    the unit by default, whose empty word is not evaluated; value maps a
-    canonical word to a GradedVector or None.  x has nilpotent coefficients,
-    so the powers vanish after finitely many steps; limit, when given, is
-    the last n evaluated.
+    head is a coalgebra element {(monomial, canonical word): (n, d)}, the
+    unit by default, whose empty word is not evaluated; value, the column
+    function of artin._pair_map, maps a canonical word to a GradedVector or
+    None.  x has nilpotent coefficients, so the powers vanish after finitely
+    many steps; limit, when given, is the last n evaluated.
     """
     terms = {}
-    power = {((), algebra.unit): ONE} if head is None else head
-    n, inv = 0, ONE
+    power = {(algebra.unit, ()): (1, 1)} if head is None else head
+    n = 0
     while power:
-        for (word, mono), c in power.items():
-            vec = value(word) if word else None
-            if vec:
-                for name, vc in vec.coeffs.items():
-                    accumulate(terms, (mono, name), c * vc * inv)
+        if n or head is not None:
+            _pair_map(value, _pair_sum({}, power, 1, factorial(n)), terms)
         if n == limit:
             break
         n += 1
-        inv /= n
         power = _power_step(power, x, sdeg, algebra)
-    return ArtinVector.from_nonzero(terms)
+    return terms
 
 
 def _bracket_series(x, structure, algebra, head=None):
-    """sum_n q_n(head . x^n) / n!, with _power_series' head convention.
+    """sum_n q_n(head . x^n) / n! on pairs, with _power_series' head convention.
 
     No bracket has an arity above the structure's largest, k, so the
     series stops at x^k, or at x^(k-1) after a head of weight one: the
@@ -609,15 +606,17 @@ def linfty_mc_residual(x, structure, algebra):
     """sum_n q_n(x^n) / n! for a shifted-degree-0 element with nilpotent
     coefficients; nilpotency makes the sum finite."""
     validate_artin_vector(x, algebra, structure.space, degree=1)
-    return _bracket_series(x, structure, algebra)
+    return _vector(_bracket_series(_pairs(x.coeffs), structure, algebra))
 
 
 def pushforward_series(morphism, x, algebra):
-    """sum_n f_n(x^n) / n!, with neither Maurer-Cartan equation checked."""
-    return _power_series(
-        x, algebra, morphism.source.sdeg, morphism.component,
+    """sum_n f_n(x^n) / n!, with neither Maurer-Cartan equation checked; x
+    must lie in degree 1 of the source space over the maximal ideal."""
+    validate_artin_vector(x, algebra, morphism.source.space, degree=1)
+    return _vector(_power_series(
+        _pairs(x.coeffs), algebra, morphism.source.sdeg, morphism.component,
         limit=morphism.max_weight,
-    )
+    ))
 
 
 def pushforward_mc(morphism, x, algebra):
@@ -686,21 +685,21 @@ def _parameter_extension(algebra, max_degree):
 
 
 def _embed_path_part(part):
-    out = {}
-    for tdeg, vec in part.items():
-        for (mono, name), c in vec.coeffs.items():
-            out[(mono + (tdeg,), name)] = c
-    return ArtinVector.from_nonzero(out)
+    """The pair dict of sum_m t^m part[m] over the base extended by t."""
+    return {
+        (mono + (tdeg,), name): (c.numerator, c.denominator)
+        for tdeg, vec in part.items() for (mono, name), c in vec.coeffs.items()
+    }
 
 
 def _t_derivative(x):
+    """d/dt of a pair dict over the base extended by t, its last variable."""
     out = {}
-    for (mono, name), c in x.coeffs.items():
+    for (mono, name), (n, d) in x.items():
         j = mono[-1]
-        if j == 0:
-            continue
-        accumulate(out, (mono[:-1] + (j - 1,), name), j * c)
-    return ArtinVector.from_nonzero(out)
+        if j:
+            _pair_add(out, (mono[:-1] + (j - 1,), name), j * n, d)
+    return out
 
 
 def verify_homotopy_witness(path, x, y, structure, algebra):
@@ -729,15 +728,15 @@ def verify_homotopy_witness(path, x, y, structure, algebra):
     z0 = _embed_path_part(path.even)
     z1 = _embed_path_part(path.odd)
 
-    residual = linfty_mc_residual(z0, structure, ext)
-    if not residual.is_zero():
-        return CheckReport.failed("path-mc", (), residual)
+    residual = _bracket_series(z0, structure, ext)
+    if residual:
+        return CheckReport.failed("path-mc", (), _vector(residual))
 
     # sum_n q_n(z1 . z0^(n-1)) / (n-1)! is the series of z0 headed by z1
-    head = {((name,), mono): c for (mono, name), c in z1.coeffs.items()}
-    dt_part = _t_derivative(z0) + _bracket_series(z0, structure, ext, head)
-    if not dt_part.is_zero():
-        return CheckReport.failed("path-dt", (), dt_part)
+    head = {(mono, (name,)): c for (mono, name), c in z1.items()}
+    dt_part = _pair_sum(_t_derivative(z0), _bracket_series(z0, structure, ext, head))
+    if dt_part:
+        return CheckReport.failed("path-dt", (), _vector(dt_part))
     return CheckReport.passed()
 
 
@@ -758,7 +757,8 @@ def homotopy_from_gauge(result, x, dgla, algebra):
         raise TypeError(f"expected an ArtinVector witness, got {type(a).__name__}")
     validate_artin_vector(x, algebra, dgla.space, degree=1)
     ext = _parameter_extension(algebra, algebra.nilpotency_order)
-    flow = gauge_act(_embed_path_part({1: a}), _embed_path_part({0: x}), dgla, ext)
+    a_t, x_t = _vector(_embed_path_part({1: a})), _vector(_embed_path_part({0: x}))
+    flow = gauge_act(a_t, x_t, dgla, ext)
     even = {}
     for (mono, name), c in flow.coeffs.items():
         even.setdefault(mono[-1], {})[(mono[:-1], name)] = c

@@ -8,6 +8,9 @@ import pytest
 from defcalc.artin import (
     ArtinAlgebra,
     ArtinVector,
+    _pair_map,
+    _pairs,
+    _vector,
     make_artin,
     monomial_degree,
     monomial_key,
@@ -30,6 +33,37 @@ def coefficient_vector(x, mono):
 def monomials_present(x):
     """The monomials of x's terms, in monomial_key order."""
     return sorted({m for m, _ in x.coeffs}, key=monomial_key)
+
+
+# ArtinVector methods that the library no longer calls, kept for the oracles:
+# the Maurer-Cartan routines split, lift and map pair dicts instead.
+
+
+def order_part(x, order):
+    """The terms of x whose monomial has the given total degree."""
+    return ArtinVector.from_nonzero(
+        {k: c for k, c in x.coeffs.items() if monomial_degree(k[0]) == order}
+    )
+
+
+def min_order(x):
+    """The smallest monomial degree of x, or None for the zero vector."""
+    if not x.coeffs:
+        return None
+    return min(monomial_degree(k[0]) for k in x.coeffs)
+
+
+def apply_map(x, gmap):
+    """A graded map applied to the space factor of x, monomial by monomial,
+    in Fraction arithmetic."""
+    out = {}
+    for (mono, name), c in x.coeffs.items():
+        col = gmap.columns.get(name)
+        if col is None:
+            continue
+        for out_name, oc in col.coeffs.items():
+            accumulate(out, (mono, out_name), c * oc)
+    return ArtinVector.from_nonzero(out)
 
 
 def test_make_artin_truncation():
@@ -124,8 +158,8 @@ def test_artin_vector_parts():
             ((2,), "b"): Fraction(1, 3),
         }
     )
-    assert x.min_order() == 1
-    assert x.order_part(2).terms == {
+    assert min_order(x) == 1 and min_order(ArtinVector()) is None
+    assert order_part(x, 2).terms == {
         ((2,), "a"): Fraction(-1),
         ((2,), "b"): Fraction(1, 3),
     }
@@ -155,8 +189,13 @@ def test_artin_vector_apply_map():
     space = GradedSpace([("a", 0), ("b", 1)])
     d = GradedMap(space, space, 1, {"a": {"b": 2}})
     x = ArtinVector({((1,), "a"): Fraction(1, 2)})
-    y = x.apply_map(d)
+    y = _vector(_pair_map(d.columns.get, _pairs(x.coeffs)))
     assert y.terms == {((1,), "b"): Fraction(1)}
+    assert apply_map(x, d).terms == y.terms
+    # into a given dict, where (1 * 2) / (2 * 1) cancels -1 / 1
+    out = {((1,), "b"): (-1, 1), ((2,), "b"): (3, 7)}
+    assert _pair_map(d.columns.get, _pairs(x.coeffs), out) is out
+    assert out == {((2,), "b"): (3, 7)}
 
 
 def test_validate_artin_vector():

@@ -4,15 +4,18 @@ leaves the kernel is a Fraction.
 The first test runs every public routine that divides, and the four
 checkers on broken inputs, on integer-only data, where the loops see ints
 only: each coefficient of each returned GradedVector and ArtinVector must
-be exactly a Fraction.  The others give the checkers non-whole structure
+be exactly a Fraction.  The next give the checkers non-whole structure
 constants (1/2, -3/2, 2/3), so that ints and Fractions meet in one loop,
-and require the reports of the full-scan oracles.
+and require the reports of the full-scan oracles.  The last spies on
+Fraction arithmetic inside the series over m_A, which run on int pairs.
 """
 
 import random
 from fractions import Fraction
 
-from defcalc.artin import ArtinVector, make_artin
+import defcalc.dgla as dgla_module
+from defcalc import linfty
+from defcalc.artin import ArtinVector, _pairs, make_artin
 from defcalc.dgla import (
     Cdga,
     Dgla,
@@ -223,3 +226,64 @@ def test_coalgebra_checkers_on_mixed_coefficients_match_full_scans():
         assert _full_report(check_linfty_morphism(mutant, 3)) == expected
         outcomes.add(("morphism", expected[0]))
     assert outcomes == {(check, ok) for check in ("codifferential", "morphism") for ok in (True, False)}
+
+
+# ---------------------------------------------------------------------------
+# Every value of a Maurer-Cartan series is an int pair.
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
+def test_maurer_cartan_series_do_no_fraction_arithmetic(monkeypatch):
+    """On pair inputs and non-whole structure constants, with the tables
+    built and the component cache warm, linfty's series (bracket values,
+    pushforward values, and bracket values after a head), dgla's gauge
+    series and BCH call no Fraction arithmetic.  Building Fraction(n, d)
+    in artin._vector, where a value leaves, is not arithmetic."""
+    t5 = make_artin(("t",), 5)
+    morphism = build_hitchin_morphism(rational_pair(), rescaled_fat_point())
+    model, source = morphism.source_dgla, morphism.source
+    degree = model.space.degree
+    ones = [n for n in model.space.names if degree(n) == 1]
+    zeros = [n for n in model.space.names if degree(n) == 0]
+    rng = random.Random(3704)
+
+    def element(names, count):
+        return ArtinVector({
+            ((rng.randint(1, 2),), rng.choice(names)):
+                Fraction(rng.choice((-3, 1, 2)), rng.choice((1, 3, 7)))
+            for _ in range(count)
+        })
+
+    x, a, b = element(ones, 4), element(zeros, 3), element(zeros, 3)
+    xp, ap = _pairs(x.coeffs), _pairs(a.coeffs)
+    head = {(mono, (name,)): c for (mono, name), c in _pairs(element(zeros, 2).coeffs).items()}
+    runs = {
+        "bracket values": lambda: linfty._power_series(
+            xp, t5, source.sdeg, lambda word: source.bracket_value(len(word), word)),
+        "pushforward values": lambda: linfty._power_series(
+            xp, t5, source.sdeg, morphism.component, limit=morphism.max_weight),
+        "headed bracket series": lambda: linfty._bracket_series(xp, source, t5, head),
+        "gauge series": lambda: dgla_module._gauge_pairs(ap, xp, model, t5),
+        "bch_product": lambda: bch_product(a, b, model, t5),
+    }
+    want = {label: run() for label, run in runs.items()}  # builds tables, warms the cache
+    assert all(want.values()), want
+    calls = []
+    for name in FRACTION_ARITHMETIC:
+        def spy(*args, _name=name, _method=getattr(Fraction, name)):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(Fraction, name, spy)
+    assert Fraction(1, 3) - Fraction(1, 2) == Fraction(-1, 6) and calls == ["__sub__"]
+    calls.clear()
+    got = {}
+    for label, run in runs.items():
+        got[label] = run()
+        assert not calls, (label, calls)
+    monkeypatch.undo()
+    assert got == want

@@ -10,7 +10,7 @@ import pytest
 
 import defcalc.dgla as dgla_module
 from defcalc import linalg
-from defcalc.artin import ArtinVector, make_artin
+from defcalc.artin import ArtinVector, _pair_map, _pairs, make_artin, monomial_key
 from defcalc.cli import parse_document
 from defcalc.dgla import (
     Cdga,
@@ -40,7 +40,7 @@ from defcalc.graded import (
     complex_cohomology,
 )
 from defcalc.hitchin import HitchinPair, build_hitchin_dgla, matrix_wedge_dgla
-from test_artin import coefficient_vector, monomials_present
+from test_artin import apply_map, coefficient_vector, min_order, monomials_present, order_part
 from test_graded import d_rows, random_complex
 
 
@@ -977,7 +977,7 @@ def full_residual_mc_solve(dgla, algebra, directions):
         x = seed
         blocked = False
         for order in range(2, algebra.nilpotency_order):
-            part = mc_residual(x, dgla, algebra).order_part(order)
+            part = order_part(mc_residual(x, dgla, algebra), order)
             if part.is_zero():
                 continue
             correction = ArtinVector()
@@ -1010,7 +1010,7 @@ def test_mc_solve_certifies_each_order(monkeypatch):
     def wrong(summary, degree, part):
         for mono, vec, coords, correction in lift(summary, degree, part):
             assert not any(coords)
-            yield mono, vec, coords, correction if sum(mono) < 3 else ArtinVector()
+            yield mono, vec, coords, correction if sum(mono) < 3 else {}
 
     result = mc_solve(model, algebra, [direction])
     assert [e.order for e in result.events] == [2, 3]
@@ -1223,8 +1223,8 @@ def preimage_gauge_equivalent(x, y, dgla, algebra):
         diff = y - gauge_act(a, x, dgla, algebra)
         if diff.is_zero():
             return GaugeResult(True, witness=a)
-        order = diff.min_order()
-        part = diff.order_part(order)
+        order = min_order(diff)
+        part = order_part(diff, order)
         for mono in monomials_present(part):
             vec = coefficient_vector(part, mono)
             sol = prepared.solve((-vec).to_dense(target))
@@ -1597,25 +1597,14 @@ def fraction_bracket_artin(dgla, algebra, x, y):
     return ArtinVector.from_nonzero(terms)
 
 
-def fraction_apply_map(x, gmap):
-    out = {}
-    for (mono, name), c in x.coeffs.items():
-        col = gmap.columns.get(name)
-        if col is None:
-            continue
-        for out_name, oc in col.coeffs.items():
-            accumulate(out, (mono, out_name), c * oc)
-    return ArtinVector.from_nonzero(out)
-
-
 def fraction_mc_residual(x, dgla, algebra):
-    return fraction_apply_map(x, dgla.d) + fraction_bracket_artin(dgla, algebra, x, x).scale(
+    return apply_map(x, dgla.d) + fraction_bracket_artin(dgla, algebra, x, x).scale(
         Fraction(1, 2)
     )
 
 
 def fraction_gauge_act(a, x, dgla, algebra):
-    term = fraction_bracket_artin(dgla, algebra, a, x) - fraction_apply_map(a, dgla.d)
+    term = fraction_bracket_artin(dgla, algebra, a, x) - apply_map(a, dgla.d)
     result = x
     n = 0
     while not term.is_zero():
@@ -1650,6 +1639,19 @@ def fraction_bch_product(a, b, dgla, algebra):
     return sum(z[2:], z[1])
 
 
+def fraction_lift_by_monomial(summary, degree, part):
+    """dgla._lift_by_monomial on an ArtinVector part, each correction an
+    ArtinVector."""
+    by_monomial = {}
+    for (mono, name), c in part.coeffs.items():
+        by_monomial.setdefault(mono, {})[name] = c
+    for mono in sorted(by_monomial, key=monomial_key):
+        vec = GradedVector.from_nonzero(by_monomial[mono])
+        coords, pre = summary.lift(degree, vec)
+        correction = {(mono, name): -c for name, c in pre.coeffs.items()}
+        yield mono, vec, coords, ArtinVector.from_nonzero(correction)
+
+
 def fraction_mc_solve(dgla, algebra, directions):
     """(events, solutions) of the Fraction order loop on the given directions."""
     summary = dgla.cohomology()
@@ -1672,9 +1674,9 @@ def fraction_mc_solve(dgla, algebra, directions):
                 quadratic = quadratic + fraction_bracket_artin(
                     dgla, algebra, parts[i], parts[order - i]
                 )
-            part = fraction_apply_map(parts[order], dgla.d) + quadratic.scale(Fraction(1, 2))
+            part = apply_map(parts[order], dgla.d) + quadratic.scale(Fraction(1, 2))
             fix = {}
-            for mono, vec, coords, correction in dgla_module._lift_by_monomial(summary, 2, part):
+            for mono, vec, coords, correction in fraction_lift_by_monomial(summary, 2, part):
                 event = ObstructionEvent(idx, order, mono, coords, vec)
                 events.append(event)
                 if not event.vanishes():
@@ -1684,7 +1686,7 @@ def fraction_mc_solve(dgla, algebra, directions):
             if blocked:
                 break
             fix = ArtinVector.from_nonzero(fix)
-            assert (part + fraction_apply_map(fix, dgla.d)).is_zero()
+            assert (part + apply_map(fix, dgla.d)).is_zero()
             parts[order] = parts[order] + fix
             corrections.update(fix.coeffs)
             if parts[order]:
@@ -1800,7 +1802,8 @@ def test_pair_kernels_match_the_fraction_oracles():
             y = random_37_vector(rng, names, algebra, rng.randint(1, 6))
             got = bracket_artin(model, algebra, x, y)
             assert_same_vector(got, fraction_bracket_artin(model, algebra, x, y))
-            assert_same_vector(x.apply_map(model.d), fraction_apply_map(x, model.d))
+            mapped = fraction_vector(_pair_map(model.d.columns.get, _pairs(x.coeffs)))
+            assert_same_vector(mapped, apply_map(x, model.d))
             seen["bracket"] += bool(got)
             seen["apply_map"] += bool(model.d.columns)
             # the same key from two terms of different denominators
@@ -1854,6 +1857,41 @@ def test_mc_solve_matches_the_fraction_order_loop():
                         )
                 seen["events"] += len(events)
                 seen["obstructed"] += sum(1 for e in events if not e.vanishes())
+    assert min(seen.values()) >= 3, seen
+
+
+def test_lift_by_monomial_matches_its_artin_vector_form():
+    """The pair form yields the monomials, cocycles and coordinates of the
+    ArtinVector form, and its corrections as pairs of the same values in
+    the same key order, on parts d x + sum of H^2 classes at one order."""
+    rng = random.Random(3738)
+    seen = {"corrected": 0, "class": 0}
+    for model in pair_kernel_models(rng)[:VALID_PAIR_MODELS]:
+        summary = model.cohomology()
+        ones, reps = model.space.names_of_degree(1), summary.representatives(2)
+        if not ones:
+            continue
+        for algebra in PAIR_RINGS:
+            order = rng.randint(1, min(4, algebra.nilpotency_order - 1))
+            monomials = [m for m in algebra.maximal_ideal if sum(m) == order]
+            x = ArtinVector({
+                (rng.choice(monomials), rng.choice(ones)): fraction_37(rng) for _ in range(4)
+            })
+            part = apply_map(x, model.d)
+            for rep in rng.sample(reps, min(2, len(reps))):
+                mono = rng.choice(monomials)
+                f = fraction_37(rng)
+                part = part + ArtinVector({(mono, n): f * c for n, c in rep.coeffs.items()})
+            got = list(dgla_module._lift_by_monomial(summary, 2, _pairs(part.coeffs)))
+            want = list(fraction_lift_by_monomial(summary, 2, part))
+            assert [g[:3] for g in got] == [w[:3] for w in want]
+            for (mono, vec, coords, correction), (_, _, _, oracle) in zip(got, want):
+                assert list(vec.coeffs.items()) == list(coefficient_vector(part, mono).coeffs.items())
+                assert all(type(c) is Fraction for c in vec.coeffs.values())
+                assert all(n and d > 0 for n, d in correction.values())
+                assert_same_vector(fraction_vector(correction), oracle)
+                seen["corrected"] += bool(correction)
+                seen["class"] += any(coords)
     assert min(seen.values()) >= 3, seen
 
 

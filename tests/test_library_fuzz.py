@@ -397,6 +397,12 @@ FINDINGS = {
     "monomial of the wrong arity pushed forward": (
         lambda: pushforward_series(LINFTY_IDENTITY, ArtinVector({((1, 5), "x"): 1}), T3),
         ValueError),
+    "unknown name pushed forward": (
+        lambda: pushforward_series(
+            build_hitchin_morphism(
+                HitchinPair(2, GradedSpace([("l", 1)]), [[{}, {"l": 1}], [{}, {}]]), CDGA),
+            ArtinVector({((1,), "zzz"): 1}), make_artin(("t",), 4)),
+        ValueError),
     "plain dict as the start of a homotopy": (
         lambda: homotopy_from_gauge(
             GaugeResult(True, witness=ArtinVector()), {((1,), "p"): 1},

@@ -1,13 +1,15 @@
 """Coderivation picture: codifferentials, morphisms, homotopies."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from defcalc.artin import ArtinVector, make_artin
+from defcalc.artin import ArtinVector, _pairs, _vector, make_artin
 from defcalc.dgla import (
+    CheckReport,
     Dgla,
     GaugeResult,
     check_dgla,
@@ -18,9 +20,9 @@ from defcalc.dgla import (
     tensor_cdga_dgla,
     trivial_cdga,
 )
-from defcalc.graded import GradedMap, GradedSpace, GradedVector, koszul_sign
+from defcalc.graded import GradedMap, GradedSpace, GradedVector, accumulate, koszul_sign
 from defcalc.hitchin import (
-    HitchinPair, build_hitchin_dgla, build_hitchin_morphism, matrix_wedge_dgla
+    HitchinPair, build_hitchin_dgla, build_hitchin_morphism, hitchin_map, matrix_wedge_dgla
 )
 from defcalc import linfty
 from defcalc.linfty import (
@@ -38,6 +40,7 @@ from defcalc.linfty import (
     morphism_extend,
     normalize_word,
     pushforward_mc,
+    pushforward_series,
     shifted_degrees,
     verify_homotopy_witness,
 )
@@ -47,13 +50,22 @@ from test_graded import sorted_word
 from test_hitchin import random_element
 from test_dgla import (
     MATRIX_UNITS,
+    SCALES,
+    assert_same_vector,
+    cancel_and_return_model,
     contractible,
+    correction_model,
     derham_fat_point,
+    fraction_gauge_act,
     gl2,
     gl2_brackets,
+    h0_zero_model,
     heisenberg,
     interval_cdga,
     mutate_one_entry,
+    random_37_vector,
+    random_direction,
+    rescaled,
     semidirect,
     two_line,
 )
@@ -970,8 +982,8 @@ def test_linfty_residual_is_minus_dgla_residual():
 
 
 def unlimited_bracket_series(x, structure, algebra, head=None):
-    """The oracle: the bracket series run until the powers of x vanish in
-    the base ring, whatever the structure's largest arity."""
+    """The oracle: the bracket series on pair dicts run until the powers of
+    x vanish in the base ring, whatever the structure's largest arity."""
     return linfty._power_series(
         x, algebra, structure.sdeg,
         lambda word: structure.bracket_value(len(word), word), head,
@@ -1028,17 +1040,18 @@ def test_bracket_series_stops_at_the_top_arity(algebra, monkeypatch):
         heads = structure.space.names_of_degree(0) or ones
         for _ in range(4):
             x = random_element(rng, ones, algebra, count=5)
-            head = {((name,), mono): c
+            xp = _pairs(x.coeffs)
+            head = {(mono, (name,)): (c.numerator, c.denominator)
                     for (mono, name), c in random_element(rng, heads, algebra).coeffs.items()}
             for kwargs, bound in (({}, top), ({"head": head}, max(0, top - 1))):
                 steps.clear()
                 if kwargs:
-                    got = linfty._bracket_series(x, structure, algebra, **kwargs)
+                    got = _vector(linfty._bracket_series(xp, structure, algebra, **kwargs))
                 else:
                     got = linfty_mc_residual(x, structure, algebra)
                 assert len(steps) <= bound, (label, kwargs, len(steps))
                 steps.clear()
-                want = unlimited_bracket_series(x, structure, algebra, **kwargs)
+                want = _vector(unlimited_bracket_series(xp, structure, algebra, **kwargs))
                 longer += len(steps) > bound
                 assert coefficient_items(got) == coefficient_items(want), label
     # the unlimited series does go past the cut
@@ -1343,3 +1356,292 @@ def test_basis_words_match_the_sorted_combinations_on_shipped_structures():
                 if sign:
                     want.append(word)
         assert basis_words(space, 4) == want
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the Maurer-Cartan section: the series that linfty ran in
+# Fraction arithmetic on ArtinVectors before it moved onto artin's pair
+# kernels.  The public routines must match them in value and key order,
+# every coefficient a reduced Fraction (assert_same_vector).
+
+
+def fraction_power_step(power, x, sdeg, algebra):
+    """One more symmetric factor of x, power keyed by (word, monomial)."""
+    out = {}
+    for (word, mono), c in power.items():
+        for (m2, name), c2 in x.coeffs.items():
+            mono2 = algebra.multiply_monomials(mono, m2)
+            if mono2 is None:
+                continue
+            merged = _merge_words(word, (name,), sdeg)
+            if merged is not None:
+                accumulate(out, (merged[0], mono2), c * c2 * merged[1])
+    return out
+
+
+def fraction_power_series(x, algebra, sdeg, value, head=None, limit=None):
+    """sum over n >= 0 of value(head . x^n) / n!, term by term."""
+    terms = {}
+    power = {((), algebra.unit): ONE} if head is None else head
+    n, inv = 0, ONE
+    while power:
+        for (word, mono), c in power.items():
+            vec = value(word) if word else None
+            if vec:
+                for name, vc in vec.coeffs.items():
+                    accumulate(terms, (mono, name), c * vc * inv)
+        if n == limit:
+            break
+        n += 1
+        inv /= n
+        power = fraction_power_step(power, x, sdeg, algebra)
+    return ArtinVector.from_nonzero(terms)
+
+
+def fraction_bracket_series(x, structure, algebra, head=None):
+    brackets = structure.brackets
+    top = max(brackets, default=0)
+    return fraction_power_series(
+        x, algebra, structure.sdeg,
+        lambda word: brackets.get(len(word), {}).get(word), head,
+        limit=max(0, top - 1 if head is not None else top),
+    )
+
+
+def fraction_t_derivative(x):
+    out = {}
+    for (mono, name), c in x.coeffs.items():
+        j = mono[-1]
+        if j == 0:
+            continue
+        accumulate(out, (mono[:-1] + (j - 1,), name), j * c)
+    return ArtinVector.from_nonzero(out)
+
+
+def fraction_embed_path_part(part):
+    out = {}
+    for tdeg, vec in part.items():
+        for (mono, name), c in vec.coeffs.items():
+            out[(mono + (tdeg,), name)] = c
+    return ArtinVector.from_nonzero(out)
+
+
+def fraction_pushforward_series(morphism, x, algebra):
+    return fraction_power_series(
+        x, algebra, morphism.source.sdeg, morphism.component, limit=morphism.max_weight
+    )
+
+
+def fraction_pushforward_mc(morphism, x, algebra):
+    if fraction_bracket_series(x, morphism.source, algebra):
+        raise ValueError("input does not satisfy the source Maurer-Cartan equation")
+    out = fraction_pushforward_series(morphism, x, algebra)
+    if fraction_bracket_series(out, morphism.target, algebra):
+        raise ValueError("pushforward failed the target Maurer-Cartan equation")
+    return out
+
+
+def fraction_hitchin_map(x, morphism, algebra):
+    split = [{} for _ in range(morphism.max_weight)]
+    for (mono, name), c in fraction_pushforward_series(morphism, x, algebra).coeffs.items():
+        split[morphism.target_weights[name] - 1][(mono, name)] = c
+    return tuple(ArtinVector.from_nonzero(part) for part in split)
+
+
+def fraction_verify_homotopy_witness(path, x, y, structure, algebra):
+    """verify_homotopy_witness on paths whose endpoints are x and y."""
+    assert path.endpoint(False) == x and path.endpoint(True) == y
+    bound = max(1, path.max_t_degree()) * max(1, algebra.nilpotency_order - 1) + 1
+    ext = linfty._parameter_extension(algebra, bound)
+    z0 = fraction_embed_path_part(path.even)
+    z1 = fraction_embed_path_part(path.odd)
+    residual = fraction_bracket_series(z0, structure, ext)
+    if residual:
+        return CheckReport.failed("path-mc", (), residual)
+    head = {((name,), mono): c for (mono, name), c in z1.coeffs.items()}
+    dt_part = fraction_t_derivative(z0) + fraction_bracket_series(z0, structure, ext, head)
+    if dt_part:
+        return CheckReport.failed("path-dt", (), dt_part)
+    return CheckReport.passed()
+
+
+def fraction_homotopy_from_gauge(result, x, dgla, algebra):
+    a = result.witness
+    ext = linfty._parameter_extension(algebra, algebra.nilpotency_order)
+    flow = fraction_gauge_act(
+        fraction_embed_path_part({1: a}), fraction_embed_path_part({0: x}), dgla, ext
+    )
+    even = {}
+    for (mono, name), c in flow.coeffs.items():
+        even.setdefault(mono[-1], {})[(mono[:-1], name)] = c
+    return PolyPath({m: ArtinVector.from_nonzero(t) for m, t in even.items()}, {0: -a})
+
+
+# Q[t]/(t^7), Q[s, t] truncated at total degree 4 and Q[s, t, u]/(deg 3)
+ORACLE_RINGS = [make_artin(("t",), 7), make_artin(("s", "t"), 5), make_artin(("s", "t", "u"), 3)]
+
+
+def rescaled_structure(structure, lam):
+    """structure on the basis lam_n n: the same L-infinity algebra, with
+    structure constants of denominators 3 and 7 for lam in SCALES."""
+    return LInftyStructure(structure.space, {
+        k: {
+            word: {n: c * math.prod(lam[w] for w in word) / lam[n] for n, c in vec.coeffs.items()}
+            for word, vec in table.items()
+        }
+        for k, table in structure.brackets.items()
+    })
+
+
+def rescaled_morphism(morphism, lam, mu):
+    """morphism between the structures rescaled by lam (source) and mu
+    (target), its components read through a generator."""
+    def generator(k, word):
+        scale = math.prod(lam[w] for w in word)
+        vec = morphism.component(word)
+        return GradedVector({n: c * scale / mu[n] for n, c in vec.coeffs.items()})
+
+    return LInftyMorphism(
+        rescaled_structure(morphism.source, lam), rescaled_structure(morphism.target, mu),
+        generator, morphism.max_weight, morphism.support,
+    )
+
+
+def scales(rng, space):
+    return {n: rng.choice(SCALES) for n in space.names}
+
+
+def assert_same_report(got, want):
+    assert (got.ok, got.axiom, got.witness) == (want.ok, want.axiom, want.witness)
+    if want.value is None:
+        assert got.value is None
+    else:
+        assert_same_vector(got.value, want.value)
+
+
+def test_linfty_series_match_the_fraction_oracles():
+    """linfty_mc_residual on rescaled structures, and pushforward_series on
+    rescaled random morphisms, whatever the Maurer-Cartan equations say."""
+    rng = random.Random(3701)
+    seen = {"residual": 0, "pushforward": 0, "q3": 0}
+    for algebra in ORACLE_RINGS:
+        for label, structure, _ in series_structures():
+            structure = rescaled_structure(structure, scales(rng, structure.space))
+            ones = structure.space.names_of_degree(1)
+            for _ in range(3):
+                x = random_element(rng, ones, algebra, count=4)
+                got = linfty_mc_residual(x, structure, algebra)
+                assert_same_vector(got, fraction_bracket_series(x, structure, algebra))
+                seen["residual"] += bool(got)
+                seen["q3"] += bool(got) and 3 in structure.brackets
+        for _ in range(6):
+            base = random_morphism(rng, RANDOM_SPACE, width=2)
+            space = base.source.space
+            morphism = rescaled_morphism(base, scales(rng, space), scales(rng, space))
+            x = random_element(rng, space.names_of_degree(1), algebra, count=4)
+            got = pushforward_series(morphism, x, algebra)
+            assert_same_vector(got, fraction_pushforward_series(morphism, x, algebra))
+            seen["pushforward"] += bool(got)
+    assert min(seen.values()) >= 5, seen
+
+
+def hitchin_oracle_pairs(rng):
+    """Rank-2 and rank-3 pairs on one letter with entries in SCALES."""
+    letter = GradedSpace([("l", 1)])
+
+    def entry():
+        return {"l": rng.choice(SCALES)} if rng.random() < 0.6 else {}
+
+    return [
+        HitchinPair(r, letter, [[entry() for _ in range(r)] for _ in range(r)]) for r in (2, 2, 3)
+    ]
+
+
+def test_pushforward_and_hitchin_map_match_the_fraction_oracles():
+    """pushforward_mc and hitchin_map on Maurer-Cartan elements from
+    mc_solve: along Hitchin morphisms of pairs with non-whole entries, and
+    along the rescaling isomorphism of a dgla's structure."""
+    rng = random.Random(3702)
+    seen = {"hitchin": 0, "rescaling": 0}
+    cdgas = [trivial_cdga(), interval_cdga(), derham_fat_point()]
+    for algebra in ORACLE_RINGS:
+        for pair in hitchin_oracle_pairs(rng):
+            morphism = build_hitchin_morphism(pair, rng.choice(cdgas))
+            model = morphism.source_dgla
+            reps = model.cohomology().representatives(1)
+            directions = None
+            if reps:
+                directions = [random_direction(rng, model, algebra, reps) for _ in range(2)]
+            for x in mc_solve(model, algebra, directions).solutions:
+                if x is None:
+                    continue
+                got = pushforward_mc(morphism, x, algebra)
+                assert_same_vector(got, fraction_pushforward_mc(morphism, x, algebra))
+                parts = hitchin_map(x, morphism, algebra)
+                want = fraction_hitchin_map(x, morphism, algebra)
+                assert len(parts) == len(want)
+                for part, oracle in zip(parts, want):
+                    assert_same_vector(part, oracle)
+                seen["hitchin"] += bool(got)
+        for model in (semidirect(), h0_zero_model(), correction_model(Fraction(2, 3), -1, 7)):
+            lam = scales(rng, model.space)
+            structure = linfty_from_dgla(model)
+            rescaling = LInftyMorphism(
+                structure, rescaled_structure(structure, lam),
+                {1: {(n,): {n: 1 / lam[n]} for n in model.space.names}},
+            )
+            reps = model.cohomology().representatives(1)
+            directions = [random_direction(rng, model, algebra, reps)]
+            for x in mc_solve(model, algebra, directions).solutions:
+                if x is not None:
+                    got = pushforward_mc(rescaling, x, algebra)
+                    assert_same_vector(got, fraction_pushforward_mc(rescaling, x, algebra))
+                    seen["rescaling"] += bool(got)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_homotopy_routines_match_the_fraction_oracles():
+    """homotopy_from_gauge on gauge pairs of rescaled dglas, and
+    verify_homotopy_witness on its paths (a pass), on the same paths with
+    the dt part flipped (path-dt) and on random paths (path-mc)."""
+    rng = random.Random(3703)
+    axioms = []
+    nilpotent = HitchinPair(2, GradedSpace([("l", 1)]), [[{}, {"l": 1}], [{}, {}]])
+    models = [rescaled(model, rng) for model in (
+        semidirect(), h0_zero_model(), cancel_and_return_model(),
+        correction_model(Fraction(2, 3), Fraction(-5, 7), Fraction(3, 7)),
+        build_hitchin_dgla(nilpotent, interval_cdga()),
+    )]
+    for algebra in ORACLE_RINGS:
+        # gauge paths over the same variables truncated at 3, which keeps
+        # their t-extended base small
+        small = make_artin(algebra.variables, 3)
+        for model in models:
+            structure = linfty_from_dgla(model)
+            zeros, ones = (model.space.names_of_degree(d) for d in (0, 1))
+            for _ in range(2 if zeros else 0):
+                x = random_37_vector(rng, ones, small, 2, low=2)
+                a = random_37_vector(rng, zeros, small, 2, low=2)
+                if mc_residual(x, model, small):
+                    continue
+                result, y = GaugeResult(True, witness=a), gauge_act(a, x, model, small)
+                path = homotopy_from_gauge(result, x, model, small)
+                want = fraction_homotopy_from_gauge(result, x, model, small)
+                for got_part, want_part in ((path.even, want.even), (path.odd, want.odd)):
+                    assert list(got_part) == list(want_part)
+                    for m in want_part:
+                        assert_same_vector(got_part[m], want_part[m])
+                for p in (path, PolyPath(path.even, {0: a})):
+                    got = verify_homotopy_witness(p, x, y, structure, small)
+                    want = fraction_verify_homotopy_witness(p, x, y, structure, small)
+                    assert_same_report(got, want)
+                    axioms.append(got.axiom)
+            x = random_37_vector(rng, ones, algebra, 3, low=2)
+            step = random_37_vector(rng, ones, algebra, 2, low=2)
+            odd = {0: random_37_vector(rng, zeros, algebra, 2, low=2)} if zeros else {}
+            path = PolyPath({0: x, 1: step}, odd)
+            got = verify_homotopy_witness(path, x, x + step, structure, algebra)
+            want = fraction_verify_homotopy_witness(path, x, x + step, structure, algebra)
+            assert_same_report(got, want)
+            axioms.append(got.axiom)
+    assert all(axioms.count(a) >= 3 for a in (None, "path-mc", "path-dt")), axioms
